@@ -197,7 +197,7 @@ let run_campaign () =
 
 (* Campaign-engine throughput: from-scratch re-simulation (checkpointing
    effectively disabled with an interval beyond the horizon) vs the
-   checkpointed engine, single-domain and multi-domain, vs the wide and
+   checkpointed engine, single-domain and multi-domain, vs the two
    delta engines. The headline number: injections/second.
 
    Every engine's run is split into a setup phase (campaign creation —
@@ -215,7 +215,6 @@ let run_perf () =
   let nl = System.avr_netlist () in
   let program = Avr_asm.assemble Programs.avr_fib in
   let make () = System.create_avr ~netlist:nl ~program "avr/fib" in
-  let make_lanes () = System.create_avr_lanes ~netlist:nl ~program "avr/fib" in
   let make_delta ~trace = System.create_avr_delta ~netlist:nl ~program ~trace "avr/fib" in
   let make_delta_batch ~trace =
     System.create_avr_delta_batch ~netlist:nl ~program ~trace "avr/fib"
@@ -266,16 +265,6 @@ let run_perf () =
       ~setup:(fun () -> Campaign.create ~make ~total_cycles:horizon ())
       ~inject:(fun c -> Campaign.run_sample c ~space ~rng:(rng ()) ~n:samples ~jobs ())
   in
-  (* Lane-parallel (PPSFP) engine: an empty batch forces the lane worker
-     (and its checkpoint replay) into the setup phase. *)
-  let lstats, lsu, lt, lmin, lmaj =
-    measure
-      ~setup:(fun () ->
-        let c = Campaign.create ~make ~make_lanes ~total_cycles:horizon () in
-        ignore (Campaign.inject_batch c ~faults:[||] ());
-        c)
-      ~inject:(fun c -> Campaign.run_sample_batched c ~space ~rng:(rng ()) ~n:samples ())
-  in
   (* Activity-gated delta engine: the golden-trace recording is forced
      into the setup phase; the (cheap) delta worker build remains in the
      first injection. *)
@@ -323,9 +312,6 @@ let run_perf () =
   row ~key:"scalar" (Printf.sprintf "checkpointed (K=%d, 1 domain)" !interval) cstats csu ct cmin
     cmaj;
   row (Printf.sprintf "checkpointed (K=%d, %d domains)" !interval jobs) pstats psu pt pmin pmaj;
-  row ~key:"batched"
-    (Printf.sprintf "bit-parallel (%d lanes, K=%d, 1 domain)" Campaign.max_fault_lanes !interval)
-    lstats lsu lt lmin lmaj;
   row ~key:"delta" "delta (activity-gated, 1 domain)" dstats dsu dt dmin dmaj;
   row ~key:"delta-batched"
     (Printf.sprintf "batched delta (%d lanes, 1 domain)" Campaign.max_delta_lanes)
@@ -334,23 +320,17 @@ let run_perf () =
   (* All engines share the seed: identical sample list, so identical
      stats regardless of domain count or kernel. *)
   assert (cstats = pstats);
-  assert (cstats = lstats);
   assert (cstats = dstats);
   assert (cstats = dbstats);
   Printf.printf "single-domain speedup over from-scratch: %.1fx\n" (rate cstats ct /. base_rate);
-  Printf.printf "bit-parallel speedup over checkpointed single-domain: %.1fx\n"
-    (rate lstats lt /. rate cstats ct);
-  Printf.printf "delta speedup over bit-parallel: %.2fx (%.1f vs %.1f inj/s)\n"
-    (rate dstats dt /. rate lstats lt) (rate dstats dt) (rate lstats lt);
-  Printf.printf "batched delta over its parents: %.2fx vs bit-parallel, %.2fx vs delta (%.1f inj/s)\n"
-    (rate dbstats dbt /. rate lstats lt)
+  Printf.printf "batched delta over delta: %.2fx (%.1f vs %.1f inj/s)\n"
     (rate dbstats dbt /. rate dstats dt)
-    (rate dbstats dbt);
+    (rate dbstats dbt) (rate dstats dt);
   Printf.printf "(multi-domain wall clock scales with physical cores; this host has %d)\n"
     (Domain.recommended_domain_count ());
   (* Fault-model dimension: scalar vs delta rates per model at a reduced
      sample count (multi-flop / multi-cycle faults cost more per sample,
-     and the wide engines fall back to these two anyway). *)
+     and the wide engine falls back to delta anyway). *)
   let model_samples = max 10 (samples / 10) in
   let models = [ Fault_model.Seu; Fault_model.Set; Fault_model.Mbu 2; Fault_model.Intermittent 3 ] in
   let model_rows =

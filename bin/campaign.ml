@@ -79,18 +79,6 @@ let validate_chaos ~chaos_budget =
     fail exit_bad_supervisor "--chaos-budget must be non-negative (got %d)" chaos_budget
   else None
 
-(* --engine names the classification kernel; the older --batched flag is
-   kept as an alias for --engine batched, and the two must agree. *)
-let resolve_kernel ~batched ~engine =
-  match engine with
-  | Some k when batched && k <> Fi_campaign.Batched ->
-    Error
-      (Option.get
-         (fail exit_bad_supervisor "--batched conflicts with --engine %s"
-            (Fi_campaign.kernel_name k)))
-  | Some k -> Ok k
-  | None -> Ok (if batched then Fi_campaign.Batched else Fi_campaign.Scalar)
-
 (* --fault-model names the fault model every sampled fault is classified
    under; a bad spec gets its own exit code before any engine is built. *)
 let resolve_model spec =
@@ -98,21 +86,13 @@ let resolve_model spec =
   | Ok m -> Ok m
   | Error msg -> Error (Option.get (fail exit_bad_model "%s" msg))
 
-(* Only the per-fault kernels understand multi-flop/multi-cycle faults;
-   the bit-parallel ones are one-flip-per-lane by construction. The
-   fallback is explicit (printed) and deterministic, so a resumed or
-   distributed campaign re-derives the identical kernel. *)
-let effective_kernel ~model ~kernel =
-  match (model, kernel) with
-  | Fault_model.Seu, k -> k
-  | _, Fi_campaign.Batched -> Fi_campaign.Scalar
-  | _, Fi_campaign.Delta_batched -> Fi_campaign.Delta
-  | _, k -> k
-
+(* The kernel fallback for multi-flop/multi-cycle models is decided by
+   Campaign.effective_kernel, which the engines apply themselves; here it
+   is only made visible. Returns the kernel that will actually run. *)
 let note_kernel_fallback ~model ~kernel =
-  let k = effective_kernel ~model ~kernel in
+  let k = Fi_campaign.effective_kernel model kernel in
   if k <> kernel then
-    Printf.printf "(--fault-model %s has no bit-parallel kernel; falling back to --engine %s)\n%!"
+    Printf.printf "(--fault-model %s needs a per-fault kernel; falling back to --engine %s)\n%!"
       (Fault_model.name model) (Fi_campaign.kernel_name k);
   k
 
@@ -136,34 +116,27 @@ let check_journal_model ~journal ~active ~model =
     | _ -> None)
   | _ -> None
 
-(* --lanes caps the in-flight faults of the wide engines; 0 (default)
-   selects the engine's maximum. Only the batched engines have lanes,
-   so a non-zero --lanes with a per-fault engine is a conflict, not a
-   silent no-op. *)
+(* --lanes caps the in-flight faults of the wide engine; 0 (default)
+   selects the engine's maximum. Only delta-batched has lanes, so a
+   non-zero --lanes with a per-fault engine is a conflict, not a silent
+   no-op. *)
 let validate_lanes ~kernel ~lanes =
-  let cap name max_lanes =
-    if lanes > max_lanes then
-      fail exit_bad_supervisor "--lanes must be in [1, %d] for --engine %s (got %d)" max_lanes name
-        lanes
-    else None
-  in
   if lanes < 0 then fail exit_bad_supervisor "--lanes must be non-negative (got %d)" lanes
   else if lanes = 0 then None
-  else
-    match kernel with
-    | Fi_campaign.Batched -> cap "batched" Fi_campaign.max_fault_lanes
-    | Fi_campaign.Delta_batched -> cap "delta-batched" Fi_campaign.max_delta_lanes
-    | Fi_campaign.Scalar | Fi_campaign.Delta ->
-      fail exit_bad_supervisor "--lanes only applies to --engine batched or delta-batched (got %s)"
-        (Fi_campaign.kernel_name kernel)
+  else if kernel <> Fi_campaign.Delta_batched then
+    fail exit_bad_supervisor "--lanes only applies to --engine delta-batched (got %s)"
+      (Fi_campaign.kernel_name kernel)
+  else if lanes > Fi_campaign.max_delta_lanes then
+    fail exit_bad_supervisor "--lanes must be in [1, %d] for --engine delta-batched (got %d)"
+      Fi_campaign.max_delta_lanes lanes
+  else None
 
-(* The four system makers (scalar, lane-parallel, delta, batched-delta)
-   for a built-in core/program pair — one per classification engine. *)
+(* The three system makers (scalar, delta, batched-delta) for a
+   built-in core/program pair — one per classification engine. *)
 let make_system core program =
   let avr p name =
     Some
       ( (fun nl -> System.create_avr ?netlist:nl ~program:(Lazy.force p) name),
-        (fun nl -> System.create_avr_lanes ?netlist:nl ~program:(Lazy.force p) name),
         (fun nl ~trace -> System.create_avr_delta ?netlist:nl ~program:(Lazy.force p) ~trace name),
         fun nl ~trace ->
           System.create_avr_delta_batch ?netlist:nl ~program:(Lazy.force p) ~trace name )
@@ -171,7 +144,6 @@ let make_system core program =
   let msp p name =
     Some
       ( (fun nl -> System.create_msp ?netlist:nl ~program:(Lazy.force p) name),
-        (fun nl -> System.create_msp_lanes ?netlist:nl ~program:(Lazy.force p) name),
         (fun nl ~trace -> System.create_msp_delta ?netlist:nl ~program:(Lazy.force p) ~trace name),
         fun nl ~trace ->
           System.create_msp_delta_batch ?netlist:nl ~program:(Lazy.force p) ~trace name )
@@ -268,11 +240,8 @@ let build_pruner nl ~make ~cycles ~space =
 (* ------------------------------------------------------------------ *)
 (* campaign [run]: the single-process engine of PR 1-3.                 *)
 
-let run core program cycles samples seed prune jobs checkpoint_interval batched engine lanes
-    fault_model journal resume audit watchdog retries chaos_profile chaos_seed chaos_budget =
-  match resolve_kernel ~batched ~engine with
-  | Error code -> code
-  | Ok kernel -> (
+let run core program cycles samples seed prune jobs checkpoint_interval kernel lanes fault_model
+    journal resume audit watchdog retries chaos_profile chaos_seed chaos_budget =
   match resolve_model fault_model with
   | Error code -> code
   | Ok model -> (
@@ -293,7 +262,7 @@ let run core program cycles samples seed prune jobs checkpoint_interval batched 
   | Some code -> code
   | None -> (
     let lanes = if lanes > 0 then Some lanes else None in
-    let make, make_lanes, make_delta, make_delta_batch =
+    let make, make_delta, make_delta_batch =
       match make_system core program with
       | Some m -> m
       | None -> assert false
@@ -302,7 +271,7 @@ let run core program cycles samples seed prune jobs checkpoint_interval batched 
     match Fault_space.full ~model nl ~cycles with
     | exception Invalid_argument msg -> Option.get (fail exit_bad_model "%s" msg)
     | space ->
-    let kernel = note_kernel_fallback ~model ~kernel in
+    let engine = note_kernel_fallback ~model ~kernel in
     Printf.printf "%s/%s: fault space [%s] = %d keys x %d cycles = %d faults; sampling %d\n%!"
       core program (Fault_model.name model) (Fault_space.n_keys space) cycles
       (Fault_space.size space) samples;
@@ -310,13 +279,12 @@ let run core program cycles samples seed prune jobs checkpoint_interval batched 
     let campaign =
       Fi_campaign.create ?checkpoint_interval
         ~make:(fun () -> make (Some nl))
-        ~make_lanes:(fun () -> make_lanes (Some nl))
         ~make_delta:(fun ~trace -> make_delta (Some nl) ~trace)
         ~make_delta_batch:(fun ~trace -> make_delta_batch (Some nl) ~trace)
         ~total_cycles:cycles ()
     in
     Printf.printf "checkpoint interval: %d cycles; jobs: %d; engine: %s\n%!"
-      (Fi_campaign.checkpoint_interval campaign) jobs (Fi_campaign.kernel_name kernel);
+      (Fi_campaign.checkpoint_interval campaign) jobs (Fi_campaign.kernel_name engine);
     let pruner = if prune then Some (build_pruner nl ~make ~cycles ~space) else None in
     (* The MATE pruner proves single-flop, single-cycle (SEU) faults
        benign; [lift_pruned] soundly lifts that claim to the model's
@@ -331,17 +299,15 @@ let run core program cycles samples seed prune jobs checkpoint_interval batched 
     let durable =
       journal <> None || resume || audit > 0. || watchdog > 0 || chaos_seed <> None
     in
-    if kernel <> Fi_campaign.Scalar && jobs > 1 then
+    if engine <> Fi_campaign.Scalar && jobs > 1 then
       Printf.printf "(--engine %s runs on one domain; ignoring --jobs)\n%!"
-        (Fi_campaign.kernel_name kernel);
+        (Fi_campaign.kernel_name engine);
     let start = Mono.now () in
     if not durable then begin
       let rng = Prng.create seed in
       let stats =
         match kernel with
         | Fi_campaign.Scalar -> Fi_campaign.run_sample campaign ~space ~rng ~n:samples ?skip ~jobs ()
-        | Fi_campaign.Batched ->
-          Fi_campaign.run_sample_batched campaign ~space ~rng ~n:samples ?skip ?lanes ()
         | Fi_campaign.Delta -> Fi_campaign.run_sample_delta campaign ~space ~rng ~n:samples ?skip ()
         | Fi_campaign.Delta_batched ->
           Fi_campaign.run_sample_delta_batched campaign ~space ~rng ~n:samples ?skip ?lanes ()
@@ -416,7 +382,7 @@ let run core program cycles samples seed prune jobs checkpoint_interval batched 
           stop_exit_code ()
         end
         else 0
-    end)))
+    end))
 
 (* ------------------------------------------------------------------ *)
 (* campaign serve: the distributed coordinator.                         *)
@@ -453,8 +419,8 @@ let run_coordinator ~core ~program ~cycles ~samples ~seed ~prune ~model ~listen 
     ~config ~journal ~resume ~verbose ~chaos =
     (* The coordinator is engine-free: the campaign identity (and with
        it, the exact fault list every worker derives) is pinned entirely
-       by this header. shards=0 / batched=false marks the journal as
-       distributed so local --resume refuses it and vice versa. *)
+       by this header. shards=0 marks the journal as distributed so local
+       --resume refuses it and vice versa. *)
     let header : Journal.header =
       {
         Journal.core;
@@ -580,19 +546,19 @@ let work_one ~host ~port ~name ~kernel ~checkpoint_interval ~retries ~max_reconn
     (* The Welcome header pins the fault model; the worker obeys it —
        a fleet never mixes models within one campaign. *)
     let model = h.Journal.fault_model in
-    let kernel = note_kernel_fallback ~model ~kernel in
+    let engine = note_kernel_fallback ~model ~kernel in
     Printf.printf "campaign: %s/%s, %d cycles, %d samples, seed %d%s, model %s [%s]\n%!"
       h.Journal.core h.Journal.program h.Journal.cycles h.Journal.samples h.Journal.seed
       (if h.Journal.prune then ", pruned" else "")
       (Fault_model.name model)
-      (Fi_campaign.kernel_name kernel);
+      (Fi_campaign.kernel_name engine);
     match make_system h.Journal.core h.Journal.program with
     | None ->
       raise
         (Unknown_identity
            (Printf.sprintf "coordinator asked for unknown core/program %S/%S" h.Journal.core
               h.Journal.program))
-    | Some (make, make_lanes, make_delta, make_delta_batch) ->
+    | Some (make, make_delta, make_delta_batch) ->
       let nl = (make None).System.netlist in
       let space =
         try Fault_space.full ~model nl ~cycles:h.Journal.cycles
@@ -605,8 +571,7 @@ let work_one ~host ~port ~name ~kernel ~checkpoint_interval ~retries ~max_reconn
       let campaign =
         Fi_campaign.create ?checkpoint_interval
           ~make:(fun () -> make (Some nl))
-          ~make_lanes:(fun () -> make_lanes (Some nl))
-          ~make_delta:(fun ~trace -> make_delta (Some nl) ~trace)
+            ~make_delta:(fun ~trace -> make_delta (Some nl) ~trace)
           ~make_delta_batch:(fun ~trace -> make_delta_batch (Some nl) ~trace)
           ~total_cycles:h.Journal.cycles ()
       in
@@ -638,11 +603,8 @@ let work_one ~host ~port ~name ~kernel ~checkpoint_interval ~retries ~max_reconn
       prerr_endline ("campaign: giving up: " ^ why);
       exit_network)
 
-let work hostport name workers batched engine checkpoint_interval retries max_reconnects
-    recv_timeout chaos_profile chaos_seed chaos_budget =
-  match resolve_kernel ~batched ~engine with
-  | Error code -> code
-  | Ok kernel -> (
+let work hostport name workers kernel checkpoint_interval retries max_reconnects recv_timeout
+    chaos_profile chaos_seed chaos_budget =
   match
     match parse_hostport hostport with
     | None ->
@@ -719,7 +681,7 @@ let work hostport name workers batched engine checkpoint_interval retries max_re
       end)
   with
   | Some code -> code
-  | None -> assert false)
+  | None -> assert false
 
 (* ------------------------------------------------------------------ *)
 (* campaign serve, take two: the self-healing service.                  *)
@@ -1036,46 +998,34 @@ let checkpoint_interval =
     & info [ "checkpoint-interval" ]
         ~doc:"Golden-run checkpoint spacing in cycles (0 = auto: total/64).")
 
-let batched =
-  Arg.(
-    value & flag
-    & info [ "batched" ]
-        ~doc:
-          "Use the bit-parallel (PPSFP) engine: up to 62 faults simulated at once in the bit-lanes \
-           of one machine word. Verdicts are identical to the scalar engine. Alias for \
-           $(b,--engine batched).")
-
 let engine_arg =
   Arg.(
     value
     & opt
-        (some
-           (enum
-              [
-                ("scalar", Fi_campaign.Scalar);
-                ("batched", Fi_campaign.Batched);
-                ("delta", Fi_campaign.Delta);
-                ("delta-batched", Fi_campaign.Delta_batched);
-              ]))
-        None
+        (enum
+           [
+             ("scalar", Fi_campaign.Scalar);
+             ("delta", Fi_campaign.Delta);
+             ("delta-batched", Fi_campaign.Delta_batched);
+             ("batched", Fi_campaign.Delta_batched);
+           ])
+        Fi_campaign.Scalar
     & info [ "engine" ] ~docv:"KERNEL"
         ~doc:
           "Classification kernel: $(b,scalar) (one fault at a time from the nearest golden \
-           checkpoint), $(b,batched) (bit-parallel PPSFP: up to 62 faults in the bit-lanes of \
-           one machine word), $(b,delta) (activity-gated: only wires differing from the golden \
-           run are re-evaluated, and a fault is retired the moment its difference set empties) \
-           or $(b,delta-batched) (both at once: up to 63 in-flight faults, each a sparse delta \
-           against one shared recorded golden run, swept over one shared schedule). All four \
-           produce bit-identical verdicts. Default scalar.")
+           checkpoint), $(b,delta) (activity-gated: only wires differing from the golden run are \
+           re-evaluated, and a fault is retired the moment its difference set empties) or \
+           $(b,delta-batched) (up to 63 in-flight faults, each a sparse delta against one shared \
+           recorded golden run, swept over one shared schedule; $(b,batched) is an alias). All \
+           three produce bit-identical verdicts.")
 
 let lanes_arg =
   Arg.(
     value & opt int 0
     & info [ "lanes" ] ~docv:"N"
         ~doc:
-          "In-flight faults per pass for the wide engines (0 = the engine's maximum: 62 for \
-           $(b,--engine batched), 63 for $(b,--engine delta-batched)). Only valid with those \
-           engines; verdicts are identical for every width.")
+          "In-flight faults per pass for $(b,--engine delta-batched) (0 = the maximum, 63). \
+           Only valid with that engine; verdicts are identical for every width.")
 
 let fault_model_arg =
   Arg.(
@@ -1090,7 +1040,7 @@ let fault_model_arg =
            $(b,intermittent:N) (intermittent stuck-at: one flop held at the flipped value for \
            $(i,N) consecutive cycles; $(b,intermittent:1) is exactly $(b,seu)). The model is \
            pinned in the journal header and on every distributed chunk; scalar and delta \
-           engines support every model bit-identically, the bit-parallel engines fall back \
+           engines support every model bit-identically, delta-batched falls back to delta \
            (printed) for non-SEU models.")
 
 let journal =
@@ -1179,7 +1129,7 @@ let exit_doc =
     `P "10: unknown core/program; 11: bad --cycles; 12: bad --samples; 13: bad --seed; 14: bad \
         --checkpoint-interval; 15: bad --audit (or --audit without --prune); 16: bad \
         --watchdog/--retries/--jobs/--lanes/--chaos-budget (including --lanes with a per-fault \
-        engine, or --batched conflicting with --engine); 17: journal error (corrupt, mismatched, \
+        engine); 17: journal error (corrupt, mismatched, \
         missing for --resume, or the disk failed mid-run — resumable); 18: bad distributed \
         argument (--port, --chunk-size, --lease, --idle-timeout, --poison-threshold, \
         --blacklist-threshold, --verify-frac, --max-inflight, --quorum, --suspect-threshold, \
@@ -1202,7 +1152,7 @@ let exit_doc =
 let run_term =
   Term.(
     const run $ core $ program $ cycles $ samples $ seed $ prune $ jobs $ checkpoint_interval
-    $ batched $ engine_arg $ lanes_arg $ fault_model_arg $ journal $ resume $ audit $ watchdog
+    $ engine_arg $ lanes_arg $ fault_model_arg $ journal $ resume $ audit $ watchdog
     $ retries $ chaos_profile_arg $ chaos_seed_arg $ chaos_budget_arg)
 
 let run_cmd =
@@ -1419,7 +1369,7 @@ let work_cmd =
           verdicts back until the campaign completes. Safe to kill at any time — at most the \
           current chunk is re-dispatched.")
     Term.(
-      const work $ hostport $ worker_name $ workers $ batched $ engine_arg $ checkpoint_interval
+      const work $ hostport $ worker_name $ workers $ engine_arg $ checkpoint_interval
       $ retries $ max_reconnects $ recv_timeout $ chaos_profile_arg $ chaos_seed_arg
       $ chaos_budget_arg)
 

@@ -1,5 +1,5 @@
 (* Shannon lowering of cell truth tables to straight-line bitwise
-   formulas, the kernel of the lane-parallel (PPSFP) simulator: one
+   formulas, the gate kernel of the batched delta simulator: one
    evaluation of the lowered formula over machine words advances
    [Sys.int_size] independent simulation lanes at once. *)
 

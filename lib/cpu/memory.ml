@@ -1,6 +1,5 @@
 module Netlist = Pruning_netlist.Netlist
 module Sim = Pruning_sim.Sim
-module Bitsim = Pruning_sim.Bitsim
 module Deltasim = Pruning_sim.Deltasim
 module Deltabatch = Pruning_sim.Deltabatch
 module Trace = Pruning_sim.Trace
@@ -50,232 +49,6 @@ let avr_ram nl =
 let avr_pins nl ~value =
   let io_port = Netlist.find_input_port nl "io_in" in
   Sim.pure_device "avr-pins" (fun _read write -> write_port io_port write value)
-
-(* ------------------------------------------------------------------ *)
-(* Lane-aware devices for the bit-parallel simulator.
-
-   A lane memory is a base array (the value every lane agrees on) plus a
-   copy-on-write overlay: the first write that makes some lane's cell
-   differ from the others materializes a per-lane vector for that
-   address. As long as every lane presents the same address, data and
-   write-enable — packed words that are all 0 or all ones — reads and
-   writes stay on the uniform fast path and never touch the overlay, so
-   a batch whose faulty lanes have not (yet) diverged costs the same as
-   the scalar device. *)
-
-type lane_backing = {
-  lb_base : int array;
-  lb_overlay : (int, int array) Hashtbl.t;
-      (* addr -> per-lane values; present only for diverged addresses *)
-}
-
-let lane_create size = { lb_base = Array.make size 0; lb_overlay = Hashtbl.create 16 }
-
-let lane_size m = Array.length m.lb_base
-
-let lane_read m ~lane addr =
-  match Hashtbl.find_opt m.lb_overlay addr with
-  | Some lanes -> lanes.(lane)
-  | None -> m.lb_base.(addr)
-
-let lane_write m ~lane addr v =
-  match Hashtbl.find_opt m.lb_overlay addr with
-  | Some lanes -> lanes.(lane) <- v
-  | None ->
-    if m.lb_base.(addr) <> v then begin
-      let lanes = Array.make Bitsim.n_lanes m.lb_base.(addr) in
-      lanes.(lane) <- v;
-      Hashtbl.replace m.lb_overlay addr lanes
-    end
-
-let lane_write_uniform m addr v =
-  Hashtbl.remove m.lb_overlay addr;
-  m.lb_base.(addr) <- v
-
-let lane_diff_mask m =
-  Hashtbl.fold
-    (fun _ lanes acc ->
-      let g = lanes.(0) in
-      let acc = ref acc in
-      for lane = 1 to Bitsim.n_lanes - 1 do
-        if lanes.(lane) <> g then acc := !acc lor (1 lsl lane)
-      done;
-      !acc)
-    m.lb_overlay 0
-
-let lane_diffs m ~lane =
-  Hashtbl.fold
-    (fun addr lanes acc -> if lanes.(lane) <> lanes.(0) then (addr, lanes.(lane)) :: acc else acc)
-    m.lb_overlay []
-  |> List.sort compare
-
-let lane_reset m ~lane = Hashtbl.iter (fun _ lanes -> lanes.(lane) <- lanes.(0)) m.lb_overlay
-
-let lane_compact m =
-  let uniform =
-    Hashtbl.fold
-      (fun addr lanes acc ->
-        let v = lanes.(0) in
-        if Array.for_all (Int.equal v) lanes then (addr, v) :: acc else acc)
-      m.lb_overlay []
-  in
-  List.iter
-    (fun (addr, v) ->
-      Hashtbl.remove m.lb_overlay addr;
-      m.lb_base.(addr) <- v)
-    uniform
-
-let lane_saver m () =
-  let base = Array.copy m.lb_base in
-  let overlay =
-    Hashtbl.fold (fun addr lanes acc -> (addr, Array.copy lanes) :: acc) m.lb_overlay []
-  in
-  fun () ->
-    Array.blit base 0 m.lb_base 0 (Array.length base);
-    Hashtbl.reset m.lb_overlay;
-    List.iter (fun (addr, lanes) -> Hashtbl.replace m.lb_overlay addr (Array.copy lanes)) overlay
-
-(* Packed-port helpers. A packed word is "uniform" when every lane holds
-   the same bit, i.e. the word is 0 or all-ones. *)
-
-let read_port_uniform (port : Netlist.port) (read : Bitsim.reader) =
-  let wires = port.Netlist.port_wires in
-  let n = Array.length wires in
-  let v = ref 0 in
-  let ok = ref true in
-  let i = ref 0 in
-  while !ok && !i < n do
-    let w = read wires.(!i) in
-    if w = -1 then v := !v lor (1 lsl !i) else if w <> 0 then ok := false;
-    incr i
-  done;
-  if !ok then Some !v else None
-
-let read_port_lane (port : Netlist.port) (read : Bitsim.reader) ~lane =
-  let v = ref 0 in
-  Array.iteri
-    (fun i w -> if (read w lsr lane) land 1 = 1 then v := !v lor (1 lsl i))
-    port.Netlist.port_wires;
-  !v
-
-let write_port_uniform (port : Netlist.port) (write : Bitsim.writer) value =
-  Array.iteri
-    (fun i w -> write w (Bitsim.splat (value land (1 lsl i) <> 0)))
-    port.Netlist.port_wires
-
-(* Gather a per-lane value function into packed words and drive the
-   port: the transpose that pays for lane divergence. *)
-let write_port_lanes (port : Netlist.port) (write : Bitsim.writer) f =
-  let wires = port.Netlist.port_wires in
-  let width = Array.length wires in
-  let words = Array.make width 0 in
-  for lane = 0 to Bitsim.n_lanes - 1 do
-    let v = f lane in
-    for i = 0 to width - 1 do
-      if (v lsr i) land 1 = 1 then words.(i) <- words.(i) lor (1 lsl lane)
-    done
-  done;
-  Array.iteri (fun i w -> write w words.(i)) wires
-
-let avr_rom_lanes nl ~program =
-  let addr_port = Netlist.find_output_port nl "pmem_addr" in
-  let instr_port = Netlist.find_input_port nl "instr" in
-  let fetch addr = if addr < Array.length program then program.(addr) else 0 (* NOP *) in
-  Bitsim.pure_device "avr-rom" (fun read write ->
-      match read_port_uniform addr_port read with
-      | Some addr -> write_port_uniform instr_port write (fetch addr)
-      | None ->
-        write_port_lanes instr_port write (fun lane ->
-            fetch (read_port_lane addr_port read ~lane)))
-
-let avr_ram_lanes nl =
-  let mem = lane_create 256 in
-  let addr_port = Netlist.find_output_port nl "dmem_addr" in
-  let rdata_port = Netlist.find_input_port nl "dmem_rdata" in
-  let wdata_port = Netlist.find_output_port nl "dmem_wdata" in
-  let wen_port = Netlist.find_output_port nl "dmem_wen" in
-  let device =
-    {
-      Bitsim.dev_name = "avr-ram";
-      dev_comb =
-        (fun read write ->
-          match read_port_uniform addr_port read with
-          | Some addr -> (
-            let addr = addr land 0xFF in
-            match Hashtbl.find_opt mem.lb_overlay addr with
-            | None -> write_port_uniform rdata_port write mem.lb_base.(addr)
-            | Some lanes -> write_port_lanes rdata_port write (fun lane -> lanes.(lane)))
-          | None ->
-            write_port_lanes rdata_port write (fun lane ->
-                lane_read mem ~lane (read_port_lane addr_port read ~lane land 0xFF)));
-      dev_clock =
-        (fun read ->
-          match
-            ( read_port_uniform wen_port read,
-              read_port_uniform addr_port read,
-              read_port_uniform wdata_port read )
-          with
-          | Some wen, Some addr, Some wdata ->
-            if wen = 1 then lane_write_uniform mem (addr land 0xFF) (wdata land 0xFF)
-          | _ ->
-            for lane = 0 to Bitsim.n_lanes - 1 do
-              if read_port_lane wen_port read ~lane = 1 then
-                lane_write mem ~lane
-                  (read_port_lane addr_port read ~lane land 0xFF)
-                  (read_port_lane wdata_port read ~lane land 0xFF)
-            done);
-      dev_save = lane_saver mem;
-    }
-  in
-  (mem, device)
-
-let avr_pins_lanes nl ~value =
-  let io_port = Netlist.find_input_port nl "io_in" in
-  Bitsim.pure_device "avr-pins" (fun _read write -> write_port_uniform io_port write value)
-
-let msp_memory_lanes nl ~words ~program =
-  if Array.length program > words then invalid_arg "Memory.msp_memory_lanes: program too large";
-  let mem = lane_create words in
-  Array.blit program 0 mem.lb_base 0 (Array.length program);
-  let addr_port = Netlist.find_output_port nl "mem_addr" in
-  let rdata_port = Netlist.find_input_port nl "mem_rdata" in
-  let wdata_port = Netlist.find_output_port nl "mem_wdata" in
-  let wen_port = Netlist.find_output_port nl "mem_wen" in
-  let word_index addr = addr lsr 1 mod words in
-  let device =
-    {
-      Bitsim.dev_name = "msp-memory";
-      dev_comb =
-        (fun read write ->
-          match read_port_uniform addr_port read with
-          | Some addr -> (
-            let addr = word_index addr in
-            match Hashtbl.find_opt mem.lb_overlay addr with
-            | None -> write_port_uniform rdata_port write mem.lb_base.(addr)
-            | Some lanes -> write_port_lanes rdata_port write (fun lane -> lanes.(lane)))
-          | None ->
-            write_port_lanes rdata_port write (fun lane ->
-                lane_read mem ~lane (word_index (read_port_lane addr_port read ~lane))));
-      dev_clock =
-        (fun read ->
-          match
-            ( read_port_uniform wen_port read,
-              read_port_uniform addr_port read,
-              read_port_uniform wdata_port read )
-          with
-          | Some wen, Some addr, Some wdata ->
-            if wen = 1 then lane_write_uniform mem (word_index addr) (wdata land 0xFFFF)
-          | _ ->
-            for lane = 0 to Bitsim.n_lanes - 1 do
-              if read_port_lane wen_port read ~lane = 1 then
-                lane_write mem ~lane
-                  (word_index (read_port_lane addr_port read ~lane))
-                  (read_port_lane wdata_port read ~lane land 0xFFFF)
-            done);
-      dev_save = lane_saver mem;
-    }
-  in
-  (mem, device)
 
 (* ------------------------------------------------------------------ *)
 (* Delta devices for the activity-gated kernel.
@@ -433,7 +206,7 @@ let msp_memory_delta ds nl ~trace ~words ~program =
 (* ------------------------------------------------------------------ *)
 (* Lane-masked delta devices for the batched activity-gated kernel.
 
-   The batch composition of the two families above: the golden device
+   The many-lane form of the delta family above: the golden device
    behaviour is baked into the recorded trace (shared by every lane),
    and each lane models only its own difference from it. The golden
    RAM replay — prescanned write stream, periodic snapshots, the

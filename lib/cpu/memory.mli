@@ -28,79 +28,6 @@ val msp_memory :
     (byte address; bit 0 ignored) / [mem_rdata] / [mem_wdata] / [mem_wen].
     [program] is loaded from word 0. *)
 
-(** {1 Lane-aware devices}
-
-    Counterparts of the devices above for the bit-parallel simulator
-    ({!Pruning_sim.Bitsim}). Memory contents are shared across lanes and
-    split copy-on-write: a per-lane vector for an address materializes
-    only when some lane's write diverges from lane 0 (different address,
-    data or write-enable). While every lane agrees — packed port words
-    all 0 or all ones — reads and writes take a uniform fast path with
-    scalar-device cost. *)
-
-type lane_backing = {
-  lb_base : int array;  (** value of every lane at non-diverged addresses *)
-  lb_overlay : (int, int array) Hashtbl.t;
-      (** addr -> per-lane values, present only for diverged addresses *)
-}
-
-val lane_create : int -> lane_backing
-val lane_size : lane_backing -> int
-
-val lane_read : lane_backing -> lane:int -> int -> int
-
-val lane_write : lane_backing -> lane:int -> int -> int -> unit
-(** Write one lane's cell, materializing the per-lane vector on first
-    divergence from the base value. *)
-
-val lane_write_uniform : lane_backing -> int -> int -> unit
-(** All lanes write the same value: collapses any overlay entry. *)
-
-val lane_diff_mask : lane_backing -> int
-(** Bit [l] set iff lane [l]'s memory differs from lane 0 anywhere. *)
-
-val lane_diffs : lane_backing -> lane:int -> (int * int) list
-(** [(addr, value)] cells where [lane] differs from lane 0, ascending by
-    address — the RAM half of the campaign's memo keys. *)
-
-val lane_reset : lane_backing -> lane:int -> unit
-(** Re-synchronize one lane with lane 0 (lane retirement/refill). *)
-
-val lane_compact : lane_backing -> unit
-(** Fold overlay entries whose lanes have all re-converged back into the
-    base array. *)
-
-val lane_saver : lane_backing -> unit -> unit -> unit
-(** [dev_save]-shaped snapshot of base + overlay. *)
-
-val read_port_uniform :
-  Pruning_netlist.Netlist.port -> Pruning_sim.Bitsim.reader -> int option
-(** Decode a port when every lane agrees ([Some value]), [None] if any
-    wire's packed word mixes lanes. *)
-
-val read_port_lane : Pruning_netlist.Netlist.port -> Pruning_sim.Bitsim.reader -> lane:int -> int
-(** Decode one lane's view of a port. *)
-
-val write_port_uniform : Pruning_netlist.Netlist.port -> Pruning_sim.Bitsim.writer -> int -> unit
-(** Drive the same value into every lane of a port. *)
-
-val write_port_lanes :
-  Pruning_netlist.Netlist.port -> Pruning_sim.Bitsim.writer -> (int -> int) -> unit
-(** [write_port_lanes port write f] drives lane [l] of the port with
-    [f l] (the per-lane transpose path). *)
-
-val avr_rom_lanes : Pruning_netlist.Netlist.t -> program:int array -> Pruning_sim.Bitsim.device
-
-val avr_ram_lanes : Pruning_netlist.Netlist.t -> lane_backing * Pruning_sim.Bitsim.device
-
-val avr_pins_lanes : Pruning_netlist.Netlist.t -> value:int -> Pruning_sim.Bitsim.device
-
-val msp_memory_lanes :
-  Pruning_netlist.Netlist.t ->
-  words:int ->
-  program:int array ->
-  lane_backing * Pruning_sim.Bitsim.device
-
 (** {1 Delta devices}
 
     Counterparts for the activity-gated kernel

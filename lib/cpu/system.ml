@@ -1,6 +1,5 @@
 module Netlist = Pruning_netlist.Netlist
 module Sim = Pruning_sim.Sim
-module Bitsim = Pruning_sim.Bitsim
 module Deltasim = Pruning_sim.Deltasim
 module Deltabatch = Pruning_sim.Deltabatch
 module Trace = Pruning_sim.Trace
@@ -44,40 +43,6 @@ let create_msp ?(words = 2048) ?netlist ~program name =
   let ram, mem_device = Memory.msp_memory netlist ~words ~program in
   Sim.add_device sim mem_device;
   { kind = Msp430; name; netlist; sim; ram; rf_prefix = Msp_core.rf_prefix }
-
-(* Lane-parallel counterpart: the same core and environment over the
-   bit-parallel simulator, with copy-on-write lane memories. *)
-type lanes = {
-  l_kind : kind;
-  l_name : string;
-  l_netlist : Netlist.t;
-  l_bsim : Bitsim.t;
-  l_ram : Memory.lane_backing;
-}
-
-let create_avr_lanes ?(pins = 0x5A) ?netlist ~program name =
-  let netlist =
-    match netlist with
-    | Some nl -> nl
-    | None -> avr_netlist ()
-  in
-  let bsim = Bitsim.create netlist in
-  Bitsim.add_device bsim (Memory.avr_rom_lanes netlist ~program);
-  let ram, ram_device = Memory.avr_ram_lanes netlist in
-  Bitsim.add_device bsim ram_device;
-  Bitsim.add_device bsim (Memory.avr_pins_lanes netlist ~value:pins);
-  { l_kind = Avr; l_name = name; l_netlist = netlist; l_bsim = bsim; l_ram = ram }
-
-let create_msp_lanes ?(words = 2048) ?netlist ~program name =
-  let netlist =
-    match netlist with
-    | Some nl -> nl
-    | None -> msp_netlist ()
-  in
-  let bsim = Bitsim.create netlist in
-  let ram, mem_device = Memory.msp_memory_lanes netlist ~words ~program in
-  Bitsim.add_device bsim mem_device;
-  { l_kind = Msp430; l_name = name; l_netlist = netlist; l_bsim = bsim; l_ram = ram }
 
 (* Delta counterpart: the same core and environment as a sparse
    difference against a recorded golden trace. *)
@@ -144,8 +109,6 @@ let create_msp_delta_batch ?(words = 2048) ?netlist ~program ~trace name =
   { db_kind = Msp430; db_name = name; db_netlist = netlist; db_dbsim = dbsim }
 
 let save_state t = Sim.save_state t.sim
-
-let save_lanes_state t = Bitsim.save_state t.l_bsim
 
 let run t ~cycles = Sim.run t.sim ~cycles ()
 

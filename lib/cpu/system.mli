@@ -24,25 +24,6 @@ val create_avr : ?pins:int -> ?netlist:Pruning_netlist.Netlist.t -> program:int 
 val create_msp : ?words:int -> ?netlist:Pruning_netlist.Netlist.t -> program:int array -> string -> t
 (** [words] is the unified memory size (default 2048 words). *)
 
-type lanes = {
-  l_kind : kind;
-  l_name : string;
-  l_netlist : Pruning_netlist.Netlist.t;
-  l_bsim : Pruning_sim.Bitsim.t;  (** lane-aware devices attached, program loaded *)
-  l_ram : Memory.lane_backing;
-      (** copy-on-write lane view of the data RAM / unified memory *)
-}
-(** The same system over the lane-parallel simulator: all
-    {!Pruning_sim.Bitsim.n_lanes} lanes start identical (so a run with no
-    injected divergence is cycle-identical to {!t}), and the batched
-    campaign engine flips individual lanes' flops. *)
-
-val create_avr_lanes :
-  ?pins:int -> ?netlist:Pruning_netlist.Netlist.t -> program:int array -> string -> lanes
-
-val create_msp_lanes :
-  ?words:int -> ?netlist:Pruning_netlist.Netlist.t -> program:int array -> string -> lanes
-
 type delta = {
   d_kind : kind;
   d_name : string;
@@ -97,10 +78,6 @@ val create_msp_delta_batch :
   trace:Pruning_sim.Trace.t ->
   string ->
   delta_batch
-
-val save_lanes_state : lanes -> unit -> unit
-(** Whole-system snapshot of a lane-parallel system (packed wire words,
-    cycle count, lane-memory base + overlay). *)
 
 val save_state : t -> unit -> unit
 (** Whole-system snapshot: wire/flop values, cycle count and every

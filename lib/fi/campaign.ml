@@ -1,11 +1,9 @@
 module Netlist = Pruning_netlist.Netlist
 module Sim = Pruning_sim.Sim
-module Bitsim = Pruning_sim.Bitsim
 module Deltasim = Pruning_sim.Deltasim
 module Deltabatch = Pruning_sim.Deltabatch
 module Trace = Pruning_sim.Trace
 module System = Pruning_cpu.System
-module Memory = Pruning_cpu.Memory
 module Prng = Pruning_util.Prng
 
 type verdict =
@@ -13,27 +11,37 @@ type verdict =
   | Latent
   | Sdc of int
 
-(* The four interchangeable classification engines. All are
+(* The three interchangeable classification engines. All are
    verdict-bit-identical (SDC cycles included); they differ only in how
    they spend the machine. *)
 type kernel =
   | Scalar  (** one fault at a time, full netlist eval per cycle *)
-  | Batched  (** 62 faults per pass in the bit-lanes of one simulation *)
   | Delta  (** one fault at a time, only the fault cone re-evaluated *)
   | Delta_batched  (** 63 faults per pass, one shared golden delta baseline *)
 
 let kernel_name = function
   | Scalar -> "scalar"
-  | Batched -> "batched"
   | Delta -> "delta"
   | Delta_batched -> "delta-batched"
 
+(* "batched" named the deleted bit-parallel engine; it stays a spelling
+   of the wide engine so old scripts and journals keep working. *)
 let kernel_of_string = function
   | "scalar" -> Some Scalar
-  | "batched" -> Some Batched
   | "delta" -> Some Delta
-  | "delta-batched" -> Some Delta_batched
+  | "delta-batched" | "batched" -> Some Delta_batched
   | _ -> None
+
+(* The one place the non-SEU fallback is decided. A batched-delta lane
+   carries exactly one flop flip, so models that flip several flops or
+   hold one over several cycles run on the single-fault delta kernel.
+   A pure function of (model, kernel): resumed and distributed runs
+   re-derive the same engine, and every caller agrees on it. *)
+let effective_kernel model kernel =
+  match (model, kernel) with
+  | Fault_model.Seu, k -> k
+  | _, Delta_batched -> Delta
+  | _, k -> k
 
 (* A memo key is the exact architectural difference from the golden run at
    a checkpoint: (checkpoint index, differing flops with their faulty
@@ -49,20 +57,10 @@ type worker = {
       (* w_restores.(i) rewinds w_sys to the start of cycle i*interval *)
 }
 
-(* Lane-parallel worker: a Bitsim system plus its own checkpoint
-   snapshots, rebuilt once by replaying the golden prefix with all lanes
-   in lockstep. *)
-type lane_worker = {
-  lw_sys : System.lanes;
-  lw_restores : (unit -> unit) array;
-}
-
 type t = {
   make : unit -> System.t;
-  make_lanes : (unit -> System.lanes) option;
   make_delta : (trace:Trace.t -> System.delta) option;
   make_delta_batch : (trace:Trace.t -> System.delta_batch) option;
-  mutable lane_worker : lane_worker option;  (* built lazily on first batched run *)
   mutable delta_worker : System.delta option;  (* built lazily on first delta run *)
   mutable delta_batch_worker : System.delta_batch option;  (* lazy, first batched-delta run *)
   mutable golden_trace : Trace.t option;
@@ -95,7 +93,7 @@ let read_outputs sim out_wires = Array.map (fun w -> Sim.peek sim w) out_wires
 let read_flops sim nl =
   Array.map (fun (f : Netlist.flop) -> Sim.peek sim f.Netlist.q) nl.Netlist.flops
 
-let create ?checkpoint_interval ?make_lanes ?make_delta ?make_delta_batch ~make ~total_cycles () =
+let create ?checkpoint_interval ?make_delta ?make_delta_batch ~make ~total_cycles () =
   if total_cycles <= 0 then invalid_arg "Campaign.create: total_cycles must be positive";
   let interval =
     match checkpoint_interval with
@@ -127,10 +125,8 @@ let create ?checkpoint_interval ?make_lanes ?make_delta ?make_delta_batch ~make 
   Sim.eval sim;
   {
     make;
-    make_lanes;
     make_delta;
     make_delta_batch;
-    lane_worker = None;
     delta_worker = None;
     delta_batch_worker = None;
     golden_trace = None;
@@ -438,285 +434,13 @@ let inject_expanded ?budget t w ~space ~key ~cycle =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Lane-parallel batched injection (PPSFP): lane 0 of a Bitsim worker
-   replays the golden run, lanes 1..N each carry one pending fault. All
-   comparisons are XOR-against-lane-0 masks, so one word operation
-   checks every lane at once; verdict semantics are exactly the scalar
-   engine's (the differential tests assert bit-identical results,
-   divergence cycles included). *)
-
-let fresh_lane_worker t make_lanes =
-  let sys = make_lanes () in
-  let bsim = sys.System.l_bsim in
-  let n_cp = Array.length t.cp_flops in
-  let restores = Array.make n_cp (fun () -> ()) in
-  restores.(0) <- System.save_lanes_state sys;
-  for cycle = 1 to (n_cp - 1) * t.interval do
-    Bitsim.step bsim;
-    if cycle mod t.interval = 0 then restores.(cycle / t.interval) <- System.save_lanes_state sys
-  done;
-  { lw_sys = sys; lw_restores = restores }
-
-let lane_worker t =
-  match t.lane_worker with
-  | Some w -> w
-  | None ->
-    let make_lanes =
-      match t.make_lanes with
-      | Some f -> f
-      | None ->
-        invalid_arg "Campaign: batched injection needs ~make_lanes at Campaign.create"
-    in
-    let w = fresh_lane_worker t make_lanes in
-    t.lane_worker <- Some w;
-    w
-
-(* Bit l of [v] as a full-width mask of lane 0's bit: a wire packed word
-   XORed with [replicate_lane0 v] has bit l set iff lane l disagrees
-   with the golden lane. *)
-let replicate_lane0 v = -(v land 1)
-
-let rec lsb_index v i = if v land 1 = 1 then i else lsb_index (v lsr 1) (i + 1)
-
-(* One pass over the horizon: restore the checkpoint covering the
-   earliest queued fault, then run forward, filling free lanes with
-   queued faults whose injection cycle has not passed yet, flipping each
-   lane's flop at its cycle, retiring lanes at checkpoint boundaries
-   (re-convergence -> Benign, memo hit -> replayed verdict) and on
-   output divergence (-> Sdc), and classifying survivors at the horizon.
-   Returns the queue of faults whose injection cycle was overtaken
-   before a lane freed up (classified by the next pass). *)
-let run_lane_pass t lw ~lanes faults verdicts queue =
-  let sys = lw.lw_sys in
-  let bsim = sys.System.l_bsim in
-  let nl = sys.System.l_netlist in
-  let ram = sys.System.l_ram in
-  let flops = nl.Netlist.flops in
-  let n_flops = Array.length flops in
-  let cp = (snd faults.(List.hd queue)) / t.interval in
-  lw.lw_restores.(cp) ();
-  let lane_fault = Array.make (lanes + 1) (-1) in
-  let lane_pending = Array.make (lanes + 1) [] in
-  let active = ref 0 in
-  let injected = ref 0 in
-  let free = ref (List.init lanes (fun i -> i + 1)) in
-  let pending_q = ref queue in
-  let leftover = ref [] in
-  let c = ref (cp * t.interval) in
-  let to_reset = ref 0 in
-  let retire lane verdict =
-    verdicts.(lane_fault.(lane)) <- verdict;
-    (match lane_pending.(lane) with
-    | [] -> ()
-    | keys ->
-      Mutex.lock t.memo_lock;
-      if Hashtbl.length t.memo < max_memo_entries then
-        List.iter (fun key -> Hashtbl.replace t.memo key verdict) keys;
-      Mutex.unlock t.memo_lock;
-      lane_pending.(lane) <- []);
-    lane_fault.(lane) <- -1;
-    let m = lnot (1 lsl lane) in
-    active := !active land m;
-    injected := !injected land m;
-    to_reset := !to_reset lor (1 lsl lane);
-    free := lane :: !free
-  in
-  (* Re-synchronize retired lanes with the golden lane so they stop
-     producing divergence noise and can host the next fault. Deferred to
-     just after the latch edge: [Bitsim.reset_lane] only rewrites flop Qs
-     and primary inputs, so resetting before the latch would let the
-     lane's stale faulty D values (and clocked device writes) leak right
-     back into the supposedly clean lane. *)
-  let flush_resets () =
-    if !to_reset <> 0 then begin
-      for lane = 1 to lanes do
-        if !to_reset land (1 lsl lane) <> 0 then begin
-          Bitsim.reset_lane bsim ~lane;
-          Memory.lane_reset ram ~lane
-        end
-      done;
-      to_reset := 0
-    end
-  in
-  let flop_diff_mask () =
-    let acc = ref 0 in
-    for i = 0 to n_flops - 1 do
-      let v = Bitsim.peek bsim flops.(i).Netlist.q in
-      acc := !acc lor (v lxor replicate_lane0 v)
-    done;
-    !acc
-  in
-  (* Per-lane architectural diff against lane 0 at a checkpoint
-     boundary: Benign retirement for re-converged lanes, memo lookup for
-     small divergences — the batched mirror of [state_diff]. *)
-  let boundary_check () =
-    let flop_diff = flop_diff_mask () in
-    let ram_mask = Memory.lane_diff_mask ram in
-    let diff_mask = (flop_diff lor ram_mask) land !injected in
-    let benign_mask = !injected land lnot diff_mask in
-    if benign_mask <> 0 then
-      for lane = 1 to lanes do
-        if benign_mask land (1 lsl lane) <> 0 then retire lane Benign
-      done;
-    if diff_mask <> 0 then begin
-      let counts = Array.make (lanes + 1) 0 in
-      let fd = Array.make (lanes + 1) [] in
-      let over = ref 0 in
-      for i = 0 to n_flops - 1 do
-        let v = Bitsim.peek bsim flops.(i).Netlist.q in
-        let d = ref ((v lxor replicate_lane0 v) land diff_mask land lnot !over) in
-        while !d <> 0 do
-          let lane = lsb_index !d 0 in
-          d := !d land (!d - 1);
-          counts.(lane) <- counts.(lane) + 1;
-          if counts.(lane) > max_memo_diff then over := !over lor (1 lsl lane)
-          else fd.(lane) <- (i, (v lsr lane) land 1 = 1) :: fd.(lane)
-        done
-      done;
-      let i_cp = !c / t.interval in
-      for lane = 1 to lanes do
-        if diff_mask land (1 lsl lane) <> 0 then begin
-          let key =
-            if !over land (1 lsl lane) <> 0 then None
-            else begin
-              let rd = Memory.lane_diffs ram ~lane in
-              if counts.(lane) + List.length rd > max_memo_diff then None
-              else Some (i_cp, List.rev fd.(lane), rd)
-            end
-          in
-          match key with
-          | None -> ()
-          | Some key -> (
-            Mutex.lock t.memo_lock;
-            let hit = Hashtbl.find_opt t.memo key in
-            Mutex.unlock t.memo_lock;
-            match hit with
-            | Some v -> retire lane v
-            | None -> lane_pending.(lane) <- key :: lane_pending.(lane))
-        end
-      done
-    end;
-    Memory.lane_compact ram
-  in
-  (try
-     while !c < t.total_cycles do
-       (* Refill free lanes with queued faults still injectable at !c;
-          overtaken faults go to the next pass. *)
-       let rec refill () =
-         match (!free, !pending_q) with
-         | [], _ | _, [] -> ()
-         | lane :: frest, idx :: qrest ->
-           let _, fc = faults.(idx) in
-           pending_q := qrest;
-           if fc < !c then leftover := idx :: !leftover
-           else begin
-             free := frest;
-             lane_fault.(lane) <- idx;
-             active := !active lor (1 lsl lane)
-           end;
-           refill ()
-       in
-       refill ();
-       if !active = 0 then raise Exit;
-       let to_inject = !active land lnot !injected in
-       if to_inject <> 0 then
-         for lane = 1 to lanes do
-           if to_inject land (1 lsl lane) <> 0 then begin
-             let flop_id, fc = faults.(lane_fault.(lane)) in
-             if fc = !c then begin
-               Bitsim.flip_flop_lane bsim flop_id ~lane;
-               injected := !injected lor (1 lsl lane)
-             end
-           end
-         done;
-       if !c mod t.interval = 0 && !injected <> 0 then boundary_check ();
-       Bitsim.eval bsim;
-       if !injected <> 0 then begin
-         let sdc = ref 0 in
-         Array.iter
-           (fun w ->
-             let v = Bitsim.peek bsim w in
-             sdc := !sdc lor (v lxor replicate_lane0 v))
-           t.out_wires;
-         let sdc = !sdc land !injected in
-         if sdc <> 0 then
-           for lane = 1 to lanes do
-             if sdc land (1 lsl lane) <> 0 then retire lane (Sdc !c)
-           done
-       end;
-       Bitsim.latch bsim;
-       flush_resets ();
-       incr c
-     done
-   with Exit -> ());
-  if !active <> 0 then begin
-    (* Horizon: same final architectural comparison as the scalar path
-       (lane 0 holds the golden horizon state). *)
-    Bitsim.eval bsim;
-    let diff = (flop_diff_mask () lor Memory.lane_diff_mask ram) land !active in
-    for lane = 1 to lanes do
-      if !active land (1 lsl lane) <> 0 then
-        retire lane (if diff land (1 lsl lane) <> 0 then Latent else Benign)
-    done
-  end;
-  flush_resets ();
-  (* Unclassified faults for the next pass: those overtaken while every
-     lane was busy, plus the queue tail never popped. Both lists are
-     ascending by (cycle, index); keep the merged queue sorted so the
-     next pass restores the right checkpoint for its head. *)
-  let by_cycle a b =
-    let ca = snd faults.(a) and cb = snd faults.(b) in
-    if ca <> cb then compare ca cb else compare a b
-  in
-  List.merge by_cycle (List.rev !leftover) !pending_q
-
-let max_fault_lanes = Bitsim.n_lanes - 1
-
-(* Drop the (lazily rebuilt) lane worker — the supervisor's recovery
-   path after an exception escaped mid-batch and left its lanes in an
-   unknown state. *)
-let reset_lane_worker t = t.lane_worker <- None
-
-let inject_batch t ?lanes ~faults () =
-  let lanes =
-    match lanes with
-    | None -> max_fault_lanes
-    | Some l ->
-      if l < 1 || l > max_fault_lanes then
-        invalid_arg
-          (Printf.sprintf "Campaign.inject_batch: lanes must be in [1, %d]" max_fault_lanes);
-      l
-  in
-  Array.iter
-    (fun (_, cycle) ->
-      if cycle < 0 || cycle >= t.total_cycles then
-        invalid_arg "Campaign.inject_batch: cycle out of range")
-    faults;
-  let lw = lane_worker t in
-  let n = Array.length faults in
-  let verdicts = Array.make n Benign in
-  (* Classify in injection-cycle order so each pass drains as many
-     faults as possible before their cycles are overtaken. *)
-  let order = Array.init n Fun.id in
-  Array.sort
-    (fun a b ->
-      let ca = snd faults.(a) and cb = snd faults.(b) in
-      if ca <> cb then compare ca cb else compare a b)
-    order;
-  let queue = ref (Array.to_list order) in
-  while !queue <> [] do
-    queue := run_lane_pass t lw ~lanes faults verdicts !queue
-  done;
-  verdicts
-
-(* ------------------------------------------------------------------ *)
 (* Delta injection: one fault at a time against the recorded golden
    trace, re-evaluating only the fault cone's active frontier. No
    checkpoint replay (attaching at the injection cycle is O(previous
    dirty set)). The dirty-set machinery retires re-converged faults at
    the earliest possible cycle, and at every checkpoint boundary the
    surviving divergence is read straight off the flip flags and device
-   diffs to share the verdict memo with the scalar and batched engines:
+   diffs to share the verdict memo with the other engines:
    a latent stuck bit costs one partial interval of sparse simulation
    plus a memo lookup instead of a run to the horizon. *)
 
@@ -948,16 +672,18 @@ let inject_fault_delta ?budget t ~space ~key ~cycle =
 (* ------------------------------------------------------------------ *)
 (* Batched delta injection: many in-flight faults per pass, each an
    independent sparse XOR-delta against the same recorded golden trace,
-   swept over one shared levelized schedule (Deltabatch). The pass has
-   the [run_lane_pass] shape — cycle-sorted queue, mid-pass lane refill,
-   per-lane retirement — but with the delta engine's semantics: no
-   checkpoint replay (idle lanes are golden by construction, so the pass
-   attaches at the head fault's exact cycle), per-lane earliest-cycle
-   Benign retirement the instant a lane's dirty set empties, and memo
-   keys read straight off the flip words and device diffs — identical to
-   the scalar engine's. *)
+   swept over one shared levelized schedule (Deltabatch). A pass works a
+   cycle-sorted fault queue with mid-pass lane refill and per-lane
+   retirement, under the delta engine's semantics: no checkpoint replay
+   (idle lanes are golden by construction, so the pass attaches at the
+   head fault's exact cycle), per-lane earliest-cycle Benign retirement
+   the instant a lane's dirty set empties, and memo keys read straight
+   off the flip words and device diffs — identical to the scalar
+   engine's. *)
 
 let max_delta_lanes = Deltabatch.n_lanes
+
+let rec lsb_index v i = if v land 1 = 1 then i else lsb_index (v lsr 1) (i + 1)
 
 let delta_batch_worker t =
   match t.delta_batch_worker with
@@ -1013,9 +739,8 @@ let run_delta_batch_pass t ?on_benign_retire db ~lanes faults verdicts queue =
     let m = lnot (1 lsl lane) in
     active := !active land m;
     injected := !injected land m;
-    (* Unlike the bit-parallel engine there is nothing to defer: wiping
-       returns the lane to bit-exact golden, so nothing stale can leak
-       back through the latch. *)
+    (* Wiping returns the lane to bit-exact golden at once, so nothing
+       stale can leak back through the latch. *)
     Deltabatch.wipe_lane ds ~lane;
     free := lane :: !free
   in
@@ -1190,6 +915,11 @@ type stats = {
   crashed : int;
 }
 
+(* A run's stats from its verdict counts; every fault not skipped was
+   injected exactly once. *)
+let stats_of ~n_skipped (b, l, s) =
+  { injections = b + l + s; benign = b; latent = l; sdc = s; skipped = n_skipped; crashed = 0 }
+
 let count_chunk t w ~space samples skipped lo hi =
   let b = ref 0 and l = ref 0 and s = ref 0 in
   for i = lo to hi do
@@ -1203,14 +933,15 @@ let count_chunk t w ~space samples skipped lo hi =
   done;
   (!b, !l, !s)
 
-(* The one sample-draw everybody shares: scalar, batched, durable and
-   distributed campaigns all derive their fault list through this exact
-   loop, so equal seeds yield equal fault lists — the foundation of every
-   bit-identical-statistics guarantee in the stack (a worker fleet and a
-   single process must classify the very same faults). The draw is over
-   the space's model keys; for [Seu] the key index runs over the flop
-   array and maps to netlist flop ids, making the PRNG call sequence and
-   the drawn pairs byte-identical to the historical flop-only draw. *)
+(* The one sample-draw everybody shares: every engine, the durable
+   runner and the distributed worker derive their fault list through
+   this exact loop, so equal seeds yield equal fault lists — the
+   foundation of every bit-identical-statistics guarantee in the stack
+   (a worker fleet and a single process must classify the very same
+   faults). The draw is over the space's model keys; for [Seu] the key
+   index runs over the flop array and maps to netlist flop ids, making
+   the PRNG call sequence and the drawn pairs byte-identical to the
+   historical flop-only draw. *)
 let draw_samples t ~space ~rng ~n =
   if n < 0 then invalid_arg "Campaign.draw_samples: n must be non-negative";
   let n_keys = Fault_space.n_keys space in
@@ -1223,80 +954,42 @@ let draw_samples t ~space ~rng ~n =
   done;
   samples
 
-let run_sample t ~space ~rng ~n ?(skip = fun ~flop_id:_ ~cycle:_ -> false) ?(jobs = 1) () =
-  (* Draw all samples up front with the single caller-provided generator:
-     the fault list — and therefore the stats — is a function of the seed
-     alone, independent of [jobs]. *)
+(* Draw all samples up front with the single caller-provided generator
+   and mark the pruned ones on the calling domain: the fault list — and
+   therefore the stats — is a function of the seed alone, whatever the
+   engine or domain count. *)
+let draw_marked t ~space ~rng ~n ~skip =
   let samples = draw_samples t ~space ~rng ~n in
   let skipped = Array.map (fun (flop_id, cycle) -> skip ~flop_id ~cycle) samples in
   let n_skipped = Array.fold_left (fun acc s -> if s then acc + 1 else acc) 0 skipped in
+  (samples, skipped, n_skipped)
+
+let no_skip ~flop_id:_ ~cycle:_ = false
+
+let run_sample t ~space ~rng ~n ?(skip = no_skip) ?(jobs = 1) () =
+  let samples, skipped, n_skipped = draw_marked t ~space ~rng ~n ~skip in
   let jobs = max 1 (min jobs (max 1 n)) in
-  let b, l, s =
-    if jobs = 1 then count_chunk t t.primary ~space samples skipped 0 (n - 1)
-    else begin
-      let chunk = (n + jobs - 1) / jobs in
-      let domains =
-        List.init jobs (fun j ->
-            let lo = j * chunk in
-            let hi = min (n - 1) ((j + 1) * chunk - 1) in
-            Domain.spawn (fun () ->
-                if lo > hi then (0, 0, 0)
-                else count_chunk t (fresh_worker t) ~space samples skipped lo hi))
-      in
-      List.fold_left
-        (fun (b, l, s) d ->
-          let b', l', s' = Domain.join d in
-          (b + b', l + l', s + s'))
-        (0, 0, 0) domains
-    end
-  in
-  { injections = n - n_skipped; benign = b; latent = l; sdc = s; skipped = n_skipped; crashed = 0 }
+  stats_of ~n_skipped
+    (if jobs = 1 then count_chunk t t.primary ~space samples skipped 0 (n - 1)
+     else begin
+       let chunk = (n + jobs - 1) / jobs in
+       let domains =
+         List.init jobs (fun j ->
+             let lo = j * chunk in
+             let hi = min (n - 1) ((j + 1) * chunk - 1) in
+             Domain.spawn (fun () ->
+                 if lo > hi then (0, 0, 0)
+                 else count_chunk t (fresh_worker t) ~space samples skipped lo hi))
+       in
+       List.fold_left
+         (fun (b, l, s) d ->
+           let b', l', s' = Domain.join d in
+           (b + b', l + l', s + s'))
+         (0, 0, 0) domains
+     end)
 
-let run_sample_batched t ~space ~rng ~n ?(skip = fun ~flop_id:_ ~cycle:_ -> false) ?lanes () =
-  (* Same draw order as [run_sample]: equal seeds yield equal fault
-     lists, so the batched stats must equal the scalar stats exactly. *)
-  let samples = draw_samples t ~space ~rng ~n in
-  let skipped = Array.map (fun (flop_id, cycle) -> skip ~flop_id ~cycle) samples in
-  let n_skipped = Array.fold_left (fun acc s -> if s then acc + 1 else acc) 0 skipped in
-  match space.Fault_space.model with
-  | Fault_model.Seu ->
-    let faults = Array.make (n - n_skipped) (0, 0) in
-    let j = ref 0 in
-    for i = 0 to n - 1 do
-      if not skipped.(i) then begin
-        faults.(!j) <- samples.(i);
-        incr j
-      end
-    done;
-    let verdicts = inject_batch t ?lanes ~faults () in
-    let b = ref 0 and l = ref 0 and s = ref 0 in
-    Array.iter
-      (function
-        | Benign -> incr b
-        | Latent -> incr l
-        | Sdc _ -> incr s)
-      verdicts;
-    {
-      injections = n - n_skipped;
-      benign = !b;
-      latent = !l;
-      sdc = !s;
-      skipped = n_skipped;
-      crashed = 0;
-    }
-  | _ ->
-    (* The bit-lane engine carries exactly one flop flip per lane;
-       non-SEU models fall back to the scalar reference injector,
-       fault by fault (documented in the engine support matrix). *)
-    let b, l, s = count_chunk t t.primary ~space samples skipped 0 (n - 1) in
-    { injections = n - n_skipped; benign = b; latent = l; sdc = s; skipped = n_skipped; crashed = 0 }
-
-let run_sample_delta t ~space ~rng ~n ?(skip = fun ~flop_id:_ ~cycle:_ -> false) () =
-  (* Same draw order again: equal seeds yield equal fault lists, so the
-     delta stats must equal the scalar and batched stats exactly. *)
-  let samples = draw_samples t ~space ~rng ~n in
-  let skipped = Array.map (fun (flop_id, cycle) -> skip ~flop_id ~cycle) samples in
-  let n_skipped = Array.fold_left (fun acc s -> if s then acc + 1 else acc) 0 skipped in
+let run_sample_delta t ~space ~rng ~n ?(skip = no_skip) () =
+  let samples, skipped, n_skipped = draw_marked t ~space ~rng ~n ~skip in
   let b = ref 0 and l = ref 0 and s = ref 0 in
   for i = 0 to n - 1 do
     if not skipped.(i) then begin
@@ -1307,24 +1000,12 @@ let run_sample_delta t ~space ~rng ~n ?(skip = fun ~flop_id:_ ~cycle:_ -> false)
       | Sdc _ -> incr s
     end
   done;
-  {
-    injections = n - n_skipped;
-    benign = !b;
-    latent = !l;
-    sdc = !s;
-    skipped = n_skipped;
-    crashed = 0;
-  }
+  stats_of ~n_skipped (!b, !l, !s)
 
-let run_sample_delta_batched t ~space ~rng ~n ?(skip = fun ~flop_id:_ ~cycle:_ -> false) ?lanes
-    () =
-  (* Same draw order again: equal seeds yield equal fault lists, so the
-     batched-delta stats must equal the other three engines exactly. *)
-  let samples = draw_samples t ~space ~rng ~n in
-  let skipped = Array.map (fun (flop_id, cycle) -> skip ~flop_id ~cycle) samples in
-  let n_skipped = Array.fold_left (fun acc s -> if s then acc + 1 else acc) 0 skipped in
-  match space.Fault_space.model with
-  | Fault_model.Seu ->
+let run_sample_delta_batched t ~space ~rng ~n ?(skip = no_skip) ?lanes () =
+  match effective_kernel space.Fault_space.model Delta_batched with
+  | Delta_batched ->
+    let samples, skipped, n_skipped = draw_marked t ~space ~rng ~n ~skip in
     let faults = Array.make (n - n_skipped) (0, 0) in
     let j = ref 0 in
     for i = 0 to n - 1 do
@@ -1333,43 +1014,15 @@ let run_sample_delta_batched t ~space ~rng ~n ?(skip = fun ~flop_id:_ ~cycle:_ -
         incr j
       end
     done;
-    let verdicts = inject_delta_batch t ?lanes ~faults () in
     let b = ref 0 and l = ref 0 and s = ref 0 in
     Array.iter
       (function
         | Benign -> incr b
         | Latent -> incr l
         | Sdc _ -> incr s)
-      verdicts;
-    {
-      injections = n - n_skipped;
-      benign = !b;
-      latent = !l;
-      sdc = !s;
-      skipped = n_skipped;
-      crashed = 0;
-    }
-  | _ ->
-    (* One flop flip per lane word again; non-SEU models fall back to
-       the single-fault delta injector (documented in the matrix). *)
-    let b = ref 0 and l = ref 0 and s = ref 0 in
-    for i = 0 to n - 1 do
-      if not skipped.(i) then begin
-        let key, cycle = samples.(i) in
-        match inject_fault_delta t ~space ~key ~cycle with
-        | Benign -> incr b
-        | Latent -> incr l
-        | Sdc _ -> incr s
-      end
-    done;
-    {
-      injections = n - n_skipped;
-      benign = !b;
-      latent = !l;
-      sdc = !s;
-      skipped = n_skipped;
-      crashed = 0;
-    }
+      (inject_delta_batch t ?lanes ~faults ());
+    stats_of ~n_skipped (!b, !l, !s)
+  | _ -> run_sample_delta t ~space ~rng ~n ~skip ()
 
 let pp_verdict ppf = function
   | Benign -> Format.fprintf ppf "benign"

@@ -28,16 +28,6 @@
     its own system and checkpoint set, and merges the per-domain counts.
     The stats are independent of [jobs].
 
-    The batched path ({!inject_batch}, {!run_sample_batched}) instead
-    packs up to [Pruning_sim.Bitsim.n_lanes - 1] experiments into the
-    bit-lanes of one lane-parallel simulation: lane 0 replays the golden
-    run and every other lane carries one fault, so a single pass over the
-    netlist advances all pending experiments at once. Lanes retire early
-    exactly like the scalar engine (Benign re-convergence or memo hits at
-    checkpoint boundaries, SDC on output divergence) and freed lanes are
-    refilled from the remaining fault queue mid-run. Verdicts — including
-    SDC cycles — are bit-identical to {!inject}.
-
     The delta path ({!inject_delta}, {!run_sample_delta}) instead
     simulates each faulty run as a sparse difference against a recorded
     golden trace ({!Pruning_sim.Deltasim}): only gates in the fault
@@ -47,7 +37,7 @@
     again bit-identical to {!inject}.
 
     The batched delta path ({!inject_delta_batch},
-    {!run_sample_delta_batched}) composes the two optimizations: up to
+    {!run_sample_delta_batched}) is the production engine: up to
     {!Pruning_sim.Deltabatch.n_lanes} in-flight faults, each an
     independent sparse XOR-delta against the {e same} recorded golden
     trace, sweep one shared levelized schedule per cycle — a gate is
@@ -58,13 +48,19 @@
     set empties, memo participation at checkpoint boundaries, SDC on
     output divergence) and freed lanes are refilled from the remaining
     fault queue mid-pass. Verdicts — including SDC cycles — are
-    bit-identical to {!inject}.
+    bit-identical to {!inject}. A lane carries one flop flip, so fault
+    models other than [Seu] run on the single-fault delta kernel
+    instead ({!effective_kernel}).
 
-    All four engines record the golden baseline once: the campaign
-    caches the recorded trace per its (core, program, horizon) identity,
-    so delta and batched-delta workers — including rebuilds after crash
-    recovery, durable shards and distributed chunk re-execution — share
-    one recording. *)
+    The delta-family engines record the golden baseline once: the
+    campaign caches the recorded trace per its (core, program, horizon)
+    identity, so delta and batched-delta workers — including rebuilds
+    after crash recovery, durable shards and distributed chunk
+    re-execution — share one recording.
+
+    The scalar engine is the reference oracle; delta-batched is the
+    production engine; single-fault delta is both the differential
+    check's independent engine and delta-batched's non-[Seu] fallback. *)
 
 type verdict =
   | Benign
@@ -73,20 +69,28 @@ type verdict =
 
 type kernel =
   | Scalar  (** one fault at a time, full netlist eval per cycle *)
-  | Batched  (** 62 faults per pass in the bit-lanes of one simulation *)
   | Delta  (** one fault at a time, only the fault cone re-evaluated *)
   | Delta_batched  (** 63 faults per pass, one shared golden delta baseline *)
-(** The four interchangeable classification engines; selection changes
+(** The three interchangeable classification engines; selection changes
     throughput only, never verdicts. *)
 
 val kernel_name : kernel -> string
+
 val kernel_of_string : string -> kernel option
+(** Inverse of {!kernel_name}; ["batched"] is accepted as an alias of
+    [Delta_batched]. *)
+
+val effective_kernel : Fault_model.t -> kernel -> kernel
+(** The engine that actually classifies faults of a model when [kernel]
+    is asked for: [Delta_batched] runs non-[Seu] models on [Delta] (one
+    flop flip per lane), every other pair is unchanged. The single
+    source of this fallback for {!run_sample_delta_batched}, {!Durable}
+    and {!Worker}; pure, so resumed and distributed runs agree. *)
 
 type t
 
 val create :
   ?checkpoint_interval:int ->
-  ?make_lanes:(unit -> Pruning_cpu.System.lanes) ->
   ?make_delta:(trace:Pruning_sim.Trace.t -> Pruning_cpu.System.delta) ->
   ?make_delta_batch:(trace:Pruning_sim.Trace.t -> Pruning_cpu.System.delta_batch) ->
   make:(unit -> Pruning_cpu.System.t) ->
@@ -97,9 +101,6 @@ val create :
     periodic checkpoints. [make] must produce a fresh, deterministic
     system each call (it is also invoked once per extra domain by
     {!run_sample}, so it must be safe to call from other domains).
-    [make_lanes] builds the same system over the lane-parallel simulator
-    and enables {!inject_batch} / {!run_sample_batched}; the lane worker
-    (and its own checkpoint set) is built lazily on first batched call.
     [make_delta] builds the same system over the activity-gated delta
     kernel (from a golden trace the campaign records lazily on first
     delta call) and enables {!inject_delta} / {!run_sample_delta};
@@ -188,8 +189,8 @@ val draw_samples :
     uniformly from [space]'s model keys (cycles clipped to the campaign
     horizon; for [Seu] the key {e is} the netlist flop id and the draw
     is byte-identical to the historical flop draw). This is {e the}
-    canonical draw — {!run_sample}, {!run_sample_batched}, the durable
-    runner and the distributed worker all use it, so every engine given
+    canonical draw — every [run_sample*], the durable runner and the
+    distributed worker all use it, so every engine given
     generators in the same state classifies the identical faults. *)
 
 val run_sample :
@@ -207,39 +208,6 @@ val run_sample :
     domain. [jobs] (default 1) fans the experiments out over that many
     OCaml domains; the sampled fault list is drawn up front from [rng],
     so the resulting stats are identical for every [jobs] value. *)
-
-val max_fault_lanes : int
-(** Fault-carrying lanes per batch: [Pruning_sim.Bitsim.n_lanes - 1]
-    (lane 0 is the golden reference). *)
-
-val reset_lane_worker : t -> unit
-(** Discard the cached lane worker; the next batched call rebuilds it
-    from scratch. The supervisor's recovery action when an exception
-    escaped mid-batch and the lanes' state is no longer trustworthy. *)
-
-val inject_batch : t -> ?lanes:int -> faults:(int * int) array -> unit -> verdict array
-(** Classify every [(flop_id, cycle)] fault on the lane-parallel worker
-    and return the verdicts in input order. [lanes] (default
-    {!max_fault_lanes}, must be in [\[1, max_fault_lanes\]]) caps how many
-    faults are in flight at once. Requires [~make_lanes] at {!create}.
-    Not safe to call concurrently from several domains (one shared lane
-    worker), but composes with the scalar paths: both share the campaign's
-    verdict memo. *)
-
-val run_sample_batched :
-  t ->
-  space:Fault_space.t ->
-  rng:Pruning_util.Prng.t ->
-  n:int ->
-  ?skip:(flop_id:int -> cycle:int -> bool) ->
-  ?lanes:int ->
-  unit ->
-  stats
-(** {!run_sample}, batched: draws the identical fault list for the same
-    [rng] seed and classifies it with {!inject_batch}, so the stats are
-    bit-identical to the scalar path's. The bit-lane engine carries one
-    flop flip per lane, so non-[Seu] fault models fall back to the
-    scalar reference injector fault-by-fault (stats still identical). *)
 
 val reset_delta_worker : t -> unit
 (** Discard the cached delta worker (trace and all); the next delta call
@@ -279,14 +247,14 @@ val run_sample_delta :
   unit ->
   stats
 (** {!run_sample}, on the delta kernel: draws the identical fault list
-    for the same [rng] seed and classifies it with {!inject_delta}, so
-    the stats are bit-identical to the scalar and batched paths'. *)
+    for the same [rng] seed and classifies it with
+    {!inject_fault_delta}, so the stats are bit-identical to the other
+    engines'. *)
 
 val max_delta_lanes : int
 (** Fault-carrying lanes per batched-delta pass:
-    [Pruning_sim.Deltabatch.n_lanes]. Unlike {!max_fault_lanes} every
-    lane carries a fault — the golden reference is the recorded trace,
-    not a lane. *)
+    [Pruning_sim.Deltabatch.n_lanes]. Every lane carries a fault — the
+    golden reference is the recorded trace, not a lane. *)
 
 val reset_delta_batch_worker : t -> unit
 (** Discard the cached batched delta worker; the next batched-delta
@@ -311,7 +279,7 @@ val inject_delta_batch :
     confirm early retirements against scalar replay. Requires
     [~make_delta_batch] at {!create}. Not safe to call concurrently
     from several domains (one shared worker), but composes with the
-    other engines: all four share the campaign's verdict memo. *)
+    other engines: all three share the campaign's verdict memo. *)
 
 val run_sample_delta_batched :
   t ->
@@ -325,7 +293,7 @@ val run_sample_delta_batched :
 (** {!run_sample}, on the batched delta kernel: draws the identical
     fault list for the same [rng] seed and classifies it with
     {!inject_delta_batch}, so the stats are bit-identical to the other
-    three engines'. Non-[Seu] fault models fall back to the single-fault
-    delta injector (stats still identical). *)
+    engines'. Fault models {!effective_kernel} maps to [Delta] run
+    {!run_sample_delta} instead (stats still identical). *)
 
 val pp_verdict : Format.formatter -> verdict -> unit

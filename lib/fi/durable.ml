@@ -36,45 +36,21 @@ let outcome_of_verdict : Campaign.verdict -> Journal.outcome = function
   | Campaign.Sdc c -> Journal.Sdc c
 
 let run campaign ~space ~seed ~n ?(ident = ("unknown", "unknown")) ?skip ?audit ?(jobs = 1)
-    ?(batched = false) ?kernel ?lanes ?budget ?(retries = 2)
+    ?(kernel = Campaign.Scalar) ?lanes ?budget ?(retries = 2)
     ?(retry_backoff = Backoff.retry_policy) ?journal ?(resume = false) ?records_per_segment
     ?(should_stop = fun () -> false) ?chaos ?fault () =
   if n < 0 then invalid_arg "Durable.run: n must be non-negative";
   if jobs < 1 then invalid_arg "Durable.run: jobs must be positive";
   if retries < 0 then invalid_arg "Durable.run: retries must be non-negative";
-  let kernel =
-    match kernel with
-    | Some k ->
-      if batched && k <> Campaign.Batched then
-        invalid_arg "Durable.run: ~batched:true conflicts with ~kernel";
-      k
-    | None -> if batched then Campaign.Batched else Campaign.Scalar
-  in
   (match lanes with
   | None -> ()
   | Some l ->
-    let max_l =
-      match kernel with
-      | Campaign.Batched -> Campaign.max_fault_lanes
-      | Campaign.Delta_batched -> Campaign.max_delta_lanes
-      | Campaign.Scalar | Campaign.Delta ->
-        invalid_arg "Durable.run: ~lanes requires the batched or delta-batched kernel"
-    in
-    if l < 1 || l > max_l then
-      invalid_arg (Printf.sprintf "Durable.run: lanes must be in [1, %d]" max_l));
-  (* The lane-parallel engines carry exactly one flop flip per lane, so
-     non-SEU fault models map each batched kernel to its scalar-family
-     reference before anything derived from the kernel (shard count,
-     header [batched] flag) is computed — the mapping is a pure function
-     of (model, requested kernel), so resumed runs re-derive the same
-     effective kernel and the same header. *)
-  let kernel =
-    match (space.Fault_space.model, kernel) with
-    | Fault_model.Seu, k -> k
-    | _, Campaign.Batched -> Campaign.Scalar
-    | _, Campaign.Delta_batched -> Campaign.Delta
-    | _, k -> k
-  in
+    if kernel <> Campaign.Delta_batched then
+      invalid_arg "Durable.run: ~lanes requires the delta-batched kernel";
+    if l < 1 || l > Campaign.max_delta_lanes then
+      invalid_arg
+        (Printf.sprintf "Durable.run: lanes must be in [1, %d]" Campaign.max_delta_lanes));
+  let kernel = Campaign.effective_kernel space.Fault_space.model kernel in
   (match audit with
   | Some (p, _) when not (p >= 0. && p <= 1.) ->
     invalid_arg "Durable.run: audit fraction must be in [0, 1]"
@@ -86,16 +62,15 @@ let run campaign ~space ~seed ~n ?(ident = ("unknown", "unknown")) ?skip ?audit 
   let core, program = ident in
   (* Identical draw order to [Campaign.run_sample]: the fault list is a
      function of the seed alone, so journal resume, jobs count and the
-     batched engine all see the same samples. *)
+     kernel all see the same samples. *)
   let rng = Prng.create seed in
   let master_state = Prng.save rng in
   let samples = Campaign.draw_samples campaign ~space ~rng ~n in
-  (* One shard for the single-worker engines (the lane worker and the
-     delta worker are shared, not domain-safe); the scalar engine fans
-     out over [jobs] domains. *)
+  (* One shard for the delta-family engines (their workers are shared,
+     not domain-safe); the scalar engine fans out over [jobs] domains. *)
   let shards =
     match kernel with
-    | Campaign.Batched | Campaign.Delta | Campaign.Delta_batched -> 1
+    | Campaign.Delta | Campaign.Delta_batched -> 1
     | Campaign.Scalar -> max 1 (min jobs (max 1 n))
   in
   (* Per-shard audit samplers, split off deterministically after the
@@ -117,7 +92,7 @@ let run campaign ~space ~seed ~n ?(ident = ("unknown", "unknown")) ?skip ?audit 
       prune = skip <> None;
       audit = audit_p;
       shards;
-      batched = kernel = Campaign.Batched;
+      batched = false;
       epoch = 0;
       fault_model = space.Fault_space.model;
       prng = master_state;
@@ -294,11 +269,10 @@ let run campaign ~space ~seed ~n ?(ident = ("unknown", "unknown")) ?skip ?audit 
       arng lo hi
   in
   (* ---------------------------------------------------------------- *)
-  (* Windowed (many-faults-at-once) shard: one domain, journaled per
-     window. The lane-parallel and batched-delta kernels share this
-     loop, differing only in the whole-window injector, the crashed
-     worker recovery, and the window width.                            *)
-  let run_windowed ~window ~inject_all ~recover arng =
+  (* Windowed (many-faults-at-once) shard for the batched-delta kernel:
+     one domain, journaled per window of four full passes.             *)
+  let run_windowed arng =
+    let window = 4 * Option.value lanes ~default:Campaign.max_delta_lanes in
     let bo = shard_backoff 0 in
     let lo = ref 0 in
     while !lo < n && not (should_stop ()) do
@@ -327,13 +301,13 @@ let run campaign ~space ~seed ~n ?(ident = ("unknown", "unknown")) ?skip ?audit 
              (match fault with
              | Some f -> f ~shard:0 ~index:!lo ~attempt:k
              | None -> ());
-             inject_all ~faults
+             Campaign.inject_delta_batch campaign ?lanes ~faults ()
            with
            | verdicts -> Some verdicts
            | exception Chaos.Injected _ -> attempt k
            | exception _ ->
              (* The worker's lane state is unknown; rebuild it. *)
-             recover ();
+             Campaign.reset_delta_batch_worker campaign;
              bump retried;
              if k < retries then begin
                Unix.sleepf (Backoff.next bo);
@@ -376,18 +350,7 @@ let run campaign ~space ~seed ~n ?(ident = ("unknown", "unknown")) ?skip ?audit 
   in
   Fun.protect ~finally:(fun () -> Option.iter Journal.close writer) @@ fun () ->
   (match kernel with
-  | Campaign.Batched ->
-    run_windowed
-      ~window:(4 * Option.value lanes ~default:Campaign.max_fault_lanes)
-      ~inject_all:(fun ~faults -> Campaign.inject_batch campaign ?lanes ~faults ())
-      ~recover:(fun () -> Campaign.reset_lane_worker campaign)
-      (Prng.restore shard_states.(0))
-  | Campaign.Delta_batched ->
-    run_windowed
-      ~window:(4 * Option.value lanes ~default:Campaign.max_delta_lanes)
-      ~inject_all:(fun ~faults -> Campaign.inject_delta_batch campaign ?lanes ~faults ())
-      ~recover:(fun () -> Campaign.reset_delta_batch_worker campaign)
-      (Prng.restore shard_states.(0))
+  | Campaign.Delta_batched -> run_windowed (Prng.restore shard_states.(0))
   | Campaign.Delta ->
     (* The delta worker (shared golden trace + devices) is not
        domain-safe, so the delta kernel always runs one shard. *)

@@ -76,7 +76,6 @@ val run :
   ?skip:(flop_id:int -> cycle:int -> bool) ->
   ?audit:float * audit_hooks ->
   ?jobs:int ->
-  ?batched:bool ->
   ?kernel:Campaign.kernel ->
   ?lanes:int ->
   ?budget:int ->
@@ -90,9 +89,8 @@ val run :
   ?fault:(shard:int -> index:int -> attempt:int -> unit) ->
   unit ->
   result
-(** Durable counterpart of {!Campaign.run_sample} /
-    {!Campaign.run_sample_batched}: draws the identical fault list for
-    the same [seed] (so its stats are bit-identical to theirs when
+(** Durable counterpart of {!Campaign.run_sample} and its delta-family
+    siblings: draws the identical fault list for the same [seed] (so its stats are bit-identical to theirs when
     nothing crashes), then runs it under journal + supervisor + sentinel.
 
     [ident] is the (core, program) pair recorded in the journal header
@@ -101,22 +99,18 @@ val run :
     [audit] enables the sentinel ([p] in \[0, 1\]; audit decisions are
     drawn from per-shard PRNGs whose states live in the journal header,
     so a resumed run audits exactly the faults the original would have).
-    [jobs] is the shard/domain count for the scalar path; [batched] uses
-    the lane-parallel engine on one shard ([jobs] is ignored). [kernel]
-    selects the engine directly ([Scalar] (default), [Batched], the
-    activity-gated [Delta], or the batched-delta [Delta_batched]); it
-    subsumes [batched], and passing both [~batched:true] and a
-    non-[Batched] [kernel] is an error. The delta-family kernels, like
-    the batched one, run on a single shard; their journals carry the
-    same header shape as scalar [jobs = 1] runs, and since the kernels
-    are verdict-bit-identical those resume interchangeably ([Scalar],
-    [Delta] and [Delta_batched] journals are mutually compatible;
-    [Batched] alone marks its header, a historical distinction
-    {!Journal.require_match} still enforces). [lanes] caps the in-flight
-    faults per pass of the [Batched] / [Delta_batched] kernels (default:
-    the engine's maximum; rejected for the per-fault kernels). [budget]
-    is the per-experiment watchdog in simulated cycles
-    (scalar and delta paths only). [retries] (default 2) bounds the supervisor's fresh-system
+    [jobs] is the shard/domain count for the scalar path. [kernel]
+    selects the engine ([Scalar] (default), the activity-gated [Delta],
+    or the batched-delta [Delta_batched], which runs non-[Seu] models
+    on [Delta] per {!Campaign.effective_kernel}). The delta-family
+    kernels run on a single shard ([jobs] is ignored); their journals
+    carry the same header shape as scalar [jobs = 1] runs, and since
+    the kernels are verdict-bit-identical those resume interchangeably
+    — including journals whose header carries the historical [batched]
+    flag of the deleted bit-parallel engine. [lanes] caps the in-flight
+    faults per pass of [Delta_batched] (default: the engine's maximum;
+    rejected for the per-fault kernels). [budget] is the per-experiment
+    watchdog in simulated cycles (scalar and delta paths only). [retries] (default 2) bounds the supervisor's fresh-system
     retries per experiment (per window for the windowed kernels); between
     retries the shard sleeps per [retry_backoff] (default
     {!Pruning_util.Backoff.retry_policy}: capped exponential with jitter

@@ -314,7 +314,6 @@ let require_match ~what (h : header) (want : header) =
     (Printf.sprintf "%g" want.audit);
   chk "shards (--jobs)" (h.shards = want.shards) (string_of_int h.shards)
     (string_of_int want.shards);
-  chk "batched" (h.batched = want.batched) (string_of_bool h.batched) (string_of_bool want.batched);
   chk "fault_model"
     (h.fault_model = want.fault_model)
     (Fault_model.name h.fault_model)
@@ -322,7 +321,8 @@ let require_match ~what (h : header) (want : header) =
   chk "prng" (h.prng = want.prng) h.prng want.prng;
   (* The epoch is deliberately NOT checked: it is the coordinator's
      restart generation, not campaign identity — every supervised
-     failover resumes under a bumped epoch by design. *)
+     failover resumes under a bumped epoch by design. Nor is [batched]:
+     it only ever named the engine, and engines never change verdicts. *)
   if !problems <> [] then
     error "%s: cannot resume, the journal was written by a different campaign:\n  %s" what
       (String.concat "\n  " (List.rev !problems))

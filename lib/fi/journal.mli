@@ -74,6 +74,9 @@ type header = {
   audit : float;  (** audited fraction of pruned faults, 0 = off *)
   shards : int;
   batched : bool;
+      (** historical: set by the deleted bit-parallel engine. Kept in the
+          record and on disk so old journals parse, but not campaign
+          identity — {!require_match} ignores it. *)
   epoch : int;
       (** coordinator restart generation: bumped (and persisted) on every
           [serve --resume] so reconnecting workers can tell a restarted
@@ -107,8 +110,8 @@ val require_match : what:string -> header -> header -> unit
     naming every mismatched campaign-identity field unless the two
     headers describe the same campaign. Resuming — locally or in the
     distributed coordinator — under a different invocation would
-    silently change what recorded verdicts mean. The [epoch] field is
-    exempt: it is the restart generation, not identity. *)
+    silently change what recorded verdicts mean. The [epoch] and
+    [batched] fields are exempt: neither is campaign identity. *)
 
 val same_campaign : header -> header -> bool
 (** Equality modulo [epoch]: do two headers describe the same campaign

@@ -146,7 +146,7 @@ let run ~host ~port ~resolve ?name ?(heartbeat = 1.) ?(recv_timeout = 30.) ?(ret
       (e, samples, w)
   in
   (* ---------------------------------------------------------------- *)
-  (* One chunk, scalar or batched, streaming results as they appear.   *)
+  (* One chunk, per-fault or batched, streaming results as they appear. *)
   let run_chunk fd engine samples cworker { Proto.chunk_id; lo; hi; model; model_param; purpose = _ } =
     let own = engine.space.Fault_space.model in
     if model <> Fault_model.id own || model_param <> Fault_model.param own then
@@ -223,20 +223,10 @@ let run ~host ~port ~resolve ?name ?(heartbeat = 1.) ?(recv_timeout = 30.) ?(ret
       | Some (Chaos.Stall s) -> Unix.sleepf s
       | _ -> ()
     in
-    (match engine.kernel with
-    | (Campaign.Batched | Campaign.Delta_batched) as kernel -> begin
+    (match Campaign.effective_kernel own engine.kernel with
+    | Campaign.Delta_batched -> begin
       (* Classify the skip decisions first, then push the remainder
-         through a whole-chunk engine (lane-parallel or batched-delta)
-         in one supervised batch. *)
-      let inject_all, recover =
-        match kernel with
-        | Campaign.Delta_batched ->
-          ( (fun ~faults -> Campaign.inject_delta_batch engine.campaign ~faults ()),
-            fun () -> Campaign.reset_delta_batch_worker engine.campaign )
-        | _ ->
-          ( (fun ~faults -> Campaign.inject_batch engine.campaign ~faults ()),
-            fun () -> Campaign.reset_lane_worker engine.campaign )
-      in
+         through the batched-delta engine in one supervised batch. *)
       alive ();
       let inject_idx = ref [] in
       for idx = lo to hi do
@@ -252,13 +242,13 @@ let run ~host ~port ~resolve ?name ?(heartbeat = 1.) ?(recv_timeout = 30.) ?(ret
           match
             exec_chaos ();
             fault_hook ~index:inject_idx.(0) ~attempt:k;
-            inject_all ~faults
+            Campaign.inject_delta_batch engine.campaign ~faults ()
           with
           | verdicts -> Some verdicts
           | exception Stop -> raise Stop
           | exception Chaos.Injected _ -> attempt k
           | exception _ ->
-            recover ();
+            Campaign.reset_delta_batch_worker engine.campaign;
             if k < retries then begin
               Unix.sleepf (Backoff.next ebo);
               attempt (k + 1)

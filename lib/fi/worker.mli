@@ -15,10 +15,10 @@
     [max_reconnects] consecutive failures.
 
     Verdict production reuses the single-process engines unchanged
-    (scalar {!Campaign.inject_with}, the lane-parallel
-    {!Campaign.inject_batch}, the activity-gated
-    {!Campaign.inject_delta} or the batched-delta
-    {!Campaign.inject_delta_batch}); since all four produce
+    (scalar {!Campaign.inject_fault}, the activity-gated
+    {!Campaign.inject_fault_delta} or the batched-delta
+    {!Campaign.inject_delta_batch}, with the kernel resolved per fault
+    model by {!Campaign.effective_kernel}); since all three produce
     bit-identical verdicts, a fleet may freely mix workers running
     different kernels. The delta-family workers record the golden
     baseline once per campaign identity (cached by header across

@@ -5,11 +5,11 @@ module Lower = Pruning_cell.Lower
 (* Batched activity-gated delta kernel: many in-flight faulty runs, each
    a sparse XOR-delta against the same recorded golden trace.
 
-   The composition of the two fast engines. From [Deltasim] it takes the
-   dirty set and the levelized bucket sweep: only gates with a dirty
-   input are re-evaluated, so per-cycle cost tracks the union of the
-   fault cones' active frontiers, not the netlist. From [Bitsim] it
-   takes lane packing: each wire carries one machine word whose bit [l]
+   From [Deltasim] it takes the dirty set and the levelized bucket
+   sweep: only gates with a dirty input are re-evaluated, so per-cycle
+   cost tracks the union of the fault cones' active frontiers, not the
+   netlist. To that it adds lane packing: each wire carries one machine
+   word whose bit [l]
    is set iff lane [l]'s faulty value differs from golden this cycle
    (there is no golden lane — the trace is the golden baseline — so all
    [Sys.int_size] lanes carry faults). A dirty gate is re-evaluated
@@ -263,7 +263,7 @@ let drive_masked t w ~mask fword =
 
 (* Settle the current cycle: refresh stale flip words against this
    cycle's golden row, then run gates and devices to a fixed point —
-   the delta image of [Bitsim.eval]. *)
+   the delta image of [Sim.eval] for every lane at once. *)
 let propagate t =
   t.row <- Trace.row_bytes t.trace ~cycle:t.cyc;
   (* Cycle start: every surviving flip word re-schedules its driver (so
@@ -377,8 +377,8 @@ let flip_flop_lane t fid ~lane =
    wire and forget its device divergence. Safe at any retirement point
    (all of them sit between [propagate] and [latch], or after the final
    latch): the lane's state is then exactly the golden trace, so no
-   re-evaluation is needed — unlike [Bitsim.reset_lane], nothing stale
-   can leak back in through the latch. *)
+   re-evaluation is needed, and nothing stale can leak back in through
+   the latch. *)
 let wipe_lane t ~lane =
   check_lane lane;
   let m = 1 lsl lane in

@@ -1,11 +1,11 @@
 (** Batched activity-gated delta simulation: many in-flight faulty runs
     as independent sparse XOR-deltas against one recorded golden trace.
 
-    The fourth campaign kernel — the composition of {!Deltasim}
-    (activity gating: only gates with a dirty input are re-evaluated,
-    over one shared levelized bucket schedule) and {!Bitsim} (lane
-    packing: each wire carries one machine word, bit [l] = lane [l]).
-    Here bit [l] of a wire's {e flip word} is set iff lane [l]'s faulty
+    The production campaign kernel: {!Deltasim}'s activity gating
+    (only gates with a dirty input are re-evaluated, over one shared
+    levelized bucket schedule) with lane packing (each wire carries one
+    machine word, bit [l] = lane [l]).
+    Bit [l] of a wire's {e flip word} is set iff lane [l]'s faulty
     value differs from the golden trace this cycle; a dirty gate is
     re-evaluated once per cycle through its Shannon-lowered formula
     over packed faulty words, classifying the union of dirty lanes in
@@ -85,7 +85,7 @@ val flip_flop_lane : t -> int -> lane:int -> unit
 val propagate : t -> unit
 (** Settle the current cycle: refresh surviving flip words against this
     cycle's golden row and run gates + devices to a fixed point (the
-    delta image of [Bitsim.eval]). Raises [Failure] if devices fail to
+    delta image of [Sim.eval] for every lane at once). Raises [Failure] if devices fail to
     stabilize within the same round budget as the other engines. *)
 
 val latch : t -> unit

@@ -10,7 +10,6 @@ let () =
       ("cpu", Test_cpu.suite);
       ("fi", Test_fi.suite);
       ("checkpoint", Test_checkpoint.suite);
-      ("bitsim", Test_bitsim.suite);
       ("deltasim", Test_deltasim.suite);
       ("deltabatch", Test_deltabatch.suite);
       ("durable", Test_durable.suite);

@@ -193,6 +193,57 @@ let test_term_to_string () =
   | [ term ] -> check_string "render" "(a3)" (Gm.term_to_string cell term)
   | _ -> Alcotest.fail "expected one term"
 
+(* --- Lower: Shannon-lowered formula = truth table, every lane --------- *)
+
+module Lower = Pruning_cell.Lower
+
+(* Pack every input pattern of an [arity]-pin cell across the word's
+   lanes: lane [l] carries pattern [l mod 2^arity], so all [Sys.int_size]
+   lanes are exercised even for small cells. Pin [j]'s packed word has
+   bit [l] set iff pattern [l mod 2^arity] sets pin [j]. *)
+let packed_pins arity =
+  let n_patterns = 1 lsl arity in
+  Array.init arity (fun j ->
+      let w = ref 0 in
+      for lane = 0 to Sys.int_size - 1 do
+        if (lane mod n_patterns) lsr j land 1 = 1 then w := !w lor (1 lsl lane)
+      done;
+      !w)
+
+let check_table ~what ~arity ~table out =
+  let n_patterns = 1 lsl arity in
+  for lane = 0 to Sys.int_size - 1 do
+    let expect = table lsr (lane mod n_patterns) land 1 in
+    if (out lsr lane) land 1 <> expect then
+      Alcotest.failf "%s (arity %d, table %#x): lane %d (pattern %d) got %d, want %d" what arity
+        table lane (lane mod n_patterns)
+        ((out lsr lane) land 1)
+        expect
+  done
+
+let test_lower_cells_exhaustive () =
+  List.iter
+    (fun (cell : Cell.t) ->
+      let e = Lower.of_cell cell in
+      let pins = packed_pins cell.Cell.arity in
+      check_table ~what:(cell.Cell.name ^ "/eval") ~arity:cell.Cell.arity ~table:cell.Cell.table
+        (Lower.eval e pins);
+      (* The compiled closure reads pins through a wire-value array. *)
+      let inputs = Array.init cell.Cell.arity (fun j -> j) in
+      let f = Lower.compile e ~inputs in
+      check_table ~what:(cell.Cell.name ^ "/compile") ~arity:cell.Cell.arity ~table:cell.Cell.table
+        (f pins))
+    Cell.all
+
+let test_lower_random_tables () =
+  let rng = Prng.create 0xBEEF in
+  for _ = 1 to 500 do
+    let arity = Prng.int rng (Cell.max_arity + 1) in
+    let table = Prng.int rng (1 lsl (1 lsl arity)) in
+    let e = Lower.of_table ~arity ~table in
+    check_table ~what:"random" ~arity ~table (Lower.eval e (packed_pins arity))
+  done
+
 let suite =
   [
     Alcotest.test_case "truth tables" `Quick test_truth_tables;
@@ -208,4 +259,7 @@ let suite =
     Alcotest.test_case "gm exhaustive semantics" `Quick test_gm_exhaustive;
     Alcotest.test_case "gm memoized" `Quick test_gm_memoized;
     Alcotest.test_case "term rendering" `Quick test_term_to_string;
+    Alcotest.test_case "lowered cells = truth tables (all lanes)" `Quick
+      test_lower_cells_exhaustive;
+    Alcotest.test_case "lowered random tables (500)" `Quick test_lower_random_tables;
   ]

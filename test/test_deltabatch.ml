@@ -7,8 +7,8 @@
      cores, across checkpoint intervals and lane widths;
    - a qcheck property re-asserts the same triple identity for random
      fault packs, lane counts and checkpoint intervals;
-   - all four run_sample engines produce identical stats for equal
-     seeds, with and without a skip predicate;
+   - every run_sample engine produces identical stats for equal seeds,
+     with and without a skip predicate;
    - the retirement property: every mid-pass Benign retirement the
      batched engine performs (lane dirty set emptied before the
      horizon) is confirmed Benign by scalar replay of that fault. *)
@@ -144,7 +144,7 @@ let prop_pack_identity =
 
 let test_run_sample_stats () =
   (* Identical seed => identical fault list => identical stats across
-     all four engines, with and without a skip predicate. *)
+     all three engines, with and without a skip predicate. *)
   let nl, make, make_delta, make_delta_batch = Lazy.force avr_makers in
   let space = Fault_space.full nl ~cycles:total_cycles in
   let campaign = Campaign.create ~make ~make_delta ~make_delta_batch ~total_cycles () in

@@ -5,8 +5,8 @@
      to the scalar checkpointed engine over hundreds of random faults on
      both cores, across checkpoint intervals (which the delta kernel
      ignores: its verdicts may not depend on them) and sample configs;
-   - delta, scalar and batched run_sample stats coincide for equal
-     seeds, with and without a skip predicate;
+   - delta, scalar and batched-delta run_sample stats coincide for
+     equal seeds, with and without a skip predicate;
    - the retirement property: whenever the kernel's dirty set empties
      before the horizon, scalar replay of the same fault is Benign —
      empty-dirty-set retirement never misclassifies. *)
@@ -23,26 +23,27 @@ module Programs = Pruning_cpu.Programs
 let total_cycles = 120
 let n_pairs = 400
 
-(* Makers: scalar + batched + delta over one shared synthesized core. *)
+(* Makers: scalar + delta + batched delta over one shared synthesized
+   core. *)
 let avr_makers () =
   let nl = System.avr_netlist () in
   let program = Avr_asm.assemble Programs.avr_fib_halting in
   ( nl,
     (fun () -> System.create_avr ~netlist:nl ~program "avr/fib"),
-    (fun () -> System.create_avr_lanes ~netlist:nl ~program "avr/fib"),
-    fun ~trace -> System.create_avr_delta ~netlist:nl ~program ~trace "avr/fib" )
+    (fun ~trace -> System.create_avr_delta ~netlist:nl ~program ~trace "avr/fib"),
+    fun ~trace -> System.create_avr_delta_batch ~netlist:nl ~program ~trace "avr/fib" )
 
 let msp_makers () =
   let nl = System.msp_netlist () in
   let program = Msp_asm.assemble Programs.msp_fib_halting in
   ( nl,
     (fun () -> System.create_msp ~netlist:nl ~program "msp/fib"),
-    (fun () -> System.create_msp_lanes ~netlist:nl ~program "msp/fib"),
-    fun ~trace -> System.create_msp_delta ~netlist:nl ~program ~trace "msp/fib" )
+    (fun ~trace -> System.create_msp_delta ~netlist:nl ~program ~trace "msp/fib"),
+    fun ~trace -> System.create_msp_delta_batch ~netlist:nl ~program ~trace "msp/fib" )
 
 let verdict_to_string v = Format.asprintf "%a" Campaign.pp_verdict v
 
-let check_delta_matches_scalar name (nl, make, _make_lanes, make_delta) =
+let check_delta_matches_scalar name (nl, make, make_delta, _make_delta_batch) =
   let n_flops = Array.length nl.Netlist.flops in
   let rng = Prng.create 0xDECAF in
   let faults =
@@ -78,11 +79,13 @@ let test_delta_msp () = check_delta_matches_scalar "msp430" (msp_makers ())
 let test_run_sample_delta_stats () =
   (* Identical seed => identical fault list => identical stats across all
      three engines, with and without a skip predicate. *)
-  let nl, make, make_lanes, make_delta = avr_makers () in
+  let nl, make, make_delta, make_delta_batch = avr_makers () in
   let space = Fault_space.full nl ~cycles:total_cycles in
-  let campaign = Campaign.create ~make ~make_lanes ~make_delta ~total_cycles () in
+  let campaign = Campaign.create ~make ~make_delta ~make_delta_batch ~total_cycles () in
   let scalar = Campaign.run_sample campaign ~space ~rng:(Prng.create 4242) ~n:150 () in
-  let batched = Campaign.run_sample_batched campaign ~space ~rng:(Prng.create 4242) ~n:150 () in
+  let batched =
+    Campaign.run_sample_delta_batched campaign ~space ~rng:(Prng.create 4242) ~n:150 ()
+  in
   let delta = Campaign.run_sample_delta campaign ~space ~rng:(Prng.create 4242) ~n:150 () in
   check_bool "delta = scalar stats" true (delta = scalar);
   check_bool "delta = batched stats" true (delta = batched);
@@ -100,7 +103,7 @@ let test_run_sample_delta_stats () =
    the scalar engine must classify the same fault Benign. *)
 
 let test_empty_dirty_set_is_benign () =
-  let nl, make, _, make_delta = avr_makers () in
+  let nl, make, make_delta, _ = avr_makers () in
   let scalar = Campaign.create ~make ~total_cycles () in
   let sys = make () in
   let trace = System.record sys ~cycles:total_cycles in

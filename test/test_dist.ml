@@ -225,7 +225,7 @@ let toy_prune_skip () =
   fun ~flop_id ~cycle -> Replay.pruned p ~flop_id ~cycle
 
 let make_header ?(core = "toy") ?(program = "toy") ?(cycles = toy_cycles) ?(samples = toy_n)
-    ?(seed = toy_seed) ?(prune = false) () =
+    ?(seed = toy_seed) ?(prune = false) ?(model = Pruning_fi.Fault_model.Seu) () =
   {
     Journal.core;
     program;
@@ -237,7 +237,7 @@ let make_header ?(core = "toy") ?(program = "toy") ?(cycles = toy_cycles) ?(samp
     shards = 0;
     batched = false;
     epoch = 0;
-    fault_model = Pruning_fi.Fault_model.Seu;
+    fault_model = model;
     prng = Prng.save (Prng.create seed);
     shard_prng = [||];
   }
@@ -361,13 +361,13 @@ let test_parity_toy () =
     [ false; true ]
 
 (* Distributed-vs-local parity on the real cores, with a mixed fleet:
-   one scalar, one batched and one delta worker (their verdicts are
-   bit-identical, so mixing kernels is legal). *)
+   one scalar, one batched (delta-batched) and one delta worker (their
+   verdicts are bit-identical, so mixing kernels is legal). *)
 let check_parity_core label makers =
   let build () =
-    let nl, make, make_lanes, make_delta = makers in
+    let nl, make, make_delta, make_delta_batch = makers in
     let space = Fault_space.full nl ~cycles:120 in
-    let campaign = Campaign.create ~make ~make_lanes ~make_delta ~total_cycles:120 () in
+    let campaign = Campaign.create ~make ~make_delta ~make_delta_batch ~total_cycles:120 () in
     (space, campaign)
   in
   let n = 200 in
@@ -386,7 +386,7 @@ let check_parity_core label makers =
     { Worker.campaign; space; skip = None; kernel }
   in
   let w1 = work_bg ~port ~name:"scalar" ~resolve:(engine Campaign.Scalar) () in
-  let w2 = work_bg ~port ~name:"batched" ~resolve:(engine Campaign.Batched) () in
+  let w2 = work_bg ~port ~name:"batched" ~resolve:(engine Campaign.Delta_batched) () in
   let w3 = work_bg ~port ~name:"delta" ~resolve:(engine Campaign.Delta) () in
   let r1 = w1 () and r2 = w2 () and r3 = w3 () in
   let r = join () in
@@ -403,19 +403,50 @@ let avr_makers () =
   let program = Avr_asm.assemble Programs.avr_fib_halting in
   ( nl,
     (fun () -> System.create_avr ~netlist:nl ~program "avr/fib"),
-    (fun () -> System.create_avr_lanes ~netlist:nl ~program "avr/fib"),
-    fun ~trace -> System.create_avr_delta ~netlist:nl ~program ~trace "avr/fib" )
+    (fun ~trace -> System.create_avr_delta ~netlist:nl ~program ~trace "avr/fib"),
+    fun ~trace -> System.create_avr_delta_batch ~netlist:nl ~program ~trace "avr/fib" )
 
 let msp_makers () =
   let nl = System.msp_netlist () in
   let program = Msp_asm.assemble Programs.msp_fib_halting in
   ( nl,
     (fun () -> System.create_msp ~netlist:nl ~program "msp/fib"),
-    (fun () -> System.create_msp_lanes ~netlist:nl ~program "msp/fib"),
-    fun ~trace -> System.create_msp_delta ~netlist:nl ~program ~trace "msp/fib" )
+    (fun ~trace -> System.create_msp_delta ~netlist:nl ~program ~trace "msp/fib"),
+    fun ~trace -> System.create_msp_delta_batch ~netlist:nl ~program ~trace "msp/fib" )
 
 let test_parity_avr () = check_parity_core "avr" (avr_makers ())
 let test_parity_msp () = check_parity_core "msp430" (msp_makers ())
+
+(* A delta-batched worker handed a non-SEU campaign must run it on the
+   kernel Campaign.effective_kernel picks, exactly as the local runners
+   do: a lane carries one flop flip, so feeding SET gate keys, MBU
+   clusters or held intermittent faults to the wide engine would crash
+   or silently misclassify. Stats must equal the local scalar run. *)
+let test_worker_model_fallback () =
+  let cycles = 120 and n = 120 and seed = 5 in
+  let nl, make, make_delta, make_delta_batch = avr_makers () in
+  List.iter
+    (fun model ->
+      let label = Pruning_fi.Fault_model.name model in
+      let space = Fault_space.full ~model nl ~cycles in
+      let campaign () =
+        Campaign.create ~make ~make_delta ~make_delta_batch ~total_cycles:cycles ()
+      in
+      let reference = Campaign.run_sample (campaign ()) ~space ~rng:(Prng.create seed) ~n () in
+      let config = { test_config with Coordinator.chunk_size = 32 } in
+      let coord = Coordinator.create ~config () in
+      let port = Coordinator.port coord in
+      let header = make_header ~core:"avr" ~program:"fib" ~cycles ~samples:n ~seed ~model () in
+      let join = serve_bg coord ~header () in
+      let resolve _ =
+        { Worker.campaign = campaign (); space; skip = None; kernel = Campaign.Delta_batched }
+      in
+      let rep = work_bg ~port ~name:"wide" ~resolve () () in
+      let r = join () in
+      check_bool (label ^ ": completed") true r.Coordinator.completed;
+      check_int (label ^ ": no worker crashes") 0 rep.Worker.crashes;
+      check_stats (label ^ ": delta-batched worker = scalar") reference r.Coordinator.stats)
+    Pruning_fi.Fault_model.[ Set; Mbu 2; Intermittent 3 ]
 
 (* A straggler: stalls mid-chunk long past its lease, so the chunk is
    re-dispatched and recomputed by the healthy worker — then the
@@ -629,6 +660,8 @@ let suite =
     Alcotest.test_case "parity: toy fleet, plain and pruned" `Quick test_parity_toy;
     Alcotest.test_case "parity: avr mixed scalar+batched+delta fleet" `Slow test_parity_avr;
     Alcotest.test_case "parity: msp430 mixed scalar+batched+delta fleet" `Slow test_parity_msp;
+    Alcotest.test_case "delta-batched worker falls back on non-SEU models" `Slow
+      test_worker_model_fallback;
     Alcotest.test_case "straggler lease re-dispatch + dedup" `Quick test_straggler_dedup;
     Alcotest.test_case "SIGKILLed worker mid-chunk" `Quick test_sigkill_worker;
     Alcotest.test_case "coordinator kill/resume from journal" `Quick test_coordinator_resume;

@@ -202,21 +202,21 @@ let avr_makers () =
   let program = Avr_asm.assemble Programs.avr_fib_halting in
   ( nl,
     (fun () -> System.create_avr ~netlist:nl ~program "avr/fib"),
-    (fun () -> System.create_avr_lanes ~netlist:nl ~program "avr/fib"),
-    fun ~trace -> System.create_avr_delta ~netlist:nl ~program ~trace "avr/fib" )
+    (fun ~trace -> System.create_avr_delta ~netlist:nl ~program ~trace "avr/fib"),
+    fun ~trace -> System.create_avr_delta_batch ~netlist:nl ~program ~trace "avr/fib" )
 
 let msp_makers () =
   let nl = System.msp_netlist () in
   let program = Msp_asm.assemble Programs.msp_fib_halting in
   ( nl,
     (fun () -> System.create_msp ~netlist:nl ~program "msp/fib"),
-    (fun () -> System.create_msp_lanes ~netlist:nl ~program "msp/fib"),
-    fun ~trace -> System.create_msp_delta ~netlist:nl ~program ~trace "msp/fib" )
+    (fun ~trace -> System.create_msp_delta ~netlist:nl ~program ~trace "msp/fib"),
+    fun ~trace -> System.create_msp_delta_batch ~netlist:nl ~program ~trace "msp/fib" )
 
 let build makers =
-  let nl, make, make_lanes, make_delta = makers in
+  let nl, make, make_delta, make_delta_batch = makers in
   let space = Fault_space.full nl ~cycles:total_cycles in
-  let campaign = Campaign.create ~make ~make_lanes ~make_delta ~total_cycles () in
+  let campaign = Campaign.create ~make ~make_delta ~make_delta_batch ~total_cycles () in
   (space, campaign)
 
 (* A fresh durable run (no journal) must be a drop-in replacement for the
@@ -231,19 +231,17 @@ let test_durable_matches_run_sample () =
   check_stats "scalar" plain durable.Durable.stats;
   check_bool "completed" true durable.Durable.completed;
   let batched =
-    Durable.run campaign ~space ~seed ~n:n_samples ~batched:true ()
+    Durable.run campaign ~space ~seed ~n:n_samples ~kernel:Campaign.Delta_batched ()
   in
-  check_stats "batched" plain batched.Durable.stats;
+  check_stats "delta-batched" plain batched.Durable.stats;
   let delta =
     Durable.run campaign ~space ~seed ~n:n_samples ~kernel:Campaign.Delta ()
   in
   check_stats "delta" plain delta.Durable.stats;
-  (* ~batched:true and a conflicting ~kernel must be rejected. *)
-  match
-    Durable.run campaign ~space ~seed ~n:1 ~batched:true ~kernel:Campaign.Delta ()
-  with
+  (* ~lanes belongs to the wide engine only. *)
+  match Durable.run campaign ~space ~seed ~n:1 ~lanes:7 ~kernel:Campaign.Delta () with
   | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "conflicting ~batched/~kernel must raise"
+  | _ -> Alcotest.fail "~lanes with a per-fault kernel must raise"
 
 (* Kill/resume bit-identity: run to completion for the reference stats,
    then run the same campaign with a stop switch thrown partway, tear the
@@ -260,10 +258,10 @@ let check_kill_resume label makers ~jobs ~kernel =
   let reference = run () in
   check_bool (label ^ ": reference complete") true reference.Durable.completed;
   let dir = scratch_dir () in
-  (* The batched engine polls once per window (~250 samples), the
+  (* The windowed engine polls once per window (~250 samples), the
      sequential kernels once per sample; pick a threshold that stops
      every engine partway. *)
-  let stop_after = if kernel = Campaign.Batched then 1 else 120 in
+  let stop_after = if kernel = Campaign.Delta_batched then 1 else 120 in
   let polls = Atomic.make 0 in
   let interrupted =
     run ~journal:dir
@@ -289,14 +287,48 @@ let test_kill_resume_avr_scalar () =
   check_kill_resume "avr-scalar" (avr_makers ()) ~jobs:1 ~kernel:Campaign.Scalar
 let test_kill_resume_avr_jobs () =
   check_kill_resume "avr-jobs4" (avr_makers ()) ~jobs:4 ~kernel:Campaign.Scalar
+(* The "batched" cases drive Durable's windowed path: the delta-batched
+   engine, which [batched] names. *)
 let test_kill_resume_avr_batched () =
-  check_kill_resume "avr-batched" (avr_makers ()) ~jobs:1 ~kernel:Campaign.Batched
+  check_kill_resume "avr-delta-batched" (avr_makers ()) ~jobs:1 ~kernel:Campaign.Delta_batched
 let test_kill_resume_avr_delta () =
   check_kill_resume "avr-delta" (avr_makers ()) ~jobs:1 ~kernel:Campaign.Delta
 let test_kill_resume_msp_scalar () =
   check_kill_resume "msp-scalar" (msp_makers ()) ~jobs:1 ~kernel:Campaign.Scalar
 let test_kill_resume_msp_batched () =
-  check_kill_resume "msp-batched" (msp_makers ()) ~jobs:1 ~kernel:Campaign.Batched
+  check_kill_resume "msp-delta-batched" (msp_makers ()) ~jobs:1 ~kernel:Campaign.Delta_batched
+
+(* A journal written by the deleted bit-parallel engine carries
+   [batched = true] in its header. The flag is not campaign identity:
+   such a journal resumes on any engine to bit-identical stats. *)
+let test_resume_batched_header () =
+  let space, campaign = build (avr_makers ()) in
+  let seed = 17 in
+  let ident = ("avr", "fib") in
+  let reference = Durable.run campaign ~space ~seed ~n:n_samples ~ident () in
+  List.iter
+    (fun kernel ->
+      let label = Campaign.kernel_name kernel in
+      let dir = scratch_dir () in
+      let polls = ref 0 in
+      let first =
+        Durable.run campaign ~space ~seed ~n:n_samples ~ident ~kernel:Campaign.Delta_batched
+          ~journal:dir
+          ~should_stop:(fun () ->
+            incr polls;
+            !polls > 1)
+          ()
+      in
+      check_bool (label ^ ": interrupted") false first.Durable.completed;
+      Journal.update_header ~dir { (Journal.read_header ~dir) with Journal.batched = true };
+      let resumed =
+        Durable.run campaign ~space ~seed ~n:n_samples ~ident ~kernel ~journal:dir ~resume:true ()
+      in
+      check_bool (label ^ ": resumed complete") true resumed.Durable.completed;
+      check_bool (label ^ ": recovered something") true (resumed.Durable.recovered > 0);
+      check_stats (label ^ ": batched-header resume") reference.Durable.stats resumed.Durable.stats;
+      rm_rf dir)
+    [ Campaign.Delta_batched; Campaign.Scalar ]
 
 (* Resuming under a different invocation must refuse with Journal.Error
    (a silent mismatch would make the journal's verdicts mean the wrong
@@ -527,6 +559,7 @@ let suite =
     Alcotest.test_case "kill/resume msp scalar" `Slow test_kill_resume_msp_scalar;
     Alcotest.test_case "kill/resume msp batched" `Slow test_kill_resume_msp_batched;
     Alcotest.test_case "resume mismatch refused" `Quick test_resume_mismatch;
+    Alcotest.test_case "resume of a batched-flagged journal" `Slow test_resume_batched_header;
     Alcotest.test_case "supervisor retries and crash accounting" `Quick test_supervisor_retries;
     Alcotest.test_case "watchdog budget" `Quick test_watchdog_budget;
     Alcotest.test_case "audit: sound MATE is invisible" `Quick test_audit_sound_mate;

@@ -110,6 +110,18 @@ let test_crc32 () =
   check_int "incremental" whole (Pruning_util.Crc.bytes ~crc:part b ~pos:6 ~len:6);
   check_bool "bit flip detected" true (whole <> Pruning_util.Crc.string "hello, worle")
 
+(* Two domains framing their first message at once must not race on
+   the CRC table. Each run is a fresh process (the crc_race helper), so
+   the table is as cold as in a just-started coordinator + worker. *)
+let test_crc_cold_domains () =
+  let exe = Filename.concat (Filename.dirname Sys.executable_name) "crc_race.exe" in
+  for run = 1 to 10 do
+    let pid = Unix.create_process exe [| exe |] Unix.stdin Unix.stdout Unix.stderr in
+    match Unix.waitpid [] pid with
+    | _, Unix.WEXITED 0 -> ()
+    | _ -> Alcotest.failf "crc_race run %d failed" run
+  done
+
 let test_backoff_envelope () =
   (* Equal jitter: attempt k draws from [c/2, c) with c = min(cap,
      base*factor^k), so delays are bounded, grow towards the cap, and
@@ -199,6 +211,7 @@ let suite =
     Alcotest.test_case "prng pick" `Quick test_prng_pick;
     Alcotest.test_case "prng save/restore" `Quick test_prng_save_restore;
     Alcotest.test_case "crc32" `Quick test_crc32;
+    Alcotest.test_case "crc32 on two cold domains" `Quick test_crc_cold_domains;
     Alcotest.test_case "backoff envelope and reset" `Quick test_backoff_envelope;
     Alcotest.test_case "backoff determinism and validation" `Quick test_backoff_deterministic;
     Alcotest.test_case "table render" `Quick test_table_render;
