@@ -594,8 +594,9 @@ let work_one ~host ~port ~name ~kernel ~checkpoint_interval ~retries ~max_reconn
     prerr_endline ("campaign: " ^ msg);
     exit_bad_dist
   | report -> (
-    Printf.printf "worker: %d chunks, %d verdicts submitted, %d crashes, %d reconnects\n"
-      report.Worker.chunks report.Worker.submitted report.Worker.crashes report.Worker.reconnects;
+    Printf.printf "worker: %d chunks, %d verdicts submitted, %d crashes, %d retries, %d reconnects\n"
+      report.Worker.chunks report.Worker.submitted report.Worker.crashes report.Worker.retried
+      report.Worker.reconnects;
     match report.Worker.ended with
     | Worker.Campaign_done -> 0
     | Worker.Stopped -> stop_exit_code ()

@@ -13,13 +13,15 @@
       verdicts are replayed, and only the missing experiments run. The
       final statistics are bit-identical to an uninterrupted run.
 
-    - {b Supervision}: the sample list is split into per-domain shards.
-      Each experiment runs under an optional simulated-cycle watchdog
-      ({!Campaign.Budget_exceeded}); an experiment that raises — watchdog,
-      simulator bug, test-injected chaos — is retried up to [retries]
-      times, each time on a freshly built system
-      ({!Campaign.fresh_worker}), and a persistent failure is recorded as
-      [Crashed] in the stats instead of aborting the campaign.
+    - {b Supervision}: the sample list is split into per-domain shards,
+      each classified by one {!Executor} — the same supervised loop that
+      runs {!Worker} chunks. Each experiment runs under an optional
+      simulated-cycle watchdog ({!Campaign.Budget_exceeded}); an
+      experiment that raises — watchdog, simulator bug, test-injected
+      chaos — is retried up to [retries] times, each time on a freshly
+      built system ({!Campaign.fresh_worker}), and a persistent failure
+      is recorded as [Crashed] in the stats instead of aborting the
+      campaign.
 
     - {b MATE soundness sentinel}: with [~audit:(p, hooks)], a
       [p]-fraction of the faults the [skip] predicate claims pruned are
@@ -64,7 +66,9 @@ type result = {
   completed : bool;  (** false iff [should_stop] ended the run early *)
   recovered : int;  (** verdicts replayed from the journal, not re-run *)
   dropped_bytes : int;  (** torn journal tail truncated on resume *)
-  retried : int;  (** supervisor retries performed *)
+  retried : int;
+      (** experiment attempts that raised (chaos crashes excluded):
+          retries performed plus attempts given up as [Crashed] *)
 }
 
 val run :
@@ -110,8 +114,10 @@ val run :
     flag of the deleted bit-parallel engine. [lanes] caps the in-flight
     faults per pass of [Delta_batched] (default: the engine's maximum;
     rejected for the per-fault kernels). [budget] is the per-experiment
-    watchdog in simulated cycles (scalar and delta paths only). [retries] (default 2) bounds the supervisor's fresh-system
-    retries per experiment (per window for the windowed kernels); between
+    watchdog in simulated cycles (scalar and delta paths only).
+    [retries] (default 2) bounds the supervisor's fresh-system retries
+    per experiment (per window of four full passes on [Delta_batched],
+    which is also its journaling unit); between
     retries the shard sleeps per [retry_backoff] (default
     {!Pruning_util.Backoff.retry_policy}: capped exponential with jitter
     drawn deterministically from the shard's pinned PRNG state, so reruns
@@ -133,5 +139,7 @@ val run :
     synchronized across shards; with [jobs > 1] the plan is still
     injected but not reproducible draw-for-draw. [fault] is a test-only
     fault-injection hook for the supervisor itself, called before every
-    attempt; an exception it raises is handled exactly like a crashed
-    experiment. *)
+    attempt with the shard, the attempted sample index (a window's first
+    injected index on [Delta_batched]) and the attempt number; an
+    exception it raises is handled exactly like a crashed experiment
+    (see {!Executor.run}). *)

@@ -1,0 +1,165 @@
+module Backoff = Pruning_util.Backoff
+
+type plan =
+  | Done
+  | Skip
+  | Inject
+
+type t = {
+  campaign : Campaign.t;
+  space : Fault_space.t;
+  samples : (int * int) array;
+  kernel : Campaign.kernel;
+  lanes : int option;
+  window : int;
+  budget : int option;
+  retries : int;
+  backoff : Backoff.t;
+  chaos : Chaos.t option;
+  should_stop : unit -> bool;
+  (* The scalar kernel's private worker; [None] = build one on next use
+     (initially, and after a crash left the old one mid-run). *)
+  mutable worker : Campaign.worker option;
+  mutable failures : int;
+}
+
+let create campaign ~space ~samples ~kernel ?lanes ~window ?budget ?(retries = 2) ~backoff
+    ?chaos ?(should_stop = fun () -> false) () =
+  if retries < 0 then invalid_arg "Executor.create: retries must be non-negative";
+  if window < 1 then invalid_arg "Executor.create: window must be positive";
+  {
+    campaign;
+    space;
+    samples;
+    kernel = Campaign.effective_kernel space.Fault_space.model kernel;
+    lanes;
+    window;
+    budget;
+    retries;
+    backoff;
+    chaos;
+    should_stop;
+    worker = None;
+    failures = 0;
+  }
+
+let failures t = t.failures
+
+let outcome_of_verdict : Campaign.verdict -> Journal.outcome = function
+  | Campaign.Benign -> Journal.Benign
+  | Campaign.Latent -> Journal.Latent
+  | Campaign.Sdc c -> Journal.Sdc c
+
+let scalar_worker t =
+  match t.worker with
+  | Some w -> w
+  | None ->
+    let w = Campaign.fresh_worker t.campaign in
+    t.worker <- Some w;
+    w
+
+(* One attempt's worth of experiments: a single fault on the per-fault
+   kernels, a whole window on the batched one. *)
+let classify t faults =
+  let { campaign; space; budget; _ } = t in
+  match t.kernel with
+  | Campaign.Scalar ->
+    Array.map
+      (fun (key, cycle) ->
+        Campaign.inject_fault ?budget campaign (scalar_worker t) ~space ~key ~cycle)
+      faults
+  | Campaign.Delta ->
+    Array.map
+      (fun (key, cycle) -> Campaign.inject_fault_delta ?budget campaign ~space ~key ~cycle)
+      faults
+  | Campaign.Delta_batched -> Campaign.inject_delta_batch campaign ?lanes:t.lanes ~faults ()
+
+(* The kernel state is unknown after an exception escaped mid-run:
+   rebuild it before the next attempt. *)
+let recover t =
+  match t.kernel with
+  | Campaign.Scalar -> t.worker <- None
+  | Campaign.Delta -> Campaign.reset_delta_worker t.campaign
+  | Campaign.Delta_batched -> Campaign.reset_delta_batch_worker t.campaign
+
+(* Infrastructure chaos around one attempt. A [Crash] raises
+   {!Chaos.Injected}, retried without consuming the retry budget: a
+   finite chaos plan must never turn a healthy experiment into a
+   [Crashed] verdict, or chaos runs would change the stats. *)
+let exec_chaos t =
+  match Option.map (fun c -> Chaos.draw c Chaos.Exec) t.chaos with
+  | Some Chaos.Crash -> raise (Chaos.Injected "experiment crashed")
+  | Some (Chaos.Stall s) -> Unix.sleepf s
+  | _ -> ()
+
+(* Supervised classification of one window's injected faults: [None]
+   once the retry budget is spent. *)
+let attempt t ~fault ~first faults =
+  Backoff.reset t.backoff;
+  let rec go k =
+    match
+      exec_chaos t;
+      (match fault with
+      | Some f -> f ~index:first ~attempt:k
+      | None -> ());
+      classify t faults
+    with
+    | verdicts -> Some verdicts
+    | exception Chaos.Injected _ -> go k
+    | exception _ ->
+      (* Back off so a systemic failure (disk full, OOM-adjacent) is
+         not hammered at full speed. *)
+      recover t;
+      t.failures <- t.failures + 1;
+      if k < t.retries then begin
+        Unix.sleepf (Backoff.next t.backoff);
+        go (k + 1)
+      end
+      else None
+  in
+  go 0
+
+let run t ~lo ~hi ~plan ~emit ?fault () =
+  let window = if t.kernel = Campaign.Delta_batched then t.window else 1 in
+  let rec go lo =
+    if lo > hi then true
+    else if t.should_stop () then false
+    else begin
+      let whi = if hi - lo < window then hi else lo + window - 1 in
+      let plans =
+        Array.init (whi - lo + 1) (fun j ->
+            let flop_id, cycle = t.samples.(lo + j) in
+            plan (lo + j) ~flop_id ~cycle)
+      in
+      let injected = ref [] in
+      for j = Array.length plans - 1 downto 0 do
+        if plans.(j) = Inject then injected := (lo + j) :: !injected
+      done;
+      (* One supervised attempt loop per window; its outcomes are emitted
+         together, in index order, only once the window is classified. *)
+      let verdicts =
+        match !injected with
+        | [] -> Some [||]
+        | first :: _ as injected ->
+          attempt t ~fault ~first (Array.of_list (List.map (fun i -> t.samples.(i)) injected))
+      in
+      (* [verdicts] is in index order of the window's [Inject] plans. *)
+      let next = ref 0 in
+      Array.iteri
+        (fun j p ->
+          match p with
+          | Done -> ()
+          | Skip -> emit (lo + j) Journal.Skipped
+          | Inject ->
+            let o =
+              match verdicts with
+              | Some v -> outcome_of_verdict v.(!next)
+              | None -> Journal.Crashed
+            in
+            incr next;
+            emit (lo + j) o)
+        plans;
+      go (whi + 1)
+    end
+  in
+  go lo

@@ -1,0 +1,91 @@
+(** The supervised executor: the one place a fault list is classified
+    under supervision.
+
+    {!Durable} shards and {!Worker} chunks both hand it a range of sample
+    indices; it owns everything between "this fault must be classified"
+    and "here is its outcome":
+
+    - {b Kernel.} The engine is [Campaign.effective_kernel model kernel]:
+      [Scalar] and [Delta] classify one fault per attempt,
+      [Delta_batched] a window of faults per attempt
+      ({!Campaign.inject_delta_batch}). Every kernel yields bit-identical
+      verdicts, so callers never branch on it.
+    - {b Retries.} An attempt that raises (simulator bug, watchdog
+      {!Campaign.Budget_exceeded}, test hook) rebuilds the kernel's state
+      (a fresh scalar worker, or a discarded delta / batched-delta
+      worker), sleeps per the caller's {!Pruning_util.Backoff} and tries
+      again, up to [retries] times; a fault (or a batched window) that
+      still fails is emitted as [Crashed].
+    - {b Chaos.} With [~chaos], every attempt first draws the {!Chaos.Exec}
+      site: a [Crash] raises {!Chaos.Injected}, retried {e without}
+      consuming the retry budget, and a [Stall] sleeps — chaos never
+      turns a healthy experiment into a [Crashed] outcome.
+
+    What to do with an index is the caller's decision ({!plan}), and what
+    to do with an outcome is the caller's too ([emit]): the executor
+    knows nothing of journals, audits or frames. *)
+
+type plan =
+  | Done  (** already classified (e.g. recovered from a journal): nothing is emitted *)
+  | Skip  (** pruned: emitted as [Skipped] without an experiment *)
+  | Inject  (** classified by the kernel *)
+
+type t
+
+val create :
+  Campaign.t ->
+  space:Fault_space.t ->
+  samples:(int * int) array ->
+  kernel:Campaign.kernel ->
+  ?lanes:int ->
+  window:int ->
+  ?budget:int ->
+  ?retries:int ->
+  backoff:Pruning_util.Backoff.t ->
+  ?chaos:Chaos.t ->
+  ?should_stop:(unit -> bool) ->
+  unit ->
+  t
+(** An executor classifying [samples] (the campaign's
+    {!Campaign.draw_samples} list) under [space]'s fault model.
+
+    [lanes] caps the in-flight faults of a batched pass (default: the
+    engine's maximum). [window] is how many consecutive indices the
+    batched kernel classifies per attempt: its unit of retry, of
+    [Crashed] accounting and of emission, with [should_stop] polled
+    between windows (the per-fault kernels use a window of one).
+    [budget] is the per-experiment simulated-cycle watchdog of the
+    per-fault kernels. [retries] (default 2) bounds the retries per
+    window; [backoff] paces them and is reset before every window.
+    [should_stop] (default: never) is the cooperative-shutdown poll.
+
+    The scalar kernel runs on the executor's own
+    {!Campaign.fresh_worker}, built on first use, so scalar executors may
+    run on distinct domains. The delta-family kernels share the
+    campaign's one cached worker: at most one executor per campaign may
+    drive them at a time. *)
+
+val run :
+  t ->
+  lo:int ->
+  hi:int ->
+  plan:(int -> flop_id:int -> cycle:int -> plan) ->
+  emit:(int -> Journal.outcome -> unit) ->
+  ?fault:(index:int -> attempt:int -> unit) ->
+  unit ->
+  bool
+(** Classify sample indices [lo..hi] window by window. [plan] is called
+    exactly once per index, with its sampled fault, in index order and
+    before that index's window is attempted (so a caller may consume a
+    PRNG draw per index). [emit] receives every non-[Done] index of a
+    window, in index order, once the whole window is classified:
+    [Skipped], the kernel's verdict, or [Crashed]. [fault] is a
+    test-only hook called before every attempt with the window's first
+    injected index and the attempt number; an exception it raises is
+    handled like a crashed experiment. Returns [false] iff
+    [should_stop] ended the range early (a started window is always
+    finished and emitted). *)
+
+val failures : t -> int
+(** Attempts that raised (chaos crashes excluded) over this executor's
+    lifetime: retries performed plus attempts given up as [Crashed]. *)

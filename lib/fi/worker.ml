@@ -19,6 +19,7 @@ type report = {
   chunks : int;
   submitted : int;
   crashes : int;
+  retried : int;
   reconnects : int;
   redelivered : int;
   epochs : int;
@@ -28,11 +29,6 @@ type report = {
 (* Cooperative shutdown mid-chunk: flush what we have, close the session,
    report [Stopped]. *)
 exception Stop
-
-let outcome_of_verdict : Campaign.verdict -> Journal.outcome = function
-  | Campaign.Benign -> Journal.Benign
-  | Campaign.Latent -> Journal.Latent
-  | Campaign.Sdc c -> Journal.Sdc c
 
 (* A Byzantine verdict rewrite ({!Chaos.Lie}): deterministic in the
    drawn key, always different from the truth, applied before the frame
@@ -122,17 +118,26 @@ let run ~host ~port ~resolve ?name ?(heartbeat = 1.) ?(recv_timeout = 30.) ?(ret
   (* One engine per distinct campaign identity, cached across
      reconnects; the fault list is re-derived from the header's pinned
      master PRNG state — the same list every worker and the
-     single-process engines compute. *)
-  let cache : (Journal.header * engine * (int * int) array * Campaign.worker option ref) option ref
-      =
-    ref None
+     single-process engines compute. Chunks of it are classified by one
+     supervised executor, kept with the engine so its scalar worker (or
+     the campaign's cached delta-family worker) survives across chunks. *)
+  let cache : (Journal.header * engine * Executor.t) option ref = ref None in
+  (* Failed experiment attempts of executors dropped from the cache. *)
+  let past_failures = ref 0 in
+  let retried () =
+    !past_failures + match !cache with Some (_, _, x) -> Executor.failures x | None -> 0
   in
+  (* The batched kernel classifies a chunk 16 full passes at a time:
+     a default-sized chunk is one batch, and a huge one still heartbeats
+     and polls [should_stop] between windows. *)
+  let window = 16 * Campaign.max_delta_lanes in
   let resolve_cached header =
     match !cache with
     (* Modulo the epoch: a failed-over coordinator serves the same
        campaign under a new generation — no engine rebuild. *)
-    | Some (h, e, s, w) when Journal.same_campaign h header -> (e, s, w)
+    | Some (h, e, x) when Journal.same_campaign h header -> (e, x)
     | _ ->
+      past_failures := retried ();
       let e = resolve header in
       if Campaign.total_cycles e.campaign <> header.Journal.cycles then
         invalid_arg "Worker.run: resolve built an engine with the wrong cycle horizon";
@@ -141,13 +146,16 @@ let run ~host ~port ~resolve ?name ?(heartbeat = 1.) ?(recv_timeout = 30.) ?(ret
           ~rng:(Prng.restore header.Journal.prng)
           ~n:header.Journal.samples
       in
-      let w = ref None in
-      cache := Some (header, e, samples, w);
-      (e, samples, w)
+      let x =
+        Executor.create e.campaign ~space:e.space ~samples ~kernel:e.kernel ~window ~retries
+          ~backoff:ebo ?chaos ~should_stop ()
+      in
+      cache := Some (header, e, x);
+      (e, x)
   in
   (* ---------------------------------------------------------------- *)
-  (* One chunk, per-fault or batched, streaming results as they appear. *)
-  let run_chunk fd engine samples cworker { Proto.chunk_id; lo; hi; model; model_param; purpose = _ } =
+  (* One chunk, streaming results as they appear. *)
+  let run_chunk fd engine executor { Proto.chunk_id; lo; hi; model; model_param; purpose = _ } =
     let own = engine.space.Fault_space.model in
     if model <> Fault_model.id own || model_param <> Fault_model.param own then
       raise
@@ -176,7 +184,9 @@ let run ~host ~port ~resolve ?name ?(heartbeat = 1.) ?(recv_timeout = 30.) ?(ret
         acc_n := 0
       end
     in
-    let push idx outcome =
+    (* Every verdict is pushed, then the session proves it is alive. *)
+    let emit idx outcome =
+      if outcome = Journal.Crashed then incr crashes;
       (* Byzantine chaos: one Verdict-site draw per verdict reported.
          A [Lie] rewrites the outcome before it is accumulated — every
          downstream byte (frame, CRC, replay buffer) carries the lie. *)
@@ -187,133 +197,22 @@ let run ~host ~port ~resolve ?name ?(heartbeat = 1.) ?(recv_timeout = 30.) ?(ret
       in
       acc := (idx, outcome) :: !acc;
       incr acc_n;
-      if !acc_n >= results_per_frame then flush ()
-    in
-    let alive () =
+      if !acc_n >= results_per_frame then flush ();
       if Mono.now () -. !last_sent > heartbeat then
         if !acc_n > 0 then flush () else tell Proto.Heartbeat
     in
-    let fresh_scalar () =
-      let w = Campaign.fresh_worker engine.campaign in
-      cworker := Some w;
-      w
-    in
-    let get_scalar () =
-      match !cworker with
-      | Some w -> w
-      | None -> fresh_scalar ()
-    in
-    let is_pruned ~flop_id ~cycle =
+    let plan _ ~flop_id ~cycle =
       match engine.skip with
-      | Some f -> f ~flop_id ~cycle
-      | None -> false
+      | Some f when f ~flop_id ~cycle -> Executor.Skip
+      | _ -> Executor.Inject
     in
-    let fault_hook ~index ~attempt =
-      match fault with
-      | Some f -> f ~chunk_id ~index ~attempt
-      | None -> ()
+    let completed =
+      Executor.run executor ~lo ~hi ~plan ~emit
+        ?fault:(Option.map (fun f -> f ~chunk_id) fault)
+        ()
     in
-    (* Infrastructure chaos around one experiment attempt: a [Crash]
-       raises {!Chaos.Injected}, which the supervisor retries without
-       consuming its retry budget — injected faults must never turn a
-       healthy experiment into a [Crashed] verdict. *)
-    let exec_chaos () =
-      match Option.map (fun c -> Chaos.draw c Chaos.Exec) chaos with
-      | Some Chaos.Crash -> raise (Chaos.Injected "experiment crashed")
-      | Some (Chaos.Stall s) -> Unix.sleepf s
-      | _ -> ()
-    in
-    (match Campaign.effective_kernel own engine.kernel with
-    | Campaign.Delta_batched -> begin
-      (* Classify the skip decisions first, then push the remainder
-         through the batched-delta engine in one supervised batch. *)
-      alive ();
-      let inject_idx = ref [] in
-      for idx = lo to hi do
-        let flop_id, cycle = samples.(idx) in
-        if is_pruned ~flop_id ~cycle then push idx Journal.Skipped
-        else inject_idx := idx :: !inject_idx
-      done;
-      let inject_idx = Array.of_list (List.rev !inject_idx) in
-      if Array.length inject_idx > 0 then begin
-        let faults = Array.map (fun idx -> samples.(idx)) inject_idx in
-        Backoff.reset ebo;
-        let rec attempt k =
-          match
-            exec_chaos ();
-            fault_hook ~index:inject_idx.(0) ~attempt:k;
-            Campaign.inject_delta_batch engine.campaign ~faults ()
-          with
-          | verdicts -> Some verdicts
-          | exception Stop -> raise Stop
-          | exception Chaos.Injected _ -> attempt k
-          | exception _ ->
-            Campaign.reset_delta_batch_worker engine.campaign;
-            if k < retries then begin
-              Unix.sleepf (Backoff.next ebo);
-              attempt (k + 1)
-            end
-            else None
-        in
-        match attempt 0 with
-        | None ->
-          crashes := !crashes + Array.length inject_idx;
-          Array.iter (fun idx -> push idx Journal.Crashed) inject_idx
-        | Some verdicts ->
-          Array.iteri (fun j idx -> push idx (outcome_of_verdict verdicts.(j))) inject_idx
-      end
-    end
-    | (Campaign.Scalar | Campaign.Delta) as kernel ->
-      (* The two per-fault kernels share the chunk loop; they differ only
-         in the injector and in how a crashed worker is recovered. *)
-      let inject, recover =
-        match kernel with
-        | Campaign.Scalar ->
-          ( (fun ~flop_id ~cycle ->
-              Campaign.inject_fault engine.campaign (get_scalar ()) ~space:engine.space
-                ~key:flop_id ~cycle),
-            fun () -> ignore (fresh_scalar ()) )
-        | _ ->
-          ( (fun ~flop_id ~cycle ->
-              Campaign.inject_fault_delta engine.campaign ~space:engine.space ~key:flop_id
-                ~cycle),
-            fun () -> Campaign.reset_delta_worker engine.campaign )
-      in
-      for idx = lo to hi do
-        if should_stop () then begin
-          flush ();
-          raise Stop
-        end;
-        let flop_id, cycle = samples.(idx) in
-        if is_pruned ~flop_id ~cycle then push idx Journal.Skipped
-        else begin
-          Backoff.reset ebo;
-          let rec attempt k =
-            match
-              exec_chaos ();
-              fault_hook ~index:idx ~attempt:k;
-              inject ~flop_id ~cycle
-            with
-            | v -> Some v
-            | exception Stop -> raise Stop
-            | exception Chaos.Injected _ -> attempt k
-            | exception _ ->
-              recover ();
-              if k < retries then begin
-                Unix.sleepf (Backoff.next ebo);
-                attempt (k + 1)
-              end
-              else None
-          in
-          (match attempt 0 with
-          | None ->
-            incr crashes;
-            push idx Journal.Crashed
-          | Some v -> push idx (outcome_of_verdict v));
-          alive ()
-        end
-      done);
     flush ();
+    if not completed then raise Stop;
     tell (Proto.Chunk_done { chunk_id });
     incr chunks
   in
@@ -334,7 +233,7 @@ let run ~host ~port ~resolve ?name ?(heartbeat = 1.) ?(recv_timeout = 30.) ?(ret
          always cross-validated) but the score is surfaced in the
          report for operators. *)
       suspicion := susp;
-      let engine, samples, cworker = resolve_cached header in
+      let engine, executor = resolve_cached header in
       let ep = header.Journal.epoch in
       if ep <> !last_epoch then begin
         incr epochs;
@@ -359,7 +258,7 @@ let run ~host ~port ~resolve ?name ?(heartbeat = 1.) ?(recv_timeout = 30.) ?(ret
         Proto.send ?chaos fd Proto.Request;
         match recv fd with
         | Proto.Assign chunk ->
-          run_chunk fd engine samples cworker chunk;
+          run_chunk fd engine executor chunk;
           loop ()
         | Proto.Wait ->
           Unix.sleepf 0.1;
@@ -423,6 +322,7 @@ let run ~host ~port ~resolve ?name ?(heartbeat = 1.) ?(recv_timeout = 30.) ?(ret
     chunks = !chunks;
     submitted = !submitted;
     crashes = !crashes;
+    retried = retried ();
     reconnects = !reconnects;
     redelivered = !redelivered;
     epochs = !epochs;

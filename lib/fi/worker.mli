@@ -14,19 +14,18 @@
     backoff ({!Pruning_util.Backoff}) and gives up cleanly after
     [max_reconnects] consecutive failures.
 
-    Verdict production reuses the single-process engines unchanged
-    (scalar {!Campaign.inject_fault}, the activity-gated
-    {!Campaign.inject_fault_delta} or the batched-delta
-    {!Campaign.inject_delta_batch}, with the kernel resolved per fault
-    model by {!Campaign.effective_kernel}); since all three produce
-    bit-identical verdicts, a fleet may freely mix workers running
-    different kernels. The delta-family workers record the golden
-    baseline once per campaign identity (cached by header across
-    reconnects and chunk re-execution; see {!Campaign.golden_trace}).
-    Experiments are
-    supervised exactly like {!Durable}: a raising experiment is retried
-    on a fresh system with backoff, a persistent failure is reported as
-    [Crashed]. *)
+    Chunks are classified by the same supervised {!Executor} that runs
+    {!Durable}'s shards — one kernel dispatch (with the fault-model
+    fallback of {!Campaign.effective_kernel}), one retry/backoff loop,
+    one execution-chaos site: a raising experiment is retried on a
+    fresh system with backoff, a persistent failure is reported as
+    [Crashed]. Since every kernel produces bit-identical verdicts, a
+    fleet may freely mix workers running different kernels. The
+    delta-family workers record the golden baseline once per campaign
+    identity (cached by header across reconnects and chunk
+    re-execution; see {!Campaign.golden_trace}). The batched kernel
+    classifies a chunk in windows of 16 full passes, heartbeating and
+    polling [should_stop] between windows. *)
 
 type engine = {
   campaign : Campaign.t;
@@ -49,6 +48,10 @@ type report = {
   chunks : int;  (** chunks fully processed and acknowledged *)
   submitted : int;  (** verdict records sent *)
   crashes : int;  (** experiments reported [Crashed] *)
+  retried : int;
+      (** experiment attempts that raised (chaos crashes excluded):
+          retries performed plus attempts given up as [Crashed], as
+          {!Durable.result}'s [retried] counts them *)
   reconnects : int;  (** sessions lost and re-established *)
   redelivered : int;  (** Results frames replayed into a new epoch *)
   epochs : int;  (** distinct coordinator generations handshook with *)
@@ -96,8 +99,8 @@ val run :
     [reconnect_backoff] / [max_reconnects] (default 8) pace session
     re-establishment — the counter resets after every successful
     handshake. [results_per_frame] (default 64) batches verdict
-    streaming. [should_stop] is polled between experiments for
-    cooperative shutdown.
+    streaming. [should_stop] is polled between experiments (between
+    windows on the batched kernel) for cooperative shutdown.
 
     {b Coordinator failover.} The worker remembers the coordinator
     epoch it last handshook with and announces it in every [Hello].
@@ -116,5 +119,7 @@ val run :
     experiment attempt (a {!Chaos.Injected} crash is retried without
     consuming the retry budget, so chaos never manufactures [Crashed]
     verdicts), and duplicate-verdict replay at results flushes. [fault]
-    is a test-only hook called before every experiment attempt; an
-    exception it raises is handled exactly like a crashed experiment. *)
+    is a test-only hook called before every experiment attempt with the
+    chunk, the attempted (first) sample index and the attempt number; an
+    exception it raises is handled exactly like a crashed experiment
+    (see {!Executor.run}). *)

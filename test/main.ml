@@ -12,6 +12,7 @@ let () =
       ("checkpoint", Test_checkpoint.suite);
       ("deltasim", Test_deltasim.suite);
       ("deltabatch", Test_deltabatch.suite);
+      ("executor", Test_executor.suite);
       ("durable", Test_durable.suite);
       ("dist", Test_dist.suite);
       ("chaos", Test_chaos.suite);

@@ -298,7 +298,7 @@ let serve_bg coord ~header ?journal ?resume ?should_stop ?on_event () =
   join
 
 let work_bg ~port ~name ~resolve ?retry_backoff ?reconnect_backoff ?max_reconnects
-    ?results_per_frame ?heartbeat ?fault () =
+    ?results_per_frame ?heartbeat ?should_stop ?fault () =
   let report = ref None in
   let thread =
     Thread.create
@@ -307,7 +307,7 @@ let work_bg ~port ~name ~resolve ?retry_backoff ?reconnect_backoff ?max_reconnec
           Some
             (match
                Worker.run ~host:"127.0.0.1" ~port ~resolve ~name ?retry_backoff ?reconnect_backoff
-                 ?max_reconnects ?results_per_frame ?heartbeat ?fault ()
+                 ?max_reconnects ?results_per_frame ?heartbeat ?should_stop ?fault ()
              with
             | r -> Ok r
             | exception e -> Error e))
@@ -447,6 +447,75 @@ let test_worker_model_fallback () =
       check_int (label ^ ": no worker crashes") 0 rep.Worker.crashes;
       check_stats (label ^ ": delta-batched worker = scalar") reference r.Coordinator.stats)
     Pruning_fi.Fault_model.[ Set; Mbu 2; Intermittent 3 ]
+
+(* A delta-batched worker classifies a big chunk in windows of 16 full
+   passes, heartbeating and polling [should_stop] between them, instead
+   of one opaque batch that can outlive its lease. Stopped after the
+   first window, it has submitted exactly that window; the chunk's
+   remainder is re-dispatched to a second worker with verdicts intact. *)
+let test_worker_batched_windows () =
+  let cycles = 120 and n = 1100 and seed = 7 in
+  let nl, make, make_delta, make_delta_batch = avr_makers () in
+  let space = Fault_space.full nl ~cycles in
+  let campaign () = Campaign.create ~make ~make_delta ~make_delta_batch ~total_cycles:cycles () in
+  let reference =
+    Campaign.run_sample_delta_batched (campaign ()) ~space ~rng:(Prng.create seed) ~n ()
+  in
+  let config = { test_config with Coordinator.chunk_size = n } in
+  let coord = Coordinator.create ~config () in
+  let port = Coordinator.port coord in
+  let join =
+    serve_bg coord ~header:(make_header ~core:"avr" ~program:"fib" ~cycles ~samples:n ~seed ()) ()
+  in
+  let resolve _ =
+    { Worker.campaign = campaign (); space; skip = None; kernel = Campaign.Delta_batched }
+  in
+  (* Polls: before connecting, before the first Request, before each
+     window — so the fourth poll is the one between windows 1 and 2. *)
+  let polls = ref 0 in
+  let should_stop () =
+    incr polls;
+    !polls > 3
+  in
+  let stopped = (work_bg ~port ~name:"stopped" ~resolve ~should_stop ()) () in
+  check_bool "stopped mid-chunk" true (stopped.Worker.ended = Worker.Stopped);
+  check_int "submitted exactly the first window" (16 * Campaign.max_delta_lanes)
+    stopped.Worker.submitted;
+  let finisher = (work_bg ~port ~name:"finisher" ~resolve ()) () in
+  let r = join () in
+  check_bool "finisher done" true (finisher.Worker.ended = Worker.Campaign_done);
+  check_bool "completed" true r.Coordinator.completed;
+  check_int "no mismatches" 0 r.Coordinator.mismatches;
+  check_stats "windowed chunk = local" reference r.Coordinator.stats
+
+(* Durable shards and Worker chunks share one supervised executor, so the
+   same failing experiments cost the same retries and crash the same
+   faults on either side. *)
+let test_worker_retry_accounting () =
+  let failing ~index ~attempt =
+    if (index = 3 && attempt = 0) || index = 5 then failwith "injected failure"
+  in
+  let _, _, space, campaign = toy_parts () in
+  let local =
+    Durable.run campaign ~space ~seed:toy_seed ~n:toy_n
+      ~fault:(fun ~shard:_ ~index ~attempt -> failing ~index ~attempt)
+      ()
+  in
+  let coord = Coordinator.create ~config:test_config () in
+  let port = Coordinator.port coord in
+  let join = serve_bg coord ~header:(make_header ()) () in
+  let rep =
+    (work_bg ~port ~name:"w" ~resolve:(fun _ -> toy_engine ())
+       ~fault:(fun ~chunk_id:_ ~index ~attempt -> failing ~index ~attempt)
+       ())
+      ()
+  in
+  let r = join () in
+  check_int "durable: 1 transient + 3 persistent failures" 4 local.Durable.retried;
+  check_int "worker retried = durable retried" local.Durable.retried rep.Worker.retried;
+  check_int "worker crashes = durable crashed" local.Durable.stats.Campaign.crashed
+    rep.Worker.crashes;
+  check_stats "distributed = durable" local.Durable.stats r.Coordinator.stats
 
 (* A straggler: stalls mid-chunk long past its lease, so the chunk is
    re-dispatched and recomputed by the healthy worker — then the
@@ -662,6 +731,9 @@ let suite =
     Alcotest.test_case "parity: msp430 mixed scalar+batched+delta fleet" `Slow test_parity_msp;
     Alcotest.test_case "delta-batched worker falls back on non-SEU models" `Slow
       test_worker_model_fallback;
+    Alcotest.test_case "delta-batched worker windows a big chunk" `Slow
+      test_worker_batched_windows;
+    Alcotest.test_case "worker retry accounting = durable" `Quick test_worker_retry_accounting;
     Alcotest.test_case "straggler lease re-dispatch + dedup" `Quick test_straggler_dedup;
     Alcotest.test_case "SIGKILLed worker mid-chunk" `Quick test_sigkill_worker;
     Alcotest.test_case "coordinator kill/resume from journal" `Quick test_coordinator_resume;

@@ -533,6 +533,52 @@ let test_audit_resume_replays_quarantine () =
   check_stats "resumed equals unpruned" clean.Durable.stats resumed.Durable.stats;
   rm_rf dir
 
+(* The audit sentinel through every kernel's attempt unit. One MATE
+   claiming every AVR flop always benign is unsound: audit 1.0 injects
+   pruned faults until the first non-benign one quarantines it, and from
+   then on nothing is pruned. Every fault ends up counted by its real
+   verdict — latent and SDC exactly as an unpruned run, benign split
+   between benign and skipped (audited and confirmed) — and every audit
+   is either a confirmation or a violation. A delta-batched window plans
+   all its faults before any of its violations quarantine, so the whole
+   first window (here the whole run) is audited. *)
+let test_audit_every_kernel () =
+  let nl, make, _, _ = avr_makers () in
+  let n = 150 and seed = 26 in
+  let clean =
+    let space, campaign = build (avr_makers ()) in
+    Campaign.run_sample campaign ~space ~rng:(Prng.create seed) ~n ()
+  in
+  List.iter
+    (fun kernel ->
+      let label = Campaign.kernel_name kernel in
+      let space, campaign = build (avr_makers ()) in
+      let claims =
+        Array.map (fun (f : Netlist.flop) -> (f.Netlist.flop_id, [ Term.always_true ])) nl.Netlist.flops
+      in
+      let set = Mateset.build (Array.to_list claims) in
+      let trace = System.record (make ()) ~cycles:total_cycles in
+      let p = Replay.pruner set (Replay.triggers set trace) ~space () in
+      let r =
+        Durable.run campaign ~space ~seed ~n ~kernel
+          ~skip:(fun ~flop_id ~cycle -> Replay.pruned p ~flop_id ~cycle)
+          ~audit:(1.0, hooks_of_pruner p) ()
+      in
+      let st = r.Durable.stats in
+      check_bool (label ^ ": completes") true r.Durable.completed;
+      let audited = r.Durable.audit.Durable.audited in
+      let violations = List.length r.Durable.audit.Durable.violations in
+      check_bool (label ^ ": violation caught") true (violations > 0);
+      check_bool (label ^ ": MATE quarantined") true (Replay.quarantined p = [ 0 ]);
+      check_int (label ^ ": audits = confirmations + violations") audited
+        (st.Campaign.skipped + violations);
+      if kernel = Campaign.Delta_batched then check_int (label ^ ": whole window audited") n audited;
+      check_int (label ^ ": latent = unpruned") clean.Campaign.latent st.Campaign.latent;
+      check_int (label ^ ": sdc = unpruned") clean.Campaign.sdc st.Campaign.sdc;
+      check_int (label ^ ": benign + skipped = unpruned benign") clean.Campaign.benign
+        (st.Campaign.benign + st.Campaign.skipped))
+    Campaign.[ Scalar; Delta_batched ]
+
 (* Satellite fix: a skip/prune lookup for a flop outside the fault space
    is an explicit error path (logged once, counted), never a silent
    "not pruned" that hides a stale fault list. *)
@@ -565,5 +611,6 @@ let suite =
     Alcotest.test_case "audit: sound MATE is invisible" `Quick test_audit_sound_mate;
     Alcotest.test_case "audit: unsound MATE quarantined" `Quick test_audit_quarantines_unsound_mate;
     Alcotest.test_case "audit: resume replays quarantine" `Quick test_audit_resume_replays_quarantine;
+    Alcotest.test_case "audit: real verdicts on every kernel" `Slow test_audit_every_kernel;
     Alcotest.test_case "pruner: unknown flop is an error path" `Quick test_pruner_unknown_flop;
   ]
