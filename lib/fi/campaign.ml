@@ -67,6 +67,7 @@ type t = {
       (* the one golden recording shared by every delta-family worker:
          recorded once per (core, program, horizon) and kept across
          worker resets, durable shards and distributed chunk retries *)
+  trace_lock : Mutex.t;  (* guards [golden_trace]: scalar domains race to it *)
   total_cycles : int;
   interval : int;  (* checkpoint spacing in cycles *)
   out_wires : int array;
@@ -130,6 +131,7 @@ let create ?checkpoint_interval ?make_delta ?make_delta_batch ~make ~total_cycle
     delta_worker = None;
     delta_batch_worker = None;
     golden_trace = None;
+    trace_lock = Mutex.create ();
     total_cycles;
     interval;
     out_wires;
@@ -213,149 +215,99 @@ let state_diff t w ~cp =
 
 exception Budget_exceeded
 
-let inject_with ?budget t w ~flop_id ~cycle =
-  if cycle < 0 || cycle >= t.total_cycles then invalid_arg "Campaign.inject: cycle out of range";
-  let sys = w.w_sys in
-  let sim = sys.System.sim in
-  let nl = sys.System.netlist in
-  (* Cooperative watchdog: charge every simulated cycle (prefix replay
-     included) against the caller's budget. The raise may abandon the
-     worker mid-run, which is safe — every injection starts by restoring
-     a checkpoint. *)
-  let used = ref 0 in
-  let charge =
-    match budget with
-    | None -> fun () -> ()
-    | Some b ->
-      fun () ->
-        incr used;
-        if !used > b then raise Budget_exceeded
-  in
-  (* Rewind to the nearest checkpoint at or before the injection cycle and
-     replay the (fault-free) remainder of the prefix. *)
-  let cp = cycle / t.interval in
-  w.w_restores.(cp) ();
-  for _ = 1 to cycle - (cp * t.interval) do
-    charge ();
-    Sim.step sim ()
-  done;
-  Sim.eval sim;
-  Sim.set_flop sim flop_id (not (Sim.get_flop sim flop_id));
-  (* Continue, watching the outputs; at every checkpoint boundary compare
-     the architectural state against the golden run to (a) return Benign
-     as soon as the fault has been fully masked and (b) reuse or record a
-     memoized verdict for the exact remaining divergence. *)
-  let result = ref None in
-  let pending = ref [] in
-  let c = ref cycle in
-  while !result = None && !c < t.total_cycles do
-    if !c mod t.interval = 0 then begin
-      let i = !c / t.interval in
-      match state_diff t w ~cp:i with
-      | Some ([], []) -> result := Some Benign
-      | Some (fd, rd) -> (
-        let key = (i, fd, rd) in
-        Mutex.lock t.memo_lock;
-        let hit = Hashtbl.find_opt t.memo key in
-        Mutex.unlock t.memo_lock;
-        match hit with
-        | Some v -> result := Some v
-        | None -> pending := key :: !pending)
-      | None -> ()
-    end;
-    if !result = None then begin
-      Sim.eval sim;
-      if not (outputs_match t sim !c) then result := Some (Sdc !c)
-      else begin
-        charge ();
-        Sim.latch sim;
-        incr c
-      end
-    end
-  done;
-  let verdict =
-    match !result with
-    | Some v -> v
-    | None ->
-      Sim.eval sim;
-      (* Allocation-free horizon comparison: walk flops and RAM in place
-         instead of materializing a flop array per injection. *)
-      let flops = nl.Netlist.flops in
-      let ram = sys.System.ram in
-      let same = ref true in
-      let i = ref 0 in
-      let nf = Array.length flops in
-      while !same && !i < nf do
-        if Sim.peek sim flops.(!i).Netlist.q <> t.golden_flops.(!i) then same := false;
-        incr i
-      done;
-      let a = ref 0 in
-      let na = Array.length ram in
-      while !same && !a < na do
-        if ram.(!a) <> t.golden_ram.(!a) then same := false;
-        incr a
-      done;
-      if !same then Benign else Latent
-  in
-  if !pending <> [] then begin
+(* Cooperative watchdog: charge every simulated cycle (prefix replay
+   included) against the caller's budget. The raise may abandon a worker
+   mid-run, which is safe — every injection starts by restoring a
+   checkpoint or re-attaching to the golden trace. *)
+let watchdog = function
+  | None -> fun () -> ()
+  | Some b ->
+    let used = ref 0 in
+    fun () ->
+      incr used;
+      if !used > b then raise Budget_exceeded
+
+(* The shared verdict memo, read at checkpoint boundaries and written
+   once per experiment with every key it passed unanswered. Both take
+   the key the caller already built. *)
+let memo_find t key =
+  Mutex.lock t.memo_lock;
+  let hit = Hashtbl.find_opt t.memo key in
+  Mutex.unlock t.memo_lock;
+  hit
+
+let memo_commit t keys verdict =
+  if keys <> [] then begin
     Mutex.lock t.memo_lock;
     if Hashtbl.length t.memo < max_memo_entries then
-      List.iter (fun key -> Hashtbl.replace t.memo key verdict) !pending;
+      List.iter (fun key -> Hashtbl.replace t.memo key verdict) keys;
     Mutex.unlock t.memo_lock
-  end;
-  verdict
-
-let inject t ~flop_id ~cycle = inject_with t t.primary ~flop_id ~cycle
-let primary_worker t = t.primary
+  end
 
 (* The golden baseline shared by the delta-family engines: one full
    recorded run of the scalar system, cached for the campaign's
    lifetime. The trace is immutable, so worker resets (crash recovery),
    durable shards and distributed chunk re-execution all reuse the same
    recording instead of re-simulating golden. Also consulted by the
-   scalar intermittent injector, which needs per-cycle golden flop
-   values to re-arm against. *)
+   scalar injector for held faults, which re-arm against per-cycle
+   golden flop values — from several domains at once under
+   [run_sample ~jobs], hence the lock: the first caller records, the
+   others wait for its recording. *)
 let golden_trace t =
-  match t.golden_trace with
-  | Some trace -> trace
-  | None ->
-    let sys = t.make () in
-    let trace = System.record sys ~cycles:t.total_cycles in
-    t.golden_trace <- Some trace;
-    trace
+  Mutex.protect t.trace_lock (fun () ->
+      match t.golden_trace with
+      | Some trace -> trace
+      | None ->
+        let trace = System.record (t.make ()) ~cycles:t.total_cycles in
+        t.golden_trace <- Some trace;
+        trace)
 
-(* Generalized scalar injection: flip every member flop of the model's
-   expansion at the injection cycle, and for a hold window > 1 re-arm
-   each member to the complement of its golden Q at the top of every
-   window cycle (intermittent stuck-at semantics; the golden values come
-   from the shared recorded trace). The verdict protocol is exactly
-   [inject_with]'s, with one extra guard: memo reads/writes and Benign
-   re-convergence retirement are disabled until the last forced cycle —
-   while future forcing is still pending, equal-state-implies-equal-
-   remainder does not hold, and the memo table is shared across models.
-   For hold = 1 the guard is vacuous and single-member expansions
-   retrace [inject_with] decision-for-decision. *)
-let inject_expanded ?budget t w ~space ~key ~cycle =
+(* Allocation-free horizon comparison: walk flops and RAM in place
+   instead of materializing a flop array per injection. *)
+let matches_golden_horizon t sys =
+  let sim = sys.System.sim in
+  let flops = sys.System.netlist.Netlist.flops in
+  let ram = sys.System.ram in
+  let same = ref true in
+  let i = ref 0 in
+  let nf = Array.length flops in
+  while !same && !i < nf do
+    if Sim.peek sim flops.(!i).Netlist.q <> t.golden_flops.(!i) then same := false;
+    incr i
+  done;
+  let a = ref 0 in
+  let na = Array.length ram in
+  while !same && !a < na do
+    if ram.(!a) <> t.golden_ram.(!a) then same := false;
+    incr a
+  done;
+  !same
+
+(* The scalar oracle's one experiment. Flip every member flop at the
+   injection cycle; for a hold window > 1, re-arm each member to the
+   complement of its golden Q at the top of every window cycle
+   (intermittent stuck-at semantics, golden values from the shared
+   recorded trace). Rewind to the nearest checkpoint at or before the
+   injection cycle and replay the fault-free prefix, then run on,
+   watching the outputs. At every checkpoint boundary the architectural
+   state is compared against the golden run to (a) return Benign as
+   soon as the fault has been fully masked and (b) reuse or record a
+   memoized verdict for the exact remaining divergence. Both wait for
+   the last forced cycle: while forcing is still pending, equal state
+   does not imply an equal remainder, and the memo table is shared
+   across models. An SEU is the one-member, hold-1 case, for which that
+   guard always holds. *)
+let scalar_experiment ?budget t w ~members ~hold ~cycle =
   if cycle < 0 || cycle >= t.total_cycles then invalid_arg "Campaign.inject: cycle out of range";
-  let members = Fault_space.expand space key in
   (* A pulse nothing latches (empty SET cone): bit-exact golden run. *)
   if Array.length members = 0 then Benign
   else begin
-    let hold = Fault_space.hold space in
     let window_end = min t.total_cycles (cycle + hold) in
     let trace = if hold > 1 then Some (golden_trace t) else None in
     let sys = w.w_sys in
     let sim = sys.System.sim in
-    let nl = sys.System.netlist in
-    let used = ref 0 in
-    let charge =
-      match budget with
-      | None -> fun () -> ()
-      | Some b ->
-        fun () ->
-          incr used;
-          if !used > b then raise Budget_exceeded
-    in
+    let flops = sys.System.netlist.Netlist.flops in
+    let charge = watchdog budget in
     let cp = cycle / t.interval in
     w.w_restores.(cp) ();
     for _ = 1 to cycle - (cp * t.interval) do
@@ -374,8 +326,7 @@ let inject_expanded ?budget t w ~space ~key ~cycle =
            faulty machine latched, except the held flops are forced to
            the complement of their golden Q this cycle. *)
         Array.iter
-          (fun fid ->
-            Sim.set_flop sim fid (not (Trace.get trace ~cycle:!c nl.Netlist.flops.(fid).Netlist.q)))
+          (fun fid -> Sim.set_flop sim fid (not (Trace.get trace ~cycle:!c flops.(fid).Netlist.q)))
           members
       | _ -> ());
       if !c mod t.interval = 0 && !c >= window_end - 1 then begin
@@ -384,10 +335,7 @@ let inject_expanded ?budget t w ~space ~key ~cycle =
         | Some ([], []) -> result := Some Benign
         | Some (fd, rd) -> (
           let key = (i, fd, rd) in
-          Mutex.lock t.memo_lock;
-          let hit = Hashtbl.find_opt t.memo key in
-          Mutex.unlock t.memo_lock;
-          match hit with
+          match memo_find t key with
           | Some v -> result := Some v
           | None -> pending := key :: !pending)
         | None -> ()
@@ -407,31 +355,21 @@ let inject_expanded ?budget t w ~space ~key ~cycle =
       | Some v -> v
       | None ->
         Sim.eval sim;
-        let flops = nl.Netlist.flops in
-        let ram = sys.System.ram in
-        let same = ref true in
-        let i = ref 0 in
-        let nf = Array.length flops in
-        while !same && !i < nf do
-          if Sim.peek sim flops.(!i).Netlist.q <> t.golden_flops.(!i) then same := false;
-          incr i
-        done;
-        let a = ref 0 in
-        let na = Array.length ram in
-        while !same && !a < na do
-          if ram.(!a) <> t.golden_ram.(!a) then same := false;
-          incr a
-        done;
-        if !same then Benign else Latent
+        if matches_golden_horizon t sys then Benign else Latent
     in
-    if !pending <> [] then begin
-      Mutex.lock t.memo_lock;
-      if Hashtbl.length t.memo < max_memo_entries then
-        List.iter (fun key -> Hashtbl.replace t.memo key verdict) !pending;
-      Mutex.unlock t.memo_lock
-    end;
+    memo_commit t !pending verdict;
     verdict
   end
+
+let inject_with ?budget t w ~flop_id ~cycle =
+  scalar_experiment ?budget t w ~members:[| flop_id |] ~hold:1 ~cycle
+
+let inject t ~flop_id ~cycle = inject_with t t.primary ~flop_id ~cycle
+let primary_worker t = t.primary
+
+let inject_fault ?budget t w ~space ~key ~cycle =
+  scalar_experiment ?budget t w ~members:(Fault_space.expand space key)
+    ~hold:(Fault_space.hold space) ~cycle
 
 (* ------------------------------------------------------------------ *)
 (* Delta injection: one fault at a time against the recorded golden
@@ -457,156 +395,50 @@ let delta_worker t =
     t.delta_worker <- Some d;
     d
 
-(* Discard the (lazily rebuilt) delta worker — recovery after an
-   exception escaped mid-experiment and left its dirty set in an
-   unknown state. The cached golden trace is immutable and survives. *)
-let reset_delta_worker t = t.delta_worker <- None
-
-let inject_delta ?budget t ~flop_id ~cycle =
-  if cycle < 0 || cycle >= t.total_cycles then
-    invalid_arg "Campaign.inject_delta: cycle out of range";
-  let d = delta_worker t in
-  let ds = d.System.d_dsim in
-  let used = ref 0 in
-  let charge =
-    match budget with
-    | None -> fun () -> ()
-    | Some b ->
-      fun () ->
-        incr used;
-        if !used > b then raise Budget_exceeded
-  in
-  Deltasim.attach ds ~cycle;
-  Deltasim.flip_flop ds flop_id;
-  let flops = (Deltasim.netlist ds).Netlist.flops in
-  (* The delta image of [state_diff]: a flipped Q flag is exactly a
-     differing flop and a device diff entry exactly a differing RAM
-     cell, so the scalar engine's memo keys fall out of the dirty set
-     directly — same indices, same faulty values, same ascending
-     order. *)
-  let delta_diff () =
-    let exception Too_big in
-    try
-      let count = ref 0 in
-      let fd = ref [] in
-      for i = Array.length flops - 1 downto 0 do
-        let q = flops.(i).Netlist.q in
-        if Deltasim.is_flipped ds q then begin
-          incr count;
-          if !count > max_memo_diff then raise Too_big;
-          fd := (i, Deltasim.faulty ds q) :: !fd
-        end
-      done;
-      let rd =
-        List.concat_map snd (Deltasim.device_diffs ds) |> List.sort compare
-      in
-      if !count + List.length rd > max_memo_diff then raise Too_big;
-      Some (!fd, rd)
-    with Too_big -> None
-  in
-  (* Same observation order as the scalar loop: settle the cycle, check
-     the outputs (SDC), then the clock edge. [converged] retires the
-     experiment the instant the dirty set empties — the faulty machine
-     is bit-exact golden, so by determinism the remainder is too. *)
-  let result = ref None in
-  let pending = ref [] in
-  let c = ref cycle in
-  while !result = None && !c < t.total_cycles do
-    Deltasim.propagate ds;
-    (* Checkpoint boundary: the scalar memo protocol. Checked after
-       [propagate] — combinational settling leaves flops and RAM
-       untouched, and the golden row must be current for [faulty]
-       reads — and before the SDC check, preserving the scalar
-       engine's priority between a memo hit and a same-cycle SDC. *)
-    if !c mod t.interval = 0 && not (Deltasim.converged ds) then begin
-      match delta_diff () with
-      | Some (fd, rd) -> (
-        let key = (!c / t.interval, fd, rd) in
-        Mutex.lock t.memo_lock;
-        let hit = Hashtbl.find_opt t.memo key in
-        Mutex.unlock t.memo_lock;
-        match hit with
-        | Some v -> result := Some v
-        | None -> pending := key :: !pending)
-      | None -> ()
-    end;
-    if !result = None then begin
-      if Deltasim.output_diverged ds then result := Some (Sdc !c)
-      else if Deltasim.converged ds then result := Some Benign
-      else begin
-        charge ();
-        Deltasim.latch ds;
-        incr c
+(* The delta image of [state_diff]: a flipped Q flag is exactly a
+   differing flop and a device diff entry exactly a differing RAM cell,
+   so the scalar engine's memo keys fall out of the dirty set directly —
+   same indices, same faulty values, same ascending order. *)
+let delta_diff ds flops =
+  let exception Too_big in
+  try
+    let count = ref 0 in
+    let fd = ref [] in
+    for i = Array.length flops - 1 downto 0 do
+      let q = flops.(i).Netlist.q in
+      if Deltasim.is_flipped ds q then begin
+        incr count;
+        if !count > max_memo_diff then raise Too_big;
+        fd := (i, Deltasim.faulty ds q) :: !fd
       end
-    end
-  done;
-  let verdict =
-    match !result with
-    | Some v -> v
-    | None ->
-      (* Horizon: the Q flip flags and device diffs are exact after the
-         final latch — the same flop + RAM comparison as the scalar path,
-         read off in O(divergence). *)
-      if Deltasim.flops_diverged ds || not (Deltasim.devices_clean ds) then Latent else Benign
-  in
-  if !pending <> [] then begin
-    Mutex.lock t.memo_lock;
-    if Hashtbl.length t.memo < max_memo_entries then
-      List.iter (fun key -> Hashtbl.replace t.memo key verdict) !pending;
-    Mutex.unlock t.memo_lock
-  end;
-  verdict
+    done;
+    let rd = List.concat_map snd (Deltasim.device_diffs ds) |> List.sort compare in
+    if !count + List.length rd > max_memo_diff then raise Too_big;
+    Some (!fd, rd)
+  with Too_big -> None
 
-(* Generalized delta injection: the delta image of [inject_expanded].
-   The model expansion becomes the initial dirty set (one flip per
-   member), and a hold window re-arms by re-flipping any member whose Q
-   flip flag has cleared — [Deltasim.flip_flop] toggles the flag, so
-   "flip if not flipped" is exactly "force to the complement of golden",
-   matching the scalar re-arm against the recorded trace. The memo and
-   Benign-retirement guard until the last forced cycle mirrors the
-   scalar injector; convergence cannot fire inside the window anyway
-   (a just-re-armed member is a non-empty dirty set), so the guard only
-   protects the shared memo table. *)
-let inject_delta_expanded ?budget t ~space ~key ~cycle =
+(* The delta image of [scalar_experiment], an independent
+   implementation of the same protocol. The member flips become the
+   initial dirty set, and a hold window re-arms by re-flipping any
+   member whose Q flip flag has cleared — [Deltasim.flip_flop] toggles
+   the flag, so "flip if not flipped" is exactly "force to the
+   complement of golden". Same observation order as the scalar loop:
+   settle the cycle, consult the memo at a checkpoint boundary, check
+   the outputs (SDC), then the clock edge. [converged] retires the
+   experiment the instant the dirty set empties — the faulty machine is
+   bit-exact golden, so by determinism the remainder is too. Memo and
+   retirement wait for the last forced cycle, as in the scalar loop. *)
+let delta_experiment ?budget t ~members ~hold ~cycle =
   if cycle < 0 || cycle >= t.total_cycles then
     invalid_arg "Campaign.inject_delta: cycle out of range";
-  let members = Fault_space.expand space key in
   if Array.length members = 0 then Benign
   else begin
-    let hold = Fault_space.hold space in
     let window_end = min t.total_cycles (cycle + hold) in
-    let d = delta_worker t in
-    let ds = d.System.d_dsim in
-    let used = ref 0 in
-    let charge =
-      match budget with
-      | None -> fun () -> ()
-      | Some b ->
-        fun () ->
-          incr used;
-          if !used > b then raise Budget_exceeded
-    in
+    let ds = (delta_worker t).System.d_dsim in
+    let flops = (Deltasim.netlist ds).Netlist.flops in
+    let charge = watchdog budget in
     Deltasim.attach ds ~cycle;
     Array.iter (fun fid -> Deltasim.flip_flop ds fid) members;
-    let flops = (Deltasim.netlist ds).Netlist.flops in
-    let delta_diff () =
-      let exception Too_big in
-      try
-        let count = ref 0 in
-        let fd = ref [] in
-        for i = Array.length flops - 1 downto 0 do
-          let q = flops.(i).Netlist.q in
-          if Deltasim.is_flipped ds q then begin
-            incr count;
-            if !count > max_memo_diff then raise Too_big;
-            fd := (i, Deltasim.faulty ds q) :: !fd
-          end
-        done;
-        let rd = List.concat_map snd (Deltasim.device_diffs ds) |> List.sort compare in
-        if !count + List.length rd > max_memo_diff then raise Too_big;
-        Some (!fd, rd)
-      with Too_big -> None
-    in
     let result = ref None in
     let pending = ref [] in
     let c = ref cycle in
@@ -617,14 +449,16 @@ let inject_delta_expanded ?budget t ~space ~key ~cycle =
             if not (Deltasim.is_flipped ds flops.(fid).Netlist.q) then Deltasim.flip_flop ds fid)
           members;
       Deltasim.propagate ds;
+      (* Checkpoint boundary: checked after [propagate] — combinational
+         settling leaves flops and RAM untouched, and the golden row
+         must be current for [faulty] reads — and before the SDC check,
+         preserving the scalar engine's priority between a memo hit and
+         a same-cycle SDC. *)
       if !c mod t.interval = 0 && !c >= window_end - 1 && not (Deltasim.converged ds) then begin
-        match delta_diff () with
+        match delta_diff ds flops with
         | Some (fd, rd) -> (
           let key = (!c / t.interval, fd, rd) in
-          Mutex.lock t.memo_lock;
-          let hit = Hashtbl.find_opt t.memo key in
-          Mutex.unlock t.memo_lock;
-          match hit with
+          match memo_find t key with
           | Some v -> result := Some v
           | None -> pending := key :: !pending)
         | None -> ()
@@ -643,31 +477,21 @@ let inject_delta_expanded ?budget t ~space ~key ~cycle =
       match !result with
       | Some v -> v
       | None ->
+        (* Horizon: the Q flip flags and device diffs are exact after the
+           final latch — the same flop + RAM comparison as the scalar
+           path, read off in O(divergence). *)
         if Deltasim.flops_diverged ds || not (Deltasim.devices_clean ds) then Latent else Benign
     in
-    if !pending <> [] then begin
-      Mutex.lock t.memo_lock;
-      if Hashtbl.length t.memo < max_memo_entries then
-        List.iter (fun key -> Hashtbl.replace t.memo key verdict) !pending;
-      Mutex.unlock t.memo_lock
-    end;
+    memo_commit t !pending verdict;
     verdict
   end
 
-(* Model dispatchers: [Seu] takes the historical single-flop fast paths
-   byte-for-byte (the bit-identity anchor); every other model goes
-   through the expanded injectors. [Intermittent 1] deliberately goes
-   through the expanded path too — with hold = 1 it retraces the SEU
-   protocol decision-for-decision, which the degeneracy tests pin. *)
-let inject_fault ?budget t w ~space ~key ~cycle =
-  match space.Fault_space.model with
-  | Fault_model.Seu -> inject_with ?budget t w ~flop_id:key ~cycle
-  | _ -> inject_expanded ?budget t w ~space ~key ~cycle
+let inject_delta ?budget t ~flop_id ~cycle =
+  delta_experiment ?budget t ~members:[| flop_id |] ~hold:1 ~cycle
 
 let inject_fault_delta ?budget t ~space ~key ~cycle =
-  match space.Fault_space.model with
-  | Fault_model.Seu -> inject_delta ?budget t ~flop_id:key ~cycle
-  | _ -> inject_delta_expanded ?budget t ~space ~key ~cycle
+  delta_experiment ?budget t ~members:(Fault_space.expand space key)
+    ~hold:(Fault_space.hold space) ~cycle
 
 (* ------------------------------------------------------------------ *)
 (* Batched delta injection: many in-flight faults per pass, each an
@@ -699,11 +523,6 @@ let delta_batch_worker t =
     t.delta_batch_worker <- Some d;
     d
 
-(* Discard the (lazily rebuilt) batched delta worker — recovery after an
-   exception escaped mid-pass and left its lanes in an unknown state.
-   The cached golden trace is immutable and survives. *)
-let reset_delta_batch_worker t = t.delta_batch_worker <- None
-
 (* One pass over the horizon: attach at the head fault's cycle (every
    lane bit-exact golden), run forward filling free lanes with queued
    faults whose cycle has not passed, flipping each lane's flop at its
@@ -727,14 +546,8 @@ let run_delta_batch_pass t ?on_benign_retire db ~lanes faults verdicts queue =
   let c = ref head_cycle in
   let retire lane verdict =
     verdicts.(lane_fault.(lane)) <- verdict;
-    (match lane_pending.(lane) with
-    | [] -> ()
-    | keys ->
-      Mutex.lock t.memo_lock;
-      if Hashtbl.length t.memo < max_memo_entries then
-        List.iter (fun key -> Hashtbl.replace t.memo key verdict) keys;
-      Mutex.unlock t.memo_lock;
-      lane_pending.(lane) <- []);
+    memo_commit t lane_pending.(lane) verdict;
+    lane_pending.(lane) <- [];
     lane_fault.(lane) <- -1;
     let m = lnot (1 lsl lane) in
     active := !active land m;
@@ -785,10 +598,7 @@ let run_delta_batch_pass t ?on_benign_retire db ~lanes faults verdicts queue =
           match key with
           | None -> ()
           | Some key -> (
-            Mutex.lock t.memo_lock;
-            let hit = Hashtbl.find_opt t.memo key in
-            Mutex.unlock t.memo_lock;
-            match hit with
+            match memo_find t key with
             | Some v -> retire lane v
             | None -> lane_pending.(lane) <- key :: lane_pending.(lane))
         end
@@ -874,16 +684,16 @@ let run_delta_batch_pass t ?on_benign_retire db ~lanes faults verdicts queue =
   in
   List.merge by_cycle (List.rev !leftover) !pending_q
 
+(* [lanes], defaulted and checked against the pass width. *)
+let lanes_in_range ~fn = function
+  | None -> max_delta_lanes
+  | Some l ->
+    if l < 1 || l > max_delta_lanes then
+      invalid_arg (Printf.sprintf "Campaign.%s: lanes must be in [1, %d]" fn max_delta_lanes);
+    l
+
 let inject_delta_batch t ?lanes ?on_benign_retire ~faults () =
-  let lanes =
-    match lanes with
-    | None -> max_delta_lanes
-    | Some l ->
-      if l < 1 || l > max_delta_lanes then
-        invalid_arg
-          (Printf.sprintf "Campaign.inject_delta_batch: lanes must be in [1, %d]" max_delta_lanes);
-      l
-  in
+  let lanes = lanes_in_range ~fn:"inject_delta_batch" lanes in
   Array.iter
     (fun (_, cycle) ->
       if cycle < 0 || cycle >= t.total_cycles then
@@ -915,23 +725,17 @@ type stats = {
   crashed : int;
 }
 
-(* A run's stats from its verdict counts; every fault not skipped was
+(* A run's stats from its verdicts; every fault not skipped was
    injected exactly once. *)
-let stats_of ~n_skipped (b, l, s) =
-  { injections = b + l + s; benign = b; latent = l; sdc = s; skipped = n_skipped; crashed = 0 }
-
-let count_chunk t w ~space samples skipped lo hi =
+let stats_of ~n_skipped verdicts =
   let b = ref 0 and l = ref 0 and s = ref 0 in
-  for i = lo to hi do
-    if not skipped.(i) then begin
-      let key, cycle = samples.(i) in
-      match inject_fault t w ~space ~key ~cycle with
+  Array.iter
+    (function
       | Benign -> incr b
       | Latent -> incr l
-      | Sdc _ -> incr s
-    end
-  done;
-  (!b, !l, !s)
+      | Sdc _ -> incr s)
+    verdicts;
+  { injections = !b + !l + !s; benign = !b; latent = !l; sdc = !s; skipped = n_skipped; crashed = 0 }
 
 (* The one sample-draw everybody shares: every engine, the durable
    runner and the distributed worker derive their fault list through
@@ -954,75 +758,77 @@ let draw_samples t ~space ~rng ~n =
   done;
   samples
 
-(* Draw all samples up front with the single caller-provided generator
-   and mark the pruned ones on the calling domain: the fault list — and
-   therefore the stats — is a function of the seed alone, whatever the
-   engine or domain count. *)
-let draw_marked t ~space ~rng ~n ~skip =
-  let samples = draw_samples t ~space ~rng ~n in
-  let skipped = Array.map (fun (flop_id, cycle) -> skip ~flop_id ~cycle) samples in
-  let n_skipped = Array.fold_left (fun acc s -> if s then acc + 1 else acc) 0 skipped in
-  (samples, skipped, n_skipped)
+(* The one kernel -> injector dispatch, {!effective_kernel} included:
+   every sample driver below and the supervised executor classify
+   through it. The scalar kernel runs on [worker ()]; the delta-family
+   kernels on the campaign's shared workers, which an escaping
+   exception leaves in an unknown state (a dirty set or lanes mid-run) —
+   they are discarded, to be rebuilt lazily by the next call from the
+   cached golden trace, which is immutable and survives. *)
+let classify ?budget ?lanes t ~worker ~kernel ~space faults =
+  match effective_kernel space.Fault_space.model kernel with
+  | Scalar ->
+    let w = worker () in
+    Array.map (fun (key, cycle) -> inject_fault ?budget t w ~space ~key ~cycle) faults
+  | Delta -> (
+    match Array.map (fun (key, cycle) -> inject_fault_delta ?budget t ~space ~key ~cycle) faults with
+    | verdicts -> verdicts
+    | exception e ->
+      t.delta_worker <- None;
+      raise e)
+  | Delta_batched -> (
+    match inject_delta_batch t ?lanes ~faults () with
+    | verdicts -> verdicts
+    | exception e ->
+      t.delta_batch_worker <- None;
+      raise e)
 
 let no_skip ~flop_id:_ ~cycle:_ = false
 
-let run_sample t ~space ~rng ~n ?(skip = no_skip) ?(jobs = 1) () =
-  let samples, skipped, n_skipped = draw_marked t ~space ~rng ~n ~skip in
-  let jobs = max 1 (min jobs (max 1 n)) in
-  stats_of ~n_skipped
-    (if jobs = 1 then count_chunk t t.primary ~space samples skipped 0 (n - 1)
+(* The one sample driver behind every [run_sample*]. All samples are
+   drawn up front with the single caller-provided generator and the
+   pruned ones dropped on the calling domain: the fault list — and
+   therefore the stats — is a function of the seed alone, whatever the
+   kernel or domain count. [lanes] is checked first, whatever kernel the
+   model ends up on. [jobs] > 1 (scalar kernel only) splits the kept
+   faults into contiguous chunks, each classified on its own domain with
+   its own worker. *)
+let run_kernel t ~kernel ~space ~rng ~n ~skip ?lanes ?(jobs = 1) () =
+  ignore (lanes_in_range ~fn:"run_sample_delta_batched" lanes);
+  (* The kept faults, compacted in place over the draw. *)
+  let kept = draw_samples t ~space ~rng ~n in
+  let nf = ref 0 in
+  Array.iter
+    (fun ((flop_id, cycle) as f) ->
+      if not (skip ~flop_id ~cycle) then begin
+        kept.(!nf) <- f;
+        incr nf
+      end)
+    kept;
+  let nf = !nf in
+  let faults = Array.sub kept 0 nf in
+  let on worker faults = classify ?lanes t ~worker ~kernel ~space faults in
+  let jobs = max 1 (min jobs nf) in
+  stats_of ~n_skipped:(n - nf)
+    (if jobs = 1 then on (fun () -> t.primary) faults
      else begin
-       let chunk = (n + jobs - 1) / jobs in
-       let domains =
-         List.init jobs (fun j ->
-             let lo = j * chunk in
-             let hi = min (n - 1) ((j + 1) * chunk - 1) in
-             Domain.spawn (fun () ->
-                 if lo > hi then (0, 0, 0)
-                 else count_chunk t (fresh_worker t) ~space samples skipped lo hi))
-       in
-       List.fold_left
-         (fun (b, l, s) d ->
-           let b', l', s' = Domain.join d in
-           (b + b', l + l', s + s'))
-         (0, 0, 0) domains
+       let chunk = (nf + jobs - 1) / jobs in
+       List.init jobs (fun d ->
+           let lo = min nf (d * chunk) in
+           let len = min chunk (nf - lo) in
+           Domain.spawn (fun () ->
+               if len = 0 then [||] else on (fun () -> fresh_worker t) (Array.sub faults lo len)))
+       |> List.map Domain.join |> Array.concat
      end)
 
+let run_sample t ~space ~rng ~n ?(skip = no_skip) ?jobs () =
+  run_kernel t ~kernel:Scalar ~space ~rng ~n ~skip ?jobs ()
+
 let run_sample_delta t ~space ~rng ~n ?(skip = no_skip) () =
-  let samples, skipped, n_skipped = draw_marked t ~space ~rng ~n ~skip in
-  let b = ref 0 and l = ref 0 and s = ref 0 in
-  for i = 0 to n - 1 do
-    if not skipped.(i) then begin
-      let key, cycle = samples.(i) in
-      match inject_fault_delta t ~space ~key ~cycle with
-      | Benign -> incr b
-      | Latent -> incr l
-      | Sdc _ -> incr s
-    end
-  done;
-  stats_of ~n_skipped (!b, !l, !s)
+  run_kernel t ~kernel:Delta ~space ~rng ~n ~skip ()
 
 let run_sample_delta_batched t ~space ~rng ~n ?(skip = no_skip) ?lanes () =
-  match effective_kernel space.Fault_space.model Delta_batched with
-  | Delta_batched ->
-    let samples, skipped, n_skipped = draw_marked t ~space ~rng ~n ~skip in
-    let faults = Array.make (n - n_skipped) (0, 0) in
-    let j = ref 0 in
-    for i = 0 to n - 1 do
-      if not skipped.(i) then begin
-        faults.(!j) <- samples.(i);
-        incr j
-      end
-    done;
-    let b = ref 0 and l = ref 0 and s = ref 0 in
-    Array.iter
-      (function
-        | Benign -> incr b
-        | Latent -> incr l
-        | Sdc _ -> incr s)
-      (inject_delta_batch t ?lanes ~faults ());
-    stats_of ~n_skipped (!b, !l, !s)
-  | _ -> run_sample_delta t ~space ~rng ~n ~skip ()
+  run_kernel t ~kernel:Delta_batched ~space ~rng ~n ~skip ?lanes ()
 
 let pp_verdict ppf = function
   | Benign -> Format.fprintf ppf "benign"

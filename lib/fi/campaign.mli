@@ -1,7 +1,11 @@
 (** End-to-end fault-injection campaign: the experiment a HAFI platform
     runs for every non-pruned fault. Each experiment rewinds a simulated
-    system to the injection cycle, flips one flip-flop, and runs to the
-    campaign horizon while watching the primary outputs.
+    system to the injection cycle, flips the fault's member flip-flops
+    (re-arming them over a hold window for intermittent faults), and runs
+    to the campaign horizon while watching the primary outputs. An SEU is
+    the one-member, one-cycle case of that experiment: each engine has a
+    single per-fault loop, and {!inject_with} / {!inject_delta} are that
+    loop on one flop.
 
     Verdicts:
     - [Benign]: outputs matched the golden run at every cycle and the
@@ -60,7 +64,11 @@
 
     The scalar engine is the reference oracle; delta-batched is the
     production engine; single-fault delta is both the differential
-    check's independent engine and delta-batched's non-[Seu] fallback. *)
+    check's independent engine and delta-batched's non-[Seu] fallback.
+    The scalar and delta loops are separate implementations of the same
+    protocol — they share only the helpers that touch no simulator state
+    (watchdog, verdict memo) — so their agreement is a real check.
+    {!classify} is the one place a kernel is mapped to its injector. *)
 
 type verdict =
   | Benign
@@ -84,8 +92,8 @@ val effective_kernel : Fault_model.t -> kernel -> kernel
 (** The engine that actually classifies faults of a model when [kernel]
     is asked for: [Delta_batched] runs non-[Seu] models on [Delta] (one
     flop flip per lane), every other pair is unchanged. The single
-    source of this fallback for {!run_sample_delta_batched}, {!Durable}
-    and {!Worker}; pure, so resumed and distributed runs agree. *)
+    source of this fallback, applied by {!classify}; pure, so resumed
+    and distributed runs agree. *)
 
 type t
 
@@ -139,11 +147,12 @@ val fresh_worker : t -> worker
     watchdog kill. Safe to call from any domain. *)
 
 exception Budget_exceeded
-(** Raised by {!inject_with} when an experiment's simulated-cycle budget
+(** Raised by an injector when an experiment's simulated-cycle budget
     runs out (the per-experiment watchdog). *)
 
 val inject_with : ?budget:int -> t -> worker -> flop_id:int -> cycle:int -> verdict
-(** {!inject} on an explicit worker. [budget], if given, bounds the
+(** {!inject} on an explicit worker: {!inject_fault}'s experiment on the
+    one-member, one-cycle fault [flop_id]. [budget], if given, bounds the
     simulated cycles the experiment may consume (checkpoint-replay prefix
     included); exceeding it raises {!Budget_exceeded}, after which the
     worker remains usable (every injection starts from a checkpoint
@@ -151,22 +160,45 @@ val inject_with : ?budget:int -> t -> worker -> flop_id:int -> cycle:int -> verd
 
 val inject_fault :
   ?budget:int -> t -> worker -> space:Fault_space.t -> key:int -> cycle:int -> verdict
-(** Model-aware scalar injection: classify the fault instance
-    [(key, cycle)] under [space]'s fault model. [Seu] dispatches to
-    {!inject_with} byte-for-byte; other models expand the key
-    ({!Fault_space.expand}) into simultaneous member flips and re-arm
-    held flops against the recorded golden trace for the hold window
-    ({!Fault_space.hold}). An empty expansion (a SET pulse nothing
-    latches) is [Benign] without simulating. Verdict-memo participation
-    is deferred to the last forced cycle, so multi-cycle models never
-    poison the state-determinism premise the shared memo rests on. *)
+(** Model-aware scalar injection, the scalar engine's one experiment:
+    classify the fault instance [(key, cycle)] under [space]'s fault
+    model. The key expands ({!Fault_space.expand}) into simultaneous
+    member flips — a single flop for [Seu] — and held flops are re-armed
+    against the recorded golden trace for the hold window
+    ({!Fault_space.hold}, 1 for every single-cycle model). An empty
+    expansion (a SET pulse nothing latches) is [Benign] without
+    simulating. Verdict-memo participation and early [Benign]
+    retirement wait for the last forced cycle, so multi-cycle models
+    never poison the state-determinism premise the shared memo rests
+    on; with a one-cycle hold that wait is empty. [budget] as in
+    {!inject_with}. *)
 
 val inject_fault_delta : ?budget:int -> t -> space:Fault_space.t -> key:int -> cycle:int -> verdict
-(** Model-aware delta injection: the delta image of {!inject_fault}
-    (expansion = initial dirty set; re-arm = re-flip any member whose
-    flip flag cleared). [Seu] dispatches to {!inject_delta}
-    byte-for-byte; every model is verdict-bit-identical to
-    {!inject_fault}. Requires [~make_delta] at {!create}. *)
+(** Model-aware delta injection, the delta engine's one experiment: the
+    delta image of {!inject_fault} (expansion = initial dirty set;
+    re-arm = re-flip any member whose flip flag cleared), implemented
+    independently of it and verdict-bit-identical to it on every model.
+    Requires [~make_delta] at {!create}. *)
+
+val classify :
+  ?budget:int ->
+  ?lanes:int ->
+  t ->
+  worker:(unit -> worker) ->
+  kernel:kernel ->
+  space:Fault_space.t ->
+  (int * int) array ->
+  verdict array
+(** Classify [(key, cycle)] faults of [space] on the engine
+    [effective_kernel model kernel], returning the verdicts in input
+    order: {!inject_fault} on [worker ()] (called once) for [Scalar],
+    {!inject_fault_delta} for [Delta], {!inject_delta_batch} with
+    [lanes] for [Delta_batched]. The only kernel-to-injector mapping:
+    every [run_sample*] and the supervised {!Executor} go through it.
+    [budget] bounds each per-fault experiment. When an exception escapes
+    a delta-family kernel, its shared worker is discarded (the next call
+    rebuilds it from the cached golden trace) and the exception is
+    re-raised. *)
 
 type stats = {
   injections : int;  (** experiments actually executed *)
@@ -209,22 +241,19 @@ val run_sample :
     OCaml domains; the sampled fault list is drawn up front from [rng],
     so the resulting stats are identical for every [jobs] value. *)
 
-val reset_delta_worker : t -> unit
-(** Discard the cached delta worker (trace and all); the next delta call
-    rebuilds it. Recovery action when an exception escaped
-    mid-experiment and the kernel's dirty set is no longer trustworthy. *)
-
 val golden_trace : t -> Pruning_sim.Trace.t
 (** The golden baseline shared by the delta-family engines: one full
     recorded run of the scalar system, made lazily on first use and
     cached for the campaign's lifetime. Because the campaign {e is} the
     (core, program, horizon) identity, every delta-family worker built
-    from it — including rebuilds after {!reset_delta_worker} /
-    {!reset_delta_batch_worker}, durable shards and distributed chunk
-    re-execution — reuses this one recording. *)
+    from it — including rebuilds after a crash, durable shards and
+    distributed chunk re-execution — reuses this one recording. Safe to
+    call from several domains at once: the recording is made exactly
+    once. *)
 
 val inject_delta : ?budget:int -> t -> flop_id:int -> cycle:int -> verdict
-(** One experiment on the activity-gated delta kernel
+(** {!inject_fault_delta}'s experiment on the one-member, one-cycle
+    fault [flop_id], on the activity-gated delta kernel
     ({!Pruning_sim.Deltasim}): attach at the injection cycle (no replay
     prefix), flip, and propagate only the fault cone's active frontier,
     retiring the instant the difference against the golden trace dies
@@ -255,12 +284,6 @@ val max_delta_lanes : int
 (** Fault-carrying lanes per batched-delta pass:
     [Pruning_sim.Deltabatch.n_lanes]. Every lane carries a fault — the
     golden reference is the recorded trace, not a lane. *)
-
-val reset_delta_batch_worker : t -> unit
-(** Discard the cached batched delta worker; the next batched-delta
-    call rebuilds it (reusing the cached golden trace). Recovery action
-    when an exception escaped mid-pass and the lanes' state is no
-    longer trustworthy. *)
 
 val inject_delta_batch :
   t ->
@@ -294,6 +317,8 @@ val run_sample_delta_batched :
     fault list for the same [rng] seed and classifies it with
     {!inject_delta_batch}, so the stats are bit-identical to the other
     engines'. Fault models {!effective_kernel} maps to [Delta] run
-    {!run_sample_delta} instead (stats still identical). *)
+    {!run_sample_delta} instead (stats still identical). [lanes] is
+    checked for every model: outside [\[1, max_delta_lanes\]] it raises
+    [Invalid_argument] before any fault is drawn. *)
 
 val pp_verdict : Format.formatter -> verdict -> unit

@@ -61,26 +61,9 @@ let scalar_worker t =
 (* One attempt's worth of experiments: a single fault on the per-fault
    kernels, a whole window on the batched one. *)
 let classify t faults =
-  let { campaign; space; budget; _ } = t in
-  match t.kernel with
-  | Campaign.Scalar ->
-    Array.map
-      (fun (key, cycle) ->
-        Campaign.inject_fault ?budget campaign (scalar_worker t) ~space ~key ~cycle)
-      faults
-  | Campaign.Delta ->
-    Array.map
-      (fun (key, cycle) -> Campaign.inject_fault_delta ?budget campaign ~space ~key ~cycle)
-      faults
-  | Campaign.Delta_batched -> Campaign.inject_delta_batch campaign ?lanes:t.lanes ~faults ()
-
-(* The kernel state is unknown after an exception escaped mid-run:
-   rebuild it before the next attempt. *)
-let recover t =
-  match t.kernel with
-  | Campaign.Scalar -> t.worker <- None
-  | Campaign.Delta -> Campaign.reset_delta_worker t.campaign
-  | Campaign.Delta_batched -> Campaign.reset_delta_batch_worker t.campaign
+  Campaign.classify ?budget:t.budget ?lanes:t.lanes t.campaign
+    ~worker:(fun () -> scalar_worker t)
+    ~kernel:t.kernel ~space:t.space faults
 
 (* Infrastructure chaos around one attempt. A [Crash] raises
    {!Chaos.Injected}, retried without consuming the retry budget: a
@@ -109,7 +92,9 @@ let attempt t ~fault ~first faults =
     | exception _ ->
       (* Back off so a systemic failure (disk full, OOM-adjacent) is
          not hammered at full speed. *)
-      recover t;
+      (* The scalar worker may be mid-run: build a fresh one next time
+         (Campaign.classify rebuilds the delta-family workers itself). *)
+      t.worker <- None;
       t.failures <- t.failures + 1;
       if k < t.retries then begin
         Unix.sleepf (Backoff.next t.backoff);

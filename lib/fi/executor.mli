@@ -5,11 +5,11 @@
     indices; it owns everything between "this fault must be classified"
     and "here is its outcome":
 
-    - {b Kernel.} The engine is [Campaign.effective_kernel model kernel]:
-      [Scalar] and [Delta] classify one fault per attempt,
-      [Delta_batched] a window of faults per attempt
-      ({!Campaign.inject_delta_batch}). Every kernel yields bit-identical
-      verdicts, so callers never branch on it.
+    - {b Kernel.} Every attempt classifies through {!Campaign.classify},
+      which maps the kernel to its injector. The per-fault engines
+      classify one fault per attempt, delta-batched a window of faults
+      per attempt. Every kernel yields bit-identical verdicts, so
+      callers never branch on it.
     - {b Retries.} An attempt that raises (simulator bug, watchdog
       {!Campaign.Budget_exceeded}, test hook) rebuilds the kernel's state
       (a fresh scalar worker, or a discarded delta / batched-delta

@@ -31,4 +31,5 @@ let () =
       ("report", Test_report.suite);
       ("fault-model", Test_fault_model.suite);
       ("byzantine", Test_byzantine.suite);
+      ("engine-equiv", Test_engine_equiv.suite);
     ]

@@ -1,0 +1,159 @@
+(* Engine equivalence over the whole fault space, and the two contracts
+   the shared sample driver owns.
+
+   - Exhaustive: every (key x cycle) of the fault space, for seu,
+     mbu:2, intermittent:3 and set on both cores, is classified by the
+     scalar oracle and by the single-fault delta engine (and, for SEU,
+     by the batched delta engine) and compared fault by fault. Each
+     engine gets a campaign of its own, so no engine's verdict memo can
+     answer for another's.
+   - The golden trace is recorded exactly once, however many scalar
+     domains need it at the same time.
+   - [?lanes] is checked whatever kernel the model falls back to. *)
+
+open Helpers
+module Campaign = Pruning_fi.Campaign
+module Durable = Pruning_fi.Durable
+module Fault_model = Pruning_fi.Fault_model
+module Fault_space = Pruning_fi.Fault_space
+module System = Pruning_cpu.System
+module Avr_asm = Pruning_cpu.Avr_asm
+module Msp_asm = Pruning_cpu.Msp_asm
+module Programs = Pruning_cpu.Programs
+
+(* (netlist, make, make_delta, make_delta_batch) per core; synthesis is
+   the expensive part, so each core is built once. *)
+let avr =
+  lazy
+    (let nl = System.avr_netlist () in
+     let program = Avr_asm.assemble Programs.avr_fib_halting in
+     ( nl,
+       (fun () -> System.create_avr ~netlist:nl ~program "avr/fib"),
+       (fun ~trace -> System.create_avr_delta ~netlist:nl ~program ~trace "avr/fib"),
+       fun ~trace -> System.create_avr_delta_batch ~netlist:nl ~program ~trace "avr/fib" ))
+
+let msp =
+  lazy
+    (let nl = System.msp_netlist () in
+     let program = Msp_asm.assemble Programs.msp_fib_halting in
+     ( nl,
+       (fun () -> System.create_msp ~netlist:nl ~program "msp/fib"),
+       (fun ~trace -> System.create_msp_delta ~netlist:nl ~program ~trace "msp/fib"),
+       fun ~trace -> System.create_msp_delta_batch ~netlist:nl ~program ~trace "msp/fib" ))
+
+let campaign core ~cycles =
+  let _, make, make_delta, make_delta_batch = Lazy.force core in
+  Campaign.create ~make ~make_delta ~make_delta_batch ~total_cycles:cycles ()
+
+(* Every fault instance of [space], key-major. *)
+let all_faults space =
+  let cycles = space.Fault_space.cycles in
+  Array.init
+    (Fault_space.n_keys space * cycles)
+    (fun i -> (Fault_space.draw_key space (i / cycles), i mod cycles))
+
+let same_verdicts label faults reference got =
+  Array.iteri
+    (fun i (key, cycle) ->
+      if got.(i) <> reference.(i) then
+        Alcotest.failf "%s: key %d cycle %d: %s vs scalar %s" label key cycle
+          (Format.asprintf "%a" Campaign.pp_verdict got.(i))
+          (Format.asprintf "%a" Campaign.pp_verdict reference.(i)))
+    faults
+
+(* Horizons keep each case to a few seconds: the set key space is the
+   gate count, so it gets far fewer cycles than the flop-keyed models. *)
+let check_exhaustive (name, core) model ~cycles () =
+  let nl, _, _, _ = Lazy.force core in
+  let space = Fault_space.full ~model nl ~cycles in
+  let faults = all_faults space in
+  let label = name ^ "/" ^ Fault_model.name model in
+  let scalar =
+    let c = campaign core ~cycles in
+    let w = Campaign.primary_worker c in
+    Array.map (fun (key, cycle) -> Campaign.inject_fault c w ~space ~key ~cycle) faults
+  in
+  check_bool (label ^ ": not all benign") true (Array.exists (( <> ) Campaign.Benign) scalar);
+  let delta =
+    let c = campaign core ~cycles in
+    Array.map (fun (key, cycle) -> Campaign.inject_fault_delta c ~space ~key ~cycle) faults
+  in
+  same_verdicts (label ^ ": delta") faults scalar delta;
+  if model = Fault_model.Seu then
+    same_verdicts (label ^ ": delta-batched") faults scalar
+      (Campaign.inject_delta_batch (campaign core ~cycles) ~faults ())
+
+let exhaustive_cases =
+  List.concat_map
+    (fun core ->
+      List.map
+        (fun (model, cycles) ->
+          Alcotest.test_case
+            (Printf.sprintf "exhaustive %s %s x %d cycles" (fst core) (Fault_model.name model)
+               cycles)
+            `Slow
+            (check_exhaustive core model ~cycles))
+        [
+          (Fault_model.Seu, 40);
+          (Fault_model.Mbu 2, 40);
+          (Fault_model.Intermittent 3, 40);
+          (Fault_model.Set, 8);
+        ])
+    [ ("avr", avr); ("msp430", msp) ]
+
+(* --- the golden trace is recorded once ------------------------------- *)
+
+(* A maker that counts its calls: [create] makes the golden system, each
+   extra domain one worker system, and the golden trace one more. *)
+let counting_campaign ~cycles =
+  let _, make, _, _ = Lazy.force avr in
+  let calls = Atomic.make 0 in
+  let make () =
+    Atomic.incr calls;
+    make ()
+  in
+  (Campaign.create ~make ~total_cycles:cycles (), calls)
+
+let test_trace_once () =
+  let cycles = 60 and jobs = 4 in
+  let nl, _, _, _ = Lazy.force avr in
+  let space = Fault_space.full ~model:(Fault_model.Intermittent 3) nl ~cycles in
+  let c, calls = counting_campaign ~cycles in
+  let stats = Campaign.run_sample c ~space ~rng:(Prng.create 3) ~n:80 ~jobs () in
+  check_int "every fault injected" 80 stats.Campaign.injections;
+  check_int "run_sample: make calls = golden + one per domain + one trace" (2 + jobs)
+    (Atomic.get calls);
+  let c, calls = counting_campaign ~cycles in
+  let r = Durable.run c ~space ~seed:3 ~n:80 ~jobs () in
+  check_int "durable: every fault injected" 80 r.Durable.stats.Campaign.injections;
+  check_int "durable: make calls = golden + one per shard + one trace" (2 + jobs)
+    (Atomic.get calls)
+
+(* --- lanes are checked for every model ------------------------------- *)
+
+let test_lanes_every_model () =
+  let cycles = 40 in
+  let nl, _, _, _ = Lazy.force avr in
+  List.iter
+    (fun model ->
+      let space = Fault_space.full ~model nl ~cycles in
+      List.iter
+        (fun lanes ->
+          Alcotest.check_raises
+            (Printf.sprintf "%s: lanes %d rejected" (Fault_model.name model) lanes)
+            (Invalid_argument
+               (Printf.sprintf "Campaign.run_sample_delta_batched: lanes must be in [1, %d]"
+                  Campaign.max_delta_lanes))
+            (fun () ->
+              ignore
+                (Campaign.run_sample_delta_batched (campaign avr ~cycles) ~space
+                   ~rng:(Prng.create 1) ~n:10 ~lanes ())))
+        [ 0; Campaign.max_delta_lanes + 1 ])
+    Fault_model.[ Seu; Set; Mbu 2; Intermittent 3 ]
+
+let suite =
+  exhaustive_cases
+  @ [
+      Alcotest.test_case "golden trace recorded once across domains" `Quick test_trace_once;
+      Alcotest.test_case "lanes checked for every fault model" `Quick test_lanes_every_model;
+    ]
