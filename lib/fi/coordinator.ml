@@ -261,31 +261,8 @@ let serve t ~header ?journal ?(resume = false) ?records_per_segment ?chaos
     | Some dir when resume ->
       let h, entries, dropped, w = Journal.resume ?records_per_segment ?chaos ~dir () in
       Journal.require_match ~what:dir h header;
-      Array.iter
-        (function
-          | Journal.Outcome (i, o) ->
-            if i >= 0 && i < n && outcomes.(i) = None then begin
-              outcomes.(i) <- Some o;
-              incr n_done;
-              incr recovered
-            end
-          (* An [Arbitrated] record supersedes the disputed [Outcome] it
-             follows: on replay the quorum's verdict wins, so a resumed
-             campaign carries the arbitrated truth, not the first claim. *)
-          | Journal.Arbitrated { index = i; outcome = o; _ } ->
-            if i >= 0 && i < n then begin
-              if outcomes.(i) = None then begin
-                incr n_done;
-                incr recovered
-              end;
-              outcomes.(i) <- Some o
-            end
-          (* A recorded [Poisoned] is deliberately ignored: a resumed
-             campaign retries the quarantined chunk from scratch, with
-             the death count reset — quarantine is a property of one
-             service run, not of the fault space. *)
-          | Journal.Quarantine _ | Journal.Poisoned _ -> ())
-        entries;
+      recovered := Journal.replay outcomes entries;
+      n_done := !recovered;
       dropped_bytes := dropped;
       (* Every resume is a new coordinator generation: bump the epoch,
          persist it, and announce it in Welcome — workers that survived
@@ -943,26 +920,8 @@ let serve t ~header ?journal ?(resume = false) ?records_per_segment ?chaos
   end;
   List.iter (fun conn -> try Unix.close conn.fd with Unix.Unix_error _ -> ()) !conns;
   conns := [];
-  let b = ref 0 and l = ref 0 and s = ref 0 and sk = ref 0 and cr = ref 0 in
-  Array.iter
-    (function
-      | None -> ()
-      | Some Journal.Benign -> incr b
-      | Some Journal.Latent -> incr l
-      | Some (Journal.Sdc _) -> incr s
-      | Some Journal.Skipped -> incr sk
-      | Some Journal.Crashed -> incr cr)
-    outcomes;
   {
-    stats =
-      {
-        Campaign.injections = !b + !l + !s;
-        benign = !b;
-        latent = !l;
-        sdc = !s;
-        skipped = !sk;
-        crashed = !cr;
-      };
+    stats = Journal.stats outcomes;
     completed;
     recovered = !recovered;
     dropped_bytes = !dropped_bytes;

@@ -84,8 +84,10 @@ type config = {
   chunk_size : int;  (** samples per lease *)
   lease : float;
       (** seconds of worker silence before its chunks are re-dispatched;
-          must comfortably exceed the time a worker needs between frames
-          (one experiment, or one whole batched chunk) *)
+          must comfortably exceed the time a worker needs between frames:
+          one experiment on the per-fault engines, one window of 16 full
+          passes ([16 * Campaign.max_delta_lanes] faults) on
+          delta-batched, whatever the chunk size *)
   write_timeout : float;  (** per-frame send deadline towards a worker *)
   tick : float;  (** event-loop wakeup period (lease/stop polling) *)
   drain : float;

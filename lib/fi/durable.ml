@@ -103,11 +103,8 @@ let run campaign ~space ~seed ~n ?(ident = ("unknown", "unknown")) ?skip ?audit 
   let quarantined = ref [] in
   let audited = ref 0 in
   let pre_quarantine m =
-    match hooks with
-    | Some h ->
-      h.quarantine m;
-      quarantined := m :: !quarantined
-    | None -> quarantined := m :: !quarantined
+    Option.iter (fun h -> h.quarantine m) hooks;
+    quarantined := m :: !quarantined
   in
   let writer, recovered, dropped_bytes =
     match journal with
@@ -115,27 +112,8 @@ let run campaign ~space ~seed ~n ?(ident = ("unknown", "unknown")) ?skip ?audit 
     | Some dir when resume ->
       let h, entries, dropped, w = Journal.resume ?records_per_segment ?chaos ~dir () in
       Journal.require_match ~what:dir h header;
-      let recovered = ref 0 in
-      Array.iter
-        (function
-          | Journal.Outcome (i, o) ->
-            if i >= 0 && i < n && outcomes.(i) = None then begin
-              outcomes.(i) <- Some o;
-              incr recovered
-            end
-          | Journal.Quarantine m -> pre_quarantine m
-          (* Distributed-only arbitration override: the quorum's verdict
-             supersedes the disputed Outcome recorded before it. *)
-          | Journal.Arbitrated { index = i; outcome = o; _ } ->
-            if i >= 0 && i < n then begin
-              if outcomes.(i) = None then incr recovered;
-              outcomes.(i) <- Some o
-            end
-          (* Distributed-only marker; a local journal never writes one,
-             but resuming must not choke on it either. *)
-          | Journal.Poisoned _ -> ())
-        entries;
-      (Some w, !recovered, dropped)
+      let recovered = Journal.replay ~quarantine:pre_quarantine outcomes entries in
+      (Some w, recovered, dropped)
     | Some dir -> (Some (Journal.create ?records_per_segment ?chaos ~dir header), 0, 0)
   in
   let journal_entry e =
@@ -235,36 +213,15 @@ let run campaign ~space ~seed ~n ?(ident = ("unknown", "unknown")) ?skip ?audit 
       |> List.fold_left (fun acc d -> acc + Domain.join d) 0
     end
   in
-  let b = ref 0 and l = ref 0 and s = ref 0 and sk = ref 0 and cr = ref 0 and done_ = ref 0 in
-  Array.iter
-    (function
-      | None -> ()
-      | Some o ->
-        incr done_;
-        (match o with
-        | Journal.Benign -> incr b
-        | Journal.Latent -> incr l
-        | Journal.Sdc _ -> incr s
-        | Journal.Skipped -> incr sk
-        | Journal.Crashed -> incr cr))
-    outcomes;
   {
-    stats =
-      {
-        Campaign.injections = !b + !l + !s;
-        benign = !b;
-        latent = !l;
-        sdc = !s;
-        skipped = !sk;
-        crashed = !cr;
-      };
+    stats = Journal.stats outcomes;
     audit =
       {
         audited = !audited;
         violations = List.rev !violations;
         quarantined = List.rev !quarantined;
       };
-    completed = !done_ = n;
+    completed = Array.for_all Option.is_some outcomes;
     recovered;
     dropped_bytes;
     retried;

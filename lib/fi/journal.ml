@@ -627,6 +627,54 @@ let update_header ~dir header =
   if not (exists ~dir) then error "%s: no journal here (missing header)" dir;
   write_atomic (header_file dir) (header_to_string header)
 
+(* Resume fold: the one place that says what a journal's entries mean
+   for the verdict table. Both schedulers (Durable and Coordinator)
+   replay through it. *)
+let replay ?(quarantine = ignore) outcomes entries =
+  let n = Array.length outcomes in
+  let recovered = ref 0 in
+  Array.iter
+    (function
+      | Outcome (i, o) ->
+        if i >= 0 && i < n && outcomes.(i) = None then begin
+          outcomes.(i) <- Some o;
+          incr recovered
+        end
+      (* The quorum's verdict supersedes the disputed [Outcome] recorded
+         before it, so a resumed campaign carries the arbitrated truth. *)
+      | Arbitrated { index = i; outcome = o; _ } ->
+        if i >= 0 && i < n then begin
+          if outcomes.(i) = None then incr recovered;
+          outcomes.(i) <- Some o
+        end
+      | Quarantine m -> quarantine m
+      (* Poisoning a chunk is a property of one service run, not of the
+         fault space: a resumed campaign retries it from scratch, with
+         its death count reset. *)
+      | Poisoned _ -> ())
+    entries;
+  !recovered
+
+let stats outcomes =
+  let b = ref 0 and l = ref 0 and s = ref 0 and sk = ref 0 and cr = ref 0 in
+  Array.iter
+    (function
+      | None -> ()
+      | Some Benign -> incr b
+      | Some Latent -> incr l
+      | Some (Sdc _) -> incr s
+      | Some Skipped -> incr sk
+      | Some Crashed -> incr cr)
+    outcomes;
+  {
+    Campaign.injections = !b + !l + !s;
+    benign = !b;
+    latent = !l;
+    sdc = !s;
+    skipped = !sk;
+    crashed = !cr;
+  }
+
 (* ------------------------------------------------------------------ *)
 (* fsck: offline, read-only trust check.                                *)
 

@@ -181,6 +181,23 @@ val stalled : writer -> bool
 
 val close : writer -> unit
 
+(** {1 Replaying verdicts} *)
+
+val replay : ?quarantine:(int -> unit) -> outcome option array -> entry array -> int
+(** [replay outcomes entries] folds a journal's entries, in append
+    order, into [outcomes] (one slot per sample index) and returns how
+    many empty slots it filled — the recovered verdicts. The first
+    [Outcome] for an index wins; an [Arbitrated] entry overrides
+    whatever the slot holds (filling it, and counting as recovered, if
+    empty); [Poisoned] entries and indices outside [outcomes] are
+    ignored. [quarantine] receives every [Quarantine] entry's index
+    (default: ignored). Both {!Durable} and {!Coordinator} resume
+    through this fold. *)
+
+val stats : outcome option array -> Campaign.stats
+(** Statistics of an outcome table: empty slots are not counted, and
+    [injections] = benign + latent + sdc. *)
+
 (** {1 Offline integrity check} *)
 
 type fsck_report = {

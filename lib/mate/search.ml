@@ -3,6 +3,7 @@ module Cone = Pruning_netlist.Cone
 module Cell = Pruning_cell.Cell
 module Gm = Pruning_cell.Gm
 module Stats = Pruning_util.Stats
+module Mono = Pruning_util.Mono
 
 type params = {
   depth : int;
@@ -618,19 +619,19 @@ let search_wire ?traces nl params wire = search_sources ?traces nl params [ wire
 let search_pair ?traces nl params w1 w2 = search_sources ?traces nl params [ w1; w2 ]
 
 let timed_search_wire ?traces nl params wire =
-  let start = Unix.gettimeofday () in
+  let start = Mono.now () in
   let result = search_wire ?traces nl params wire in
-  { result with time_s = Unix.gettimeofday () -. start }
+  { result with time_s = Mono.now () -. start }
 
 let search_flops ?(params = default_params) ?traces nl flops =
-  let start = Unix.gettimeofday () in
+  let start = Mono.now () in
   let flop_results =
     List.map
       (fun (f : Netlist.flop) ->
         { flop = f; result = timed_search_wire ?traces nl params f.Netlist.q })
       flops
   in
-  { params; flop_results; runtime_s = Unix.gettimeofday () -. start }
+  { params; flop_results; runtime_s = Mono.now () -. start }
 
 let restrict report keep =
   let flop_results = List.filter (fun fr -> keep fr.flop) report.flop_results in

@@ -63,7 +63,7 @@ type wire_result = {
   n_options : int;  (** (gate, GM-term) pairs collected *)
   candidates_tried : int;
   outcome : outcome;
-  time_s : float;  (** wall time spent on this wire *)
+  time_s : float;  (** wall time spent on this wire ({!Pruning_util.Mono} clock) *)
 }
 
 val search_wire :
@@ -89,7 +89,7 @@ type flop_result = {
 type report = {
   params : params;
   flop_results : flop_result list;
-  runtime_s : float;
+  runtime_s : float;  (** wall time of the whole search ({!Pruning_util.Mono} clock) *)
 }
 
 val search_pair :

@@ -192,6 +192,77 @@ let test_journal_sealed_corruption () =
   | _ -> Alcotest.fail "corrupt sealed segment must raise");
   rm_rf dir
 
+(* The resume fold both schedulers share, against a per-index spec: a
+   slot ends with its last [Arbitrated] outcome if it has one, else it
+   keeps its prior value, else its first [Outcome]; [recovered] counts
+   the slots that were empty and received any verdict; out-of-range
+   indices and [Poisoned] change nothing; [quarantine] sees exactly the
+   [Quarantine] indices, in order. The tally counts the final table. *)
+let prop_replay_semantics =
+  let n = 6 in
+  let outcome =
+    QCheck2.Gen.(
+      oneof
+        [
+          pure Journal.Benign;
+          pure Journal.Latent;
+          map (fun c -> Journal.Sdc c) (int_range 0 50);
+          pure Journal.Skipped;
+          pure Journal.Crashed;
+        ])
+  in
+  let index = QCheck2.Gen.int_range (-2) (n + 1) in
+  let entry =
+    QCheck2.Gen.(
+      oneof
+        [
+          map2 (fun i o -> Journal.Outcome (i, o)) index outcome;
+          map3
+            (fun i (o, loser) overturned ->
+              Journal.Arbitrated { index = i; outcome = o; loser; voters = 3; overturned })
+            index (pair outcome outcome) bool;
+          map (fun i -> Journal.Quarantine i) index;
+          map (fun c -> Journal.Poisoned c) (int_range 0 4);
+        ])
+  in
+  let gen = QCheck2.Gen.(pair (array_size (pure n) (opt outcome)) (array_size (int_range 0 40) entry)) in
+  QCheck2.Test.make ~name:"journal replay: first outcome wins, arbitration overrides" ~count:500 gen
+    (fun (prior, entries) ->
+      let outcomes = Array.copy prior in
+      let seen = ref [] in
+      let recovered = Journal.replay ~quarantine:(fun m -> seen := m :: !seen) outcomes entries in
+      let pick f = List.filter_map f (Array.to_list entries) in
+      let expected =
+        Array.mapi
+          (fun i p ->
+            let arbitrated =
+              pick (function Journal.Arbitrated a when a.index = i -> Some a.outcome | _ -> None)
+            in
+            let first = pick (function Journal.Outcome (j, o) when j = i -> Some o | _ -> None) in
+            match (List.rev arbitrated, p, first) with
+            | o :: _, _, _ -> Some o
+            | [], Some o, _ -> Some o
+            | [], None, o :: _ -> Some o
+            | [], None, [] -> None)
+          prior
+      in
+      let filled =
+        Array.to_list prior
+        |> List.mapi (fun i p -> p = None && expected.(i) <> None)
+        |> List.filter Fun.id |> List.length
+      in
+      let quarantines = pick (function Journal.Quarantine m -> Some m | _ -> None) in
+      let count pred = Array.fold_left (fun acc o -> if pred o then acc + 1 else acc) 0 outcomes in
+      let st = Journal.stats outcomes in
+      outcomes = expected && recovered = filled
+      && List.rev !seen = quarantines
+      && st.Campaign.benign = count (( = ) (Some Journal.Benign))
+      && st.Campaign.latent = count (( = ) (Some Journal.Latent))
+      && st.Campaign.sdc = count (function Some (Journal.Sdc _) -> true | _ -> false)
+      && st.Campaign.skipped = count (( = ) (Some Journal.Skipped))
+      && st.Campaign.crashed = count (( = ) (Some Journal.Crashed))
+      && st.Campaign.injections = st.Campaign.benign + st.Campaign.latent + st.Campaign.sdc)
+
 (* --- durable runs on the real cores ---------------------------------- *)
 
 let total_cycles = 120
@@ -597,6 +668,7 @@ let suite =
     Alcotest.test_case "journal round trip and rotation" `Quick test_journal_round_trip;
     Alcotest.test_case "journal torn tail truncation" `Quick test_journal_torn_tail;
     Alcotest.test_case "journal sealed-segment corruption" `Quick test_journal_sealed_corruption;
+    QCheck_alcotest.to_alcotest prop_replay_semantics;
     Alcotest.test_case "durable matches run_sample" `Slow test_durable_matches_run_sample;
     Alcotest.test_case "kill/resume avr scalar" `Slow test_kill_resume_avr_scalar;
     Alcotest.test_case "kill/resume avr jobs=4" `Slow test_kill_resume_avr_jobs;
