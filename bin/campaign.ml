@@ -221,6 +221,7 @@ let print_stats (stats : Fi_campaign.stats) elapsed =
 let build_pruner nl ~make ~cycles ~space =
   Printf.printf "searching MATEs...\n%!";
   let report = Search.search_flops nl (Array.to_list nl.Netlist.flops) in
+  print_endline (Search.summary report);
   let set = Mateset.of_report report in
   Printf.printf "replaying golden trace over %d MATEs...\n%!" (Mateset.size set);
   let sys = make (Some nl) in

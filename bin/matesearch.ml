@@ -51,9 +51,8 @@ let run core file vcd exclude_prefix depth max_terms max_candidates verbose =
         [ trace ]
     in
     let report = Search.search_flops ~params ~traces nl flops in
-    Printf.printf
-      "search finished in %.2fs: %d unmaskable, %d candidates tried, %d MATEs\n"
-      report.Search.runtime_s (Search.n_unmaskable report)
+    print_endline (Search.summary report);
+    Printf.printf "%d unmaskable, %d candidates tried, %d MATEs\n" (Search.n_unmaskable report)
       (Search.total_candidates report) (Search.total_mates report);
     let set = Mateset.of_report report in
     Printf.printf "%d distinct MATEs after merging\n" (Mateset.size set);

@@ -127,6 +127,35 @@ let all = List.map make all_kinds
 
 let of_kind kind = List.find (fun c -> c.kind = kind) all
 
+(* Position in [all]; [all_kinds] lists the kinds in this order. *)
+let index cell =
+  match cell.kind with
+  | INV -> 0
+  | BUF -> 1
+  | NAND2 -> 2
+  | NAND3 -> 3
+  | NAND4 -> 4
+  | NOR2 -> 5
+  | NOR3 -> 6
+  | NOR4 -> 7
+  | AND2 -> 8
+  | AND3 -> 9
+  | AND4 -> 10
+  | OR2 -> 11
+  | OR3 -> 12
+  | OR4 -> 13
+  | XOR2 -> 14
+  | XNOR2 -> 15
+  | MUX2 -> 16
+  | AOI21 -> 17
+  | AOI22 -> 18
+  | OAI21 -> 19
+  | OAI22 -> 20
+  | XOR3 -> 21
+  | MAJ3 -> 22
+  | TIEL -> 23
+  | TIEH -> 24
+
 let find_by_name name = List.find_opt (fun c -> c.name = name) all
 
 let eval_pattern cell pattern = cell.table land (1 lsl pattern) <> 0

@@ -59,6 +59,10 @@ val of_kind : kind -> t
 val all : t list
 (** The whole catalogue. *)
 
+val index : t -> int
+(** Position of the cell in {!all}. Every [t] is a member of {!all}
+    ([t] is private), so tables built over {!all} can be indexed by it. *)
+
 val find_by_name : string -> t option
 (** Look up a cell by its library name. *)
 

@@ -111,14 +111,20 @@ let term_to_string (_cell : Cell.t) term =
     let literal l = (if l.value then "" else "!") ^ pin_name l.pin in
     "(" ^ String.concat " & " (List.map literal term) ^ ")"
 
-let cache : (Cell.kind * int, term list) Hashtbl.t = Hashtbl.create 64
+let pins_of_mask mask = List.filter (fun pin -> mask land (1 lsl pin) <> 0) (List.init Cell.max_arity Fun.id)
+
+(* The terms of every catalogue cell for every faulty-pin set (indexed by
+   {!Cell.index}, then by the set's bitmask), built at module
+   initialisation and never written afterwards, so any number of domains
+   may read them. *)
+let catalogue_terms =
+  Array.of_list
+    (List.map
+       (fun (cell : Cell.t) ->
+         Array.init (1 lsl cell.arity) (fun mask ->
+             if mask = 0 then [] else masking_terms cell ~faulty:(pins_of_mask mask)))
+       Cell.all)
 
 let memoized_masking_terms (cell : Cell.t) ~faulty =
   check_faulty cell faulty;
-  let key = (cell.kind, bitmask_of_pins faulty) in
-  match Hashtbl.find_opt cache key with
-  | Some terms -> terms
-  | None ->
-    let terms = masking_terms cell ~faulty in
-    Hashtbl.add cache key terms;
-    terms
+  catalogue_terms.(Cell.index cell).(bitmask_of_pins faulty)

@@ -41,5 +41,7 @@ val term_to_string : Cell.t -> term -> string
     names [a1], [a2], ... *)
 
 val memoized_masking_terms : Cell.t -> faulty:int list -> term list
-(** Same as {!masking_terms} but cached per (cell kind, faulty set); the
-    whole-netlist MATE search calls this once per gate instance. *)
+(** Same as {!masking_terms}, answered from a table built over
+    {!Cell.all} at module initialisation (immutable afterwards, so safe to
+    call from any domain); the whole-netlist MATE search calls this once per
+    gate instance. Repeated calls return the same (physically equal) list. *)

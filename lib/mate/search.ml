@@ -48,6 +48,7 @@ type report = {
   params : params;
   flop_results : flop_result list;
   runtime_s : float;
+  domains : int;
 }
 
 (* ------------------------------------------------------------------ *)
@@ -97,53 +98,67 @@ let eval_gate_uncached (cell : Cell.t) packed =
   else if !seen1 then v1
   else v0
 
-(* One flat cache row per (cell function, arity). *)
-let eval_cache : (int, int array) Hashtbl.t = Hashtbl.create 64
+(* One flat evaluation row per catalogue cell, indexed by {!Cell.index},
+   built at module initialisation and never written afterwards, so any
+   number of domains may read it. *)
+let catalogue_rows =
+  Array.of_list (List.map (fun cell -> Array.init 256 (fun packed -> eval_gate_uncached cell packed)) Cell.all)
 
-let cache_row (cell : Cell.t) =
-  let key = (cell.Cell.table lsl 3) lor cell.Cell.arity in
-  match Hashtbl.find_opt eval_cache key with
-  | Some row -> row
-  | None ->
-    let row = Array.init 256 (fun packed -> eval_gate_uncached cell packed) in
-    Hashtbl.replace eval_cache key row;
-    row
+let cache_row cell = catalogue_rows.(Cell.index cell)
 
 (* ------------------------------------------------------------------ *)
-(* Cone evaluation state.                                               *)
+(* Cone evaluation state. Support gates are named by their position in *)
+(* the netlist's topological order, so sorting positions sorts gates.  *)
 
 type cone_eval = {
   nl : Netlist.t;
   values : Bytes.t;  (** per wire: v0/v1/vu/vf *)
-  baseline : Bytes.t;  (** values with no literals set *)
+  baseline : Bytes.t;
+      (** values with no literals set: support constants, sources F and the
+          cone evaluated over them *)
   rows : int array array;  (** per cone gate: eval-cache row *)
   cone_gates : Netlist.gate array;  (** topological order *)
+  cone_pos : int array;  (** per gate id: index into cone_gates, or -1 *)
+  cone_readers : int array array;  (** per cone gate: indices of the cone gates reading its output *)
+  cone_stamp : int array;  (** per cone gate: scheduled for re-evaluation in this validation *)
+  mutable first_pending : int;  (** lowest scheduled cone index *)
   sink_index : int array;  (** indices into cone_gates whose output sinks *)
   border_wires : Netlist.wire array;
   in_cone : bool array;
   in_support : bool array;  (** wires in the transitive fanin of border *)
   topo_pos : int array;  (** per gate id: position in the global topo *)
+  support_rows : int array array;  (** per topo position: eval-cache row of a support gate *)
+  support_positions : int array;  (** topo positions of the support gates, ascending *)
   sources : Netlist.wire list;
-  gate_depth : (int, int) Hashtbl.t;  (** cone-gate BFS distance *)
-  downstream : (Netlist.wire, int list) Hashtbl.t;
-      (** per literal-candidate wire: support gates downstream of it, in
-          topological order (computed on demand) *)
-  gate_stamp : int array;  (** scratch for merging downstream lists *)
+  gate_depth : int array;  (** per gate id: cone-gate BFS distance, [max_int] if none *)
+  downstream : int array option array;
+      (** per literal-candidate wire: topo positions of the support gates
+          downstream of it, ascending (computed on first use) *)
+  gate_stamp : int array;  (** per topo position: queued as dirty in this validation *)
   pin_stamp : int array;  (** per wire: literal-pinned in this validation *)
   mutable stamp : int;
-  mutable touched : Netlist.wire list;  (** wires differing from baseline *)
+  dirty : int array;  (** topo positions of this validation's dirty support gates *)
+  mutable lits : Term.literal array;  (** the literals under validation *)
+  mutable n_lits : int;
+  mutable touched : int array;  (** stack of wires differing from baseline *)
+  mutable n_touched : int;
 }
 
-let gate_value ev (g : Netlist.gate) =
+let no_literal = { Term.wire = 0; value = false }
+
+let value ev w = Char.code (Bytes.unsafe_get ev.values w)
+let set_value ev w v = Bytes.unsafe_set ev.values w (Char.unsafe_chr v)
+
+let packed_inputs ev (g : Netlist.gate) =
   let packed = ref 0 in
   let ins = g.Netlist.inputs in
   for pin = 0 to Array.length ins - 1 do
-    packed := !packed lor (Char.code (Bytes.get ev.values ins.(pin)) lsl (2 * pin))
+    packed := !packed lor (value ev ins.(pin) lsl (2 * pin))
   done;
-  (cache_row g.Netlist.cell).(!packed)
+  !packed
 
 let make_cone_eval (nl : Netlist.t) (cone : Cone.t) sources =
-  let nw = Netlist.n_wires nl in
+  let nw = Netlist.n_wires nl and ng = Netlist.n_gates nl in
   let is_sink w =
     Array.length nl.Netlist.flop_readers.(w) > 0 || nl.Netlist.is_primary_output.(w)
   in
@@ -169,9 +184,31 @@ let make_cone_eval (nl : Netlist.t) (cone : Cone.t) sources =
         | Netlist.Driver_input | Netlist.Driver_flop _ -> ()
       end
   done;
-  let topo_pos = Array.make (Netlist.n_gates nl) 0 in
+  let support_rows =
+    Array.map
+      (fun gid ->
+        let g = nl.Netlist.gates.(gid) in
+        if in_support.(g.Netlist.output) then cache_row g.Netlist.cell else [||])
+      nl.Netlist.topo
+  in
+  let support_positions =
+    List.init (Array.length support_rows) Fun.id
+    |> List.filter (fun pos -> Array.length support_rows.(pos) > 0)
+    |> Array.of_list
+  in
+  let topo_pos = Array.make ng 0 in
   Array.iteri (fun pos gid -> topo_pos.(gid) <- pos) nl.Netlist.topo;
-  (* Baseline: everything U, then constants propagated through support. *)
+  let cone_pos = Array.make ng (-1) in
+  Array.iteri (fun i (g : Netlist.gate) -> cone_pos.(g.Netlist.gate_id) <- i) cone_gates;
+  (* Every reader of a cone wire is a cone gate: the cone is a forward
+     closure. *)
+  let cone_readers =
+    Array.map
+      (fun (g : Netlist.gate) -> Array.map (fun gid -> cone_pos.(gid)) nl.Netlist.readers.(g.Netlist.output))
+      cone_gates
+  in
+  (* Baseline: everything U, then constants propagated through support,
+     then the sources at F propagated through the cone. *)
   let values = Bytes.make nw (Char.chr vu) in
   let ev =
     {
@@ -180,43 +217,60 @@ let make_cone_eval (nl : Netlist.t) (cone : Cone.t) sources =
       baseline = Bytes.make nw (Char.chr vu);
       rows = Array.map (fun (g : Netlist.gate) -> cache_row g.Netlist.cell) cone_gates;
       cone_gates;
+      cone_pos;
+      cone_readers;
+      cone_stamp = Array.make (Array.length cone_gates) 0;
+      first_pending = 0;
       sink_index;
       border_wires = Array.of_list cone.Cone.border;
       in_cone = Array.copy cone.Cone.in_cone;
       in_support;
       topo_pos;
+      support_rows;
+      support_positions;
       sources;
-      gate_depth = Hashtbl.create 64;
-      downstream = Hashtbl.create 64;
-      gate_stamp = Array.make (Netlist.n_gates nl) 0;
+      gate_depth = Array.make ng max_int;
+      downstream = Array.make nw None;
+      gate_stamp = Array.make ng 0;
       pin_stamp = Array.make nw 0;
       stamp = 0;
-      touched = [];
+      dirty = Array.make (Array.length support_positions) 0;
+      lits = Array.make 16 no_literal;
+      n_lits = 0;
+      touched = Array.make (Array.length cone_gates + 64) 0;
+      n_touched = 0;
     }
   in
-  Array.iter
-    (fun gid ->
-      let g = nl.Netlist.gates.(gid) in
-      if in_support.(g.Netlist.output) then Bytes.set values g.Netlist.output (Char.chr (gate_value ev g)))
+  Array.iteri
+    (fun pos gid ->
+      let row = support_rows.(pos) in
+      if Array.length row > 0 then begin
+        let g = nl.Netlist.gates.(gid) in
+        set_value ev g.Netlist.output row.(packed_inputs ev g)
+      end)
     nl.Netlist.topo;
+  List.iter (fun source -> set_value ev source vf) sources;
+  Array.iteri
+    (fun i (g : Netlist.gate) -> set_value ev g.Netlist.output ev.rows.(i).(packed_inputs ev g))
+    cone_gates;
   Bytes.blit values 0 ev.baseline 0 nw;
   (* BFS distances of cone gates from the sources. *)
-  let seen_wire = Hashtbl.create 64 in
+  let seen_wire = Array.make nw false in
   let frontier = Queue.create () in
   List.iter
     (fun source ->
       Queue.add (source, 0) frontier;
-      Hashtbl.replace seen_wire source ())
+      seen_wire.(source) <- true)
     sources;
   while not (Queue.is_empty frontier) do
     let w, d = Queue.pop frontier in
     Array.iter
       (fun gid ->
-        if not (Hashtbl.mem ev.gate_depth gid) then begin
-          Hashtbl.replace ev.gate_depth gid (d + 1);
+        if ev.gate_depth.(gid) = max_int then begin
+          ev.gate_depth.(gid) <- d + 1;
           let out = nl.Netlist.gates.(gid).Netlist.output in
-          if not (Hashtbl.mem seen_wire out) then begin
-            Hashtbl.replace seen_wire out ();
+          if not seen_wire.(out) then begin
+            seen_wire.(out) <- true;
             Queue.add (out, d + 1) frontier
           end
         end)
@@ -224,15 +278,14 @@ let make_cone_eval (nl : Netlist.t) (cone : Cone.t) sources =
   done;
   ev
 
-let value ev w = Char.code (Bytes.get ev.values w)
-let set_value ev w v = Bytes.set ev.values w (Char.chr v)
 let border_wires_of ev = ev.border_wires
 
-(* Support gates downstream of a wire, topologically sorted; memoized per
-   cone_eval because candidate literals recur on the same wires. *)
-let downstream_gates ev w =
-  match Hashtbl.find_opt ev.downstream w with
-  | Some gates -> gates
+(* Topo positions of the support gates downstream of a wire, ascending;
+   memoized per cone_eval because candidate literals recur on the same
+   wires. *)
+let downstream_positions ev w =
+  match ev.downstream.(w) with
+  | Some positions -> positions
   | None ->
     let seen = Hashtbl.create 32 in
     let rec mark w =
@@ -246,81 +299,174 @@ let downstream_gates ev w =
         ev.nl.Netlist.readers.(w)
     in
     mark w;
-    let gates = Hashtbl.fold (fun gid () acc -> gid :: acc) seen [] in
-    let gates = List.sort (fun a b -> compare ev.topo_pos.(a) ev.topo_pos.(b)) gates in
-    Hashtbl.replace ev.downstream w gates;
-    gates
+    let positions = Array.of_seq (Seq.map (fun gid -> ev.topo_pos.(gid)) (Hashtbl.to_seq_keys seen)) in
+    Array.sort Int.compare positions;
+    ev.downstream.(w) <- Some positions;
+    positions
 
-(* Candidate evaluation: reset to baseline, apply literals, constant-
-   propagate them through the support logic, then evaluate the cone with
-   the source marked possibly-faulty. True iff no sink is possibly
-   faulty. *)
-let validate ev literals =
-  List.iter (fun w -> Bytes.set ev.values w (Bytes.get ev.baseline w)) ev.touched;
-  ev.touched <- [];
-  let touch w = ev.touched <- w :: ev.touched in
-  ev.stamp <- ev.stamp + 1;
-  let stamp = ev.stamp in
-  List.iter
-    (fun (l : Term.literal) ->
-      set_value ev l.Term.wire (if l.Term.value then v1 else v0);
-      ev.pin_stamp.(l.Term.wire) <- stamp;
-      touch l.Term.wire)
-    literals;
-  let dirty =
-    List.concat_map (fun (l : Term.literal) -> downstream_gates ev l.Term.wire) literals
-    |> List.filter (fun gid ->
-           if ev.gate_stamp.(gid) = stamp then false
-           else begin
-             ev.gate_stamp.(gid) <- stamp;
-             true
-           end)
-    |> List.sort (fun a b -> compare ev.topo_pos.(a) ev.topo_pos.(b))
-  in
-  List.iter
-    (fun gid ->
-      let g = ev.nl.Netlist.gates.(gid) in
-      (* A literal pins its wire: a support gate driving it must not
-         overwrite the constraint (contradictory candidates simply never
-         trigger at run time). *)
-      if ev.pin_stamp.(g.Netlist.output) <> stamp then begin
-        let v = gate_value ev g in
-        if v <> value ev g.Netlist.output then begin
-          set_value ev g.Netlist.output v;
-          touch g.Netlist.output
-        end
-      end)
-    dirty;
-  (* Cone evaluation. *)
-  List.iter
-    (fun source ->
+(* ------------------------------------------------------------------ *)
+(* Incremental validation. Nothing below allocates once the buffers   *)
+(* have grown to the search's working size.                            *)
+
+let touch ev w =
+  if ev.n_touched = Array.length ev.touched then begin
+    let grown = Array.make (2 * ev.n_touched) 0 in
+    Array.blit ev.touched 0 grown 0 ev.n_touched;
+    ev.touched <- grown
+  end;
+  ev.touched.(ev.n_touched) <- w;
+  ev.n_touched <- ev.n_touched + 1
+
+(* Undo every change since the last reset: values return to baseline. *)
+let reset ev =
+  for i = 0 to ev.n_touched - 1 do
+    let w = ev.touched.(i) in
+    Bytes.unsafe_set ev.values w (Bytes.unsafe_get ev.baseline w)
+  done;
+  ev.n_touched <- 0
+
+let push_literal ev (l : Term.literal) =
+  if ev.n_lits = Array.length ev.lits then begin
+    let grown = Array.make (2 * ev.n_lits) no_literal in
+    Array.blit ev.lits 0 grown 0 ev.n_lits;
+    ev.lits <- grown
+  end;
+  ev.lits.(ev.n_lits) <- l;
+  ev.n_lits <- ev.n_lits + 1
+
+let rec push_literals ev = function
+  | [] -> ()
+  | l :: rest ->
+    push_literal ev l;
+    push_literals ev rest
+
+let schedule ev i =
+  ev.cone_stamp.(i) <- ev.stamp;
+  if i < ev.first_pending then ev.first_pending <- i
+
+(* The cone gates reading [w] must be re-evaluated. *)
+let schedule_readers ev w =
+  let readers = ev.nl.Netlist.readers.(w) in
+  for k = 0 to Array.length readers - 1 do
+    let i = ev.cone_pos.(readers.(k)) in
+    if i >= 0 then schedule ev i
+  done
+
+(* A value forced onto a cone gate's output is overwritten when that gate
+   is evaluated, so it is re-evaluated too. *)
+let schedule_driver ev w =
+  match ev.nl.Netlist.driver.(w) with
+  | Netlist.Driver_gate gid when ev.cone_pos.(gid) >= 0 -> schedule ev ev.cone_pos.(gid)
+  | Netlist.Driver_gate _ | Netlist.Driver_input | Netlist.Driver_flop _ -> ()
+
+(* Put the sources back to F where a literal overrode them. *)
+let rec force_sources ev = function
+  | [] -> ()
+  | source :: rest ->
+    if value ev source <> vf then begin
       set_value ev source vf;
-      touch source)
-    ev.sources;
-  let n = Array.length ev.cone_gates in
-  for i = 0 to n - 1 do
-    let g = ev.cone_gates.(i) in
-    let packed = ref 0 in
-    let ins = g.Netlist.inputs in
-    for pin = 0 to Array.length ins - 1 do
-      packed := !packed lor (Char.code (Bytes.get ev.values ins.(pin)) lsl (2 * pin))
-    done;
-    let v = ev.rows.(i).(!packed) in
-    if v <> value ev g.Netlist.output then begin
-      set_value ev g.Netlist.output v;
-      touch g.Netlist.output
+      touch ev source;
+      schedule_readers ev source;
+      schedule_driver ev source
+    end;
+    force_sources ev rest
+
+(* Candidate evaluation of the loaded literals: reset to baseline, apply
+   the literals, constant-propagate them through the support logic, then
+   evaluate the cone with the sources marked possibly-faulty. True iff no
+   sink is possibly faulty. The cone is evaluated event-driven from its
+   baseline: only gates with an input that may differ from it are
+   re-evaluated, in topological order. *)
+let validate_loaded ev =
+  reset ev;
+  ev.stamp <- ev.stamp + 1;
+  ev.first_pending <- Array.length ev.cone_gates;
+  let stamp = ev.stamp in
+  let n_dirty = ref 0 and contributors = ref 0 in
+  for k = 0 to ev.n_lits - 1 do
+    let l = ev.lits.(k) in
+    let w = l.Term.wire in
+    set_value ev w (if l.Term.value then v1 else v0);
+    ev.pin_stamp.(w) <- stamp;
+    touch ev w;
+    schedule_readers ev w;
+    schedule_driver ev w;
+    let down = downstream_positions ev w in
+    if Array.length down > 0 then incr contributors;
+    for j = 0 to Array.length down - 1 do
+      let pos = down.(j) in
+      if ev.gate_stamp.(pos) <> stamp then begin
+        ev.gate_stamp.(pos) <- stamp;
+        ev.dirty.(!n_dirty) <- pos;
+        incr n_dirty
+      end
+    done
+  done;
+  (* One literal's downstream positions are already ascending; the union
+     of several is put in topological order in place, by one pass over the
+     support that gathers the stamped positions. *)
+  if !contributors > 1 then begin
+    let k = ref 0 in
+    for j = 0 to Array.length ev.support_positions - 1 do
+      let pos = ev.support_positions.(j) in
+      if ev.gate_stamp.(pos) = stamp then begin
+        ev.dirty.(!k) <- pos;
+        incr k
+      end
+    done
+  end;
+  let nl = ev.nl in
+  for k = 0 to !n_dirty - 1 do
+    let pos = ev.dirty.(k) in
+    let g = nl.Netlist.gates.(nl.Netlist.topo.(pos)) in
+    let out = g.Netlist.output in
+    (* A literal pins its wire: a support gate driving it must not
+       overwrite the constraint (contradictory candidates simply never
+       trigger at run time). *)
+    if ev.pin_stamp.(out) <> stamp then begin
+      let v = ev.support_rows.(pos).(packed_inputs ev g) in
+      if v <> value ev out then begin
+        set_value ev out v;
+        touch ev out;
+        schedule_readers ev out
+      end
     end
   done;
-  Array.for_all (fun i -> value ev ev.cone_gates.(i).Netlist.output <> vf) ev.sink_index
+  (* Cone evaluation. *)
+  force_sources ev ev.sources;
+  for i = ev.first_pending to Array.length ev.cone_gates - 1 do
+    if ev.cone_stamp.(i) = stamp then begin
+      let g = ev.cone_gates.(i) in
+      let v = ev.rows.(i).(packed_inputs ev g) in
+      if v <> value ev g.Netlist.output then begin
+        set_value ev g.Netlist.output v;
+        touch ev g.Netlist.output;
+        let readers = ev.cone_readers.(i) in
+        for k = 0 to Array.length readers - 1 do
+          ev.cone_stamp.(readers.(k)) <- stamp
+        done
+      end
+    end
+  done;
+  let masked = ref true in
+  for k = 0 to Array.length ev.sink_index - 1 do
+    if value ev ev.cone_gates.(ev.sink_index.(k)).Netlist.output = vf then masked := false
+  done;
+  !masked
+
+let validate ev literals =
+  ev.n_lits <- 0;
+  push_literals ev literals;
+  validate_loaded ev
 
 let fault_extent ev =
   let sinks = ref 0 and gates = ref 0 in
-  Array.iter
-    (fun (g : Netlist.gate) -> if value ev g.Netlist.output = vf then incr gates)
-    ev.cone_gates;
-  Array.iter
-    (fun i -> if value ev ev.cone_gates.(i).Netlist.output = vf then incr sinks)
-    ev.sink_index;
+  for i = 0 to Array.length ev.cone_gates - 1 do
+    if value ev ev.cone_gates.(i).Netlist.output = vf then incr gates
+  done;
+  for k = 0 to Array.length ev.sink_index - 1 do
+    if value ev ev.cone_gates.(ev.sink_index.(k)).Netlist.output = vf then incr sinks
+  done;
   (!sinks * 10_000) + !gates
 
 (* The gate-masking terms available against the gate's currently-faulty
@@ -357,11 +503,10 @@ let dynamic_options ev params =
   let with_depth =
     Array.to_list ev.cone_gates
     |> List.filter_map (fun (g : Netlist.gate) ->
-           match Hashtbl.find_opt ev.gate_depth g.Netlist.gate_id with
-           | Some d when d <= params.depth && value ev g.Netlist.output = vf -> Some (d, g)
-           | _ -> None)
+           let d = ev.gate_depth.(g.Netlist.gate_id) in
+           if d <= params.depth && value ev g.Netlist.output = vf then Some (d, g) else None)
   in
-  List.stable_sort (fun (d1, _) (d2, _) -> compare d1 d2) with_depth
+  List.stable_sort (fun (d1, _) (d2, _) -> Int.compare d1 d2) with_depth
   |> List.concat_map (fun (_, g) -> List.map (fun t -> (g, t)) (dynamic_gate_terms ev g))
   |> List.filteri (fun i _ -> i < params.max_options)
 
@@ -371,47 +516,34 @@ let dynamic_options ev params =
    paper's "path where no gate can mask the fault" early abort, made
    value-aware. *)
 let optimistic_escape ev params =
-  ignore (validate ev []);
-  List.iter (fun w -> Bytes.set ev.values w (Bytes.get ev.baseline w)) ev.touched;
-  ev.touched <- [];
-  List.iter
-    (fun source ->
-      set_value ev source vf;
-      ev.touched <- source :: ev.touched)
-    ev.sources;
-  Array.iter
-    (fun (g : Netlist.gate) ->
-      let v = gate_value ev g in
+  reset ev;
+  Array.iteri
+    (fun i (g : Netlist.gate) ->
+      let v = ev.rows.(i).(packed_inputs ev g) in
       let v =
-        if v = vf then begin
-          let within_depth =
-            match Hashtbl.find_opt ev.gate_depth g.Netlist.gate_id with
-            | Some d -> d <= params.depth
-            | None -> false
-          in
-          if within_depth && dynamic_gate_terms ev g <> [] then vu else vf
-        end
+        if v = vf && ev.gate_depth.(g.Netlist.gate_id) <= params.depth && dynamic_gate_terms ev g <> []
+        then vu
         else v
       in
       set_value ev g.Netlist.output v;
-      ev.touched <- g.Netlist.output :: ev.touched)
+      touch ev g.Netlist.output)
     ev.cone_gates;
-  let escaped =
-    Array.exists (fun i -> value ev ev.cone_gates.(i).Netlist.output = vf) ev.sink_index
-  in
-  escaped
+  Array.exists (fun i -> value ev ev.cone_gates.(i).Netlist.output = vf) ev.sink_index
 
 (* Greedy literal minimization: drop literals (in the given order) whose
    removal keeps the candidate valid, producing MATEs that trigger as
    often as possible. *)
 let minimize_literals ev literals =
-  let rec go kept = function
-    | [] -> kept
-    | (l : Term.literal) :: rest ->
-      let without = kept @ rest in
-      if validate ev without then go kept rest else go (kept @ [ l ]) rest
-  in
-  go [] literals
+  let lits = Array.of_list literals in
+  let kept = Array.make (Array.length lits) true in
+  for i = 0 to Array.length lits - 1 do
+    ev.n_lits <- 0;
+    for j = 0 to Array.length lits - 1 do
+      if j <> i && kept.(j) then push_literal ev lits.(j)
+    done;
+    if validate_loaded ev then kept.(i) <- false
+  done;
+  List.filteri (fun i _ -> kept.(i)) literals
 
 let minimize_term ev term =
   match
@@ -429,6 +561,11 @@ let minimize_term ev term =
 
 module Trace = Pruning_sim.Trace
 
+type situation = {
+  rep : int;  (** first cycle showing the signature *)
+  mutable count : int;
+}
+
 let seeded_mates ev params trace found tried =
   let borders = border_wires_of ev in
   if Array.length borders = 0 then ()
@@ -436,12 +573,7 @@ let seeded_mates ev params trace found tried =
     let cycles = Trace.n_cycles trace in
     (* Distance of each border wire: nearest cone gate reading it. *)
     let depth_of w =
-      Array.fold_left
-        (fun acc gid ->
-          match Hashtbl.find_opt ev.gate_depth gid with
-          | Some d -> min acc d
-          | None -> acc)
-        max_int ev.nl.Netlist.readers.(w)
+      Array.fold_left (fun acc gid -> Int.min acc ev.gate_depth.(gid)) max_int ev.nl.Netlist.readers.(w)
     in
     let tagged = Array.map (fun w -> (w, depth_of w)) borders in
     (* Near borders (selects, enables, decode) define the situation; far
@@ -461,20 +593,21 @@ let seeded_mates ev params trace found tried =
     in
     if Array.length near = 0 then ()
     else begin
-      (* Representative cycle and frequency per near-border signature. *)
-      let classes : (string, int * int) Hashtbl.t = Hashtbl.create 256 in
-      let signature cycle =
-        String.init (Array.length near) (fun i ->
-            if Trace.get trace ~cycle near.(i) then '1' else '0')
-      in
+      (* Representative cycle and frequency per near-border signature,
+         read into one scratch buffer; only a new signature is copied into
+         a key. *)
+      let classes : (string, situation) Hashtbl.t = Hashtbl.create 256 in
+      let signature = Bytes.create (Array.length near) in
       for cycle = 0 to cycles - 1 do
-        let s = signature cycle in
-        match Hashtbl.find_opt classes s with
-        | Some (rep, n) -> Hashtbl.replace classes s (rep, n + 1)
-        | None -> Hashtbl.add classes s (cycle, 1)
+        for i = 0 to Array.length near - 1 do
+          Bytes.unsafe_set signature i (if Trace.get trace ~cycle near.(i) then '1' else '0')
+        done;
+        match Hashtbl.find_opt classes (Bytes.unsafe_to_string signature) with
+        | Some situation -> situation.count <- situation.count + 1
+        | None -> Hashtbl.add classes (Bytes.to_string signature) { rep = cycle; count = 1 }
       done;
       let situations =
-        Hashtbl.fold (fun _ (rep, n) acc -> (rep, n) :: acc) classes []
+        Hashtbl.fold (fun _ { rep; count } acc -> (rep, count) :: acc) classes []
         |> List.sort (fun (_, a) (_, b) -> compare b a)
       in
       let literal_at cycle w =
@@ -623,23 +756,57 @@ let timed_search_wire ?traces nl params wire =
   let result = search_wire ?traces nl params wire in
   { result with time_s = Mono.now () -. start }
 
-let search_flops ?(params = default_params) ?traces nl flops =
+let domains_for ?jobs n_flops =
+  let jobs = match jobs with Some j -> j | None -> Domain.recommended_domain_count () in
+  if jobs < 1 then invalid_arg "Search.search_flops: jobs must be positive";
+  max 1 (min jobs n_flops)
+
+(* Domains pull flop indices from one atomic counter and write each result
+   into the flop's own slot, so the report is in flop order whatever the
+   schedule. The first exception stops the pulling and is re-raised once
+   every domain has been joined. *)
+let search_flops ?(params = default_params) ?traces ?jobs nl flops =
   let start = Mono.now () in
-  let flop_results =
-    List.map
-      (fun (f : Netlist.flop) ->
-        { flop = f; result = timed_search_wire ?traces nl params f.Netlist.q })
-      flops
+  let flops = Array.of_list flops in
+  let n = Array.length flops in
+  let slots = Array.make n None in
+  let next = Atomic.make 0 and failure = Atomic.make None in
+  let fail e bt =
+    ignore (Atomic.compare_and_set failure None (Some (e, bt)));
+    Atomic.set next n
   in
-  { params; flop_results; runtime_s = Mono.now () -. start }
+  let rec work () =
+    let i = Atomic.fetch_and_add next 1 in
+    if i < n then begin
+      (match timed_search_wire ?traces nl params flops.(i).Netlist.q with
+      | result -> slots.(i) <- Some { flop = flops.(i); result }
+      | exception e -> fail e (Printexc.get_raw_backtrace ()));
+      work ()
+    end
+  in
+  let spawn helpers _ =
+    match Domain.spawn work with
+    | d -> d :: helpers
+    | exception e ->
+      fail e (Printexc.get_raw_backtrace ());
+      helpers
+  in
+  let helpers = List.fold_left spawn [] (List.init (domains_for ?jobs n - 1) Fun.id) in
+  work ();
+  List.iter Domain.join helpers;
+  Option.iter (fun (e, bt) -> Printexc.raise_with_backtrace e bt) (Atomic.get failure);
+  {
+    params;
+    flop_results = Array.to_list (Array.map Option.get slots);
+    runtime_s = Mono.now () -. start;
+    domains = List.length helpers + 1;
+  }
+
+let wire_time_s report = List.fold_left (fun acc fr -> acc +. fr.result.time_s) 0. report.flop_results
 
 let restrict report keep =
-  let flop_results = List.filter (fun fr -> keep fr.flop) report.flop_results in
-  {
-    report with
-    flop_results;
-    runtime_s = List.fold_left (fun acc fr -> acc +. fr.result.time_s) 0. flop_results;
-  }
+  let report = { report with flop_results = List.filter (fun fr -> keep fr.flop) report.flop_results } in
+  { report with runtime_s = wire_time_s report }
 
 let n_faulty_wires report = List.length report.flop_results
 
@@ -657,6 +824,10 @@ let n_unmaskable report =
          | Mates _ -> false)
        report.flop_results)
 
+let summary report =
+  Printf.sprintf "MATE search: %d wires on %d domains, %.2fs wall, %.2fs summed over wires"
+    (n_faulty_wires report) report.domains report.runtime_s (wire_time_s report)
+
 let total_candidates report =
   List.fold_left (fun acc fr -> acc + fr.result.candidates_tried) 0 report.flop_results
 
@@ -669,3 +840,12 @@ let total_mates report =
       | Unmaskable -> 0
       | Mates l -> List.length l)
     0 report.flop_results
+
+module Cone_eval = struct
+  type t = cone_eval
+
+  let create = make_cone_eval
+  let validate = validate
+  let fault_extent = fault_extent
+  let value = value
+end

@@ -89,7 +89,10 @@ type flop_result = {
 type report = {
   params : params;
   flop_results : flop_result list;
-  runtime_s : float;  (** wall time of the whole search ({!Pruning_util.Mono} clock) *)
+  runtime_s : float;
+      (** wall-clock time of the whole search ({!Pruning_util.Mono} clock),
+          over however many domains it ran on *)
+  domains : int;  (** number of domains the search ran on *)
 }
 
 val search_pair :
@@ -107,15 +110,38 @@ val search_pair :
 val search_flops :
   ?params:params ->
   ?traces:Pruning_sim.Trace.t list ->
+  ?jobs:int ->
   Pruning_netlist.Netlist.t ->
   Pruning_netlist.Netlist.flop list ->
   report
 (** Search the Q output of every given flop (the paper's faulty-wire sets
-    "FF" and "FF w/o RF"). *)
+    "FF" and "FF w/o RF").
+
+    The wires are searched on [jobs] domains (default
+    [Domain.recommended_domain_count ()], capped at the number of flops;
+    [jobs = 1] spawns none). Domains pull flops from a shared counter and
+    [flop_results] is assembled in the order of [flops], so the report
+    equals the one-domain report apart from [time_s], [runtime_s] and
+    [domains]. An
+    exception raised while searching any wire is re-raised here after
+    every domain has been joined. Raises [Invalid_argument] if
+    [jobs < 1]. *)
+
+val wire_time_s : report -> float
+(** Sum of the per-wire [time_s], each the wall time of one wire's
+    search. On one domain this is the sequential search time; on several,
+    contention between the domains (shared cores and caches, minor
+    collections that stop every domain) inflates each wire's time, so the
+    sum grows with the number of domains. *)
+
+val summary : report -> string
+(** One progress line: wires searched, [domains], the wall time
+    ([runtime_s]) and {!wire_time_s}. *)
 
 val restrict : report -> (Pruning_netlist.Netlist.flop -> bool) -> report
 (** Down-select a report to a flop subset (per-wire results are
-    independent); the runtime becomes the sum of the kept wires' times. *)
+    independent). A subset has no wall clock of its own, so [runtime_s]
+    becomes the sum of the kept wires' times. *)
 
 (** Aggregates for Table 1. *)
 
@@ -128,3 +154,29 @@ val n_unmaskable : report -> int
 
 val total_candidates : report -> int
 val total_mates : report -> int
+
+(** {2 Incremental cone evaluation}
+
+    The ternary evaluator behind candidate validation, exposed so tests can
+    hold it against a from-scratch evaluation. Values are [0], [1], [2]
+    (U: equal in both runs, unknown) and [3] (F: possibly faulty). *)
+module Cone_eval : sig
+  type t
+
+  val create :
+    Pruning_netlist.Netlist.t -> Pruning_netlist.Cone.t -> Pruning_netlist.Netlist.wire list -> t
+  (** [create nl cone sources]: the baseline (every wire U, constants
+      propagated through the cone's support logic) of [cone], whose faulty
+      wires are [sources]. *)
+
+  val validate : t -> Term.literal list -> bool
+  (** Pin the literals' wires, re-evaluate the support gates downstream of
+      them, then the cone with the sources at F. True iff no cone sink is
+      F. Each call starts from the baseline, whatever came before. *)
+
+  val fault_extent : t -> int
+  (** [10_000 * (F sinks) + (F cone gates)] of the last validation. *)
+
+  val value : t -> Pruning_netlist.Netlist.wire -> int
+  (** A wire's value in the last validation. *)
+end

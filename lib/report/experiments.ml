@@ -115,7 +115,7 @@ let table1 prepared_list =
   row "Faulty wires" (fun _ r -> string_of_int (Search.n_faulty_wires r));
   row "Avg. cone [#gates]" (fun _ r -> Printf.sprintf "%.0f" (Search.avg_cone r));
   row "Med. cone [#gates]" (fun _ r -> Printf.sprintf "%.0f" (Search.median_cone r));
-  row "Run time [s]" (fun _ r -> Printf.sprintf "%.1f" r.Search.runtime_s);
+  row "Run time [s]" (fun _ r -> Printf.sprintf "%.1f" (Search.wire_time_s r));
   row "#Unmaskable" (fun _ r -> string_of_int (Search.n_unmaskable r));
   row "#MATE candidates" (fun _ r -> pow_string (Search.total_candidates r));
   row "#MATE" (fun _ r -> string_of_int (Search.total_mates r));

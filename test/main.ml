@@ -28,6 +28,7 @@ let () =
       ("waveform", Test_waveform.suite);
       ("polish", Test_polish.suite);
       ("search-extra", Test_search_extra.suite);
+      ("search-par", Test_search_parallel.suite);
       ("report", Test_report.suite);
       ("fault-model", Test_fault_model.suite);
       ("byzantine", Test_byzantine.suite);

@@ -187,6 +187,9 @@ let test_gm_memoized () =
   check_bool "memoized results equal" true (a == b);
   check_bool "matches direct" true (sort_terms a = sort_terms (Gm.masking_terms cell ~faulty:[ 2 ]))
 
+let test_index_is_catalogue_position () =
+  List.iteri (fun i cell -> check_int (Cell.kind_to_string cell.Cell.kind) i (Cell.index cell)) Cell.all
+
 let test_term_to_string () =
   let cell = Cell.of_kind Cell.MUX2 in
   match Gm.masking_terms cell ~faulty:[ 0 ] with
@@ -258,6 +261,7 @@ let suite =
     Alcotest.test_case "gm invalid input" `Quick test_gm_invalid;
     Alcotest.test_case "gm exhaustive semantics" `Quick test_gm_exhaustive;
     Alcotest.test_case "gm memoized" `Quick test_gm_memoized;
+    Alcotest.test_case "index = catalogue position" `Quick test_index_is_catalogue_position;
     Alcotest.test_case "term rendering" `Quick test_term_to_string;
     Alcotest.test_case "lowered cells = truth tables (all lanes)" `Quick
       test_lower_cells_exhaustive;
