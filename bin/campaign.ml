@@ -37,102 +37,71 @@ module Prng = Pruning_util.Prng
 module Mono = Pruning_util.Mono
 open Cmdliner
 
-(* Distinct exit codes so scripts (and the CI crash-resume smoke test)
-   can tell validation failures apart; documented in the man page. *)
-let exit_bad_core = 10
-let exit_bad_cycles = 11
-let exit_bad_samples = 12
-let exit_bad_seed = 13
-let exit_bad_interval = 14
-let exit_bad_audit = 15
-let exit_bad_supervisor = 16
+(* Runtime failures get distinct exit codes, documented in the man page.
+   Every bad argument is a usage error instead: Cmdliner's exit 124. *)
 let exit_journal = 17
-let exit_bad_dist = 18
+let exit_service = 18
 let exit_network = 19
 let exit_poisoned = 20
 let exit_budget = 21
-let exit_bad_model = 22
 let exit_model_mismatch = 23
 
-let fail code fmt = Printf.ksprintf (fun s -> prerr_endline ("campaign: " ^ s); Some code) fmt
+let fail code fmt = Printf.ksprintf (fun s -> prerr_endline ("campaign: " ^ s); code) fmt
 
-(* Self-chaos: a deterministic infrastructure fault plan, armed by
-   --chaos SEED. The plan is a pure function of the seed (and budget),
-   so a chaotic run is replayable bit-for-bit. --chaos-profile process
-   additionally arms whole-process kills/stalls and disk pressure —
-   survivable only under serve --supervise. --chaos-profile liar turns a
-   worker Byzantine: it deterministically corrupts a fraction of its
-   verdicts before framing, so only quorum arbitration can catch it. *)
-let make_chaos ~chaos_profile ~chaos_seed ~chaos_budget =
-  let profile =
-    match chaos_profile with
-    | `Default -> Chaos.default_profile
-    | `Process -> Chaos.process_profile
-    | `Liar -> Chaos.liar_profile
+(* The cross-flag rules of one subcommand: the first rule that holds is
+   reported as a usage error (exit 124); otherwise the command runs. *)
+let usage_check rules k =
+  match List.find_opt fst rules with
+  | Some (_, msg) -> `Error (true, msg)
+  | None -> k ()
+
+(* ------------------------------------------------------------------ *)
+(* Argument converters: every single-flag range check lives here, so a  *)
+(* bad value is a usage error before any work starts.                   *)
+
+let checked base ~expect ok =
+  let parse s =
+    match Arg.conv_parser base s with
+    | Ok v when ok v -> Ok v
+    | Ok _ -> Error (`Msg (Printf.sprintf "invalid value '%s', expected %s" s expect))
+    | Error _ as e -> e
   in
-  Option.map
-    (fun seed -> Chaos.create ~profile:{ profile with Chaos.budget = chaos_budget } ~seed ())
-    chaos_seed
+  Arg.conv (parse, Arg.conv_printer base)
 
-let validate_chaos ~chaos_budget =
-  if chaos_budget < 0 then
-    fail exit_bad_supervisor "--chaos-budget must be non-negative (got %d)" chaos_budget
-  else None
+let non_negative = checked Arg.int ~expect:"a non-negative integer" (fun n -> n >= 0)
+let positive = checked Arg.int ~expect:"a positive integer" (fun n -> n > 0)
+let fraction = checked Arg.float ~expect:"a fraction in [0, 1]" (fun p -> p >= 0. && p <= 1.)
+let seconds = checked Arg.float ~expect:"positive seconds" (fun s -> s > 0.)
+let seconds_or_off = checked Arg.float ~expect:"non-negative seconds" (fun s -> s >= 0.)
+let port = checked Arg.int ~expect:"a port in [0, 65535]" (fun p -> p >= 0 && p <= 65535)
 
-(* --fault-model names the fault model every sampled fault is classified
-   under; a bad spec gets its own exit code before any engine is built. *)
-let resolve_model spec =
-  match Fault_model.of_string spec with
-  | Ok m -> Ok m
-  | Error msg -> Error (Option.get (fail exit_bad_model "%s" msg))
+let lanes_conv =
+  checked Arg.int
+    ~expect:(Printf.sprintf "a lane count in [0, %d]" Fi_campaign.max_delta_lanes)
+    (fun l -> l >= 0 && l <= Fi_campaign.max_delta_lanes)
 
-(* The kernel fallback for multi-flop/multi-cycle models is decided by
-   Campaign.effective_kernel, which the engines apply themselves; here it
-   is only made visible. Returns the kernel that will actually run. *)
-let note_kernel_fallback ~model ~kernel =
-  let k = Fi_campaign.effective_kernel model kernel in
-  if k <> kernel then
-    Printf.printf "(--fault-model %s needs a per-fault kernel; falling back to --engine %s)\n%!"
-      (Fault_model.name model) (Fi_campaign.kernel_name k);
-  k
+let hostport =
+  let parse s =
+    let bad () =
+      Error
+        (`Msg (Printf.sprintf "invalid value '%s', expected HOST:PORT with port in [1, 65535]" s))
+    in
+    match String.rindex_opt s ':' with
+    | Some i when i > 0 -> (
+      match int_of_string_opt (String.sub s (i + 1) (String.length s - i - 1)) with
+      | Some p when p >= 1 && p <= 65535 -> Ok (String.sub s 0 i, p)
+      | _ -> bad ())
+    | _ -> bad ()
+  in
+  Arg.conv (parse, fun ppf (h, p) -> Format.fprintf ppf "%s:%d" h p)
 
-(* Resuming under a different fault model would silently change what
-   every recorded verdict means; refuse it upfront with a distinct exit
-   code (require_match would also catch it, but as a generic journal
-   error after engines were built). An unreadable header falls through
-   to the resume path, which reports the corruption properly. *)
-let check_journal_model ~journal ~active ~model =
-  match journal with
-  | Some dir when active && Journal.exists ~dir -> (
-    match Journal.read_header ~dir with
-    | exception Journal.Error _ -> None
-    | h when h.Journal.fault_model <> model ->
-      fail exit_model_mismatch
-        "journal %s pins fault model %s but this invocation asked for %s; resume with \
-         --fault-model %s"
-        dir
-        (Fault_model.name h.Journal.fault_model)
-        (Fault_model.name model) (Fault_model.name h.Journal.fault_model)
-    | _ -> None)
-  | _ -> None
-
-(* --lanes caps the in-flight faults of the wide engine; 0 (default)
-   selects the engine's maximum. Only delta-batched has lanes, so a
-   non-zero --lanes with a per-fault engine is a conflict, not a silent
-   no-op. *)
-let validate_lanes ~kernel ~lanes =
-  if lanes < 0 then fail exit_bad_supervisor "--lanes must be non-negative (got %d)" lanes
-  else if lanes = 0 then None
-  else if kernel <> Fi_campaign.Delta_batched then
-    fail exit_bad_supervisor "--lanes only applies to --engine delta-batched (got %s)"
-      (Fi_campaign.kernel_name kernel)
-  else if lanes > Fi_campaign.max_delta_lanes then
-    fail exit_bad_supervisor "--lanes must be in [1, %d] for --engine delta-batched (got %d)"
-      Fi_campaign.max_delta_lanes lanes
-  else None
+let fault_model_conv =
+  Arg.conv'
+    (Fault_model.of_string, fun ppf m -> Format.pp_print_string ppf (Fault_model.name m))
 
 (* The three system makers (scalar, delta, batched-delta) for a
-   built-in core/program pair — one per classification engine. *)
+   built-in core/program pair — one per classification engine. [None]
+   for a pair this build does not know (a coordinator may name one). *)
 let make_system core program =
   let avr p name =
     Some
@@ -155,66 +124,60 @@ let make_system core program =
   | "msp430", "conv" -> msp (lazy (Msp_asm.assemble Programs.msp_conv)) "msp/conv"
   | _ -> None
 
-(* Upfront validation: every bad argument gets its own exit code and an
-   actionable message instead of an exception (or silent misbehaviour)
-   halfway into the campaign. *)
-let validate ~core ~program ~cycles ~samples ~seed ~checkpoint_interval ~audit ~watchdog ~retries
-    ~jobs ~prune ~resume ~journal =
-  if make_system core program = None then
-    fail exit_bad_core
-      "unknown core/program %S/%S (valid: avr|msp430 x fib|conv)" core program
-  else if cycles <= 0 then
-    fail exit_bad_cycles "--cycles must be positive (got %d)" cycles
-  else if samples < 0 then
-    fail exit_bad_samples "--samples must be non-negative (got %d)" samples
-  else if seed < 0 then
-    fail exit_bad_seed
-      "--seed must be non-negative (got %d); seeds are recorded in journal headers as-is" seed
-  else if checkpoint_interval < 0 then
-    fail exit_bad_interval
-      "--checkpoint-interval must be non-negative (got %d); 0 selects the automatic interval"
-      checkpoint_interval
-  else if not (audit >= 0. && audit <= 1.) then
-    fail exit_bad_audit "--audit must be a fraction in [0, 1] (got %g)" audit
-  else if audit > 0. && not prune then
-    fail exit_bad_audit "--audit %g needs --prune: without pruning there is nothing to audit" audit
-  else if watchdog < 0 then
-    fail exit_bad_supervisor "--watchdog must be non-negative cycles (got %d); 0 disables it"
-      watchdog
-  else if retries < 0 then fail exit_bad_supervisor "--retries must be non-negative (got %d)" retries
-  else if jobs < 1 then fail exit_bad_supervisor "--jobs must be positive (got %d)" jobs
-  else if resume && journal = None then
-    fail exit_journal "--resume needs --journal pointing at the journal to resume"
-  else None
+(* ------------------------------------------------------------------ *)
+(* Shared campaign setup.                                               *)
 
-(* Cooperative SIGINT/SIGTERM shutdown: the durable runner, coordinator
-   and workers all poll the flag between experiments, journal/submit
-   everything finished so far and return; we then report how to resume
-   and exit with the conventional 128+signal code. *)
-let stop_signal = Atomic.make 0
+(* Self-chaos: a deterministic infrastructure fault plan, armed by
+   --chaos SEED. The plan is a pure function of the seed (and budget),
+   so a chaotic run is replayable bit-for-bit. --chaos-profile process
+   additionally arms whole-process kills/stalls and disk pressure —
+   survivable only under serve --supervise. --chaos-profile liar turns a
+   worker Byzantine: it deterministically corrupts a fraction of its
+   verdicts before framing, so only quorum arbitration can catch it.
+   [make_chaos ~profile ~seed ~budget i] is process [i]'s plan: forked
+   fleet members get distinct streams (seed + i), since identical plans
+   on every process would fault in lockstep. *)
+let make_chaos ~profile ~seed ~budget i =
+  let profile =
+    match profile with
+    | `Default -> Chaos.default_profile
+    | `Process -> Chaos.process_profile
+    | `Liar -> Chaos.liar_profile
+  in
+  Option.map
+    (fun s -> Chaos.create ~profile:{ profile with Chaos.budget } ~seed:(s + i) ())
+    seed
 
-let install_signal_handlers () =
-  let handle signum = Sys.Signal_handle (fun _ -> Atomic.set stop_signal signum) in
-  (try Sys.set_signal Sys.sigint (handle Sys.sigint) with Invalid_argument _ -> ());
-  try Sys.set_signal Sys.sigterm (handle Sys.sigterm) with Invalid_argument _ -> ()
+(* The kernel fallback for multi-flop/multi-cycle models is decided by
+   Campaign.effective_kernel, which the engines apply themselves; here it
+   is only made visible. Returns the kernel that will actually run. *)
+let note_kernel_fallback ~model ~kernel =
+  let k = Fi_campaign.effective_kernel model kernel in
+  if k <> kernel then
+    Printf.printf "(--fault-model %s needs a per-fault kernel; falling back to --engine %s)\n%!"
+      (Fault_model.name model) (Fi_campaign.kernel_name k);
+  k
 
-let stop_requested () = Atomic.get stop_signal <> 0
-let stop_exit_code () = if Atomic.get stop_signal = Sys.sigterm then 143 else 130
-
-let report_unknown_flops pruner =
-  match pruner with
-  | Some p when Replay.unknown_count p > 0 ->
-    Printf.printf
-      "warning: %d prune lookups named flops outside the fault space (injected, not pruned)\n"
-      (Replay.unknown_count p)
-  | _ -> ()
-
-let print_stats (stats : Fi_campaign.stats) elapsed =
-  Printf.printf "ran %d injections (%d skipped as pruned, %d crashed) in %.1fs (%.1f injections/s)\n"
-    stats.Fi_campaign.injections stats.Fi_campaign.skipped stats.Fi_campaign.crashed elapsed
-    (float_of_int stats.Fi_campaign.injections /. max 1e-9 elapsed);
-  Printf.printf "verdicts: %d benign, %d latent, %d SDC\n" stats.Fi_campaign.benign
-    stats.Fi_campaign.latent stats.Fi_campaign.sdc
+(* Resuming under a different fault model would silently change what
+   every recorded verdict means; refuse it upfront with a distinct exit
+   code (require_match would also catch it, but as a generic journal
+   error after engines were built). An unreadable header falls through
+   to the resume path, which reports the corruption properly. *)
+let check_journal_model ~journal ~active ~model =
+  match journal with
+  | Some dir when active && Journal.exists ~dir -> (
+    match Journal.read_header ~dir with
+    | exception Journal.Error _ -> None
+    | h when h.Journal.fault_model <> model ->
+      Some
+        (fail exit_model_mismatch
+           "journal %s pins fault model %s but this invocation asked for %s; resume with \
+            --fault-model %s"
+           dir
+           (Fault_model.name h.Journal.fault_model)
+           (Fault_model.name model) (Fault_model.name h.Journal.fault_model))
+    | _ -> None)
+  | _ -> None
 
 (* The deterministic MATE-pruner build shared by the local runner and
    every distributed worker: identical inputs, identical skip set. *)
@@ -238,152 +201,203 @@ let build_pruner nl ~make ~cycles ~space =
     (Pruning_util.Stats.percentage pruned seu_total);
   pruner
 
-(* ------------------------------------------------------------------ *)
-(* campaign [run]: the single-process engine of PR 1-3.                 *)
+type engines = {
+  campaign : Fi_campaign.t;
+  space : Fault_space.t;
+  pruner : Replay.pruner option;
+  skip : (flop_id:int -> cycle:int -> bool) option;
+}
 
-let run core program cycles samples seed prune jobs checkpoint_interval kernel lanes fault_model
-    journal resume audit watchdog retries chaos_profile chaos_seed chaos_budget =
-  match resolve_model fault_model with
-  | Error code -> code
-  | Ok model -> (
-  match
-    match
-      validate ~core ~program ~cycles ~samples ~seed ~checkpoint_interval ~audit ~watchdog
-        ~retries ~jobs ~prune ~resume ~journal
-    with
-    | Some code -> Some code
-    | None -> (
-      match validate_lanes ~kernel ~lanes with
-      | Some code -> Some code
-      | None -> (
-        match check_journal_model ~journal ~active:resume ~model with
-        | Some code -> Some code
-        | None -> validate_chaos ~chaos_budget))
-  with
-  | Some code -> code
-  | None -> (
-    let lanes = if lanes > 0 then Some lanes else None in
-    let make, make_delta, make_delta_batch =
-      match make_system core program with
-      | Some m -> m
-      | None -> assert false
-    in
+(* Campaign, fault space and pruner for one campaign identity (a journal
+   header): the local runner and every distributed worker build them
+   here, so both classify the identical fault list with the identical
+   skip set. [Error] names what
+   this build cannot run: an unknown core/program, or a fault model the
+   core cannot host (an MBU cluster wider than its flops). *)
+let setup (id : Journal.header) ~kernel ~checkpoint_interval =
+  match make_system id.core id.program with
+  | None -> Error (Printf.sprintf "unknown core/program %S/%S" id.core id.program)
+  | Some (make, make_delta, make_delta_batch) -> (
     let nl = (make None).System.netlist in
-    match Fault_space.full ~model nl ~cycles with
-    | exception Invalid_argument msg -> Option.get (fail exit_bad_model "%s" msg)
+    match Fault_space.full ~model:id.fault_model nl ~cycles:id.cycles with
+    | exception Invalid_argument msg ->
+      Error (Printf.sprintf "--fault-model %s: %s" (Fault_model.name id.fault_model) msg)
     | space ->
-    let engine = note_kernel_fallback ~model ~kernel in
-    Printf.printf "%s/%s: fault space [%s] = %d keys x %d cycles = %d faults; sampling %d\n%!"
-      core program (Fault_model.name model) (Fault_space.n_keys space) cycles
-      (Fault_space.size space) samples;
-    let checkpoint_interval = if checkpoint_interval > 0 then Some checkpoint_interval else None in
-    let campaign =
-      Fi_campaign.create ?checkpoint_interval
-        ~make:(fun () -> make (Some nl))
-        ~make_delta:(fun ~trace -> make_delta (Some nl) ~trace)
-        ~make_delta_batch:(fun ~trace -> make_delta_batch (Some nl) ~trace)
-        ~total_cycles:cycles ()
-    in
-    Printf.printf "checkpoint interval: %d cycles; jobs: %d; engine: %s\n%!"
-      (Fi_campaign.checkpoint_interval campaign) jobs (Fi_campaign.kernel_name engine);
-    let pruner = if prune then Some (build_pruner nl ~make ~cycles ~space) else None in
-    (* The MATE pruner proves single-flop, single-cycle (SEU) faults
-       benign; [lift_pruned] soundly lifts that claim to the model's
-       expanded fault (or refuses to, for faults MATEs cannot cover). *)
-    let skip =
-      Option.map
-        (fun p ->
-          Fault_space.lift_pruned space ~pruned:(fun ~flop_id ~cycle ->
-              Replay.pruned p ~flop_id ~cycle))
-        pruner
-    in
-    let durable =
-      journal <> None || resume || audit > 0. || watchdog > 0 || chaos_seed <> None
-    in
-    if engine <> Fi_campaign.Scalar && jobs > 1 then
-      Printf.printf "(--engine %s runs on one domain; ignoring --jobs)\n%!"
+      let engine = note_kernel_fallback ~model:id.fault_model ~kernel in
+      Printf.printf "%s/%s: fault space [%s] = %d keys x %d cycles = %d faults; sampling %d\n%!"
+        id.core id.program (Fault_model.name id.fault_model) (Fault_space.n_keys space) id.cycles
+        (Fault_space.size space) id.samples;
+      let campaign =
+        Fi_campaign.create
+          ?checkpoint_interval:(if checkpoint_interval > 0 then Some checkpoint_interval else None)
+          ~make:(fun () -> make (Some nl))
+          ~make_delta:(fun ~trace -> make_delta (Some nl) ~trace)
+          ~make_delta_batch:(fun ~trace -> make_delta_batch (Some nl) ~trace)
+          ~total_cycles:id.cycles ()
+      in
+      Printf.printf "checkpoint interval: %d cycles; engine: %s\n%!"
+        (Fi_campaign.checkpoint_interval campaign)
         (Fi_campaign.kernel_name engine);
-    let start = Mono.now () in
-    if not durable then begin
-      let rng = Prng.create seed in
-      let stats =
-        match kernel with
-        | Fi_campaign.Scalar -> Fi_campaign.run_sample campaign ~space ~rng ~n:samples ?skip ~jobs ()
-        | Fi_campaign.Delta -> Fi_campaign.run_sample_delta campaign ~space ~rng ~n:samples ?skip ()
-        | Fi_campaign.Delta_batched ->
-          Fi_campaign.run_sample_delta_batched campaign ~space ~rng ~n:samples ?skip ?lanes ()
+      let pruner =
+        if id.prune then Some (build_pruner nl ~make ~cycles:id.cycles ~space) else None
       in
-      print_stats stats (Mono.now () -. start);
-      report_unknown_flops pruner;
-      0
-    end
-    else begin
-      install_signal_handlers ();
-      let audit_arg =
-        match (pruner, audit) with
-        | Some p, a when a > 0. ->
-          Some
-            ( a,
-              {
-                Durable.masking =
-                  Fault_space.lift_masking space ~masking:(fun ~flop_id ~cycle ->
-                      Replay.masking p ~flop_id ~cycle);
-                quarantine = Replay.quarantine p;
-                describe = Replay.describe_mate p;
-              } )
-        | _ -> None
+      (* The MATE pruner proves single-flop, single-cycle (SEU) faults
+         benign; [lift_pruned] soundly lifts that claim to the model's
+         expanded fault (or refuses to, for faults MATEs cannot cover). *)
+      let skip =
+        Option.map
+          (fun p ->
+            Fault_space.lift_pruned space ~pruned:(fun ~flop_id ~cycle ->
+                Replay.pruned p ~flop_id ~cycle))
+          pruner
       in
-      match
-        Durable.run campaign ~space ~seed ~n:samples ~ident:(core, program) ?skip ?audit:audit_arg
-          ~jobs ~kernel ?lanes
-          ?budget:(if watchdog > 0 then Some watchdog else None)
-          ~retries ?journal ~resume ~should_stop:stop_requested
-          ?chaos:(make_chaos ~chaos_profile ~chaos_seed ~chaos_budget) ()
-      with
-      | exception Journal.Error msg ->
-        prerr_endline ("campaign: " ^ msg);
-        exit_journal
-      | result ->
-        let elapsed = Mono.now () -. start in
-        if result.Durable.recovered > 0 then
-          Printf.printf "resumed: %d verdicts recovered from the journal%s\n"
-            result.Durable.recovered
-            (if result.Durable.dropped_bytes > 0 then
-               Printf.sprintf " (%d torn trailing bytes truncated)" result.Durable.dropped_bytes
-             else "");
-        if result.Durable.retried > 0 then
-          Printf.printf "supervisor: %d experiment retries on fresh systems\n" result.Durable.retried;
-        print_stats result.Durable.stats elapsed;
-        if audit > 0. then begin
-          let a = result.Durable.audit in
-          Printf.printf "audit: %d pruned faults injected, %d soundness violations, %d MATEs quarantined\n"
-            a.Durable.audited
-            (List.length a.Durable.violations)
-            (List.length a.Durable.quarantined);
-          List.iter
-            (fun v ->
-              Printf.printf "  VIOLATION sample %d (flop %d, cycle %d): verdict %s, quarantined %s\n"
-                v.Durable.v_index v.Durable.v_flop_id v.Durable.v_cycle
-                (Format.asprintf "%a" Fi_campaign.pp_verdict v.Durable.v_verdict)
-                (String.concat ", "
-                   (List.map
-                      (fun m ->
-                        match pruner with
-                        | Some p -> Replay.describe_mate p m
-                        | None -> string_of_int m)
-                      v.Durable.v_mates)))
-            a.Durable.violations
-        end;
+      Ok { campaign; space; pruner; skip })
+
+(* Cooperative SIGINT/SIGTERM shutdown: the durable runner, coordinator
+   and workers all poll the flag between experiments, journal/submit
+   everything finished so far and return; we then report how to resume
+   and exit with the conventional 128+signal code. *)
+let stop_signal = Atomic.make 0
+
+let install_signal_handlers () =
+  let handle signum = Sys.Signal_handle (fun _ -> Atomic.set stop_signal signum) in
+  (try Sys.set_signal Sys.sigint (handle Sys.sigint) with Invalid_argument _ -> ());
+  try Sys.set_signal Sys.sigterm (handle Sys.sigterm) with Invalid_argument _ -> ()
+
+let stop_requested () = Atomic.get stop_signal <> 0
+let stop_exit_code () = if Atomic.get stop_signal = Sys.sigterm then 143 else 130
+
+let report_resumed ~recovered ~dropped_bytes =
+  if recovered > 0 then
+    Printf.printf "resumed: %d verdicts recovered from the journal%s\n" recovered
+      (if dropped_bytes > 0 then Printf.sprintf " (%d torn trailing bytes truncated)" dropped_bytes
+       else "")
+
+(* A cooperative stop journaled everything finished: say how to resume. *)
+let interrupted ~resume_with journal =
+  Printf.printf "interrupted — progress is journaled%s\n"
+    (match journal with
+    | Some dir -> Printf.sprintf "; resume with %s --journal %s" resume_with dir
+    | None -> " only in this process (no --journal given)");
+  stop_exit_code ()
+
+let report_unknown_flops pruner =
+  match pruner with
+  | Some p when Replay.unknown_count p > 0 ->
+    Printf.printf
+      "warning: %d prune lookups named flops outside the fault space (injected, not pruned)\n"
+      (Replay.unknown_count p)
+  | _ -> ()
+
+let print_stats (stats : Fi_campaign.stats) elapsed =
+  Printf.printf "ran %d injections (%d skipped as pruned, %d crashed) in %.1fs (%.1f injections/s)\n"
+    stats.Fi_campaign.injections stats.Fi_campaign.skipped stats.Fi_campaign.crashed elapsed
+    (float_of_int stats.Fi_campaign.injections /. max 1e-9 elapsed);
+  Printf.printf "verdicts: %d benign, %d latent, %d SDC\n" stats.Fi_campaign.benign
+    stats.Fi_campaign.latent stats.Fi_campaign.sdc
+
+(* ------------------------------------------------------------------ *)
+(* campaign [run]: the single-process engine.                           *)
+
+let run (id : Journal.header) checkpoint_interval kernel lanes journal resume audit watchdog
+    retries chaos =
+  usage_check
+    [
+      ( audit > 0. && not id.prune,
+        Printf.sprintf "--audit %g needs --prune: without pruning there is nothing to audit"
+          audit );
+      ( lanes > 0 && kernel <> Fi_campaign.Delta_batched,
+        Printf.sprintf "--lanes only applies to --engine delta-batched (got %s)"
+          (Fi_campaign.kernel_name kernel) );
+      ( watchdog > 0
+        && Fi_campaign.effective_kernel id.fault_model kernel = Fi_campaign.Delta_batched,
+        Printf.sprintf
+          "--watchdog needs a per-fault engine: --engine delta-batched classifies %s faults in \
+           batches, with no per-experiment watchdog (use --engine delta)"
+          (Fault_model.name id.fault_model) );
+      (resume && journal = None, "--resume needs --journal pointing at the journal to resume");
+    ]
+  @@ fun () ->
+  match check_journal_model ~journal ~active:resume ~model:id.fault_model with
+  | Some code -> `Ok code
+  | None -> (
+    match setup id ~kernel ~checkpoint_interval with
+    | Error msg -> `Error (true, msg)
+    | Ok { campaign; space; pruner; skip } ->
+      let lanes = if lanes > 0 then Some lanes else None in
+      let chaos = chaos 0 in
+      let durable = journal <> None || resume || audit > 0. || watchdog > 0 || chaos <> None in
+      let start = Mono.now () in
+      if not durable then begin
+        let rng = Prng.create id.seed in
+        let n = id.samples in
+        let stats =
+          match kernel with
+          | Fi_campaign.Scalar -> Fi_campaign.run_sample campaign ~space ~rng ~n ?skip ()
+          | Fi_campaign.Delta -> Fi_campaign.run_sample_delta campaign ~space ~rng ~n ?skip ()
+          | Fi_campaign.Delta_batched ->
+            Fi_campaign.run_sample_delta_batched campaign ~space ~rng ~n ?skip ?lanes ()
+        in
+        print_stats stats (Mono.now () -. start);
         report_unknown_flops pruner;
-        if not result.Durable.completed then begin
-          Printf.printf "interrupted — progress is journaled%s\n"
-            (match journal with
-            | Some dir -> Printf.sprintf "; resume with --resume --journal %s" dir
-            | None -> " only in this process (no --journal given)");
-          stop_exit_code ()
-        end
-        else 0
-    end))
+        `Ok 0
+      end
+      else begin
+        install_signal_handlers ();
+        let audit_arg =
+          match pruner with
+          | Some p when audit > 0. ->
+            Some
+              ( audit,
+                {
+                  Durable.masking =
+                    Fault_space.lift_masking space ~masking:(fun ~flop_id ~cycle ->
+                        Replay.masking p ~flop_id ~cycle);
+                  quarantine = Replay.quarantine p;
+                  describe = Replay.describe_mate p;
+                } )
+          | _ -> None
+        in
+        match
+          Durable.run campaign ~space ~seed:id.seed ~n:id.samples ~ident:(id.core, id.program)
+            ?skip ?audit:audit_arg ~kernel ?lanes
+            ?budget:(if watchdog > 0 then Some watchdog else None)
+            ~retries ?journal ~resume ~should_stop:stop_requested ?chaos ()
+        with
+        | exception Journal.Error msg -> `Ok (fail exit_journal "%s" msg)
+        | result ->
+          let elapsed = Mono.now () -. start in
+          report_resumed ~recovered:result.Durable.recovered
+            ~dropped_bytes:result.Durable.dropped_bytes;
+          if result.Durable.retried > 0 then
+            Printf.printf "supervisor: %d experiment retries on fresh systems\n"
+              result.Durable.retried;
+          print_stats result.Durable.stats elapsed;
+          if audit > 0. then begin
+            let a = result.Durable.audit in
+            Printf.printf
+              "audit: %d pruned faults injected, %d soundness violations, %d MATEs quarantined\n"
+              a.Durable.audited
+              (List.length a.Durable.violations)
+              (List.length a.Durable.quarantined);
+            List.iter
+              (fun v ->
+                Printf.printf
+                  "  VIOLATION sample %d (flop %d, cycle %d): verdict %s, quarantined %s\n"
+                  v.Durable.v_index v.Durable.v_flop_id v.Durable.v_cycle
+                  (Format.asprintf "%a" Fi_campaign.pp_verdict v.Durable.v_verdict)
+                  (String.concat ", "
+                     (List.map
+                        (fun m ->
+                          match pruner with
+                          | Some p -> Replay.describe_mate p m
+                          | None -> string_of_int m)
+                        v.Durable.v_mates)))
+              a.Durable.violations
+          end;
+          report_unknown_flops pruner;
+          `Ok (if result.Durable.completed then 0 else interrupted ~resume_with:"--resume" journal)
+      end)
 
 (* ------------------------------------------------------------------ *)
 (* campaign serve: the distributed coordinator.                         *)
@@ -416,184 +430,104 @@ let read_port_file f =
 (* One coordinator incarnation: bind, announce, serve, report. Shared by
    the plain `serve` path and every supervised re-spawn (where [resume]
    is recomputed per incarnation from the journal's existence). *)
-let run_coordinator ~core ~program ~cycles ~samples ~seed ~prune ~model ~listen ~port ~port_file
-    ~config ~journal ~resume ~verbose ~chaos =
-    (* The coordinator is engine-free: the campaign identity (and with
-       it, the exact fault list every worker derives) is pinned entirely
-       by this header. shards=0 marks the journal as distributed so local
-       --resume refuses it and vice versa. *)
-    let header : Journal.header =
-      {
-        Journal.core;
-        program;
-        cycles;
-        seed;
-        samples;
-        prune;
-        audit = 0.;
-        shards = 0;
-        batched = false;
-        epoch = 0;
-        fault_model = model;
-        prng = Prng.save (Prng.create seed);
-        shard_prng = [||];
-      }
+let run_coordinator (header : Journal.header) ~port_file ~config ~journal ~resume ~verbose
+    ~chaos =
+  let listen = config.Coordinator.listen in
+  match Coordinator.create ~config () with
+  | exception Unix.Unix_error (e, _, _) ->
+    fail exit_service "cannot listen on %s:%d: %s" listen config.Coordinator.port
+      (Unix.error_message e)
+  | coordinator -> (
+    let bound = Coordinator.port coordinator in
+    Printf.printf "%s/%s: serving %d samples (seed %d%s, model %s) on %s:%d\n%!"
+      header.core header.program header.samples header.seed
+      (if header.prune then ", pruned" else "")
+      (Fault_model.name header.fault_model) listen bound;
+    (match port_file with
+    | None -> ()
+    | Some f -> write_port_file f bound);
+    install_signal_handlers ();
+    let on_event e =
+      match e with
+      | Coordinator.Progress _ when not verbose -> ()
+      | Coordinator.(Joined { worker } | Left { worker; _ }) when worker = probe_name -> ()
+      | _ -> Format.printf "%a@.%!" Coordinator.pp_event e
     in
-    match Coordinator.create ~config () with
-    | exception Unix.Unix_error (e, _, _) ->
-      Option.get (fail exit_bad_dist "cannot listen on %s:%d: %s" listen port (Unix.error_message e))
-    | coordinator -> (
-      let bound = Coordinator.port coordinator in
-      Printf.printf "%s/%s: serving %d samples (seed %d%s, model %s) on %s:%d\n%!" core program
-        samples seed
-        (if prune then ", pruned" else "")
-        (Fault_model.name model) listen bound;
-      (match port_file with
-      | None -> ()
-      | Some f -> write_port_file f bound);
-      install_signal_handlers ();
-      let on_event e =
-        match e with
-        | Coordinator.Progress _ when not verbose -> ()
-        | Coordinator.(Joined { worker } | Left { worker; _ }) when worker = probe_name -> ()
-        | _ -> Format.printf "%a@.%!" Coordinator.pp_event e
-      in
-      let start = Mono.now () in
-      match
-        Coordinator.serve coordinator ~header ?journal ~resume ~should_stop:stop_requested
-          ?chaos ~on_event ()
-      with
-      | exception Journal.Error msg ->
-        prerr_endline ("campaign: " ^ msg);
-        exit_journal
-      | r ->
-        if r.Coordinator.recovered > 0 then
-          Printf.printf "resumed: %d verdicts recovered from the journal%s\n"
-            r.Coordinator.recovered
-            (if r.Coordinator.dropped_bytes > 0 then
-               Printf.sprintf " (%d torn trailing bytes truncated)" r.Coordinator.dropped_bytes
-             else "");
-        Printf.printf "workers: %d joined, %d chunk leases re-dispatched, %d duplicate verdicts\n"
-          r.Coordinator.workers r.Coordinator.redispatched r.Coordinator.duplicates;
-        if r.Coordinator.verified > 0 then
-          Printf.printf "verify: %d chunks cross-validated on a second worker\n"
-            r.Coordinator.verified;
-        if r.Coordinator.blacklisted > 0 then
-          Printf.printf "blacklist: %d misbehaving workers refused re-admission\n"
-            r.Coordinator.blacklisted;
-        if r.Coordinator.mismatches > 0 then
-          Printf.printf
-            "arbitration: %d verdict disputes, %d resolved by quorum (%d overturned), %d \
-             unresolved\n"
-            r.Coordinator.mismatches r.Coordinator.arb_resolved r.Coordinator.arb_overturned
-            r.Coordinator.arb_unresolved;
-        if r.Coordinator.suspects <> [] then
-          Printf.printf "reputation: %d workers quarantined as suspects: %s\n"
-            (List.length r.Coordinator.suspects)
-            (String.concat ", "
-               (List.map
-                  (fun (w, s) -> Printf.sprintf "%s (suspicion %d)" w s)
-                  r.Coordinator.suspects));
-        print_stats r.Coordinator.stats (Mono.now () -. start);
-        if r.Coordinator.arb_unresolved > 0 then begin
-          Printf.eprintf
-            "campaign: %d verdict disputes had no reachable quorum (stats above carry the first \
-             verdict, unvalidated)\n%!"
-            r.Coordinator.arb_unresolved;
-          exit_network
-        end
-        else if r.Coordinator.poisoned <> [] then begin
-          Printf.eprintf
-            "campaign: %d chunks quarantined as poisoned (each killed %d distinct workers): %s\n%s%!"
-            (List.length r.Coordinator.poisoned)
-            config.Coordinator.poison_threshold
-            (String.concat ", " (List.map string_of_int r.Coordinator.poisoned))
-            (match journal with
-            | Some dir ->
-              Printf.sprintf "campaign: stats above exclude them; retry with serve --resume \
-                              --journal %s\n" dir
-            | None -> "campaign: stats above exclude them (no --journal given to retry from)\n");
-          exit_poisoned
-        end
-        else if not r.Coordinator.completed then begin
-          Printf.printf "interrupted — progress is journaled%s\n"
-            (match journal with
-            | Some dir -> Printf.sprintf "; resume with serve --resume --journal %s" dir
-            | None -> " only in this process (no --journal given)");
-          stop_exit_code ()
-        end
-        else 0)
+    let start = Mono.now () in
+    match
+      Coordinator.serve coordinator ~header ?journal ~resume ~should_stop:stop_requested
+        ?chaos ~on_event ()
+    with
+    | exception Journal.Error msg -> fail exit_journal "%s" msg
+    | r ->
+      report_resumed ~recovered:r.Coordinator.recovered ~dropped_bytes:r.Coordinator.dropped_bytes;
+      Printf.printf "workers: %d joined, %d chunk leases re-dispatched, %d duplicate verdicts\n"
+        r.Coordinator.workers r.Coordinator.redispatched r.Coordinator.duplicates;
+      if r.Coordinator.verified > 0 then
+        Printf.printf "verify: %d chunks cross-validated on a second worker\n"
+          r.Coordinator.verified;
+      if r.Coordinator.blacklisted > 0 then
+        Printf.printf "blacklist: %d misbehaving workers refused re-admission\n"
+          r.Coordinator.blacklisted;
+      if r.Coordinator.mismatches > 0 then
+        Printf.printf
+          "arbitration: %d verdict disputes, %d resolved by quorum (%d overturned), %d \
+           unresolved\n"
+          r.Coordinator.mismatches r.Coordinator.arb_resolved r.Coordinator.arb_overturned
+          r.Coordinator.arb_unresolved;
+      if r.Coordinator.suspects <> [] then
+        Printf.printf "reputation: %d workers quarantined as suspects: %s\n"
+          (List.length r.Coordinator.suspects)
+          (String.concat ", "
+             (List.map
+                (fun (w, s) -> Printf.sprintf "%s (suspicion %d)" w s)
+                r.Coordinator.suspects));
+      print_stats r.Coordinator.stats (Mono.now () -. start);
+      if r.Coordinator.arb_unresolved > 0 then begin
+        Printf.eprintf
+          "campaign: %d verdict disputes had no reachable quorum (stats above carry the first \
+           verdict, unvalidated)\n%!"
+          r.Coordinator.arb_unresolved;
+        exit_network
+      end
+      else if r.Coordinator.poisoned <> [] then begin
+        Printf.eprintf
+          "campaign: %d chunks quarantined as poisoned (each killed %d distinct workers): %s\n%s%!"
+          (List.length r.Coordinator.poisoned)
+          config.Coordinator.poison_threshold
+          (String.concat ", " (List.map string_of_int r.Coordinator.poisoned))
+          (match journal with
+          | Some dir ->
+            Printf.sprintf "campaign: stats above exclude them; retry with serve --resume \
+                            --journal %s\n" dir
+          | None -> "campaign: stats above exclude them (no --journal given to retry from)\n");
+        exit_poisoned
+      end
+      else if not r.Coordinator.completed then interrupted ~resume_with:"serve --resume" journal
+      else 0)
 
 (* ------------------------------------------------------------------ *)
 (* campaign work: a stateless worker fleet member.                      *)
 
 exception Unknown_identity of string
 
-let parse_hostport s =
-  match String.rindex_opt s ':' with
-  | None -> None
-  | Some i -> (
-    let host = String.sub s 0 i in
-    let port = String.sub s (i + 1) (String.length s - i - 1) in
-    match int_of_string_opt port with
-    | Some p when p >= 1 && p <= 65535 && host <> "" -> Some (host, p)
-    | _ -> None)
-
 (* One worker process: engines are built lazily from the coordinator's
-   Welcome header, so a worker needs no campaign flags at all. *)
+   Welcome header, so a worker needs no campaign flags at all. The
+   header pins the fault model; the worker obeys it — a fleet never
+   mixes models within one campaign. *)
 let work_one ~host ~port ~name ~kernel ~checkpoint_interval ~retries ~max_reconnects
     ~recv_timeout ?readdress ~chaos () =
-  let resolve (h : Journal.header) =
-    (* The Welcome header pins the fault model; the worker obeys it —
-       a fleet never mixes models within one campaign. *)
-    let model = h.Journal.fault_model in
-    let engine = note_kernel_fallback ~model ~kernel in
-    Printf.printf "campaign: %s/%s, %d cycles, %d samples, seed %d%s, model %s [%s]\n%!"
-      h.Journal.core h.Journal.program h.Journal.cycles h.Journal.samples h.Journal.seed
-      (if h.Journal.prune then ", pruned" else "")
-      (Fault_model.name model)
-      (Fi_campaign.kernel_name engine);
-    match make_system h.Journal.core h.Journal.program with
-    | None ->
-      raise
-        (Unknown_identity
-           (Printf.sprintf "coordinator asked for unknown core/program %S/%S" h.Journal.core
-              h.Journal.program))
-    | Some (make, make_delta, make_delta_batch) ->
-      let nl = (make None).System.netlist in
-      let space =
-        try Fault_space.full ~model nl ~cycles:h.Journal.cycles
-        with Invalid_argument msg ->
-          raise
-            (Unknown_identity
-               (Printf.sprintf "coordinator pinned an impossible fault model: %s" msg))
-      in
-      let checkpoint_interval = if checkpoint_interval > 0 then Some checkpoint_interval else None in
-      let campaign =
-        Fi_campaign.create ?checkpoint_interval
-          ~make:(fun () -> make (Some nl))
-            ~make_delta:(fun ~trace -> make_delta (Some nl) ~trace)
-          ~make_delta_batch:(fun ~trace -> make_delta_batch (Some nl) ~trace)
-          ~total_cycles:h.Journal.cycles ()
-      in
-      let skip =
-        if not h.Journal.prune then None
-        else begin
-          let pruner = build_pruner nl ~make ~cycles:h.Journal.cycles ~space in
-          Some
-            (Fault_space.lift_pruned space ~pruned:(fun ~flop_id ~cycle ->
-                 Replay.pruned pruner ~flop_id ~cycle))
-        end
-      in
-      { Worker.campaign; space; skip; kernel }
+  let resolve h =
+    match setup h ~kernel ~checkpoint_interval with
+    | Error msg ->
+      raise (Unknown_identity ("coordinator named a campaign this build cannot run: " ^ msg))
+    | Ok { campaign; space; skip; _ } -> { Worker.campaign; space; skip; kernel }
   in
   match
     Worker.run ~host ~port ~resolve ?name ~recv_timeout ~retries ~max_reconnects ?readdress
       ~should_stop:stop_requested ?chaos ()
   with
-  | exception Unknown_identity msg ->
-    prerr_endline ("campaign: " ^ msg);
-    exit_bad_dist
+  | exception Unknown_identity msg -> fail exit_service "%s" msg
   | report -> (
     Printf.printf "worker: %d chunks, %d verdicts submitted, %d crashes, %d retries, %d reconnects\n"
       report.Worker.chunks report.Worker.submitted report.Worker.crashes report.Worker.retried
@@ -601,92 +535,69 @@ let work_one ~host ~port ~name ~kernel ~checkpoint_interval ~retries ~max_reconn
     match report.Worker.ended with
     | Worker.Campaign_done -> 0
     | Worker.Stopped -> stop_exit_code ()
-    | Worker.Gave_up why ->
-      prerr_endline ("campaign: giving up: " ^ why);
-      exit_network)
+    | Worker.Gave_up why -> fail exit_network "giving up: %s" why)
 
-let work hostport name workers kernel checkpoint_interval retries max_reconnects recv_timeout
-    chaos_profile chaos_seed chaos_budget =
-  match
-    match parse_hostport hostport with
-    | None ->
-      fail exit_bad_dist "expected HOST:PORT with port in [1, 65535] (got %S)" hostport
-    | Some _ when workers < 1 -> fail exit_bad_dist "--workers must be positive (got %d)" workers
-    | Some _ when workers > 1 && name <> None ->
-      fail exit_bad_dist
-        "--name and --workers %d are mutually exclusive: worker names must be unique" workers
-    | Some _ when checkpoint_interval < 0 ->
-      fail exit_bad_interval "--checkpoint-interval must be non-negative (got %d)"
-        checkpoint_interval
-    | Some _ when retries < 0 ->
-      fail exit_bad_supervisor "--retries must be non-negative (got %d)" retries
-    | Some _ when max_reconnects < 0 ->
-      fail exit_bad_dist "--max-reconnects must be non-negative (got %d)" max_reconnects
-    | Some _ when recv_timeout <= 0. ->
-      fail exit_bad_dist "--recv-timeout must be positive seconds (got %g)" recv_timeout
-    | Some _ when chaos_budget < 0 -> validate_chaos ~chaos_budget
-    | Some hp -> (
-      install_signal_handlers ();
-      let host, port = hp in
-      (* Forked fleet members get distinct chaos streams (seed + index):
-         identical plans on every worker would fault in lockstep. *)
-      let one i =
-        work_one ~host ~port ~name ~kernel ~checkpoint_interval ~retries ~max_reconnects
-          ~recv_timeout
-          ~chaos:(make_chaos ~chaos_profile ~chaos_seed:(Option.map (fun s -> s + i) chaos_seed)
-                    ~chaos_budget)
-          ()
-      in
-      if workers = 1 then Some (one 0)
-      else begin
-        (* A local fleet: fork first (no domains/threads exist yet), let
-           every process run its own engine, and report the first
-           failure. *)
-        let pids =
-          List.init workers (fun i ->
-              match Unix.fork () with
-              | 0 ->
-                (* _exit skips at_exit, so flush the report lines explicitly. *)
-                let code = try one i with _ -> exit_network in
-                (try flush_all () with Sys_error _ -> ());
-                Unix._exit code
-              | pid -> pid)
+let work (host, port) name workers kernel checkpoint_interval retries max_reconnects recv_timeout
+    chaos =
+  usage_check
+    [
+      ( workers > 1 && name <> None,
+        Printf.sprintf
+          "--name and --workers %d are mutually exclusive: worker names must be unique" workers );
+    ]
+  @@ fun () ->
+  install_signal_handlers ();
+  let one i =
+    work_one ~host ~port ~name ~kernel ~checkpoint_interval ~retries ~max_reconnects
+      ~recv_timeout ~chaos:(chaos i) ()
+  in
+  if workers = 1 then `Ok (one 0)
+  else begin
+    (* A local fleet: fork first (no domains/threads exist yet), let
+       every process run its own engine, and report the first
+       failure. *)
+    let pids =
+      List.init workers (fun i ->
+          match Unix.fork () with
+          | 0 ->
+            (* _exit skips at_exit, so flush the report lines explicitly. *)
+            let code = try one i with _ -> exit_network in
+            (try flush_all () with Sys_error _ -> ());
+            Unix._exit code
+          | pid -> pid)
+    in
+    (* Reap in completion order — waitpid(-1) — so a member dying
+       early never sits as a zombie behind a straggling sibling.
+       SIGTERM is forwarded to the whole fleet exactly once, and the
+       first non-zero exit code is the one propagated. *)
+    let remaining = ref (List.length pids) in
+    let first_nonzero = ref 0 in
+    let forwarded = ref false in
+    let forward_stop () =
+      if stop_requested () && not !forwarded then begin
+        forwarded := true;
+        List.iter (fun p -> try Unix.kill p Sys.sigterm with Unix.Unix_error _ -> ()) pids
+      end
+    in
+    while !remaining > 0 do
+      forward_stop ();
+      match Unix.waitpid [] (-1) with
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+      | exception Unix.Unix_error (Unix.ECHILD, _, _) -> remaining := 0
+      | _pid, status ->
+        decr remaining;
+        let code =
+          match status with
+          | Unix.WEXITED c -> c
+          | Unix.WSIGNALED _ | Unix.WSTOPPED _ -> exit_network
         in
-        (* Reap in completion order — waitpid(-1) — so a member dying
-           early never sits as a zombie behind a straggling sibling.
-           SIGTERM is forwarded to the whole fleet exactly once, and the
-           first non-zero exit code is the one propagated. *)
-        let remaining = ref (List.length pids) in
-        let first_nonzero = ref 0 in
-        let forwarded = ref false in
-        let forward_stop () =
-          if stop_requested () && not !forwarded then begin
-            forwarded := true;
-            List.iter (fun p -> try Unix.kill p Sys.sigterm with Unix.Unix_error _ -> ()) pids
-          end
-        in
-        while !remaining > 0 do
-          forward_stop ();
-          match Unix.waitpid [] (-1) with
-          | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-          | exception Unix.Unix_error (Unix.ECHILD, _, _) -> remaining := 0
-          | _pid, status ->
-            decr remaining;
-            let code =
-              match status with
-              | Unix.WEXITED c -> c
-              | Unix.WSIGNALED _ | Unix.WSTOPPED _ -> exit_network
-            in
-            if code <> 0 && !first_nonzero = 0 then first_nonzero := code
-        done;
-        Some (if stop_requested () then stop_exit_code () else !first_nonzero)
-      end)
-  with
-  | Some code -> code
-  | None -> assert false
+        if code <> 0 && !first_nonzero = 0 then first_nonzero := code
+    done;
+    `Ok (if stop_requested () then stop_exit_code () else !first_nonzero)
+  end
 
 (* ------------------------------------------------------------------ *)
-(* campaign serve, take two: the self-healing service.                  *)
+(* campaign serve: the coordinator, optionally self-healing.            *)
 
 (* The supervisor's liveness probe: a full Hello/Welcome handshake with
    deadlines, so a wedged-but-alive coordinator (accepting but not
@@ -734,111 +645,40 @@ let supervised_work ~host ~current_port ~index ~chaos =
     ~readdress:(fun () -> Option.map (fun p -> (host, p)) (current_port ()))
     ~chaos ()
 
-let serve core program cycles samples seed prune fault_model listen port port_file chunk_size
-    lease idle_timeout poison_threshold blacklist_threshold verify_frac max_inflight quorum
-    suspect_threshold arb_patience journal resume verbose supervise restart_budget restart_window
-    fleet chaos_profile chaos_seed chaos_budget =
-  match resolve_model fault_model with
-  | Error code -> code
-  | Ok model -> (
-  let dist_checks () =
-    if port < 0 || port > 65535 then
-      fail exit_bad_dist "--port must be in [0, 65535] (got %d); 0 picks an ephemeral port" port
-    else if chunk_size < 1 then
-      fail exit_bad_dist "--chunk-size must be positive (got %d)" chunk_size
-    else if lease <= 0. then
-      fail exit_bad_dist "--lease must be positive seconds (got %g)" lease
-    else if idle_timeout < 0. then
-      fail exit_bad_dist "--idle-timeout must be non-negative seconds (got %g); 0 disables it"
-        idle_timeout
-    else if idle_timeout > 0. && idle_timeout <= lease then
-      fail exit_bad_dist
-        "--idle-timeout (%g) must exceed --lease (%g): a lapsed lease keeps the connection, the \
-         read deadline closes it"
-        idle_timeout lease
-    else if poison_threshold < 0 then
-      fail exit_bad_dist "--poison-threshold must be non-negative (got %d); 0 disables quarantine"
-        poison_threshold
-    else if blacklist_threshold < 0 then
-      fail exit_bad_dist
-        "--blacklist-threshold must be non-negative (got %d); 0 disables blacklisting"
-        blacklist_threshold
-    else if not (verify_frac >= 0. && verify_frac <= 1.) then
-      fail exit_bad_dist "--verify-frac must be a fraction in [0, 1] (got %g)" verify_frac
-    else if max_inflight < 0 then
-      fail exit_bad_dist "--max-inflight must be non-negative (got %d); 0 disables the bound"
-        max_inflight
-    else if quorum < 1 then
-      fail exit_bad_dist "--quorum must be at least 1 ballot per dispute (got %d)" quorum
-    else if suspect_threshold < 0 then
-      fail exit_bad_dist
-        "--suspect-threshold must be non-negative (got %d); 0 disables reputation quarantine"
-        suspect_threshold
-    else if arb_patience <= 0. then
-      fail exit_bad_dist "--arb-patience must be positive seconds (got %g)" arb_patience
-    else if restart_budget < 0 then
-      fail exit_bad_dist "--restart-budget must be non-negative (got %d)" restart_budget
-    else if restart_window <= 0. then
-      fail exit_bad_dist "--restart-window must be positive seconds (got %g)" restart_window
-    else if fleet < 0 then
-      fail exit_bad_dist "--workers must be non-negative (got %d)" fleet
-    else if fleet > 0 && not supervise then
-      fail exit_bad_dist
-        "--workers on serve needs --supervise (use 'campaign work' for an unsupervised fleet)"
-    else if supervise && journal = None then
-      fail exit_bad_dist
-        "--supervise needs --journal: a restarted coordinator re-enters through serve --resume"
-    else if supervise && port = 0 && port_file = None then
-      fail exit_bad_dist
+let serve (id : Journal.header) config port_file journal resume verbose supervise sup_config
+    fleet chaos =
+  let { Coordinator.listen; port; lease; idle_timeout; _ } = config in
+  usage_check
+    [
+      (resume && journal = None, "--resume needs --journal pointing at the journal to resume");
+      ( idle_timeout > 0. && idle_timeout <= lease,
+        Printf.sprintf
+          "--idle-timeout (%g) must exceed --lease (%g): a lapsed lease keeps the connection, \
+           the read deadline closes it"
+          idle_timeout lease );
+      ( fleet > 0 && not supervise,
+        "--workers on serve needs --supervise (use 'campaign work' for an unsupervised fleet)" );
+      ( supervise && journal = None,
+        "--supervise needs --journal: a restarted coordinator re-enters through serve --resume" );
+      ( supervise && port = 0 && port_file = None,
         "--supervise with --port 0 needs --port-file: a restarted coordinator rebinds, and \
-         workers (and the liveness probe) find the new port there"
-    else (
-      match check_journal_model ~journal ~active:(resume || supervise) ~model with
-      | Some code -> Some code
-      | None -> validate_chaos ~chaos_budget)
-  in
-  match
-    match
-      validate ~core ~program ~cycles ~samples ~seed ~checkpoint_interval:0 ~audit:0. ~watchdog:0
-        ~retries:0 ~jobs:1 ~prune ~resume ~journal
-    with
-    | Some code -> Some code
-    | None -> dist_checks ()
-  with
-  | Some code -> code
-  | None -> (
-    (* Satellite: a stale port file from a previous service would point
-       fresh workers at a dead (or recycled) port; remove it before
-       anyone can read it. The live value is rewritten atomically once
-       the coordinator has bound. *)
+         workers (and the liveness probe) find the new port there" );
+    ]
+  @@ fun () ->
+  match check_journal_model ~journal ~active:(resume || supervise) ~model:id.fault_model with
+  | Some code -> `Ok code
+  | None ->
+    (* A stale port file from a previous service would point fresh
+       workers at a dead (or recycled) port; remove it before anyone can
+       read it. The live value is rewritten atomically once the
+       coordinator has bound. *)
     (match port_file with
     | Some f when Sys.file_exists f -> ( try Sys.remove f with Sys_error _ -> ())
     | _ -> ());
-    let config =
-      {
-        Coordinator.default_config with
-        Coordinator.listen;
-        port;
-        chunk_size;
-        lease;
-        idle_timeout;
-        poison_threshold;
-        blacklist_threshold;
-        verify_frac;
-        max_inflight;
-        quorum;
-        suspect_threshold;
-        arb_patience;
-      }
-    in
-    let chaos i =
-      make_chaos ~chaos_profile ~chaos_seed:(Option.map (fun s -> s + i) chaos_seed) ~chaos_budget
-    in
     let coordinator ~resume () =
-      run_coordinator ~core ~program ~cycles ~samples ~seed ~prune ~model ~listen ~port
-        ~port_file ~config ~journal ~resume ~verbose ~chaos:(chaos 0)
+      run_coordinator id ~port_file ~config ~journal ~resume ~verbose ~chaos:(chaos 0)
     in
-    if not supervise then coordinator ~resume ()
+    if not supervise then `Ok (coordinator ~resume ())
     else begin
       let journal_dir = Option.get journal in
       install_signal_handlers ();
@@ -850,9 +690,7 @@ let serve core program cycles samples seed prune fault_model listen port port_fi
           Atomic.set stop_signal 0;
           let code =
             try body () with
-            | Journal.Error msg ->
-              prerr_endline ("campaign: " ^ msg);
-              exit_journal
+            | Journal.Error msg -> fail exit_journal "%s" msg
             | _ -> exit_network
           in
           (* _exit skips at_exit, so flush the report lines explicitly. *)
@@ -892,29 +730,21 @@ let serve core program cycles samples seed prune fault_model listen port port_fi
         | None -> false
         | Some p -> probe_coordinator ~host:listen ~port:p
       in
-      let sup_config =
-        {
-          Supervisor.default_config with
-          Supervisor.max_restarts = restart_budget;
-          window = restart_window;
-          probe_interval = 2.0;
-        }
-      in
       let on_event e = Format.printf "supervisor: %a@.%!" Supervisor.pp_event e in
       let r = Supervisor.run ~config:sup_config ~probe ~should_stop:stop_requested ~on_event specs in
       match r.Supervisor.outcome with
       | Supervisor.Completed code ->
         Printf.printf "supervisor: campaign complete (%d restarts, %d probe kills)\n"
           r.Supervisor.restarts r.Supervisor.probe_kills;
-        code
-      | Supervisor.Stopped -> stop_exit_code ()
+        `Ok code
+      | Supervisor.Stopped -> `Ok (stop_exit_code ())
       | Supervisor.Exhausted { name; last_code } ->
-        Printf.eprintf
-          "campaign: restart budget exhausted on %s (last exit %d); the journal is intact — rerun \
-           with --supervise or finish with serve --resume --journal %s\n%!"
-          name last_code journal_dir;
-        exit_budget
-    end))
+        `Ok
+          (fail exit_budget
+             "restart budget exhausted on %s (last exit %d); the journal is intact — rerun with \
+              --supervise or finish with serve --resume --journal %s"
+             name last_code journal_dir)
+    end
 
 (* ------------------------------------------------------------------ *)
 (* campaign fsck: offline journal integrity check.                      *)
@@ -984,19 +814,69 @@ let fsck_dir dir =
 (* ------------------------------------------------------------------ *)
 (* CLI.                                                                 *)
 
-let core = Arg.(value & opt string "avr" & info [ "core" ] ~doc:"avr or msp430.")
-let program = Arg.(value & opt string "fib" & info [ "program" ] ~doc:"fib or conv.")
-let cycles = Arg.(value & opt int 500 & info [ "cycles" ] ~doc:"Campaign horizon in cycles.")
-let samples = Arg.(value & opt int 200 & info [ "samples" ] ~doc:"Number of sampled faults.")
-let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Sampling seed.")
-let prune = Arg.(value & flag & info [ "prune" ] ~doc:"Prune the fault list with MATEs first.")
-
-let jobs =
-  Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~doc:"Number of OCaml domains to inject from.")
+(* The campaign identity flags, shared by run and serve, as the header a
+   coordinator pins: engine-free, it fixes the exact fault list every
+   worker derives. shards=0 marks the journal as distributed, so local
+   --resume refuses it and vice versa ({!Durable} writes its own
+   one-shard header from the same fields). *)
+let identity =
+  let enum_of names = Arg.enum (List.map (fun n -> (n, n)) names) in
+  let core =
+    Arg.(value & opt (enum_of [ "avr"; "msp430" ]) "avr" & info [ "core" ] ~doc:"avr or msp430.")
+  in
+  let program =
+    Arg.(value & opt (enum_of [ "fib"; "conv" ]) "fib" & info [ "program" ] ~doc:"fib or conv.")
+  in
+  let cycles =
+    Arg.(value & opt positive 500 & info [ "cycles" ] ~doc:"Campaign horizon in cycles.")
+  in
+  let samples =
+    Arg.(value & opt non_negative 200 & info [ "samples" ] ~doc:"Number of sampled faults.")
+  in
+  let seed =
+    Arg.(
+      value & opt non_negative 42
+      & info [ "seed" ] ~doc:"Sampling seed (recorded in journal headers as-is).")
+  in
+  let prune = Arg.(value & flag & info [ "prune" ] ~doc:"Prune the fault list with MATEs first.") in
+  let model =
+    Arg.(
+      value & opt fault_model_conv Fault_model.Seu
+      & info [ "fault-model" ] ~docv:"MODEL"
+          ~doc:
+            "Fault model to sample and classify: $(b,seu) (single-event upset: one flop flipped \
+             for one cycle — the default and the classic HAFI model), $(b,set) (single-event \
+             transient: a glitch on a gate output, expanded through the gate's combinational \
+             output cone into the set of flops that would latch it that cycle), $(b,mbu:K) \
+             (multi-bit upset: $(i,K) layout-adjacent flops flipped together in one cycle) or \
+             $(b,intermittent:N) (intermittent stuck-at: one flop held at the flipped value for \
+             $(i,N) consecutive cycles; $(b,intermittent:1) is exactly $(b,seu)). The model is \
+             pinned in the journal header and on every distributed chunk; scalar and delta \
+             engines support every model bit-identically, delta-batched falls back to delta \
+             (printed) for non-SEU models.")
+  in
+  Term.(
+    const (fun core program cycles samples seed prune fault_model ->
+        {
+          Journal.core;
+          program;
+          cycles;
+          seed;
+          samples;
+          prune;
+          audit = 0.;
+          shards = 0;
+          batched = false;
+          epoch = 0;
+          fault_model;
+          prng = Prng.save (Prng.create seed);
+          shard_prng = [||];
+        })
+    $ core $ program $ cycles $ samples $ seed $ prune $ model)
 
 let checkpoint_interval =
   Arg.(
-    value & opt int 0
+    value & opt non_negative 0
     & info [ "checkpoint-interval" ]
         ~doc:"Golden-run checkpoint spacing in cycles (0 = auto: total/64).")
 
@@ -1023,27 +903,11 @@ let engine_arg =
 
 let lanes_arg =
   Arg.(
-    value & opt int 0
+    value & opt lanes_conv 0
     & info [ "lanes" ] ~docv:"N"
         ~doc:
           "In-flight faults per pass for $(b,--engine delta-batched) (0 = the maximum, 63). \
            Only valid with that engine; verdicts are identical for every width.")
-
-let fault_model_arg =
-  Arg.(
-    value & opt string "seu"
-    & info [ "fault-model" ] ~docv:"MODEL"
-        ~doc:
-          "Fault model to sample and classify: $(b,seu) (single-event upset: one flop flipped \
-           for one cycle — the default and the classic HAFI model), $(b,set) (single-event \
-           transient: a glitch on a gate output, expanded through the gate's combinational \
-           output cone into the set of flops that would latch it that cycle), $(b,mbu:K) \
-           (multi-bit upset: $(i,K) layout-adjacent flops flipped together in one cycle) or \
-           $(b,intermittent:N) (intermittent stuck-at: one flop held at the flipped value for \
-           $(i,N) consecutive cycles; $(b,intermittent:1) is exactly $(b,seu)). The model is \
-           pinned in the journal header and on every distributed chunk; scalar and delta \
-           engines support every model bit-identically, delta-batched falls back to delta \
-           (printed) for non-SEU models.")
 
 let journal =
   Arg.(
@@ -1064,7 +928,7 @@ let resume =
 
 let audit =
   Arg.(
-    value & opt float 0.
+    value & opt fraction 0.
     & info [ "audit" ] ~docv:"P"
         ~doc:
           "MATE soundness sentinel: inject fraction $(docv) of the faults the pruner claims \
@@ -1074,16 +938,17 @@ let audit =
 
 let watchdog =
   Arg.(
-    value & opt int 0
+    value & opt non_negative 0
     & info [ "watchdog" ] ~docv:"CYCLES"
         ~doc:
           "Per-experiment watchdog: an experiment consuming more than $(docv) simulated cycles is \
-           aborted, retried on a fresh system, and eventually recorded as crashed (0 = off; \
-           scalar and delta engines only).")
+           aborted, retried on a fresh system, and eventually recorded as crashed (0 = off). \
+           Needs a per-fault engine: $(b,scalar) or $(b,delta), or $(b,delta-batched) with a \
+           $(b,--fault-model) it runs on delta.")
 
 let retries =
   Arg.(
-    value & opt int 2
+    value & opt non_negative 2
     & info [ "retries" ]
         ~doc:
           "Supervisor retries per failing experiment, each on a freshly built system, before it \
@@ -1103,7 +968,7 @@ let chaos_seed_arg =
 
 let chaos_budget_arg =
   Arg.(
-    value & opt int 64
+    value & opt non_negative 64
     & info [ "chaos-budget" ] ~docv:"N"
         ~doc:
           "Total faults the chaos plan may inject before going quiet (per process). A finite \
@@ -1124,42 +989,45 @@ let chaos_profile_arg =
            every CRC and only the coordinator's quorum arbitration (serve $(b,--verify-frac) + \
            $(b,--quorum)) catches, outvotes and quarantines it.")
 
-let exit_doc =
+(* [chaos i]: process [i]'s plan (see {!make_chaos}). *)
+let chaos =
+  Term.(
+    const (fun profile seed budget -> make_chaos ~profile ~seed ~budget)
+    $ chaos_profile_arg $ chaos_seed_arg $ chaos_budget_arg)
+
+let man_exit_status =
   [
     `S Manpage.s_exit_status;
-    `P "0 on success. Validation failures use distinct codes:";
-    `P "10: unknown core/program; 11: bad --cycles; 12: bad --samples; 13: bad --seed; 14: bad \
-        --checkpoint-interval; 15: bad --audit (or --audit without --prune); 16: bad \
-        --watchdog/--retries/--jobs/--lanes/--chaos-budget (including --lanes with a per-fault \
-        engine); 17: journal error (corrupt, mismatched, \
-        missing for --resume, or the disk failed mid-run — resumable); 18: bad distributed \
-        argument (--port, --chunk-size, --lease, --idle-timeout, --poison-threshold, \
-        --blacklist-threshold, --verify-frac, --max-inflight, --quorum, --suspect-threshold, \
-        --arb-patience, --recv-timeout, HOST:PORT, --workers, --max-reconnects, or --name with \
-        --workers > 1); 19: network failure (a worker gave up reconnecting) or an unresolved \
-        verdict dispute — workers disagreed and quorum arbitration could not reach a majority \
-        (disputes a quorum does settle are journaled and do not fail the campaign); 20: chunks \
-        quarantined as poisoned after repeatedly killing workers (stats exclude them; resumable \
-        with --resume); 21: the supervisor's restart budget was exhausted (a child kept dying \
-        faster than --restart-budget per --restart-window allows) — the journal is intact, so \
-        rerunning with --supervise (or serve --resume) finishes the campaign.";
-    `P "22: bad --fault-model (unknown model name, malformed or non-positive mbu:K / \
-        intermittent:N parameter, or a cluster size exceeding the core's flop count); 23: \
-        --fault-model contradicts the journal being resumed (the header pins the model every \
-        recorded verdict was classified under — rerun with the recorded model).";
+    `P "0 on success. Every bad argument exits 124 with a message naming the flag, before any \
+        campaign work starts: a malformed or out-of-range value, a flag combination that cannot \
+        work (--audit without --prune, --lanes or --watchdog with an engine they do not apply \
+        to, --resume without --journal, ...), or a --fault-model the core cannot host (an MBU \
+        cluster wider than its flops). Runtime failures use distinct codes:";
+    `P "17: journal error (corrupt, mismatched, or the disk failed mid-run — resumable); 18: the \
+        service could not start (the coordinator could not bind its address, or a worker's \
+        coordinator named a campaign this build cannot run); 19: network failure (a worker gave \
+        up reconnecting) or an unresolved verdict dispute — workers disagreed and quorum \
+        arbitration could not reach a majority (disputes a quorum does settle are journaled \
+        and do not fail the campaign); 20: chunks quarantined as poisoned after repeatedly \
+        killing workers (stats exclude them; resumable with --resume); 21: the supervisor's \
+        restart budget was exhausted (a child kept dying faster than --restart-budget per \
+        --restart-window allows) — the journal is intact, so rerunning with --supervise (or \
+        serve --resume) finishes the campaign; 23: --fault-model contradicts the journal being \
+        resumed (the header pins the model every recorded verdict was classified under — rerun \
+        with the recorded model).";
     `P "130/143: interrupted by SIGINT/SIGTERM after a clean journal flush (resumable with \
         --resume).";
   ]
 
 let run_term =
   Term.(
-    const run $ core $ program $ cycles $ samples $ seed $ prune $ jobs $ checkpoint_interval
-    $ engine_arg $ lanes_arg $ fault_model_arg $ journal $ resume $ audit $ watchdog
-    $ retries $ chaos_profile_arg $ chaos_seed_arg $ chaos_budget_arg)
+    ret
+      (const run $ identity $ checkpoint_interval $ engine_arg $ lanes_arg $ journal $ resume
+     $ audit $ watchdog $ retries $ chaos))
 
 let run_cmd =
   Cmd.v
-    (Cmd.info "run" ~man:exit_doc
+    (Cmd.info "run" ~man:man_exit_status
        ~doc:
          "single-process sampled fault-injection campaign with optional MATE pruning, crash-safe \
           journaling, supervised execution and MATE soundness auditing (the default subcommand)")
@@ -1171,7 +1039,7 @@ let serve_cmd =
   in
   let port =
     Arg.(
-      value & opt int 7447
+      value & opt port 7447
       & info [ "port" ] ~docv:"PORT" ~doc:"TCP port; 0 picks an ephemeral port (printed).")
   in
   let port_file =
@@ -1183,12 +1051,12 @@ let serve_cmd =
   in
   let chunk_size =
     Arg.(
-      value & opt int 256
+      value & opt positive 256
       & info [ "chunk-size" ] ~docv:"N" ~doc:"Samples per chunk lease handed to a worker.")
   in
   let lease =
     Arg.(
-      value & opt float 10.
+      value & opt seconds 10.
       & info [ "lease" ] ~docv:"SECONDS"
           ~doc:
             "Worker silence tolerated before its chunks are re-dispatched to other workers. Any \
@@ -1196,7 +1064,7 @@ let serve_cmd =
   in
   let idle_timeout =
     Arg.(
-      value & opt float 30.
+      value & opt seconds_or_off 30.
       & info [ "idle-timeout" ] ~docv:"SECONDS"
           ~doc:
             "Read deadline per connection: a worker completely silent this long is disconnected \
@@ -1205,7 +1073,7 @@ let serve_cmd =
   in
   let poison_threshold =
     Arg.(
-      value & opt int 3
+      value & opt non_negative 3
       & info [ "poison-threshold" ] ~docv:"N"
           ~doc:
             "Quarantine a chunk once $(docv) distinct workers die holding its lease: it is \
@@ -1214,7 +1082,7 @@ let serve_cmd =
   in
   let blacklist_threshold =
     Arg.(
-      value & opt int 3
+      value & opt non_negative 3
       & info [ "blacklist-threshold" ] ~docv:"N"
           ~doc:
             "Refuse further connections from a worker name after $(docv) protocol violations \
@@ -1222,7 +1090,7 @@ let serve_cmd =
   in
   let verify_frac =
     Arg.(
-      value & opt float 0.
+      value & opt fraction 0.
       & info [ "verify-frac" ] ~docv:"R"
           ~doc:
             "Cross-validation sampling: re-dispatch a deterministic fraction $(docv) of completed \
@@ -1232,7 +1100,7 @@ let serve_cmd =
   in
   let quorum =
     Arg.(
-      value & opt int 3
+      value & opt positive 3
       & info [ "quorum" ] ~docv:"K"
           ~doc:
             "Maximum arbitration ballots recruited per disputed chunk: on a verdict mismatch the \
@@ -1243,7 +1111,7 @@ let serve_cmd =
   in
   let suspect_threshold =
     Arg.(
-      value & opt int 5
+      value & opt non_negative 5
       & info [ "suspect-threshold" ] ~docv:"N"
           ~doc:
             "Suspicion score at which a worker name is quarantined for the rest of the run: \
@@ -1254,7 +1122,7 @@ let serve_cmd =
   in
   let arb_patience =
     Arg.(
-      value & opt float 30.
+      value & opt seconds 30.
       & info [ "arb-patience" ] ~docv:"SECONDS"
           ~doc:
             "How long an arbitration may sit with no ballot progress (e.g. no eligible voter \
@@ -1266,7 +1134,7 @@ let serve_cmd =
   in
   let max_inflight =
     Arg.(
-      value & opt int 1024
+      value & opt non_negative 1024
       & info [ "max-inflight" ] ~docv:"N"
           ~doc:
             "Backpressure bound on chunks simultaneously out on leases: requests past it are \
@@ -1288,7 +1156,7 @@ let serve_cmd =
   in
   let restart_budget =
     Arg.(
-      value & opt int 5
+      value & opt non_negative 5
       & info [ "restart-budget" ] ~docv:"N"
           ~doc:
             "Restarts allowed per child within a sliding $(b,--restart-window): a child dying \
@@ -1297,21 +1165,51 @@ let serve_cmd =
   in
   let restart_window =
     Arg.(
-      value & opt float 60.
+      value & opt seconds 60.
       & info [ "restart-window" ] ~docv:"SECONDS"
           ~doc:"The sliding window $(b,--restart-budget) counts restarts in.")
   in
   let fleet =
     Arg.(
-      value & opt int 0
+      value & opt non_negative 0
       & info [ "workers" ] ~docv:"N"
           ~doc:
             "Fork $(docv) supervised local workers alongside the coordinator (scalar engine, \
              named fleet-1..fleet-N, following the port file across coordinator restarts). \
              Requires $(b,--supervise); 0 means workers join externally via $(b,campaign work).")
   in
+  let config =
+    Term.(
+      const
+        (fun listen port chunk_size lease idle_timeout poison_threshold blacklist_threshold
+             verify_frac max_inflight quorum suspect_threshold arb_patience ->
+          {
+            Coordinator.default_config with
+            Coordinator.listen;
+            port;
+            chunk_size;
+            lease;
+            idle_timeout;
+            poison_threshold;
+            blacklist_threshold;
+            verify_frac;
+            max_inflight;
+            quorum;
+            suspect_threshold;
+            arb_patience;
+          })
+      $ listen $ port $ chunk_size $ lease $ idle_timeout $ poison_threshold
+      $ blacklist_threshold $ verify_frac $ max_inflight $ quorum $ suspect_threshold
+      $ arb_patience)
+  in
+  let sup_config =
+    Term.(
+      const (fun max_restarts window ->
+          { Supervisor.default_config with Supervisor.max_restarts; window; probe_interval = 2.0 })
+      $ restart_budget $ restart_window)
+  in
   Cmd.v
-    (Cmd.info "serve" ~man:exit_doc
+    (Cmd.info "serve" ~man:man_exit_status
        ~doc:
          "distributed-campaign coordinator: owns the fault-space sharding, the verdict journal \
           and the chunk-lease table; workers connect with $(b,campaign work). Survives worker \
@@ -1321,17 +1219,15 @@ let serve_cmd =
           new epoch and re-deliver in-flight verdicts; final statistics are bit-identical to \
           $(b,campaign run) with the same seed.")
     Term.(
-      const serve $ core $ program $ cycles $ samples $ seed $ prune $ fault_model_arg $ listen
-      $ port $ port_file $ chunk_size $ lease $ idle_timeout $ poison_threshold
-      $ blacklist_threshold $ verify_frac $ max_inflight $ quorum $ suspect_threshold
-      $ arb_patience $ journal $ resume $ verbose $ supervise $ restart_budget $ restart_window
-      $ fleet $ chaos_profile_arg $ chaos_seed_arg $ chaos_budget_arg)
+      ret
+        (const serve $ identity $ config $ port_file $ journal $ resume $ verbose $ supervise
+       $ sup_config $ fleet $ chaos))
 
 let work_cmd =
   let hostport =
     Arg.(
       required
-      & pos 0 (some string) None
+      & pos 0 (some hostport) None
       & info [] ~docv:"HOST:PORT" ~doc:"The coordinator to work for.")
   in
   let worker_name =
@@ -1343,12 +1239,12 @@ let work_cmd =
   in
   let workers =
     Arg.(
-      value & opt int 1
+      value & opt positive 1
       & info [ "workers" ] ~docv:"N" ~doc:"Fork $(docv) local worker processes.")
   in
   let max_reconnects =
     Arg.(
-      value & opt int 8
+      value & opt non_negative 8
       & info [ "max-reconnects" ] ~docv:"N"
           ~doc:
             "Consecutive connection failures tolerated (with capped exponential backoff) before \
@@ -1356,7 +1252,7 @@ let work_cmd =
   in
   let recv_timeout =
     Arg.(
-      value & opt float 30.
+      value & opt seconds 30.
       & info [ "recv-timeout" ] ~docv:"SECONDS"
           ~doc:
             "Read deadline on every frame expected from the coordinator: a coordinator silent \
@@ -1364,16 +1260,16 @@ let work_cmd =
              reconnects instead of hanging.")
   in
   Cmd.v
-    (Cmd.info "work" ~man:exit_doc
+    (Cmd.info "work" ~man:man_exit_status
        ~doc:
          "stateless campaign worker: connects to a $(b,campaign serve) coordinator, derives the \
           campaign (engine, fault list, pruner) from the pinned identity it is sent, and streams \
           verdicts back until the campaign completes. Safe to kill at any time — at most the \
           current chunk is re-dispatched.")
     Term.(
-      const work $ hostport $ worker_name $ workers $ engine_arg $ checkpoint_interval
-      $ retries $ max_reconnects $ recv_timeout $ chaos_profile_arg $ chaos_seed_arg
-      $ chaos_budget_arg)
+      ret
+        (const work $ hostport $ worker_name $ workers $ engine_arg $ checkpoint_interval
+       $ retries $ max_reconnects $ recv_timeout $ chaos))
 
 let fsck_cmd =
   let dir =
@@ -1383,7 +1279,7 @@ let fsck_cmd =
       & info [] ~docv:"JOURNAL_DIR" ~doc:"The journal directory to scan.")
   in
   Cmd.v
-    (Cmd.info "fsck" ~man:exit_doc
+    (Cmd.info "fsck" ~man:man_exit_status
        ~doc:
          "offline read-only integrity check of a verdict journal: validates the header and every \
           record CRC-32, reports seal state, torn trailing bytes, per-kind verdict counts and \
@@ -1393,7 +1289,7 @@ let fsck_cmd =
 
 let cmd =
   Cmd.group ~default:run_term
-    (Cmd.info "campaign" ~man:exit_doc
+    (Cmd.info "campaign" ~man:man_exit_status
        ~doc:
          "sampled fault-injection campaign with optional MATE pruning, crash-safe journaling, \
           supervised execution, MATE soundness auditing and distributed coordinator/worker \

@@ -66,8 +66,8 @@ type t = {
   mutable golden_trace : Trace.t option;
       (* the one golden recording shared by every delta-family worker:
          recorded once per (core, program, horizon) and kept across
-         worker resets, durable shards and distributed chunk retries *)
-  trace_lock : Mutex.t;  (* guards [golden_trace]: scalar domains race to it *)
+         worker resets, durable runs and distributed chunk retries *)
+  trace_lock : Mutex.t;  (* guards [golden_trace] against concurrent first callers *)
   total_cycles : int;
   interval : int;  (* checkpoint spacing in cycles *)
   out_wires : int array;
@@ -247,12 +247,12 @@ let memo_commit t keys verdict =
 (* The golden baseline shared by the delta-family engines: one full
    recorded run of the scalar system, cached for the campaign's
    lifetime. The trace is immutable, so worker resets (crash recovery),
-   durable shards and distributed chunk re-execution all reuse the same
+   durable runs and distributed chunk re-execution all reuse the same
    recording instead of re-simulating golden. Also consulted by the
    scalar injector for held faults, which re-arm against per-cycle
-   golden flop values — from several domains at once under
-   [run_sample ~jobs], hence the lock: the first caller records, the
-   others wait for its recording. *)
+   golden flop values. The lock keeps the recording single when
+   campaigns are driven from several domains (the first caller records,
+   the others wait for its recording). *)
 let golden_trace t =
   Mutex.protect t.trace_lock (fun () ->
       match t.golden_trace with
@@ -787,13 +787,10 @@ let no_skip ~flop_id:_ ~cycle:_ = false
 
 (* The one sample driver behind every [run_sample*]. All samples are
    drawn up front with the single caller-provided generator and the
-   pruned ones dropped on the calling domain: the fault list — and
-   therefore the stats — is a function of the seed alone, whatever the
-   kernel or domain count. [lanes] is checked first, whatever kernel the
-   model ends up on. [jobs] > 1 (scalar kernel only) splits the kept
-   faults into contiguous chunks, each classified on its own domain with
-   its own worker. *)
-let run_kernel t ~kernel ~space ~rng ~n ~skip ?lanes ?(jobs = 1) () =
+   pruned ones dropped: the fault list — and therefore the stats — is a
+   function of the seed alone, whatever the kernel. [lanes] is checked
+   first, whatever kernel the model ends up on. *)
+let run_kernel t ~kernel ~space ~rng ~n ~skip ?lanes () =
   ignore (lanes_in_range ~fn:"run_sample_delta_batched" lanes);
   (* The kept faults, compacted in place over the draw. *)
   let kept = draw_samples t ~space ~rng ~n in
@@ -805,24 +802,12 @@ let run_kernel t ~kernel ~space ~rng ~n ~skip ?lanes ?(jobs = 1) () =
         incr nf
       end)
     kept;
-  let nf = !nf in
-  let faults = Array.sub kept 0 nf in
-  let on worker faults = classify ?lanes t ~worker ~kernel ~space faults in
-  let jobs = max 1 (min jobs nf) in
-  stats_of ~n_skipped:(n - nf)
-    (if jobs = 1 then on (fun () -> t.primary) faults
-     else begin
-       let chunk = (nf + jobs - 1) / jobs in
-       List.init jobs (fun d ->
-           let lo = min nf (d * chunk) in
-           let len = min chunk (nf - lo) in
-           Domain.spawn (fun () ->
-               if len = 0 then [||] else on (fun () -> fresh_worker t) (Array.sub faults lo len)))
-       |> List.map Domain.join |> Array.concat
-     end)
+  let faults = Array.sub kept 0 !nf in
+  stats_of ~n_skipped:(n - !nf)
+    (classify ?lanes t ~worker:(fun () -> t.primary) ~kernel ~space faults)
 
-let run_sample t ~space ~rng ~n ?(skip = no_skip) ?jobs () =
-  run_kernel t ~kernel:Scalar ~space ~rng ~n ~skip ?jobs ()
+let run_sample t ~space ~rng ~n ?(skip = no_skip) () =
+  run_kernel t ~kernel:Scalar ~space ~rng ~n ~skip ()
 
 let run_sample_delta t ~space ~rng ~n ?(skip = no_skip) () =
   run_kernel t ~kernel:Delta ~space ~rng ~n ~skip ()

@@ -27,11 +27,6 @@
     at an equal cycle implies an identical future), keeping verdicts
     bit-identical to a from-scratch simulation.
 
-    Campaigns fan out over OCaml domains: {!run_sample} with [~jobs:k]
-    classifies the same deterministic fault list on [k] domains, each with
-    its own system and checkpoint set, and merges the per-domain counts.
-    The stats are independent of [jobs].
-
     The delta path ({!inject_delta}, {!run_sample_delta}) instead
     simulates each faulty run as a sparse difference against a recorded
     golden trace ({!Pruning_sim.Deltasim}): only gates in the fault
@@ -59,7 +54,7 @@
     The delta-family engines record the golden baseline once: the
     campaign caches the recorded trace per its (core, program, horizon)
     identity, so delta and batched-delta workers — including rebuilds
-    after crash recovery, durable shards and distributed chunk
+    after crash recovery, durable runs and distributed chunk
     re-execution — share one recording.
 
     The scalar engine is the reference oracle; delta-batched is the
@@ -107,8 +102,8 @@ val create :
   t
 (** Runs the golden experiment once, caching its observables and the
     periodic checkpoints. [make] must produce a fresh, deterministic
-    system each call (it is also invoked once per extra domain by
-    {!run_sample}, so it must be safe to call from other domains).
+    system each call (it is also invoked by {!fresh_worker}, which may
+    run on another domain).
     [make_delta] builds the same system over the activity-gated delta
     kernel (from a golden trace the campaign records lazily on first
     delta call) and enables {!inject_delta} / {!run_sample_delta};
@@ -129,8 +124,7 @@ val total_cycles : t -> int
 val inject : t -> flop_id:int -> cycle:int -> verdict
 (** One fault-injection experiment. [cycle] must be < [total_cycles]. Not
     safe to call concurrently from several domains (it reuses the
-    campaign's primary worker); use {!run_sample} with [~jobs] for
-    parallel campaigns. *)
+    campaign's primary worker). *)
 
 type worker
 (** One domain's private injection state: a system plus its own
@@ -142,7 +136,7 @@ val primary_worker : t -> worker
 
 val fresh_worker : t -> worker
 (** Build a new worker by replaying the golden prefix on a fresh system
-    from [make] — the unit of isolation for parallel shards, and the
+    from [make] — a supervised executor's own worker, and the
     supervisor's recovery action after a worker is lost to a crash or a
     watchdog kill. Safe to call from any domain. *)
 
@@ -231,22 +225,20 @@ val run_sample :
   rng:Pruning_util.Prng.t ->
   n:int ->
   ?skip:(flop_id:int -> cycle:int -> bool) ->
-  ?jobs:int ->
   unit ->
   stats
-(** Randomly sample [n] faults from [space] and run them. [skip] marks
-    faults already pruned (skipped without an experiment — exactly what a
-    MATE-enriched platform would do); it is evaluated on the calling
-    domain. [jobs] (default 1) fans the experiments out over that many
-    OCaml domains; the sampled fault list is drawn up front from [rng],
-    so the resulting stats are identical for every [jobs] value. *)
+(** Randomly sample [n] faults from [space] and run them on the scalar
+    engine's primary worker. [skip] marks faults already pruned (skipped
+    without an experiment — exactly what a MATE-enriched platform would
+    do). The sampled fault list is drawn up front from [rng], so the
+    stats are a function of the seed alone. *)
 
 val golden_trace : t -> Pruning_sim.Trace.t
 (** The golden baseline shared by the delta-family engines: one full
     recorded run of the scalar system, made lazily on first use and
     cached for the campaign's lifetime. Because the campaign {e is} the
     (core, program, horizon) identity, every delta-family worker built
-    from it — including rebuilds after a crash, durable shards and
+    from it — including rebuilds after a crash, durable runs and
     distributed chunk re-execution — reuses this one recording. Safe to
     call from several domains at once: the recording is made exactly
     once. *)

@@ -30,12 +30,11 @@ type result = {
   retried : int;
 }
 
-let run campaign ~space ~seed ~n ?(ident = ("unknown", "unknown")) ?skip ?audit ?(jobs = 1)
+let run campaign ~space ~seed ~n ?(ident = ("unknown", "unknown")) ?skip ?audit
     ?(kernel = Campaign.Scalar) ?lanes ?budget ?(retries = 2)
     ?(retry_backoff = Backoff.retry_policy) ?journal ?(resume = false) ?records_per_segment
     ?(should_stop = fun () -> false) ?chaos ?fault () =
   if n < 0 then invalid_arg "Durable.run: n must be non-negative";
-  if jobs < 1 then invalid_arg "Durable.run: jobs must be positive";
   if retries < 0 then invalid_arg "Durable.run: retries must be non-negative";
   (match lanes with
   | None -> ()
@@ -51,32 +50,29 @@ let run campaign ~space ~seed ~n ?(ident = ("unknown", "unknown")) ?skip ?audit 
   | _ -> ());
   (match budget with
   | Some b when b <= 0 -> invalid_arg "Durable.run: budget must be positive"
+  | Some _
+    when Campaign.effective_kernel space.Fault_space.model kernel = Campaign.Delta_batched ->
+    invalid_arg "Durable.run: ~budget (the watchdog) requires a per-fault kernel"
   | _ -> ());
   if resume && journal = None then invalid_arg "Durable.run: resume requires a journal";
   let core, program = ident in
   (* Identical draw order to [Campaign.run_sample]: the fault list is a
-     function of the seed alone, so journal resume, jobs count and the
-     kernel all see the same samples. *)
+     function of the seed alone, so journal resume and the kernel all
+     see the same samples. *)
   let rng = Prng.create seed in
   let master_state = Prng.save rng in
   let samples = Campaign.draw_samples campaign ~space ~rng ~n in
-  (* One shard for the delta-family engines (their workers are shared,
-     not domain-safe; [Delta_batched] falls back only to [Delta]); the
-     scalar engine fans out over [jobs] domains. *)
-  let shards =
-    match kernel with
-    | Campaign.Delta | Campaign.Delta_batched -> 1
-    | Campaign.Scalar -> max 1 (min jobs (max 1 n))
-  in
-  (* Per-shard audit samplers, split off deterministically after the
-     sample draw; their initial states are pinned in the journal header
-     so a resumed run replays the identical audit decisions. *)
-  let shard_states = Array.init shards (fun _ -> Prng.save (Prng.split rng)) in
+  (* The audit sampler, split off deterministically after the sample
+     draw; its initial state is pinned in the journal header so a
+     resumed run replays the identical audit decisions. *)
+  let audit_state = Prng.save (Prng.split rng) in
   let audit_p, hooks =
     match audit with
     | Some (p, h) -> (p, Some h)
     | None -> (0., None)
   in
+  (* [shards = 1] and its one [shard_prng] keep the header byte-identical
+     to the single-shard journals of older builds, so those resume. *)
   let header : Journal.header =
     {
       Journal.core;
@@ -86,17 +82,14 @@ let run campaign ~space ~seed ~n ?(ident = ("unknown", "unknown")) ?skip ?audit 
       samples = n;
       prune = skip <> None;
       audit = audit_p;
-      shards;
+      shards = 1;
       batched = false;
       epoch = 0;
       fault_model = space.Fault_space.model;
       prng = master_state;
-      shard_prng = shard_states;
+      shard_prng = [| audit_state |];
     }
   in
-  (* Shared supervisor state; [lock] guards the audit record. Each cell
-     of [outcomes] and [auditing] is written by exactly one shard. *)
-  let lock = Mutex.create () in
   let outcomes : Journal.outcome option array = Array.make n None in
   let auditing = Array.make n false in
   let violations = ref [] in
@@ -128,7 +121,8 @@ let run campaign ~space ~seed ~n ?(ident = ("unknown", "unknown")) ?skip ?audit 
   in
   (* One audit draw per index, consumed whether or not it is used:
      resumed runs and quarantine-perturbed runs stay stream-aligned. *)
-  let plan arng idx ~flop_id ~cycle =
+  let arng = Prng.restore audit_state in
+  let plan idx ~flop_id ~cycle =
     let draw = Prng.float arng in
     if outcomes.(idx) <> None then Executor.Done
     else if not (is_pruned ~flop_id ~cycle) then Executor.Inject
@@ -153,14 +147,13 @@ let run campaign ~space ~seed ~n ?(ident = ("unknown", "unknown")) ?skip ?audit 
       | Some h -> h.masking ~flop_id ~cycle
       | None -> []
     in
-    Mutex.protect lock (fun () ->
-        (match hooks with
-        | Some h -> List.iter h.quarantine mates
-        | None -> ());
-        quarantined := List.rev_append mates !quarantined;
-        violations :=
-          { v_index = i; v_flop_id = flop_id; v_cycle = cycle; v_verdict = v; v_mates = mates }
-          :: !violations);
+    (match hooks with
+    | Some h -> List.iter h.quarantine mates
+    | None -> ());
+    quarantined := List.rev_append mates !quarantined;
+    violations :=
+      { v_index = i; v_flop_id = flop_id; v_cycle = cycle; v_verdict = v; v_mates = mates }
+      :: !violations;
     List.iter (fun m -> journal_entry (Journal.Quarantine m)) mates
   in
   (* Every outcome is journaled the moment its window is classified (a
@@ -171,7 +164,7 @@ let run campaign ~space ~seed ~n ?(ident = ("unknown", "unknown")) ?skip ?audit 
     let o =
       match o with
       | (Journal.Benign | Journal.Latent | Journal.Sdc _) when auditing.(idx) ->
-        Mutex.protect lock (fun () -> incr audited);
+        incr audited;
         if o = Journal.Benign then Journal.Skipped
         else begin
           handle_violation idx o;
@@ -182,37 +175,20 @@ let run campaign ~space ~seed ~n ?(ident = ("unknown", "unknown")) ?skip ?audit 
     outcomes.(idx) <- Some o;
     journal_entry (Journal.Outcome (idx, o))
   in
-  (* A shard is one supervised executor over a contiguous index range.
-     Retry pacing is capped exponential backoff whose jitter is drawn
-     from a generator split off the shard's pinned PRNG state — a rerun
+  (* One supervised executor over the whole index range, on the calling
+     domain. Retry pacing is capped exponential backoff whose jitter is
+     drawn from a generator split off the pinned audit state — a rerun
      that hits the same failures sleeps the same schedule. The batched
      kernel is journaled per window of four full passes. *)
-  let run_shard s lo hi =
-    let executor =
-      Executor.create campaign ~space ~samples ~kernel ?lanes
-        ~window:(4 * Option.value lanes ~default:Campaign.max_delta_lanes)
-        ?budget ~retries
-        ~backoff:(Backoff.create ~policy:retry_backoff (Prng.split (Prng.restore shard_states.(s))))
-        ?chaos ~should_stop ()
-    in
-    ignore
-      (Executor.run executor ~lo ~hi
-         ~plan:(plan (Prng.restore shard_states.(s)))
-         ~emit
-         ?fault:(Option.map (fun f -> f ~shard:s) fault)
-         ());
-    Executor.failures executor
+  let executor =
+    Executor.create campaign ~space ~samples ~kernel ?lanes
+      ~window:(4 * Option.value lanes ~default:Campaign.max_delta_lanes)
+      ?budget ~retries
+      ~backoff:(Backoff.create ~policy:retry_backoff (Prng.split (Prng.restore audit_state)))
+      ?chaos ~should_stop ()
   in
-  let retried =
-    Fun.protect ~finally:(fun () -> Option.iter Journal.close writer) @@ fun () ->
-    if shards = 1 then run_shard 0 0 (n - 1)
-    else begin
-      let chunk = (n + shards - 1) / shards in
-      List.init shards (fun s ->
-          Domain.spawn (fun () -> run_shard s (s * chunk) (min (n - 1) (((s + 1) * chunk) - 1))))
-      |> List.fold_left (fun acc d -> acc + Domain.join d) 0
-    end
-  in
+  Fun.protect ~finally:(fun () -> Option.iter Journal.close writer) (fun () ->
+      ignore (Executor.run executor ~lo:0 ~hi:(n - 1) ~plan ~emit ?fault ()));
   {
     stats = Journal.stats outcomes;
     audit =
@@ -224,5 +200,5 @@ let run campaign ~space ~seed ~n ?(ident = ("unknown", "unknown")) ?skip ?audit 
     completed = Array.for_all Option.is_some outcomes;
     recovered;
     dropped_bytes;
-    retried;
+    retried = Executor.failures executor;
   }

@@ -8,14 +8,14 @@
       produced. A campaign killed at any point — SIGKILL included — is
       resumed with [~resume:true]: the journal header pins the campaign
       identity (core, program, cycles, seed, sample count, prune/audit
-      configuration, shard count and every serialized PRNG state), the
+      configuration and every serialized PRNG state), the
       fault list is re-derived from the restored sampler, recorded
       verdicts are replayed, and only the missing experiments run. The
       final statistics are bit-identical to an uninterrupted run.
 
-    - {b Supervision}: the sample list is split into per-domain shards,
-      each classified by one {!Executor} — the same supervised loop that
-      runs {!Worker} chunks. Each experiment runs under an optional
+    - {b Supervision}: the sample list is classified by one
+      {!Executor} — the same supervised loop that runs {!Worker} chunks —
+      on the calling domain. Each experiment runs under an optional
       simulated-cycle watchdog ({!Campaign.Budget_exceeded}); an
       experiment that raises — watchdog, simulator bug, test-injected
       chaos — is retried up to [retries] times, each time on a freshly
@@ -79,7 +79,6 @@ val run :
   ?ident:string * string ->
   ?skip:(flop_id:int -> cycle:int -> bool) ->
   ?audit:float * audit_hooks ->
-  ?jobs:int ->
   ?kernel:Campaign.kernel ->
   ?lanes:int ->
   ?budget:int ->
@@ -90,7 +89,7 @@ val run :
   ?records_per_segment:int ->
   ?should_stop:(unit -> bool) ->
   ?chaos:Chaos.t ->
-  ?fault:(shard:int -> index:int -> attempt:int -> unit) ->
+  ?fault:(index:int -> attempt:int -> unit) ->
   unit ->
   result
 (** Durable counterpart of {!Campaign.run_sample} and its delta-family
@@ -98,30 +97,31 @@ val run :
     nothing crashes), then runs it under journal + supervisor + sentinel.
 
     [ident] is the (core, program) pair recorded in the journal header
-    and checked on resume. [skip] marks pruned faults; it may be called
-    from several domains and must be pure except for quarantine effects.
-    [audit] enables the sentinel ([p] in \[0, 1\]; audit decisions are
-    drawn from per-shard PRNGs whose states live in the journal header,
-    so a resumed run audits exactly the faults the original would have).
-    [jobs] is the shard/domain count for the scalar path. [kernel]
-    selects the engine ([Scalar] (default), the activity-gated [Delta],
-    or the batched-delta [Delta_batched], which runs non-[Seu] models
-    on [Delta] per {!Campaign.effective_kernel}). The delta-family
-    kernels run on a single shard ([jobs] is ignored); their journals
-    carry the same header shape as scalar [jobs = 1] runs, and since
-    the kernels are verdict-bit-identical those resume interchangeably
-    — including journals whose header carries the historical [batched]
-    flag of the deleted bit-parallel engine. [lanes] caps the in-flight
-    faults per pass of [Delta_batched] (default: the engine's maximum;
-    rejected for the per-fault kernels). [budget] is the per-experiment
-    watchdog in simulated cycles (scalar and delta paths only).
-    [retries] (default 2) bounds the supervisor's fresh-system retries
-    per experiment (per window of four full passes on [Delta_batched],
-    which is also its journaling unit); between
-    retries the shard sleeps per [retry_backoff] (default
-    {!Pruning_util.Backoff.retry_policy}: capped exponential with jitter
-    drawn deterministically from the shard's pinned PRNG state, so reruns
-    hitting the same failures pace identically).
+    and checked on resume. [skip] marks pruned faults; it must be pure
+    except for quarantine effects. [audit] enables the sentinel ([p] in
+    \[0, 1\]; audit decisions are drawn from a PRNG whose state lives in
+    the journal header, so a resumed run audits exactly the faults the
+    original would have). [kernel] selects the engine ([Scalar]
+    (default), the activity-gated [Delta], or the batched-delta
+    [Delta_batched], which runs non-[Seu] models on [Delta] per
+    {!Campaign.effective_kernel}). Every kernel writes the same header
+    shape ([shards = 1], one audit PRNG state), and since the kernels
+    are verdict-bit-identical their journals resume interchangeably —
+    including journals whose header carries the historical [batched]
+    flag of the deleted bit-parallel engine. A journal with
+    [shards > 1], written by [--jobs N] of an older build, is refused
+    by {!Journal.require_match}. [lanes] caps the in-flight faults per
+    pass of [Delta_batched] (default: the engine's maximum; rejected
+    with [Invalid_argument] for the per-fault kernels). [budget] is the
+    per-experiment watchdog in simulated cycles; it needs a per-fault
+    kernel, so it is rejected with [Invalid_argument] when the
+    effective kernel is [Delta_batched]. [retries] (default 2) bounds
+    the supervisor's fresh-system retries per experiment (per window of
+    four full passes on [Delta_batched], which is also its journaling
+    unit); between retries the executor sleeps per [retry_backoff]
+    (default {!Pruning_util.Backoff.retry_policy}: capped exponential
+    with jitter drawn deterministically from the pinned PRNG state, so
+    reruns hitting the same failures pace identically).
     [journal] is the journal directory; [resume] reopens it instead of
     creating it, raising {!Journal.Error} with an actionable message if
     the header does not match the invocation. [should_stop] is polled
@@ -135,11 +135,9 @@ val run :
     manufactures [Crashed] verdicts) and journal chaos on the writer
     (short writes, injected ENOSPC/EIO, fsync failures, torn seal
     renames — all surfacing as {!Journal.Error}, from which [resume]
-    completes the campaign bit-identically). Chaos draws are not
-    synchronized across shards; with [jobs > 1] the plan is still
-    injected but not reproducible draw-for-draw. [fault] is a test-only
-    fault-injection hook for the supervisor itself, called before every
-    attempt with the shard, the attempted sample index (a window's first
-    injected index on [Delta_batched]) and the attempt number; an
-    exception it raises is handled exactly like a crashed experiment
-    (see {!Executor.run}). *)
+    completes the campaign bit-identically). The plan is reproducible
+    draw-for-draw. [fault] is a test-only fault-injection hook for the
+    supervisor itself, called before every attempt with the attempted
+    sample index (a window's first injected index on [Delta_batched])
+    and the attempt number; an exception it raises is handled exactly
+    like a crashed experiment (see {!Executor.run}). *)

@@ -1,7 +1,7 @@
 (** The supervised executor: the one place a fault list is classified
     under supervision.
 
-    {!Durable} shards and {!Worker} chunks both hand it a range of sample
+    {!Durable} runs and {!Worker} chunks both hand it a range of sample
     indices; it owns everything between "this fault must be classified"
     and "here is its outcome":
 

@@ -89,8 +89,8 @@ let draw_key t i =
 (* SET expansion: the flop ids whose D pin lies in the gate output's
    fault cone — the multi-flop SEU set that would latch the corrupted
    value, per the RTL representation of gate-level SETs. Cached per
-   gate (cone computation walks the netlist) and mutex-guarded: durable
-   scalar shards consult skip predicates from several domains. *)
+   gate (cone computation walks the netlist) and mutex-guarded: one fault
+   space may be consulted from several domains or threads. *)
 let set_members t gate_idx =
   Mutex.lock t.cone_lock;
   let cached = Hashtbl.find_opt t.cone_cache gate_idx in

@@ -257,13 +257,32 @@ let header_of_string ~what:dir s =
     | Some v -> v
     | None -> error "%s: journal header field %S is not an integer" dir k
   in
-  let shards = int "shards" in
+  (* Counts size arrays downstream: a CRC-valid header is still untrusted
+     input (a peer's Welcome), so out-of-range counts are an [Error]. *)
+  let count k ~least =
+    let v = int k in
+    if v < least then
+      error "%s: journal header field %S must be at least %d (got %d)" dir k least v;
+    v
+  in
+  let shards = count "shards" ~least:0 in
+  (* The shardK keys are read until the first gap, never pre-sized by
+     [shards], and must then number exactly [shards]. *)
+  let rec shard_states i =
+    match Hashtbl.find_opt fields (Printf.sprintf "shard%d" i) with
+    | Some v -> v :: shard_states (i + 1)
+    | None -> []
+  in
+  let shard_prng = Array.of_list (shard_states 0) in
+  if Array.length shard_prng <> shards then
+    error "%s: journal header has %d shard PRNG states for shards=%d" dir
+      (Array.length shard_prng) shards;
   {
     core = get "core";
     program = get "program";
-    cycles = int "cycles";
+    cycles = count "cycles" ~least:1;
     seed = int "seed";
-    samples = int "samples";
+    samples = count "samples" ~least:0;
     prune = get "prune" = "1";
     audit =
       (match float_of_string_opt (get "audit") with
@@ -290,8 +309,14 @@ let header_of_string ~what:dir s =
         | Ok m -> m
         | Error msg -> error "%s: journal header field \"fault_model\": %s" dir msg));
     prng = get "prng";
-    shard_prng = Array.init shards (fun i -> get (Printf.sprintf "shard%d" i));
+    shard_prng;
   }
+
+(* A local run is one shard; [shards > 1] was written by [--jobs N] of
+   an older build, whose per-shard audit streams this build cannot
+   replay: such a journal parses, but never resumes. *)
+let legacy_jobs shards =
+  Printf.sprintf "written by --jobs %d of an older build, which cannot be resumed" shards
 
 (* Resuming (or serving) under a different invocation would silently
    change what the recorded verdicts mean; refuse with a message naming
@@ -312,7 +337,9 @@ let require_match ~what (h : header) (want : header) =
   chk "audit" (h.audit = want.audit)
     (Printf.sprintf "%g" h.audit)
     (Printf.sprintf "%g" want.audit);
-  chk "shards (--jobs)" (h.shards = want.shards) (string_of_int h.shards)
+  chk "shards" (h.shards = want.shards)
+    (if h.shards > 1 then Printf.sprintf "%d (%s)" h.shards (legacy_jobs h.shards)
+     else string_of_int h.shards)
     (string_of_int want.shards);
   chk "fault_model"
     (h.fault_model = want.fault_model)
@@ -702,7 +729,10 @@ let fsck ~dir =
     end
     else
       match header_of_string ~what:dir (Bytes.to_string (read_file (header_file dir))) with
-      | h -> Some h
+      | h ->
+        if h.shards > 1 then
+          err "header" (Printf.sprintf "shards=%d: %s" h.shards (legacy_jobs h.shards));
+        Some h
       | exception Error msg -> err "header" msg; None
   in
   let header_model = Option.map (fun h -> Fault_model.id h.fault_model) header in
@@ -710,7 +740,7 @@ let fsck ~dir =
   let model_counts : (int, int array) Hashtbl.t = Hashtbl.create 4 in
   let unknown_models = Hashtbl.create 4 in
   let foreign_models = Hashtbl.create 4 in
-  let covered = Hashtbl.create 1024 in
+  let all = ref [] in
   let records = ref 0 in
   let overturned = ref 0 in
   let arb_ballots = ref 0 in
@@ -718,6 +748,7 @@ let fsck ~dir =
     List.iter
       (fun (model, e) ->
         incr records;
+        all := e :: !all;
         counts.(kind_of_entry e) <- counts.(kind_of_entry e) + 1;
         let mc =
           match Hashtbl.find_opt model_counts model with
@@ -744,23 +775,9 @@ let fsck ~dir =
                (match header with Some h -> Fault_model.name h.fault_model | None -> "?"))
         | _ -> ());
         match e with
-        | Outcome (i, _) -> Hashtbl.replace covered i ()
         | Arbitrated a ->
-          Hashtbl.replace covered a.index ();
           arb_ballots := !arb_ballots + a.voters;
-          if a.overturned then begin
-            incr overturned;
-            (* The override supersedes the first-recorded Outcome already
-               tallied above: move one verdict from the loser's kind to
-               the winner's, so the verdict summary matches what a
-               resume (which applies overrides) reports. *)
-            let lk = kind_of_entry (Outcome (a.index, a.loser)) in
-            let wk = kind_of_entry (Outcome (a.index, a.outcome)) in
-            (* Clamped: in a journal whose losing Outcome record was lost
-               with a torn segment there is nothing to move away from. *)
-            counts.(lk) <- max 0 (counts.(lk) - 1);
-            counts.(wk) <- counts.(wk) + 1
-          end
+          if a.overturned then incr overturned
         | _ -> ())
       entries
   in
@@ -786,6 +803,41 @@ let fsck ~dir =
       | exception Sys_error msg -> err "active.bin" msg; (None, 0)
     else (None, 0)
   in
+  (* The verdict kinds come from the resume fold itself, so they are by
+     construction what a resume reconstructs. Without a header there is
+     no sample count: fold over the distinct indices the records name. *)
+  let entries = Array.of_list (List.rev !all) in
+  let n, entries =
+    match header with
+    | Some h -> (h.samples, entries)
+    | None ->
+      let slots = Hashtbl.create 1024 in
+      let slot i =
+        match Hashtbl.find_opt slots i with
+        | Some k -> k
+        | None ->
+          let k = Hashtbl.length slots in
+          Hashtbl.add slots i k;
+          k
+      in
+      let dense =
+        Array.map
+          (function
+            | Outcome (i, o) -> Outcome (slot i, o)
+            | Arbitrated a -> Arbitrated { a with index = slot a.index }
+            | e -> e)
+          entries
+      in
+      (Hashtbl.length slots, dense)
+  in
+  let outcomes = Array.make n None in
+  ignore (replay outcomes entries);
+  let st = stats outcomes in
+  counts.(0) <- st.Campaign.benign;
+  counts.(1) <- st.Campaign.latent;
+  counts.(2) <- st.Campaign.sdc;
+  counts.(3) <- st.Campaign.skipped;
+  counts.(4) <- st.Campaign.crashed;
   {
     fsck_header = header;
     fsck_segments = List.length segments;
@@ -795,7 +847,7 @@ let fsck ~dir =
     fsck_counts = counts;
     fsck_models =
       Hashtbl.fold (fun m a acc -> (m, a) :: acc) model_counts [] |> List.sort compare;
-    fsck_covered = Hashtbl.length covered;
+    fsck_covered = st.Campaign.injections + st.Campaign.skipped + st.Campaign.crashed;
     fsck_overturned = !overturned;
     fsck_arb_ballots = !arb_ballots;
     fsck_errors = List.rev !errors;

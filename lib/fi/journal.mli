@@ -11,7 +11,7 @@
     - [header]: textual key=value block (campaign identity: core,
       program, cycles, seed, sample count, prune/audit configuration,
       shard count and the serialized {!Pruning_util.Prng} state of the
-      master sampler and of every shard), protected by a trailing CRC-32
+      master sampler and of the audit sampler), protected by a trailing CRC-32
       line and written atomically (tempfile + rename);
     - [seg-NNNNNN.bin]: finalized segments of exactly
       [records_per_segment] records each, sealed by an atomic rename of
@@ -73,6 +73,10 @@ type header = {
   prune : bool;
   audit : float;  (** audited fraction of pruned faults, 0 = off *)
   shards : int;
+      (** [1] for a local ({!Durable}) journal, [0] for a distributed
+          one. Older builds wrote [N > 1] under [--jobs N]; such
+          journals still parse, but {!require_match} refuses to resume
+          them. *)
   batched : bool;
       (** historical: set by the deleted bit-parallel engine. Kept in the
           record and on disk so old journals parse, but not campaign
@@ -89,7 +93,9 @@ type header = {
           Campaign identity: {!require_match} refuses a mismatch and the
           coordinator's [Welcome] payload carries it to every worker. *)
   prng : string;  (** master sampler state, before any draw *)
-  shard_prng : string array;  (** per-shard audit-sampler states *)
+  shard_prng : string array;
+      (** audit-sampler states, one per shard: one for a local journal,
+          none for a distributed one *)
 }
 
 type writer
@@ -165,8 +171,7 @@ val update_header : dir:string -> header -> unit
     lives at [dir]. *)
 
 val append : writer -> entry -> unit
-(** Append one record and flush it to the OS. Thread-safe (campaign
-    shards on several domains share one writer). A {e real} transient
+(** Append one record and flush it to the OS. Thread-safe. A {e real} transient
     ENOSPC is absorbed: the writer pauses and retries for a bounded
     while (space freed by an operator or log rotation mid-campaign)
     before declaring the sticky failure; an injected
@@ -207,18 +212,20 @@ type fsck_report = {
   fsck_active : int option;  (** records in [active.bin], [None] if absent *)
   fsck_torn_bytes : int;  (** torn tail bytes in [active.bin] *)
   fsck_counts : int array;
-      (** per-kind record counts, indexed by record kind: benign, latent,
-          sdc, skipped, crashed, quarantine, poisoned, arbitrated. The
-          verdict kinds (0..4) have overturned arbitrations applied — one
-          count moved from the losing kind to the winning — so they match
-          the statistics a resume reconstructs. *)
+      (** per-kind counts, indexed by record kind: benign, latent, sdc,
+          skipped, crashed, quarantine, poisoned, arbitrated. The verdict
+          kinds (0..4) are the {!stats} of the {!replay} fold over the
+          header's [samples] — exactly the statistics a resume
+          reconstructs; the others count records. *)
   fsck_models : (int * int array) list;
-      (** per-fault-model record counts: (model id, per-kind counts as
-          in [fsck_counts]), ascending by model id. Records whose model
+      (** per-fault-model record counts: (model id, per-kind record
+          counts, indexed as [fsck_counts]), ascending by model id. Records whose model
           nibble is unknown ({!Fault_model.base_name_of_id} = [None]) or
           disagrees with the header's pinned model additionally get an
           [fsck_errors] row — reported, never a crash. *)
-  fsck_covered : int;  (** distinct sample indices holding a verdict *)
+  fsck_covered : int;
+      (** sample indices the {!replay} fold assigns a verdict (without a
+          header: distinct indices the records name) *)
   fsck_overturned : int;
       (** arbitrated records whose quorum overturned the first verdict *)
   fsck_arb_ballots : int;  (** total quorum ballots across arbitrations *)
@@ -231,4 +238,5 @@ val fsck : dir:string -> fsck_report
     not an error). Never modifies anything and never raises on damage —
     each problem becomes an [fsck_errors] row — so an operator can
     assess a journal mid-failover without touching it. A report with
-    [fsck_errors = []] is a journal {!resume} will accept. *)
+    [fsck_errors = []] is a journal {!resume} will accept; a header with
+    [shards > 1] (an older build's [--jobs N]) is reported as a problem. *)

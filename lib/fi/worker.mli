@@ -15,7 +15,7 @@
     [max_reconnects] consecutive failures.
 
     Chunks are classified by the same supervised {!Executor} that runs
-    {!Durable}'s shards — one kernel dispatch (with the fault-model
+    {!Durable}'s local runs — one kernel dispatch (with the fault-model
     fallback of {!Campaign.effective_kernel}), one retry/backoff loop,
     one execution-chaos site: a raising experiment is retried on a
     fresh system with backoff, a persistent failure is reported as

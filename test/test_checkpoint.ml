@@ -134,34 +134,9 @@ let test_repeated_injections_consistent () =
     check_bool "cold = warm" true (v1 = v2)
   done
 
-let test_parallel_determinism () =
-  let make = avr_make () in
-  let nl = (make ()).System.netlist in
-  let space = Fault_space.full nl ~cycles:total_cycles in
-  let campaign = Campaign.create ~make ~total_cycles () in
-  let run jobs = Campaign.run_sample campaign ~space ~rng:(Prng.create 31337) ~n:60 ~jobs () in
-  let seq = run 1 in
-  let par = run 4 in
-  check_bool "jobs 4 = jobs 1" true (seq = par);
-  check_int "invariant holds" seq.Campaign.injections
-    (seq.Campaign.benign + seq.Campaign.latent + seq.Campaign.sdc);
-  (* And with a skip predicate active. *)
-  let skip ~flop_id ~cycle = (flop_id + cycle) mod 3 = 0 in
-  let run_skip jobs =
-    Campaign.run_sample campaign ~space ~rng:(Prng.create 31337) ~n:60 ~skip ~jobs ()
-  in
-  let seq_s = run_skip 1 in
-  let par_s = run_skip 3 in
-  check_bool "skip: jobs 3 = jobs 1" true (seq_s = par_s);
-  check_bool "some skipped" true (seq_s.Campaign.skipped > 0);
-  check_int "skip invariant" seq_s.Campaign.injections
-    (seq_s.Campaign.benign + seq_s.Campaign.latent + seq_s.Campaign.sdc);
-  check_int "totals" 60 (seq_s.Campaign.injections + seq_s.Campaign.skipped)
-
 let suite =
   [
     Alcotest.test_case "checkpointed = from-scratch (500 pairs, 4 intervals)" `Quick
       test_differential;
     Alcotest.test_case "memoized verdicts reproducible" `Quick test_repeated_injections_consistent;
-    Alcotest.test_case "parallel campaign deterministic" `Quick test_parallel_determinism;
   ]

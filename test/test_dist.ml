@@ -488,7 +488,7 @@ let test_worker_batched_windows () =
   check_int "no mismatches" 0 r.Coordinator.mismatches;
   check_stats "windowed chunk = local" reference r.Coordinator.stats
 
-(* Durable shards and Worker chunks share one supervised executor, so the
+(* Durable runs and Worker chunks share one supervised executor, so the
    same failing experiments cost the same retries and crash the same
    faults on either side. *)
 let test_worker_retry_accounting () =
@@ -498,7 +498,7 @@ let test_worker_retry_accounting () =
   let _, _, space, campaign = toy_parts () in
   let local =
     Durable.run campaign ~space ~seed:toy_seed ~n:toy_n
-      ~fault:(fun ~shard:_ ~index ~attempt -> failing ~index ~attempt)
+      ~fault:(fun ~index ~attempt -> failing ~index ~attempt)
       ()
   in
   let coord = Coordinator.create ~config:test_config () in

@@ -174,6 +174,43 @@ let test_journal_torn_tail () =
 
 (* A bit flipped inside a sealed segment is real corruption, not a torn
    tail: resume must refuse loudly rather than resume wrong statistics. *)
+(* fsck counts verdicts through the resume fold: a duplicate outcome
+   counts once (the first wins), an overturned arbitration replaces the
+   recorded verdict, and an index outside the header's sample range is
+   ignored — exactly what a resume reconstructs. *)
+let test_fsck_counts_what_resume_reconstructs () =
+  let dir = scratch_dir () in
+  let w = Journal.create ~dir (header ~samples:4 ()) in
+  List.iter (Journal.append w)
+    [
+      Journal.Outcome (0, Journal.Benign);
+      Journal.Outcome (0, Journal.Latent);
+      Journal.Outcome (1, Journal.Sdc 3);
+      Journal.Arbitrated
+        { index = 1; outcome = Journal.Latent; loser = Journal.Sdc 0; voters = 3; overturned = true };
+      Journal.Outcome (9, Journal.Benign);
+      Journal.Outcome (2, Journal.Skipped);
+    ];
+  Journal.close w;
+  let r = Journal.fsck ~dir in
+  check_bool "clean" true (r.Journal.fsck_errors = []);
+  let c = r.Journal.fsck_counts in
+  check_int "benign" 1 c.(0);
+  check_int "latent" 1 c.(1);
+  check_int "sdc" 0 c.(2);
+  check_int "skipped" 1 c.(3);
+  check_int "arbitrated records" 1 c.(7);
+  check_int "covered" 3 r.Journal.fsck_covered;
+  let _, entries, _ = Journal.load ~dir in
+  let outcomes = Array.make 4 None in
+  ignore (Journal.replay outcomes entries);
+  let st = Journal.stats outcomes in
+  check_int "resume: benign" c.(0) st.Campaign.benign;
+  check_int "resume: latent" c.(1) st.Campaign.latent;
+  check_int "resume: sdc" c.(2) st.Campaign.sdc;
+  check_int "resume: skipped" c.(3) st.Campaign.skipped;
+  rm_rf dir
+
 let test_journal_sealed_corruption () =
   let dir = scratch_dir () in
   let w = Journal.create ~records_per_segment:4 ~dir (header ()) in
@@ -263,6 +300,96 @@ let prop_replay_semantics =
       && st.Campaign.crashed = count (( = ) (Some Journal.Crashed))
       && st.Campaign.injections = st.Campaign.benign + st.Campaign.latent + st.Campaign.sdc)
 
+
+(* Header fuzzing: a header whose field values are mutated (and whose
+   CRC is recomputed, so the parser gets past the checksum) either
+   parses or raises [Journal.Error] — never [Invalid_argument] from an
+   array sized by a hostile count. The same text inside a coordinator's
+   [Welcome] payload surfaces only as [Proto.Error], the one exception
+   a worker handles. *)
+let prop_header_mutation =
+  let module Proto = Pruning_fi.Proto in
+  let base = Journal.header_to_string (header ~shards:2 ~audit:0.5 ()) in
+  let lines = List.filter (fun l -> l <> "") (String.split_on_char '\n' base) in
+  (* The magic line and the CRC line stay; every key=value line between
+     them may be mutated, dropped or duplicated. *)
+  let fields =
+    List.filter
+      (fun l -> String.contains l '=' && not (String.starts_with ~prefix:"crc=" l))
+      lines
+  in
+  let value =
+    QCheck2.Gen.(
+      oneof
+        [
+          map string_of_int (int_range (-3) 3);
+          oneofl
+            [
+              "-1"; "4611686018427387903"; "-4611686018427387904"; ""; "x"; "0x10"; "1e3";
+              "nan"; "mbu:0"; "mbu:-2"; "set"; "intermittent:4";
+            ];
+          string_size ~gen:printable (int_range 0 8);
+        ])
+  in
+  let mutation =
+    QCheck2.Gen.(
+      oneof
+        [
+          map2 (fun i v -> `Set (i, v)) (int_bound (List.length fields - 1)) value;
+          map (fun i -> `Drop i) (int_bound (List.length fields - 1));
+          map2 (fun k v -> `Add (Printf.sprintf "shard%d" k, v)) (int_range 0 4) value;
+        ])
+  in
+  let key l = String.sub l 0 (String.index l '=') in
+  let apply fields = function
+    | `Set (i, v) -> List.mapi (fun j l -> if i = j then key l ^ "=" ^ v else l) fields
+    | `Drop i -> List.filteri (fun j _ -> i <> j) fields
+    | `Add (k, v) -> fields @ [ k ^ "=" ^ v ]
+  in
+  let render fields =
+    let body = String.concat "\n" (List.hd lines :: fields) ^ "\n" in
+    body ^ Printf.sprintf "crc=%08x\n" (Pruning_util.Crc.string body)
+  in
+  let le32 n = String.init 4 (fun k -> Char.chr ((n lsr (8 * k)) land 0xFF)) in
+  let welcome text = "W" ^ le32 (String.length text) ^ text ^ le32 0 in
+  QCheck2.Test.make ~name:"journal header: mutated fields parse or raise Journal.Error" ~count:500
+    QCheck2.Gen.(list_size (int_range 1 4) mutation)
+    (fun mutations ->
+      let text = render (List.fold_left apply fields mutations) in
+      (match Journal.header_of_string ~what:"fuzz" text with
+      | _ | (exception Journal.Error _) -> ());
+      (match Proto.decode (welcome text) with
+      | _ | (exception Proto.Error _) -> ());
+      true)
+
+(* The fuzz property's hand-built [Welcome] payload is the real one, and
+   the reproduced crash — shards=-1 behind a valid CRC — is an error. *)
+let test_header_negative_shards () =
+  let module Proto = Pruning_fi.Proto in
+  let h = header () in
+  let le32 n = String.init 4 (fun k -> Char.chr ((n lsr (8 * k)) land 0xFF)) in
+  let text = Journal.header_to_string h in
+  check_bool "hand-built Welcome = encoder's" true
+    (Proto.encode (Proto.Welcome { header = h; suspicion = 0 })
+    = "W" ^ le32 (String.length text) ^ text ^ le32 0);
+  let body =
+    String.concat "\n"
+      (List.filter_map
+         (fun l ->
+           if l = "" || String.starts_with ~prefix:"crc=" l then None
+           else if l = "shards=1" then Some "shards=-1"
+           else Some l)
+         (String.split_on_char '\n' text))
+    ^ "\n"
+  in
+  let bad = body ^ Printf.sprintf "crc=%08x\n" (Pruning_util.Crc.string body) in
+  (match Journal.header_of_string ~what:"peer" bad with
+  | exception Journal.Error msg -> check_bool "names shards" true (contains msg "shards")
+  | _ -> Alcotest.fail "shards=-1 must be rejected");
+  match Proto.decode ("W" ^ le32 (String.length bad) ^ bad ^ le32 0) with
+  | exception Proto.Error _ -> ()
+  | _ -> Alcotest.fail "a Welcome with shards=-1 must be a protocol error"
+
 (* --- durable runs on the real cores ---------------------------------- *)
 
 let total_cycles = 120
@@ -318,12 +445,12 @@ let test_durable_matches_run_sample () =
    then run the same campaign with a stop switch thrown partway, tear the
    journal's tail (as a SIGKILL mid-append would), resume, and require
    statistics bit-identical to the uninterrupted run. *)
-let check_kill_resume label makers ~jobs ~kernel =
+let check_kill_resume label makers ~kernel =
   let space, campaign = build makers in
   let seed = 13 in
   let ident = ("test", label) in
   let run ?journal ?resume ?should_stop () =
-    Durable.run campaign ~space ~seed ~n:n_samples ~ident ~jobs ~kernel
+    Durable.run campaign ~space ~seed ~n:n_samples ~ident ~kernel
       ~records_per_segment:64 ?journal ?resume ?should_stop ()
   in
   let reference = run () in
@@ -355,19 +482,17 @@ let check_kill_resume label makers ~jobs ~kernel =
   rm_rf dir
 
 let test_kill_resume_avr_scalar () =
-  check_kill_resume "avr-scalar" (avr_makers ()) ~jobs:1 ~kernel:Campaign.Scalar
-let test_kill_resume_avr_jobs () =
-  check_kill_resume "avr-jobs4" (avr_makers ()) ~jobs:4 ~kernel:Campaign.Scalar
+  check_kill_resume "avr-scalar" (avr_makers ()) ~kernel:Campaign.Scalar
 (* The "batched" cases drive Durable's windowed path: the delta-batched
    engine, which [batched] names. *)
 let test_kill_resume_avr_batched () =
-  check_kill_resume "avr-delta-batched" (avr_makers ()) ~jobs:1 ~kernel:Campaign.Delta_batched
+  check_kill_resume "avr-delta-batched" (avr_makers ()) ~kernel:Campaign.Delta_batched
 let test_kill_resume_avr_delta () =
-  check_kill_resume "avr-delta" (avr_makers ()) ~jobs:1 ~kernel:Campaign.Delta
+  check_kill_resume "avr-delta" (avr_makers ()) ~kernel:Campaign.Delta
 let test_kill_resume_msp_scalar () =
-  check_kill_resume "msp-scalar" (msp_makers ()) ~jobs:1 ~kernel:Campaign.Scalar
+  check_kill_resume "msp-scalar" (msp_makers ()) ~kernel:Campaign.Scalar
 let test_kill_resume_msp_batched () =
-  check_kill_resume "msp-delta-batched" (msp_makers ()) ~jobs:1 ~kernel:Campaign.Delta_batched
+  check_kill_resume "msp-delta-batched" (msp_makers ()) ~kernel:Campaign.Delta_batched
 
 (* A journal written by the deleted bit-parallel engine carries
    [batched = true] in its header. The flag is not campaign identity:
@@ -482,7 +607,7 @@ let test_supervisor_retries () =
   let clean = Durable.run campaign ~space ~seed ~n:toy_n () in
   let transient =
     Durable.run campaign ~space ~seed ~n:toy_n
-      ~fault:(fun ~shard:_ ~index ~attempt ->
+      ~fault:(fun ~index ~attempt ->
         if index = 3 && attempt = 0 then failwith "chaos: transient")
       ()
   in
@@ -490,7 +615,7 @@ let test_supervisor_retries () =
   check_stats "transient stats unchanged" clean.Durable.stats transient.Durable.stats;
   let persistent =
     Durable.run campaign ~space ~seed ~n:toy_n ~retries:2
-      ~fault:(fun ~shard:_ ~index ~attempt:_ ->
+      ~fault:(fun ~index ~attempt:_ ->
         if index = 5 then failwith "chaos: persistent")
       ()
   in
@@ -520,6 +645,63 @@ let test_watchdog_budget () =
   check_int "accounting closes" n
     (starved.Durable.stats.Campaign.injections + starved.Durable.stats.Campaign.skipped
    + starved.Durable.stats.Campaign.crashed)
+
+(* The watchdog needs a per-fault kernel: asking for it on the batched
+   engine is rejected, not silently ignored. The decision follows the
+   effective kernel, so a non-SEU model on --engine delta-batched (which
+   runs on delta) keeps a working watchdog. *)
+let test_watchdog_needs_per_fault_kernel () =
+  let space, campaign = build (avr_makers ()) in
+  (match
+     Durable.run campaign ~space ~seed:1 ~n:10 ~kernel:Campaign.Delta_batched ~budget:100 ()
+   with
+  | exception Invalid_argument msg -> check_bool "names the budget" true (contains msg "budget")
+  | _ -> Alcotest.fail "~budget on the delta-batched kernel must raise");
+  let nl, _, _, _ = avr_makers () in
+  let set_space = Fault_space.full ~model:Pruning_fi.Fault_model.Set nl ~cycles:total_cycles in
+  let n = 60 and seed = 23 in
+  let _, campaign = build (avr_makers ()) in
+  let clean = Durable.run campaign ~space:set_space ~seed ~n ~kernel:Campaign.Delta () in
+  let generous =
+    Durable.run campaign ~space:set_space ~seed ~n ~kernel:Campaign.Delta_batched
+      ~budget:1_000_000 ()
+  in
+  check_stats "set on delta-batched: generous budget is invisible" clean.Durable.stats
+    generous.Durable.stats;
+  let _, campaign = build (avr_makers ()) in
+  let starved =
+    Durable.run campaign ~space:set_space ~seed ~n ~kernel:Campaign.Delta_batched ~budget:1
+      ~retries:0 ()
+  in
+  check_bool "set on delta-batched: the watchdog fires" true
+    (starved.Durable.stats.Campaign.crashed > 0)
+
+(* A journal written by --jobs 4 of an older build carries four shards
+   and four audit streams; a local run is one shard, so the resume is
+   refused by name rather than replaying the wrong audit draws. *)
+let test_resume_legacy_shards_refused () =
+  let _, _, space, campaign = toy_campaign () in
+  let dir = scratch_dir () in
+  let r = Durable.run campaign ~space ~seed:5 ~n:20 ~ident:("toy", "p") ~journal:dir () in
+  check_bool "complete" true r.Durable.completed;
+  let h = Journal.read_header ~dir in
+  check_int "a local run writes one shard" 1 h.Journal.shards;
+  Journal.update_header ~dir
+    {
+      h with
+      Journal.shards = 4;
+      shard_prng = Array.init 4 (fun s -> Prng.save (Prng.create (200 + s)));
+    };
+  (match
+     Durable.run campaign ~space ~seed:5 ~n:20 ~ident:("toy", "p") ~journal:dir ~resume:true ()
+   with
+  | exception Journal.Error msg ->
+    check_bool "names shards" true (contains msg "shards");
+    check_bool "names the old --jobs" true (contains msg "--jobs 4")
+  | _ -> Alcotest.fail "a shards=4 journal must not resume");
+  check_bool "fsck flags it" true
+    (List.exists (fun (_, p) -> contains p "--jobs 4") (Journal.fsck ~dir).Journal.fsck_errors);
+  rm_rf dir
 
 (* Sound MATE + audit 1.0: every pruned fault is injected for auditing,
    confirmed benign, and counted as skipped — statistics identical to the
@@ -668,10 +850,13 @@ let suite =
     Alcotest.test_case "journal round trip and rotation" `Quick test_journal_round_trip;
     Alcotest.test_case "journal torn tail truncation" `Quick test_journal_torn_tail;
     Alcotest.test_case "journal sealed-segment corruption" `Quick test_journal_sealed_corruption;
+    Alcotest.test_case "fsck counts what a resume reconstructs" `Quick
+      test_fsck_counts_what_resume_reconstructs;
     QCheck_alcotest.to_alcotest prop_replay_semantics;
+    QCheck_alcotest.to_alcotest prop_header_mutation;
+    Alcotest.test_case "journal header: shards=-1 is an error" `Quick test_header_negative_shards;
     Alcotest.test_case "durable matches run_sample" `Slow test_durable_matches_run_sample;
     Alcotest.test_case "kill/resume avr scalar" `Slow test_kill_resume_avr_scalar;
-    Alcotest.test_case "kill/resume avr jobs=4" `Slow test_kill_resume_avr_jobs;
     Alcotest.test_case "kill/resume avr batched" `Slow test_kill_resume_avr_batched;
     Alcotest.test_case "kill/resume avr delta" `Slow test_kill_resume_avr_delta;
     Alcotest.test_case "kill/resume msp scalar" `Slow test_kill_resume_msp_scalar;
@@ -680,6 +865,10 @@ let suite =
     Alcotest.test_case "resume of a batched-flagged journal" `Slow test_resume_batched_header;
     Alcotest.test_case "supervisor retries and crash accounting" `Quick test_supervisor_retries;
     Alcotest.test_case "watchdog budget" `Quick test_watchdog_budget;
+    Alcotest.test_case "watchdog needs a per-fault kernel" `Quick
+      test_watchdog_needs_per_fault_kernel;
+    Alcotest.test_case "resume of a --jobs 4 journal refused" `Quick
+      test_resume_legacy_shards_refused;
     Alcotest.test_case "audit: sound MATE is invisible" `Quick test_audit_sound_mate;
     Alcotest.test_case "audit: unsound MATE quarantined" `Quick test_audit_quarantines_unsound_mate;
     Alcotest.test_case "audit: resume replays quarantine" `Quick test_audit_resume_replays_quarantine;

@@ -104,7 +104,7 @@ let exhaustive_cases =
 (* --- the golden trace is recorded once ------------------------------- *)
 
 (* A maker that counts its calls: [create] makes the golden system, each
-   extra domain one worker system, and the golden trace one more. *)
+   fresh worker one system, and the golden trace one more. *)
 let counting_campaign ~cycles =
   let _, make, _, _ = Lazy.force avr in
   let calls = Atomic.make 0 in
@@ -114,19 +114,30 @@ let counting_campaign ~cycles =
   in
   (Campaign.create ~make ~total_cycles:cycles (), calls)
 
+(* Held faults re-arm against the golden trace on the scalar engine too.
+   However many workers a campaign builds — the supervisor rebuilds one
+   after every failed attempt — the trace is recorded once. *)
 let test_trace_once () =
-  let cycles = 60 and jobs = 4 in
+  let cycles = 60 in
   let nl, _, _, _ = Lazy.force avr in
   let space = Fault_space.full ~model:(Fault_model.Intermittent 3) nl ~cycles in
   let c, calls = counting_campaign ~cycles in
-  let stats = Campaign.run_sample c ~space ~rng:(Prng.create 3) ~n:80 ~jobs () in
+  let stats = Campaign.run_sample c ~space ~rng:(Prng.create 3) ~n:80 () in
   check_int "every fault injected" 80 stats.Campaign.injections;
-  check_int "run_sample: make calls = golden + one per domain + one trace" (2 + jobs)
-    (Atomic.get calls);
+  check_int "run_sample: make calls = golden + one trace" 2 (Atomic.get calls);
   let c, calls = counting_campaign ~cycles in
-  let r = Durable.run c ~space ~seed:3 ~n:80 ~jobs () in
+  let failed = [ 10; 20; 30 ] in
+  let r =
+    Durable.run c ~space ~seed:3 ~n:80
+      ~retry_backoff:{ Pruning_util.Backoff.base = 0.001; cap = 0.001; factor = 1. }
+      ~fault:(fun ~index ~attempt ->
+        if attempt = 0 && List.mem index failed then failwith "injected failure")
+      ()
+  in
   check_int "durable: every fault injected" 80 r.Durable.stats.Campaign.injections;
-  check_int "durable: make calls = golden + one per shard + one trace" (2 + jobs)
+  check_int "durable: one retry per failed attempt" (List.length failed) r.Durable.retried;
+  check_int "durable: make calls = golden + one per worker (first + rebuilds) + one trace"
+    (2 + 1 + List.length failed)
     (Atomic.get calls)
 
 (* --- lanes are checked for every model ------------------------------- *)
@@ -154,6 +165,6 @@ let test_lanes_every_model () =
 let suite =
   exhaustive_cases
   @ [
-      Alcotest.test_case "golden trace recorded once across domains" `Quick test_trace_once;
+      Alcotest.test_case "golden trace recorded once per campaign" `Quick test_trace_once;
       Alcotest.test_case "lanes checked for every fault model" `Quick test_lanes_every_model;
     ]

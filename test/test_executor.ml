@@ -1,4 +1,4 @@
-(* The supervised executor that both Durable shards and Worker chunks
+(* The supervised executor that both Durable runs and Worker chunks
    classify faults through: the plan/emit contract (one plan call per
    index in order, emissions in index order, Done never emitted),
    verdict identity on every kernel, retry and Crashed accounting per
