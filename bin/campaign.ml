@@ -148,16 +148,6 @@ let make_chaos ~profile ~seed ~budget i =
     (fun s -> Chaos.create ~profile:{ profile with Chaos.budget } ~seed:(s + i) ())
     seed
 
-(* The kernel fallback for multi-flop/multi-cycle models is decided by
-   Campaign.effective_kernel, which the engines apply themselves; here it
-   is only made visible. Returns the kernel that will actually run. *)
-let note_kernel_fallback ~model ~kernel =
-  let k = Fi_campaign.effective_kernel model kernel in
-  if k <> kernel then
-    Printf.printf "(--fault-model %s needs a per-fault kernel; falling back to --engine %s)\n%!"
-      (Fault_model.name model) (Fi_campaign.kernel_name k);
-  k
-
 (* Resuming under a different fault model would silently change what
    every recorded verdict means; refuse it upfront with a distinct exit
    code (require_match would also catch it, but as a generic journal
@@ -223,7 +213,6 @@ let setup (id : Journal.header) ~kernel ~checkpoint_interval =
     | exception Invalid_argument msg ->
       Error (Printf.sprintf "--fault-model %s: %s" (Fault_model.name id.fault_model) msg)
     | space ->
-      let engine = note_kernel_fallback ~model:id.fault_model ~kernel in
       Printf.printf "%s/%s: fault space [%s] = %d keys x %d cycles = %d faults; sampling %d\n%!"
         id.core id.program (Fault_model.name id.fault_model) (Fault_space.n_keys space) id.cycles
         (Fault_space.size space) id.samples;
@@ -237,7 +226,7 @@ let setup (id : Journal.header) ~kernel ~checkpoint_interval =
       in
       Printf.printf "checkpoint interval: %d cycles; engine: %s\n%!"
         (Fi_campaign.checkpoint_interval campaign)
-        (Fi_campaign.kernel_name engine);
+        (Fi_campaign.kernel_name kernel);
       let pruner =
         if id.prune then Some (build_pruner nl ~make ~cycles:id.cycles ~space) else None
       in
@@ -309,12 +298,9 @@ let run (id : Journal.header) checkpoint_interval kernel lanes journal resume au
       ( lanes > 0 && kernel <> Fi_campaign.Delta_batched,
         Printf.sprintf "--lanes only applies to --engine delta-batched (got %s)"
           (Fi_campaign.kernel_name kernel) );
-      ( watchdog > 0
-        && Fi_campaign.effective_kernel id.fault_model kernel = Fi_campaign.Delta_batched,
-        Printf.sprintf
-          "--watchdog needs a per-fault engine: --engine delta-batched classifies %s faults in \
-           batches, with no per-experiment watchdog (use --engine delta)"
-          (Fault_model.name id.fault_model) );
+      ( watchdog > 0 && kernel = Fi_campaign.Delta_batched,
+        "--watchdog needs a per-fault engine: --engine delta-batched classifies faults in \
+         batches, with no per-experiment watchdog (use --engine delta)" );
       (resume && journal = None, "--resume needs --journal pointing at the journal to resume");
     ]
   @@ fun () ->
@@ -851,9 +837,8 @@ let identity =
              (multi-bit upset: $(i,K) layout-adjacent flops flipped together in one cycle) or \
              $(b,intermittent:N) (intermittent stuck-at: one flop held at the flipped value for \
              $(i,N) consecutive cycles; $(b,intermittent:1) is exactly $(b,seu)). The model is \
-             pinned in the journal header and on every distributed chunk; scalar and delta \
-             engines support every model bit-identically, delta-batched falls back to delta \
-             (printed) for non-SEU models.")
+             pinned in the journal header and on every distributed chunk; every engine supports \
+             every model bit-identically.")
   in
   Term.(
     const (fun core program cycles samples seed prune fault_model ->
@@ -943,8 +928,7 @@ let watchdog =
         ~doc:
           "Per-experiment watchdog: an experiment consuming more than $(docv) simulated cycles is \
            aborted, retried on a fresh system, and eventually recorded as crashed (0 = off). \
-           Needs a per-fault engine: $(b,scalar) or $(b,delta), or $(b,delta-batched) with a \
-           $(b,--fault-model) it runs on delta.")
+           Needs a per-fault engine: $(b,scalar) or $(b,delta).")
 
 let retries =
   Arg.(

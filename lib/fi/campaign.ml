@@ -32,17 +32,6 @@ let kernel_of_string = function
   | "delta-batched" | "batched" -> Some Delta_batched
   | _ -> None
 
-(* The one place the non-SEU fallback is decided. A batched-delta lane
-   carries exactly one flop flip, so models that flip several flops or
-   hold one over several cycles run on the single-fault delta kernel.
-   A pure function of (model, kernel): resumed and distributed runs
-   re-derive the same engine, and every caller agrees on it. *)
-let effective_kernel model kernel =
-  match (model, kernel) with
-  | Fault_model.Seu, k -> k
-  | _, Delta_batched -> Delta
-  | _, k -> k
-
 (* A memo key is the exact architectural difference from the golden run at
    a checkpoint: (checkpoint index, differing flops with their faulty
    values, differing RAM cells with their faulty values), both in
@@ -503,7 +492,9 @@ let inject_fault_delta ?budget t ~space ~key ~cycle =
    head fault's exact cycle), per-lane earliest-cycle Benign retirement
    the instant a lane's dirty set empties, and memo keys read straight
    off the flip words and device diffs — identical to the scalar
-   engine's. *)
+   engine's. A lane carries any fault model: its fault's member flops
+   are all flipped at the injection cycle, and a held fault re-arms its
+   members each window cycle, exactly as [delta_experiment] does. *)
 
 let max_delta_lanes = Deltabatch.n_lanes
 
@@ -523,14 +514,29 @@ let delta_batch_worker t =
     t.delta_batch_worker <- Some d;
     d
 
+(* A top-level function, not a closure: it runs once per injected SEU. *)
+let seed_member ds ~lane ~force fid =
+  if force then Deltabatch.force_flop_lanes ds fid ~mask:(1 lsl lane)
+  else Deltabatch.flip_flop_lane ds fid ~lane
+
 (* One pass over the horizon: attach at the head fault's cycle (every
    lane bit-exact golden), run forward filling free lanes with queued
-   faults whose cycle has not passed, flipping each lane's flop at its
-   cycle, and retiring lanes per the scalar delta engine's observation
-   order — memo at checkpoint boundaries, SDC on output divergence,
-   Benign the instant the lane re-converges — with survivors classified
-   at the horizon. Returns the overtaken faults for the next pass. *)
-let run_delta_batch_pass t ?on_benign_retire db ~lanes faults verdicts queue =
+   faults whose cycle has not passed, flipping each lane's member flops
+   at its cycle, and retiring lanes per the scalar delta engine's
+   observation order — memo at checkpoint boundaries, SDC on output
+   divergence, Benign the instant the lane re-converges — with
+   survivors classified at the horizon. Returns the overtaken faults
+   for the next pass.
+
+   [members] lists each fault's member flops ([None]: every key is its
+   own one flop). A fault held for [hold] > 1 cycles keeps its lane in
+   [holding] until the last forced cycle of its window: at the top of
+   every cycle after the injection, before [propagate], each holding
+   lane's members are forced back to the complement of golden, and a
+   holding lane takes no memo verdict and no Benign retirement — equal
+   state does not imply an equal remainder while forcing is pending.
+   It can still retire SDC. A single-cycle fault never holds. *)
+let run_delta_batch_pass t ?on_benign_retire db ~lanes ~members ~hold faults verdicts queue =
   let ds = db.System.db_dbsim in
   let flops = db.System.db_netlist.Netlist.flops in
   let n_flops = Array.length flops in
@@ -538,8 +544,10 @@ let run_delta_batch_pass t ?on_benign_retire db ~lanes faults verdicts queue =
   Deltabatch.attach ds ~cycle:head_cycle;
   let lane_fault = Array.make lanes (-1) in
   let lane_pending = Array.make lanes [] in
+  let lane_window_end = Array.make lanes 0 in
   let active = ref 0 in
   let injected = ref 0 in
+  let holding = ref 0 in
   let free = ref (List.init lanes Fun.id) in
   let pending_q = ref queue in
   let leftover = ref [] in
@@ -552,6 +560,7 @@ let run_delta_batch_pass t ?on_benign_retire db ~lanes faults verdicts queue =
     let m = lnot (1 lsl lane) in
     active := !active land m;
     injected := !injected land m;
+    holding := !holding land m;
     (* Wiping returns the lane to bit-exact golden at once, so nothing
        stale can leak back through the latch. *)
     Deltabatch.wipe_lane ds ~lane;
@@ -563,7 +572,7 @@ let run_delta_batch_pass t ?on_benign_retire db ~lanes faults verdicts queue =
      memo keys fall out of the flip words directly — same indices, same
      faulty values, same ascending order. *)
   let boundary_check () =
-    let check = !injected land Deltabatch.live_mask ds in
+    let check = !injected land lnot !holding land Deltabatch.live_mask ds in
     if check <> 0 then begin
       let counts = Array.make lanes 0 in
       let fd = Array.make lanes [] in
@@ -605,6 +614,29 @@ let run_delta_batch_pass t ?on_benign_retire db ~lanes faults verdicts queue =
       done
     end
   in
+  (* Flip, or force to the complement of golden, every member flop of
+     the lane's fault. *)
+  let seed_lane lane ~force =
+    let idx = lane_fault.(lane) in
+    match members with
+    | None -> seed_member ds ~lane ~force (fst faults.(idx))
+    | Some m ->
+      let m = m.(idx) in
+      for j = 0 to Array.length m - 1 do
+        seed_member ds ~lane ~force m.(j)
+      done
+  in
+  (* Re-arm every holding lane (all injected at an earlier cycle), then
+     release the lanes whose window closes with this cycle. *)
+  let rearm () =
+    for lane = 0 to lanes - 1 do
+      let bit = 1 lsl lane in
+      if !holding land bit <> 0 then begin
+        seed_lane lane ~force:true;
+        if !c >= lane_window_end.(lane) - 1 then holding := !holding land lnot bit
+      end
+    done
+  in
   (try
      while !c < t.total_cycles do
        (* Refill free lanes with queued faults still injectable at !c;
@@ -625,13 +657,17 @@ let run_delta_batch_pass t ?on_benign_retire db ~lanes faults verdicts queue =
        in
        refill ();
        if !active = 0 then raise Exit;
+       if !holding <> 0 then rearm ();
        let to_inject = !active land lnot !injected in
        if to_inject <> 0 then
          for lane = 0 to lanes - 1 do
            if to_inject land (1 lsl lane) <> 0 then begin
-             let flop_id, fc = faults.(lane_fault.(lane)) in
+             let fc = snd faults.(lane_fault.(lane)) in
              if fc = !c then begin
-               Deltabatch.flip_flop_lane ds flop_id ~lane;
+               seed_lane lane ~force:false;
+               let window_end = min t.total_cycles (fc + hold) in
+               lane_window_end.(lane) <- window_end;
+               if fc < window_end - 1 then holding := !holding lor (1 lsl lane);
                injected := !injected lor (1 lsl lane)
              end
            end
@@ -649,7 +685,7 @@ let run_delta_batch_pass t ?on_benign_retire db ~lanes faults verdicts queue =
            done
        end;
        if !injected <> 0 then begin
-         let conv = !injected land lnot (Deltabatch.live_mask ds) in
+         let conv = !injected land lnot !holding land lnot (Deltabatch.live_mask ds) in
          if conv <> 0 then
            for lane = 0 to lanes - 1 do
              if conv land (1 lsl lane) <> 0 then begin
@@ -692,7 +728,7 @@ let lanes_in_range ~fn = function
       invalid_arg (Printf.sprintf "Campaign.%s: lanes must be in [1, %d]" fn max_delta_lanes);
     l
 
-let inject_delta_batch t ?lanes ?on_benign_retire ~faults () =
+let inject_delta_batch t ?space ?lanes ?on_benign_retire ~faults () =
   let lanes = lanes_in_range ~fn:"inject_delta_batch" lanes in
   Array.iter
     (fun (_, cycle) ->
@@ -702,9 +738,23 @@ let inject_delta_batch t ?lanes ?on_benign_retire ~faults () =
   let db = delta_batch_worker t in
   let n = Array.length faults in
   let verdicts = Array.make n Benign in
+  (* Each fault's member flops, expanded once before the first pass.
+     The flop-keyed models need none: the key is the one member. *)
+  let members =
+    match space with
+    | Some ({ Fault_space.model = Fault_model.Set | Fault_model.Mbu _; _ } as space) ->
+      Some (Array.map (fun (key, _) -> Fault_space.expand space key) faults)
+    | Some _ | None -> None
+  in
+  let hold = Option.fold ~none:1 ~some:Fault_space.hold space in
   (* Classify in injection-cycle order so each pass drains as many
-     faults as possible before their cycles are overtaken. *)
-  let order = Array.init n Fun.id in
+     faults as possible before their cycles are overtaken. A pulse
+     nothing latches (empty SET expansion) is Benign without a lane. *)
+  let order =
+    match members with
+    | None -> Array.init n Fun.id
+    | Some m -> Array.of_seq (Seq.filter (fun i -> Array.length m.(i) > 0) (Seq.init n Fun.id))
+  in
   Array.sort
     (fun a b ->
       let ca = snd faults.(a) and cb = snd faults.(b) in
@@ -712,7 +762,8 @@ let inject_delta_batch t ?lanes ?on_benign_retire ~faults () =
     order;
   let queue = ref (Array.to_list order) in
   while !queue <> [] do
-    queue := run_delta_batch_pass t ?on_benign_retire db ~lanes faults verdicts !queue
+    queue :=
+      run_delta_batch_pass t ?on_benign_retire db ~lanes ~members ~hold faults verdicts !queue
   done;
   verdicts
 
@@ -758,15 +809,15 @@ let draw_samples t ~space ~rng ~n =
   done;
   samples
 
-(* The one kernel -> injector dispatch, {!effective_kernel} included:
-   every sample driver below and the supervised executor classify
-   through it. The scalar kernel runs on [worker ()]; the delta-family
-   kernels on the campaign's shared workers, which an escaping
+(* The one kernel -> injector dispatch: every sample driver below and
+   the supervised executor classify through it, and every kernel runs
+   every fault model. The scalar kernel runs on [worker ()]; the
+   delta-family kernels on the campaign's shared workers, which an escaping
    exception leaves in an unknown state (a dirty set or lanes mid-run) —
    they are discarded, to be rebuilt lazily by the next call from the
    cached golden trace, which is immutable and survives. *)
 let classify ?budget ?lanes t ~worker ~kernel ~space faults =
-  match effective_kernel space.Fault_space.model kernel with
+  match kernel with
   | Scalar ->
     let w = worker () in
     Array.map (fun (key, cycle) -> inject_fault ?budget t w ~space ~key ~cycle) faults
@@ -777,7 +828,7 @@ let classify ?budget ?lanes t ~worker ~kernel ~space faults =
       t.delta_worker <- None;
       raise e)
   | Delta_batched -> (
-    match inject_delta_batch t ?lanes ~faults () with
+    match inject_delta_batch t ~space ?lanes ~faults () with
     | verdicts -> verdicts
     | exception e ->
       t.delta_batch_worker <- None;
@@ -789,7 +840,7 @@ let no_skip ~flop_id:_ ~cycle:_ = false
    drawn up front with the single caller-provided generator and the
    pruned ones dropped: the fault list — and therefore the stats — is a
    function of the seed alone, whatever the kernel. [lanes] is checked
-   first, whatever kernel the model ends up on. *)
+   first, before any fault is drawn. *)
 let run_kernel t ~kernel ~space ~rng ~n ~skip ?lanes () =
   ignore (lanes_in_range ~fn:"run_sample_delta_batched" lanes);
   (* The kept faults, compacted in place over the draw. *)

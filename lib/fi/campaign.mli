@@ -46,10 +46,11 @@
     observation order (earliest-cycle Benign the instant a lane's dirty
     set empties, memo participation at checkpoint boundaries, SDC on
     output divergence) and freed lanes are refilled from the remaining
-    fault queue mid-pass. Verdicts — including SDC cycles — are
-    bit-identical to {!inject}. A lane carries one flop flip, so fault
-    models other than [Seu] run on the single-fault delta kernel
-    instead ({!effective_kernel}).
+    fault queue mid-pass. A lane carries any fault model: all member
+    flops of the fault are flipped in the lane at its injection cycle,
+    and a held fault re-arms its members at the top of every window
+    cycle. Verdicts — including SDC cycles — are bit-identical to
+    {!inject} on every model.
 
     The delta-family engines record the golden baseline once: the
     campaign caches the recorded trace per its (core, program, horizon)
@@ -58,8 +59,8 @@
     re-execution — share one recording.
 
     The scalar engine is the reference oracle; delta-batched is the
-    production engine; single-fault delta is both the differential
-    check's independent engine and delta-batched's non-[Seu] fallback.
+    production engine; single-fault delta is the differential check's
+    independent engine.
     The scalar and delta loops are separate implementations of the same
     protocol — they share only the helpers that touch no simulator state
     (watchdog, verdict memo) — so their agreement is a real check.
@@ -82,13 +83,6 @@ val kernel_name : kernel -> string
 val kernel_of_string : string -> kernel option
 (** Inverse of {!kernel_name}; ["batched"] is accepted as an alias of
     [Delta_batched]. *)
-
-val effective_kernel : Fault_model.t -> kernel -> kernel
-(** The engine that actually classifies faults of a model when [kernel]
-    is asked for: [Delta_batched] runs non-[Seu] models on [Delta] (one
-    flop flip per lane), every other pair is unchanged. The single
-    source of this fallback, applied by {!classify}; pure, so resumed
-    and distributed runs agree. *)
 
 type t
 
@@ -183,13 +177,15 @@ val classify :
   space:Fault_space.t ->
   (int * int) array ->
   verdict array
-(** Classify [(key, cycle)] faults of [space] on the engine
-    [effective_kernel model kernel], returning the verdicts in input
-    order: {!inject_fault} on [worker ()] (called once) for [Scalar],
-    {!inject_fault_delta} for [Delta], {!inject_delta_batch} with
-    [lanes] for [Delta_batched]. The only kernel-to-injector mapping:
-    every [run_sample*] and the supervised {!Executor} go through it.
-    [budget] bounds each per-fault experiment. When an exception escapes
+(** Classify [(key, cycle)] faults of [space] on [kernel], returning
+    the verdicts in input order: {!inject_fault} on [worker ()] (called
+    once) for [Scalar], {!inject_fault_delta} for [Delta],
+    {!inject_delta_batch} with [~space] and [lanes] for [Delta_batched].
+    Every kernel runs every fault model. The only kernel-to-injector
+    mapping: every [run_sample*] and the supervised {!Executor} go
+    through it. [budget] bounds each experiment of the per-fault
+    kernels; [Delta_batched] has no per-experiment watchdog and ignores
+    it ({!Executor.create} refuses that pair). When an exception escapes
     a delta-family kernel, its shared worker is discarded (the next call
     rebuilds it from the cached golden trace) and the exception is
     re-raised. *)
@@ -279,13 +275,22 @@ val max_delta_lanes : int
 
 val inject_delta_batch :
   t ->
+  ?space:Fault_space.t ->
   ?lanes:int ->
   ?on_benign_retire:(index:int -> cycle:int -> unit) ->
   faults:(int * int) array ->
   unit ->
   verdict array
-(** Classify every [(flop_id, cycle)] fault on the batched delta
-    worker and return the verdicts in input order. [lanes] (default
+(** Classify every fault on the batched delta worker and return the
+    verdicts in input order. Without [space] the faults are
+    [(flop_id, cycle)] SEUs; with it they are [(key, cycle)] instances
+    of [space]'s fault model, verdict-bit-identical to
+    {!inject_fault}: each key is expanded once ({!Fault_space.expand})
+    and all its members flip in one lane; a held fault
+    ({!Fault_space.hold} > 1) re-arms its members at the top of every
+    window cycle and takes no memo verdict and no [Benign] retirement
+    before its last forced cycle; an empty expansion is [Benign]
+    without taking a lane. [lanes] (default
     {!max_delta_lanes}, must be in [\[1, max_delta_lanes\]]) caps how
     many faults are in flight at once. [on_benign_retire] is called
     (with the fault's index into [faults] and the retirement cycle) for
@@ -307,10 +312,9 @@ val run_sample_delta_batched :
   stats
 (** {!run_sample}, on the batched delta kernel: draws the identical
     fault list for the same [rng] seed and classifies it with
-    {!inject_delta_batch}, so the stats are bit-identical to the other
-    engines'. Fault models {!effective_kernel} maps to [Delta] run
-    {!run_sample_delta} instead (stats still identical). [lanes] is
-    checked for every model: outside [\[1, max_delta_lanes\]] it raises
-    [Invalid_argument] before any fault is drawn. *)
+    {!inject_delta_batch} [~space], so the stats are bit-identical to
+    the other engines' on every fault model. [lanes] outside
+    [\[1, max_delta_lanes\]] raises [Invalid_argument] before any fault
+    is drawn. *)
 
 val pp_verdict : Format.formatter -> verdict -> unit

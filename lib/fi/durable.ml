@@ -50,9 +50,6 @@ let run campaign ~space ~seed ~n ?(ident = ("unknown", "unknown")) ?skip ?audit
   | _ -> ());
   (match budget with
   | Some b when b <= 0 -> invalid_arg "Durable.run: budget must be positive"
-  | Some _
-    when Campaign.effective_kernel space.Fault_space.model kernel = Campaign.Delta_batched ->
-    invalid_arg "Durable.run: ~budget (the watchdog) requires a per-fault kernel"
   | _ -> ());
   if resume && journal = None then invalid_arg "Durable.run: resume requires a journal";
   let core, program = ident in
@@ -66,6 +63,20 @@ let run campaign ~space ~seed ~n ?(ident = ("unknown", "unknown")) ?skip ?audit
      draw; its initial state is pinned in the journal header so a
      resumed run replays the identical audit decisions. *)
   let audit_state = Prng.save (Prng.split rng) in
+  (* One supervised executor over the whole index range, on the calling
+     domain. Retry pacing is capped exponential backoff whose jitter is
+     drawn from a generator split off the pinned audit state — a rerun
+     that hits the same failures sleeps the same schedule. The batched
+     kernel is journaled per window of four full passes. Built before
+     the journal is opened, so an argument it refuses (a watchdog on
+     the batched kernel) leaves no journal behind. *)
+  let executor =
+    Executor.create campaign ~space ~samples ~kernel ?lanes
+      ~window:(4 * Option.value lanes ~default:Campaign.max_delta_lanes)
+      ?budget ~retries
+      ~backoff:(Backoff.create ~policy:retry_backoff (Prng.split (Prng.restore audit_state)))
+      ?chaos ~should_stop ()
+  in
   let audit_p, hooks =
     match audit with
     | Some (p, h) -> (p, Some h)
@@ -174,18 +185,6 @@ let run campaign ~space ~seed ~n ?(ident = ("unknown", "unknown")) ?skip ?audit
     in
     outcomes.(idx) <- Some o;
     journal_entry (Journal.Outcome (idx, o))
-  in
-  (* One supervised executor over the whole index range, on the calling
-     domain. Retry pacing is capped exponential backoff whose jitter is
-     drawn from a generator split off the pinned audit state — a rerun
-     that hits the same failures sleeps the same schedule. The batched
-     kernel is journaled per window of four full passes. *)
-  let executor =
-    Executor.create campaign ~space ~samples ~kernel ?lanes
-      ~window:(4 * Option.value lanes ~default:Campaign.max_delta_lanes)
-      ?budget ~retries
-      ~backoff:(Backoff.create ~policy:retry_backoff (Prng.split (Prng.restore audit_state)))
-      ?chaos ~should_stop ()
   in
   Fun.protect ~finally:(fun () -> Option.iter Journal.close writer) (fun () ->
       ignore (Executor.run executor ~lo:0 ~hi:(n - 1) ~plan ~emit ?fault ()));

@@ -103,9 +103,8 @@ val run :
     the journal header, so a resumed run audits exactly the faults the
     original would have). [kernel] selects the engine ([Scalar]
     (default), the activity-gated [Delta], or the batched-delta
-    [Delta_batched], which runs non-[Seu] models on [Delta] per
-    {!Campaign.effective_kernel}). Every kernel writes the same header
-    shape ([shards = 1], one audit PRNG state), and since the kernels
+    [Delta_batched]; each runs every fault model). Every kernel writes
+    the same header shape ([shards = 1], one audit PRNG state), and since the kernels
     are verdict-bit-identical their journals resume interchangeably —
     including journals whose header carries the historical [batched]
     flag of the deleted bit-parallel engine. A journal with
@@ -114,8 +113,9 @@ val run :
     pass of [Delta_batched] (default: the engine's maximum; rejected
     with [Invalid_argument] for the per-fault kernels). [budget] is the
     per-experiment watchdog in simulated cycles; it needs a per-fault
-    kernel, so it is rejected with [Invalid_argument] when the
-    effective kernel is [Delta_batched]. [retries] (default 2) bounds
+    kernel, so {!Executor.create} rejects it with [Invalid_argument] on
+    [Delta_batched], whatever the fault model, before any journal is
+    written. [retries] (default 2) bounds
     the supervisor's fresh-system retries per experiment (per window of
     four full passes on [Delta_batched], which is also its journaling
     unit); between retries the executor sleeps per [retry_backoff]

@@ -27,11 +27,16 @@ let create campaign ~space ~samples ~kernel ?lanes ~window ?budget ?(retries = 2
     ?chaos ?(should_stop = fun () -> false) () =
   if retries < 0 then invalid_arg "Executor.create: retries must be non-negative";
   if window < 1 then invalid_arg "Executor.create: window must be positive";
+  (* The batched kernel classifies a window per attempt, so a
+     per-experiment watchdog has nothing to charge: refuse it rather
+     than silently run unguarded. *)
+  if budget <> None && kernel = Campaign.Delta_batched then
+    invalid_arg "Executor.create: ~budget (the watchdog) requires a per-fault kernel";
   {
     campaign;
     space;
     samples;
-    kernel = Campaign.effective_kernel space.Fault_space.model kernel;
+    kernel;
     lanes;
     window;
     budget;

@@ -55,7 +55,9 @@ val create :
     [Crashed] accounting and of emission, with [should_stop] polled
     between windows (the per-fault kernels use a window of one).
     [budget] is the per-experiment simulated-cycle watchdog of the
-    per-fault kernels. [retries] (default 2) bounds the retries per
+    per-fault kernels; with [kernel = Delta_batched] it raises
+    [Invalid_argument] (a batched window has no per-experiment budget
+    to charge). [retries] (default 2) bounds the retries per
     window; [backoff] paces them and is reset before every window.
     [should_stop] (default: never) is the cooperative-shutdown poll.
 

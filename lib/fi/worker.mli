@@ -15,8 +15,8 @@
     [max_reconnects] consecutive failures.
 
     Chunks are classified by the same supervised {!Executor} that runs
-    {!Durable}'s local runs — one kernel dispatch (with the fault-model
-    fallback of {!Campaign.effective_kernel}), one retry/backoff loop,
+    {!Durable}'s local runs — one kernel dispatch ({!Campaign.classify},
+    where every kernel runs every fault model), one retry/backoff loop,
     one execution-chaos site: a raising experiment is retried on a
     fresh system with backoff, a persistent failure is reported as
     [Crashed]. Since every kernel produces bit-identical verdicts, a

@@ -373,6 +373,14 @@ let flip_flop_lane t fid ~lane =
   let q = t.flop_q.(fid) in
   set_flip_word t q (t.flip.(q) lxor (1 lsl lane))
 
+(* "Flip if not flipped": set the Q bit of every lane in [mask], so
+   those lanes hold the complement of golden whatever they latched. *)
+let force_flop_lanes t fid ~mask =
+  if fid < 0 || fid >= Netlist.n_flops t.nl then
+    invalid_arg "Deltabatch.force_flop_lanes: bad flop id";
+  let q = t.flop_q.(fid) in
+  set_flip_word t q (t.flip.(q) lor mask)
+
 (* Return one lane to bit-exact golden: clear its bit from every dirty
    wire and forget its device divergence. Safe at any retirement point
    (all of them sit between [propagate] and [latch], or after the final

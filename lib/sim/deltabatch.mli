@@ -80,7 +80,16 @@ val attach : t -> cycle:int -> unit
     the cost is proportional to the {e previous} pass's dirty set. *)
 
 val flip_flop_lane : t -> int -> lane:int -> unit
-(** Flip one flop's Q in one lane for the current cycle — the SEU. *)
+(** Flip one flop's Q in one lane for the current cycle — the SEU.
+    Several calls on one lane seed a multi-flop fault (an expanded SET
+    or an MBU). *)
+
+val force_flop_lanes : t -> int -> mask:int -> unit
+(** Force one flop's Q to the complement of golden, for the current
+    cycle, in every lane of [mask] ("flip if not flipped"; lanes
+    already flipped stay flipped, lanes outside [mask] are untouched).
+    Call at the top of a cycle, before {!propagate}: the re-arm of a
+    fault held over several cycles. *)
 
 val propagate : t -> unit
 (** Settle the current cycle: refresh surviving flip words against this

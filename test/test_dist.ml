@@ -417,12 +417,11 @@ let msp_makers () =
 let test_parity_avr () = check_parity_core "avr" (avr_makers ())
 let test_parity_msp () = check_parity_core "msp430" (msp_makers ())
 
-(* A delta-batched worker handed a non-SEU campaign must run it on the
-   kernel Campaign.effective_kernel picks, exactly as the local runners
-   do: a lane carries one flop flip, so feeding SET gate keys, MBU
-   clusters or held intermittent faults to the wide engine would crash
-   or silently misclassify. Stats must equal the local scalar run. *)
-let test_worker_model_fallback () =
+(* A delta-batched worker handed a non-SEU campaign runs it on the wide
+   engine, exactly as the local runners do: SET gate keys and MBU
+   clusters expand into multi-flop lanes, intermittent faults hold
+   their lanes. Stats must equal the local scalar run. *)
+let test_worker_non_seu_models () =
   let cycles = 120 and n = 120 and seed = 5 in
   let nl, make, make_delta, make_delta_batch = avr_makers () in
   List.iter
@@ -729,8 +728,8 @@ let suite =
     Alcotest.test_case "parity: toy fleet, plain and pruned" `Quick test_parity_toy;
     Alcotest.test_case "parity: avr mixed scalar+batched+delta fleet" `Slow test_parity_avr;
     Alcotest.test_case "parity: msp430 mixed scalar+batched+delta fleet" `Slow test_parity_msp;
-    Alcotest.test_case "delta-batched worker falls back on non-SEU models" `Slow
-      test_worker_model_fallback;
+    Alcotest.test_case "delta-batched worker runs non-SEU" `Slow
+      test_worker_non_seu_models;
     Alcotest.test_case "delta-batched worker windows a big chunk" `Slow
       test_worker_batched_windows;
     Alcotest.test_case "worker retry accounting = durable" `Quick test_worker_retry_accounting;

@@ -647,34 +647,41 @@ let test_watchdog_budget () =
    + starved.Durable.stats.Campaign.crashed)
 
 (* The watchdog needs a per-fault kernel: asking for it on the batched
-   engine is rejected, not silently ignored. The decision follows the
-   effective kernel, so a non-SEU model on --engine delta-batched (which
-   runs on delta) keeps a working watchdog. *)
+   engine is rejected, not silently ignored, whatever the fault model —
+   delta-batched runs every model in its lanes. The per-fault kernels
+   keep a working watchdog for every model. *)
 let test_watchdog_needs_per_fault_kernel () =
   let space, campaign = build (avr_makers ()) in
+  let dir = scratch_dir () in
   (match
-     Durable.run campaign ~space ~seed:1 ~n:10 ~kernel:Campaign.Delta_batched ~budget:100 ()
+     Durable.run campaign ~space ~seed:1 ~n:10 ~kernel:Campaign.Delta_batched ~budget:100
+       ~journal:dir ()
    with
   | exception Invalid_argument msg -> check_bool "names the budget" true (contains msg "budget")
   | _ -> Alcotest.fail "~budget on the delta-batched kernel must raise");
+  check_bool "refused before a journal is written" false (Journal.exists ~dir);
   let nl, _, _, _ = avr_makers () in
   let set_space = Fault_space.full ~model:Pruning_fi.Fault_model.Set nl ~cycles:total_cycles in
+  (match
+     Durable.run campaign ~space:set_space ~seed:1 ~n:10 ~kernel:Campaign.Delta_batched
+       ~budget:1_000_000 ()
+   with
+  | exception Invalid_argument msg ->
+    check_bool "set: names the budget" true (contains msg "budget")
+  | _ -> Alcotest.fail "set: ~budget on the delta-batched kernel must raise");
   let n = 60 and seed = 23 in
   let _, campaign = build (avr_makers ()) in
   let clean = Durable.run campaign ~space:set_space ~seed ~n ~kernel:Campaign.Delta () in
   let generous =
-    Durable.run campaign ~space:set_space ~seed ~n ~kernel:Campaign.Delta_batched
-      ~budget:1_000_000 ()
+    Durable.run campaign ~space:set_space ~seed ~n ~kernel:Campaign.Delta ~budget:1_000_000 ()
   in
-  check_stats "set on delta-batched: generous budget is invisible" clean.Durable.stats
+  check_stats "set on delta: generous budget is invisible" clean.Durable.stats
     generous.Durable.stats;
   let _, campaign = build (avr_makers ()) in
   let starved =
-    Durable.run campaign ~space:set_space ~seed ~n ~kernel:Campaign.Delta_batched ~budget:1
-      ~retries:0 ()
+    Durable.run campaign ~space:set_space ~seed ~n ~kernel:Campaign.Delta ~budget:1 ~retries:0 ()
   in
-  check_bool "set on delta-batched: the watchdog fires" true
-    (starved.Durable.stats.Campaign.crashed > 0)
+  check_bool "set on delta: the watchdog fires" true (starved.Durable.stats.Campaign.crashed > 0)
 
 (* A journal written by --jobs 4 of an older build carries four shards
    and four audit streams; a local run is one shard, so the resume is

@@ -3,13 +3,16 @@
 
    - Exhaustive: every (key x cycle) of the fault space, for seu,
      mbu:2, intermittent:3 and set on both cores, is classified by the
-     scalar oracle and by the single-fault delta engine (and, for SEU,
-     by the batched delta engine) and compared fault by fault. Each
-     engine gets a campaign of its own, so no engine's verdict memo can
-     answer for another's.
+     scalar oracle, by the single-fault delta engine and by the batched
+     delta engine (at the full lane width, and at 5 lanes, which forces
+     refills and overtaken faults while lanes are still holding) and
+     compared fault by fault. Each engine gets a campaign of its own,
+     so no engine's verdict memo can answer for another's.
+   - One batched call mixing empty and non-empty SET expansions returns
+     its verdicts in input order.
    - The golden trace is recorded exactly once, however many scalar
      domains need it at the same time.
-   - [?lanes] is checked whatever kernel the model falls back to. *)
+   - [?lanes] is checked for every fault model. *)
 
 open Helpers
 module Campaign = Pruning_fi.Campaign
@@ -79,9 +82,13 @@ let check_exhaustive (name, core) model ~cycles () =
     Array.map (fun (key, cycle) -> Campaign.inject_fault_delta c ~space ~key ~cycle) faults
   in
   same_verdicts (label ^ ": delta") faults scalar delta;
-  if model = Fault_model.Seu then
-    same_verdicts (label ^ ": delta-batched") faults scalar
-      (Campaign.inject_delta_batch (campaign core ~cycles) ~faults ())
+  List.iter
+    (fun lanes ->
+      same_verdicts
+        (Printf.sprintf "%s: delta-batched x %d lanes" label lanes)
+        faults scalar
+        (Campaign.inject_delta_batch (campaign core ~cycles) ~space ~lanes ~faults ()))
+    [ Campaign.max_delta_lanes; 5 ]
 
 let exhaustive_cases =
   List.concat_map
@@ -100,6 +107,39 @@ let exhaustive_cases =
           (Fault_model.Set, 8);
         ])
     [ ("avr", avr); ("msp430", msp) ]
+
+(* --- empty SET expansions in a batch -------------------------------- *)
+
+(* Gates whose pulse nothing latches are Benign without a lane; the
+   others share the lanes. Interleaved out of cycle order, the verdicts
+   must still come back in input order, equal to the scalar oracle's. *)
+let test_set_batch_mixed () =
+  let cycles = 30 in
+  let nl, _, _, _ = Lazy.force avr in
+  let space = Fault_space.full ~model:Fault_model.Set nl ~cycles in
+  let keys = List.init (Fault_space.n_keys space) (Fault_space.draw_key space) in
+  let empty, latching = List.partition (fun k -> Fault_space.expand space k = [||]) keys in
+  check_bool "some SET pulses latch nowhere" true (List.length empty >= 3);
+  let take n l = List.filteri (fun i _ -> i < n) l in
+  let faults =
+    List.concat
+      (List.mapi
+         (fun i (e, l) -> [ (e, (7 * i) mod cycles); (l, cycles - 1 - (3 * i mod cycles)) ])
+         (List.combine (take 3 empty) (take 3 latching)))
+    @ List.mapi (fun i l -> (l, i mod cycles)) (take 40 (List.rev latching))
+    |> Array.of_list
+  in
+  let c = campaign avr ~cycles in
+  let w = Campaign.primary_worker c in
+  let scalar = Array.map (fun (key, cycle) -> Campaign.inject_fault c w ~space ~key ~cycle) faults in
+  check_bool "not all benign" true (Array.exists (( <> ) Campaign.Benign) scalar);
+  let batched = Campaign.inject_delta_batch (campaign avr ~cycles) ~space ~lanes:4 ~faults () in
+  same_verdicts "set batch" faults scalar batched;
+  Array.iteri
+    (fun i (key, _) ->
+      if List.mem key empty then
+        check_bool "empty expansion is benign" true (batched.(i) = Campaign.Benign))
+    faults
 
 (* --- the golden trace is recorded once ------------------------------- *)
 
@@ -167,4 +207,5 @@ let suite =
   @ [
       Alcotest.test_case "golden trace recorded once per campaign" `Quick test_trace_once;
       Alcotest.test_case "lanes checked for every fault model" `Quick test_lanes_every_model;
+      Alcotest.test_case "set batch: empty expansions, input order" `Quick test_set_batch_mixed;
     ]

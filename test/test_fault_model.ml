@@ -221,13 +221,13 @@ let test_avr_models_scalar_delta () =
       let label = "avr/" ^ Fault_model.name model in
       let b = avr_build ~model ~cycles in
       let scalar, _ = check_engines label b ~n ~seed in
-      (* The wide engine falls back per-fault for non-SEU models and
-         must still match bit-for-bit. *)
+      (* The wide engine carries every model in its lanes and must
+         match bit-for-bit. *)
       let space, campaign = b in
       let delta_batched =
         Campaign.run_sample_delta_batched (campaign ()) ~space ~rng:(Prng.create seed) ~n ()
       in
-      check_stats (label ^ ": delta-batched fallback = scalar") scalar delta_batched)
+      check_stats (label ^ ": delta-batched = scalar") scalar delta_batched)
     [ Fault_model.Set; Fault_model.Mbu 2; Fault_model.Intermittent 3 ]
 
 let test_msp_models_scalar_delta () =
@@ -468,7 +468,7 @@ let suite =
     Alcotest.test_case "SET expansion = brute reachability" `Quick test_set_expansion_brute;
     Alcotest.test_case "multi-flop one-cycle masking oracle" `Quick test_multi_benign;
     Alcotest.test_case "intermittent:1 degenerates to seu" `Slow test_intermittent_one_is_seu;
-    Alcotest.test_case "avr: scalar/delta/fallback identity" `Slow test_avr_models_scalar_delta;
+    Alcotest.test_case "avr: scalar/delta/batched identity" `Slow test_avr_models_scalar_delta;
     Alcotest.test_case "msp: scalar/delta identity" `Slow test_msp_models_scalar_delta;
     Alcotest.test_case "audit 1.0 clean per model" `Quick test_audit_sound_per_model;
     Alcotest.test_case "audit quarantines unsound MATE" `Quick
