@@ -4,9 +4,9 @@
 
    Long campaigns are survivable: --journal streams every verdict into a
    crash-safe CRC-checksummed journal, --resume picks a killed campaign
-   up where the journal ends (bit-identical final stats), --watchdog and
-   the supervisor's retries contain runaway or crashing experiments, and
-   --audit cross-checks the MATE pruner by actually injecting a fraction
+   up where the journal ends (bit-identical final stats), the
+   supervisor's retries contain crashing experiments, and --audit
+   cross-checks the MATE pruner by actually injecting a fraction
    of the "pruned" faults.
 
    Campaigns also distribute: `campaign serve` runs the fault-tolerant
@@ -80,6 +80,27 @@ let lanes_conv =
     ~expect:(Printf.sprintf "a lane count in [0, %d]" Fi_campaign.max_delta_lanes)
     (fun l -> l >= 0 && l <= Fi_campaign.max_delta_lanes)
 
+(* Exact spellings only: Cmdliner's [enum] also takes unambiguous
+   prefixes, so the retired [delta] would silently mean [delta-batched]. *)
+let engine_conv =
+  let engines =
+    [
+      ("scalar", Fi_campaign.Scalar);
+      ("delta-batched", Fi_campaign.Delta_batched);
+      ("batched", Fi_campaign.Delta_batched);
+    ]
+  in
+  let parse s =
+    match List.assoc_opt s engines with
+    | Some k -> Ok k
+    | None ->
+      Error
+        (`Msg
+          (Printf.sprintf
+             "invalid value '%s', expected one of 'scalar', 'delta-batched' or 'batched'" s))
+  in
+  Arg.conv (parse, fun ppf k -> Format.pp_print_string ppf (Fi_campaign.kernel_name k))
+
 let hostport =
   let parse s =
     let bad () =
@@ -99,21 +120,19 @@ let fault_model_conv =
   Arg.conv'
     (Fault_model.of_string, fun ppf m -> Format.pp_print_string ppf (Fault_model.name m))
 
-(* The three system makers (scalar, delta, batched-delta) for a
-   built-in core/program pair — one per classification engine. [None]
-   for a pair this build does not know (a coordinator may name one). *)
+(* The two system makers (scalar, batched-delta) for a built-in
+   core/program pair — one per classification kernel. [None] for a pair
+   this build does not know (a coordinator may name one). *)
 let make_system core program =
   let avr p name =
     Some
       ( (fun nl -> System.create_avr ?netlist:nl ~program:(Lazy.force p) name),
-        (fun nl ~trace -> System.create_avr_delta ?netlist:nl ~program:(Lazy.force p) ~trace name),
         fun nl ~trace ->
           System.create_avr_delta_batch ?netlist:nl ~program:(Lazy.force p) ~trace name )
   in
   let msp p name =
     Some
       ( (fun nl -> System.create_msp ?netlist:nl ~program:(Lazy.force p) name),
-        (fun nl ~trace -> System.create_msp_delta ?netlist:nl ~program:(Lazy.force p) ~trace name),
         fun nl ~trace ->
           System.create_msp_delta_batch ?netlist:nl ~program:(Lazy.force p) ~trace name )
   in
@@ -207,7 +226,7 @@ type engines = {
 let setup (id : Journal.header) ~kernel ~checkpoint_interval =
   match make_system id.core id.program with
   | None -> Error (Printf.sprintf "unknown core/program %S/%S" id.core id.program)
-  | Some (make, make_delta, make_delta_batch) -> (
+  | Some (make, make_delta_batch) -> (
     let nl = (make None).System.netlist in
     match Fault_space.full ~model:id.fault_model nl ~cycles:id.cycles with
     | exception Invalid_argument msg ->
@@ -220,7 +239,6 @@ let setup (id : Journal.header) ~kernel ~checkpoint_interval =
         Fi_campaign.create
           ?checkpoint_interval:(if checkpoint_interval > 0 then Some checkpoint_interval else None)
           ~make:(fun () -> make (Some nl))
-          ~make_delta:(fun ~trace -> make_delta (Some nl) ~trace)
           ~make_delta_batch:(fun ~trace -> make_delta_batch (Some nl) ~trace)
           ~total_cycles:id.cycles ()
       in
@@ -288,8 +306,8 @@ let print_stats (stats : Fi_campaign.stats) elapsed =
 (* ------------------------------------------------------------------ *)
 (* campaign [run]: the single-process engine.                           *)
 
-let run (id : Journal.header) checkpoint_interval kernel lanes journal resume audit watchdog
-    retries chaos =
+let run (id : Journal.header) checkpoint_interval kernel lanes journal resume audit retries
+    chaos =
   usage_check
     [
       ( audit > 0. && not id.prune,
@@ -298,9 +316,6 @@ let run (id : Journal.header) checkpoint_interval kernel lanes journal resume au
       ( lanes > 0 && kernel <> Fi_campaign.Delta_batched,
         Printf.sprintf "--lanes only applies to --engine delta-batched (got %s)"
           (Fi_campaign.kernel_name kernel) );
-      ( watchdog > 0 && kernel = Fi_campaign.Delta_batched,
-        "--watchdog needs a per-fault engine: --engine delta-batched classifies faults in \
-         batches, with no per-experiment watchdog (use --engine delta)" );
       (resume && journal = None, "--resume needs --journal pointing at the journal to resume");
     ]
   @@ fun () ->
@@ -312,7 +327,7 @@ let run (id : Journal.header) checkpoint_interval kernel lanes journal resume au
     | Ok { campaign; space; pruner; skip } ->
       let lanes = if lanes > 0 then Some lanes else None in
       let chaos = chaos 0 in
-      let durable = journal <> None || resume || audit > 0. || watchdog > 0 || chaos <> None in
+      let durable = journal <> None || resume || audit > 0. || chaos <> None in
       let start = Mono.now () in
       if not durable then begin
         let rng = Prng.create id.seed in
@@ -320,7 +335,6 @@ let run (id : Journal.header) checkpoint_interval kernel lanes journal resume au
         let stats =
           match kernel with
           | Fi_campaign.Scalar -> Fi_campaign.run_sample campaign ~space ~rng ~n ?skip ()
-          | Fi_campaign.Delta -> Fi_campaign.run_sample_delta campaign ~space ~rng ~n ?skip ()
           | Fi_campaign.Delta_batched ->
             Fi_campaign.run_sample_delta_batched campaign ~space ~rng ~n ?skip ?lanes ()
         in
@@ -346,9 +360,8 @@ let run (id : Journal.header) checkpoint_interval kernel lanes journal resume au
         in
         match
           Durable.run campaign ~space ~seed:id.seed ~n:id.samples ~ident:(id.core, id.program)
-            ?skip ?audit:audit_arg ~kernel ?lanes
-            ?budget:(if watchdog > 0 then Some watchdog else None)
-            ~retries ?journal ~resume ~should_stop:stop_requested ?chaos ()
+            ?skip ?audit:audit_arg ~kernel ?lanes ~retries ?journal ~resume
+            ~should_stop:stop_requested ?chaos ()
         with
         | exception Journal.Error msg -> `Ok (fail exit_journal "%s" msg)
         | result ->
@@ -744,8 +757,10 @@ let fsck_dir dir =
       (if h.Journal.prune then ", pruned" else "")
       (Fault_model.name h.Journal.fault_model)
       h.Journal.epoch
-      (if h.Journal.shards = 0 then " (distributed)"
-       else Printf.sprintf " (%d shards)" h.Journal.shards)
+      (match h.Journal.shards with
+      | 0 -> " (distributed)"
+      | 1 -> " (local)"
+      | n -> Printf.sprintf " (%d shards)" n)
   | None -> Printf.printf "header: missing or unreadable\n");
   Printf.printf "segments: %d sealed%s\n" r.Journal.fsck_segments
     (match r.Journal.fsck_active with
@@ -867,24 +882,13 @@ let checkpoint_interval =
 
 let engine_arg =
   Arg.(
-    value
-    & opt
-        (enum
-           [
-             ("scalar", Fi_campaign.Scalar);
-             ("delta", Fi_campaign.Delta);
-             ("delta-batched", Fi_campaign.Delta_batched);
-             ("batched", Fi_campaign.Delta_batched);
-           ])
-        Fi_campaign.Scalar
+    value & opt engine_conv Fi_campaign.Scalar
     & info [ "engine" ] ~docv:"KERNEL"
         ~doc:
-          "Classification kernel: $(b,scalar) (one fault at a time from the nearest golden \
-           checkpoint), $(b,delta) (activity-gated: only wires differing from the golden run are \
-           re-evaluated, and a fault is retired the moment its difference set empties) or \
-           $(b,delta-batched) (up to 63 in-flight faults, each a sparse delta against one shared \
-           recorded golden run, swept over one shared schedule; $(b,batched) is an alias). All \
-           three produce bit-identical verdicts.")
+          "Classification kernel: $(b,scalar) (the reference: one fault at a time from the \
+           nearest golden checkpoint) or $(b,delta-batched) (production: up to 63 in-flight \
+           faults, each a sparse delta against one shared recorded golden run, swept over one \
+           shared schedule; $(b,batched) is an alias). Both produce bit-identical verdicts.")
 
 let lanes_arg =
   Arg.(
@@ -920,15 +924,6 @@ let audit =
            benign and verify the verdict. A violation quarantines the offending MATE (its faults \
            are injected, not pruned, from then on) and is reported; the campaign never aborts. \
            Requires $(b,--prune).")
-
-let watchdog =
-  Arg.(
-    value & opt non_negative 0
-    & info [ "watchdog" ] ~docv:"CYCLES"
-        ~doc:
-          "Per-experiment watchdog: an experiment consuming more than $(docv) simulated cycles is \
-           aborted, retried on a fresh system, and eventually recorded as crashed (0 = off). \
-           Needs a per-fault engine: $(b,scalar) or $(b,delta).")
 
 let retries =
   Arg.(
@@ -984,8 +979,8 @@ let man_exit_status =
     `S Manpage.s_exit_status;
     `P "0 on success. Every bad argument exits 124 with a message naming the flag, before any \
         campaign work starts: a malformed or out-of-range value, a flag combination that cannot \
-        work (--audit without --prune, --lanes or --watchdog with an engine they do not apply \
-        to, --resume without --journal, ...), or a --fault-model the core cannot host (an MBU \
+        work (--audit without --prune, --lanes with an engine other than delta-batched, \
+        --resume without --journal, ...), or a --fault-model the core cannot host (an MBU \
         cluster wider than its flops). Runtime failures use distinct codes:";
     `P "17: journal error (corrupt, mismatched, or the disk failed mid-run — resumable); 18: the \
         service could not start (the coordinator could not bind its address, or a worker's \
@@ -1007,7 +1002,7 @@ let run_term =
   Term.(
     ret
       (const run $ identity $ checkpoint_interval $ engine_arg $ lanes_arg $ journal $ resume
-     $ audit $ watchdog $ retries $ chaos))
+     $ audit $ retries $ chaos))
 
 let run_cmd =
   Cmd.v

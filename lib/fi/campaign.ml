@@ -11,26 +11,18 @@ type verdict =
   | Latent
   | Sdc of int
 
-(* The three interchangeable classification engines. All are
-   verdict-bit-identical (SDC cycles included); they differ only in how
-   they spend the machine. *)
+(* The two classification engines a campaign runs on: the scalar
+   reference and the production engine. They are verdict-bit-identical
+   (SDC cycles included) and differ only in how they spend the machine.
+   The single-fault delta loop ([inject_fault_delta]) is not a kernel:
+   it is the differential tests' independent third implementation. *)
 type kernel =
   | Scalar  (** one fault at a time, full netlist eval per cycle *)
-  | Delta  (** one fault at a time, only the fault cone re-evaluated *)
   | Delta_batched  (** 63 faults per pass, one shared golden delta baseline *)
 
 let kernel_name = function
   | Scalar -> "scalar"
-  | Delta -> "delta"
   | Delta_batched -> "delta-batched"
-
-(* "batched" named the deleted bit-parallel engine; it stays a spelling
-   of the wide engine so old scripts and journals keep working. *)
-let kernel_of_string = function
-  | "scalar" -> Some Scalar
-  | "delta" -> Some Delta
-  | "delta-batched" | "batched" -> Some Delta_batched
-  | _ -> None
 
 (* A memo key is the exact architectural difference from the golden run at
    a checkpoint: (checkpoint index, differing flops with their faulty
@@ -202,20 +194,6 @@ let state_diff t w ~cp =
     Some (!fd, !rd)
   with Too_big -> None
 
-exception Budget_exceeded
-
-(* Cooperative watchdog: charge every simulated cycle (prefix replay
-   included) against the caller's budget. The raise may abandon a worker
-   mid-run, which is safe — every injection starts by restoring a
-   checkpoint or re-attaching to the golden trace. *)
-let watchdog = function
-  | None -> fun () -> ()
-  | Some b ->
-    let used = ref 0 in
-    fun () ->
-      incr used;
-      if !used > b then raise Budget_exceeded
-
 (* The shared verdict memo, read at checkpoint boundaries and written
    once per experiment with every key it passed unanswered. Both take
    the key the caller already built. *)
@@ -286,7 +264,7 @@ let matches_golden_horizon t sys =
    does not imply an equal remainder, and the memo table is shared
    across models. An SEU is the one-member, hold-1 case, for which that
    guard always holds. *)
-let scalar_experiment ?budget t w ~members ~hold ~cycle =
+let scalar_experiment t w ~members ~hold ~cycle =
   if cycle < 0 || cycle >= t.total_cycles then invalid_arg "Campaign.inject: cycle out of range";
   (* A pulse nothing latches (empty SET cone): bit-exact golden run. *)
   if Array.length members = 0 then Benign
@@ -296,11 +274,9 @@ let scalar_experiment ?budget t w ~members ~hold ~cycle =
     let sys = w.w_sys in
     let sim = sys.System.sim in
     let flops = sys.System.netlist.Netlist.flops in
-    let charge = watchdog budget in
     let cp = cycle / t.interval in
     w.w_restores.(cp) ();
     for _ = 1 to cycle - (cp * t.interval) do
-      charge ();
       Sim.step sim ()
     done;
     Sim.eval sim;
@@ -333,7 +309,6 @@ let scalar_experiment ?budget t w ~members ~hold ~cycle =
         Sim.eval sim;
         if not (outputs_match t sim !c) then result := Some (Sdc !c)
         else begin
-          charge ();
           Sim.latch sim;
           incr c
         end
@@ -350,14 +325,11 @@ let scalar_experiment ?budget t w ~members ~hold ~cycle =
     verdict
   end
 
-let inject_with ?budget t w ~flop_id ~cycle =
-  scalar_experiment ?budget t w ~members:[| flop_id |] ~hold:1 ~cycle
-
-let inject t ~flop_id ~cycle = inject_with t t.primary ~flop_id ~cycle
+let inject t ~flop_id ~cycle = scalar_experiment t t.primary ~members:[| flop_id |] ~hold:1 ~cycle
 let primary_worker t = t.primary
 
-let inject_fault ?budget t w ~space ~key ~cycle =
-  scalar_experiment ?budget t w ~members:(Fault_space.expand space key)
+let inject_fault t w ~space ~key ~cycle =
+  scalar_experiment t w ~members:(Fault_space.expand space key)
     ~hold:(Fault_space.hold space) ~cycle
 
 (* ------------------------------------------------------------------ *)
@@ -417,7 +389,7 @@ let delta_diff ds flops =
    experiment the instant the dirty set empties — the faulty machine is
    bit-exact golden, so by determinism the remainder is too. Memo and
    retirement wait for the last forced cycle, as in the scalar loop. *)
-let delta_experiment ?budget t ~members ~hold ~cycle =
+let delta_experiment t ~members ~hold ~cycle =
   if cycle < 0 || cycle >= t.total_cycles then
     invalid_arg "Campaign.inject_delta: cycle out of range";
   if Array.length members = 0 then Benign
@@ -425,7 +397,6 @@ let delta_experiment ?budget t ~members ~hold ~cycle =
     let window_end = min t.total_cycles (cycle + hold) in
     let ds = (delta_worker t).System.d_dsim in
     let flops = (Deltasim.netlist ds).Netlist.flops in
-    let charge = watchdog budget in
     Deltasim.attach ds ~cycle;
     Array.iter (fun fid -> Deltasim.flip_flop ds fid) members;
     let result = ref None in
@@ -456,7 +427,6 @@ let delta_experiment ?budget t ~members ~hold ~cycle =
         if Deltasim.output_diverged ds then result := Some (Sdc !c)
         else if !c >= window_end - 1 && Deltasim.converged ds then result := Some Benign
         else begin
-          charge ();
           Deltasim.latch ds;
           incr c
         end
@@ -475,11 +445,10 @@ let delta_experiment ?budget t ~members ~hold ~cycle =
     verdict
   end
 
-let inject_delta ?budget t ~flop_id ~cycle =
-  delta_experiment ?budget t ~members:[| flop_id |] ~hold:1 ~cycle
+let inject_delta t ~flop_id ~cycle = delta_experiment t ~members:[| flop_id |] ~hold:1 ~cycle
 
-let inject_fault_delta ?budget t ~space ~key ~cycle =
-  delta_experiment ?budget t ~members:(Fault_space.expand space key)
+let inject_fault_delta t ~space ~key ~cycle =
+  delta_experiment t ~members:(Fault_space.expand space key)
     ~hold:(Fault_space.hold space) ~cycle
 
 (* ------------------------------------------------------------------ *)
@@ -812,21 +781,15 @@ let draw_samples t ~space ~rng ~n =
 (* The one kernel -> injector dispatch: every sample driver below and
    the supervised executor classify through it, and every kernel runs
    every fault model. The scalar kernel runs on [worker ()]; the
-   delta-family kernels on the campaign's shared workers, which an escaping
-   exception leaves in an unknown state (a dirty set or lanes mid-run) —
-   they are discarded, to be rebuilt lazily by the next call from the
-   cached golden trace, which is immutable and survives. *)
-let classify ?budget ?lanes t ~worker ~kernel ~space faults =
+   delta-batched kernel on the campaign's shared worker, which an
+   escaping exception leaves in an unknown state (lanes mid-run) — it is
+   discarded, to be rebuilt lazily by the next call from the cached
+   golden trace, which is immutable and survives. *)
+let classify ?lanes t ~worker ~kernel ~space faults =
   match kernel with
   | Scalar ->
     let w = worker () in
-    Array.map (fun (key, cycle) -> inject_fault ?budget t w ~space ~key ~cycle) faults
-  | Delta -> (
-    match Array.map (fun (key, cycle) -> inject_fault_delta ?budget t ~space ~key ~cycle) faults with
-    | verdicts -> verdicts
-    | exception e ->
-      t.delta_worker <- None;
-      raise e)
+    Array.map (fun (key, cycle) -> inject_fault t w ~space ~key ~cycle) faults
   | Delta_batched -> (
     match inject_delta_batch t ~space ?lanes ~faults () with
     | verdicts -> verdicts
@@ -839,10 +802,8 @@ let no_skip ~flop_id:_ ~cycle:_ = false
 (* The one sample driver behind every [run_sample*]. All samples are
    drawn up front with the single caller-provided generator and the
    pruned ones dropped: the fault list — and therefore the stats — is a
-   function of the seed alone, whatever the kernel. [lanes] is checked
-   first, before any fault is drawn. *)
-let run_kernel t ~kernel ~space ~rng ~n ~skip ?lanes () =
-  ignore (lanes_in_range ~fn:"run_sample_delta_batched" lanes);
+   function of the seed alone, whatever classifies it. *)
+let run_faults t ~space ~rng ~n ~skip classify_faults =
   (* The kept faults, compacted in place over the draw. *)
   let kept = draw_samples t ~space ~rng ~n in
   let nf = ref 0 in
@@ -853,18 +814,21 @@ let run_kernel t ~kernel ~space ~rng ~n ~skip ?lanes () =
         incr nf
       end)
     kept;
-  let faults = Array.sub kept 0 !nf in
-  stats_of ~n_skipped:(n - !nf)
-    (classify ?lanes t ~worker:(fun () -> t.primary) ~kernel ~space faults)
+  stats_of ~n_skipped:(n - !nf) (classify_faults (Array.sub kept 0 !nf))
 
 let run_sample t ~space ~rng ~n ?(skip = no_skip) () =
-  run_kernel t ~kernel:Scalar ~space ~rng ~n ~skip ()
+  run_faults t ~space ~rng ~n ~skip
+    (classify t ~worker:(fun () -> t.primary) ~kernel:Scalar ~space)
 
 let run_sample_delta t ~space ~rng ~n ?(skip = no_skip) () =
-  run_kernel t ~kernel:Delta ~space ~rng ~n ~skip ()
+  run_faults t ~space ~rng ~n ~skip
+    (Array.map (fun (key, cycle) -> inject_fault_delta t ~space ~key ~cycle))
 
+(* [lanes] is checked first, before any fault is drawn. *)
 let run_sample_delta_batched t ~space ~rng ~n ?(skip = no_skip) ?lanes () =
-  run_kernel t ~kernel:Delta_batched ~space ~rng ~n ~skip ?lanes ()
+  ignore (lanes_in_range ~fn:"run_sample_delta_batched" lanes);
+  run_faults t ~space ~rng ~n ~skip
+    (classify ?lanes t ~worker:(fun () -> t.primary) ~kernel:Delta_batched ~space)
 
 let pp_verdict ppf = function
   | Benign -> Format.fprintf ppf "benign"

@@ -3,9 +3,9 @@
     system to the injection cycle, flips the fault's member flip-flops
     (re-arming them over a hold window for intermittent faults), and runs
     to the campaign horizon while watching the primary outputs. An SEU is
-    the one-member, one-cycle case of that experiment: each engine has a
-    single per-fault loop, and {!inject_with} / {!inject_delta} are that
-    loop on one flop.
+    the one-member, one-cycle case of that experiment: each per-fault
+    loop ({!inject_fault}, {!inject_fault_delta}) has one body, and
+    {!inject} / {!inject_delta} are that body on one flop.
 
     Verdicts:
     - [Benign]: outputs matched the golden run at every cycle and the
@@ -58,13 +58,14 @@
     after crash recovery, durable runs and distributed chunk
     re-execution — share one recording.
 
-    The scalar engine is the reference oracle; delta-batched is the
-    production engine; single-fault delta is the differential check's
-    independent engine.
-    The scalar and delta loops are separate implementations of the same
-    protocol — they share only the helpers that touch no simulator state
-    (watchdog, verdict memo) — so their agreement is a real check.
-    {!classify} is the one place a kernel is mapped to its injector. *)
+    The scalar engine is the reference oracle and delta-batched the
+    production engine: they are the two {!kernel}s. Single-fault delta
+    is not a kernel — no runner, executor or CLI selects it — but the
+    differential tests' independent third engine. The scalar and delta
+    loops are separate implementations of the same protocol — they share
+    only the verdict memo, which touches no simulator state — so their
+    agreement is a real check. {!classify} is the one place a kernel is
+    mapped to its injector. *)
 
 type verdict =
   | Benign
@@ -72,17 +73,12 @@ type verdict =
   | Sdc of int
 
 type kernel =
-  | Scalar  (** one fault at a time, full netlist eval per cycle *)
-  | Delta  (** one fault at a time, only the fault cone re-evaluated *)
-  | Delta_batched  (** 63 faults per pass, one shared golden delta baseline *)
-(** The three interchangeable classification engines; selection changes
+  | Scalar  (** one fault at a time, full netlist eval per cycle: the reference *)
+  | Delta_batched  (** 63 faults per pass, one shared golden delta baseline: production *)
+(** The two interchangeable classification engines; selection changes
     throughput only, never verdicts. *)
 
 val kernel_name : kernel -> string
-
-val kernel_of_string : string -> kernel option
-(** Inverse of {!kernel_name}; ["batched"] is accepted as an alias of
-    [Delta_batched]. *)
 
 type t
 
@@ -131,23 +127,10 @@ val primary_worker : t -> worker
 val fresh_worker : t -> worker
 (** Build a new worker by replaying the golden prefix on a fresh system
     from [make] — a supervised executor's own worker, and the
-    supervisor's recovery action after a worker is lost to a crash or a
-    watchdog kill. Safe to call from any domain. *)
+    supervisor's recovery action after a worker is lost to a crash.
+    Safe to call from any domain. *)
 
-exception Budget_exceeded
-(** Raised by an injector when an experiment's simulated-cycle budget
-    runs out (the per-experiment watchdog). *)
-
-val inject_with : ?budget:int -> t -> worker -> flop_id:int -> cycle:int -> verdict
-(** {!inject} on an explicit worker: {!inject_fault}'s experiment on the
-    one-member, one-cycle fault [flop_id]. [budget], if given, bounds the
-    simulated cycles the experiment may consume (checkpoint-replay prefix
-    included); exceeding it raises {!Budget_exceeded}, after which the
-    worker remains usable (every injection starts from a checkpoint
-    restore). *)
-
-val inject_fault :
-  ?budget:int -> t -> worker -> space:Fault_space.t -> key:int -> cycle:int -> verdict
+val inject_fault : t -> worker -> space:Fault_space.t -> key:int -> cycle:int -> verdict
 (** Model-aware scalar injection, the scalar engine's one experiment:
     classify the fault instance [(key, cycle)] under [space]'s fault
     model. The key expands ({!Fault_space.expand}) into simultaneous
@@ -158,18 +141,19 @@ val inject_fault :
     simulating. Verdict-memo participation and early [Benign]
     retirement wait for the last forced cycle, so multi-cycle models
     never poison the state-determinism premise the shared memo rests
-    on; with a one-cycle hold that wait is empty. [budget] as in
-    {!inject_with}. *)
+    on; with a one-cycle hold that wait is empty. The experiment runs to
+    the campaign horizon at most; an exception leaves the worker usable
+    (every injection starts from a checkpoint restore). *)
 
-val inject_fault_delta : ?budget:int -> t -> space:Fault_space.t -> key:int -> cycle:int -> verdict
+val inject_fault_delta : t -> space:Fault_space.t -> key:int -> cycle:int -> verdict
 (** Model-aware delta injection, the delta engine's one experiment: the
     delta image of {!inject_fault} (expansion = initial dirty set;
     re-arm = re-flip any member whose flip flag cleared), implemented
     independently of it and verdict-bit-identical to it on every model.
+    The differential reference for the two kernels, not a kernel itself.
     Requires [~make_delta] at {!create}. *)
 
 val classify :
-  ?budget:int ->
   ?lanes:int ->
   t ->
   worker:(unit -> worker) ->
@@ -179,15 +163,12 @@ val classify :
   verdict array
 (** Classify [(key, cycle)] faults of [space] on [kernel], returning
     the verdicts in input order: {!inject_fault} on [worker ()] (called
-    once) for [Scalar], {!inject_fault_delta} for [Delta],
-    {!inject_delta_batch} with [~space] and [lanes] for [Delta_batched].
-    Every kernel runs every fault model. The only kernel-to-injector
-    mapping: every [run_sample*] and the supervised {!Executor} go
-    through it. [budget] bounds each experiment of the per-fault
-    kernels; [Delta_batched] has no per-experiment watchdog and ignores
-    it ({!Executor.create} refuses that pair). When an exception escapes
-    a delta-family kernel, its shared worker is discarded (the next call
-    rebuilds it from the cached golden trace) and the exception is
+    once) for [Scalar], {!inject_delta_batch} with [~space] and [lanes]
+    for [Delta_batched]. Every kernel runs every fault model. The only
+    kernel-to-injector mapping: {!run_sample}, {!run_sample_delta_batched}
+    and the supervised {!Executor} go through it. When an exception
+    escapes [Delta_batched], its shared worker is discarded (the next
+    call rebuilds it from the cached golden trace) and the exception is
     re-raised. *)
 
 type stats = {
@@ -239,7 +220,7 @@ val golden_trace : t -> Pruning_sim.Trace.t
     call from several domains at once: the recording is made exactly
     once. *)
 
-val inject_delta : ?budget:int -> t -> flop_id:int -> cycle:int -> verdict
+val inject_delta : t -> flop_id:int -> cycle:int -> verdict
 (** {!inject_fault_delta}'s experiment on the one-member, one-cycle
     fault [flop_id], on the activity-gated delta kernel
     ({!Pruning_sim.Deltasim}): attach at the injection cycle (no replay
@@ -248,9 +229,8 @@ val inject_delta : ?budget:int -> t -> flop_id:int -> cycle:int -> verdict
     out. Verdict-bit-identical to {!inject} — including SDC cycles — by
     determinism; participates in the shared verdict memo at checkpoint
     boundaries with keys read straight off the flip flags and device
-    diffs (byte-identical to the scalar engine's). [budget] bounds
-    simulated cycles as in {!inject_with}; the worker remains usable
-    after {!Budget_exceeded}. Requires [~make_delta] at {!create}; the
+    diffs (byte-identical to the scalar engine's). Requires [~make_delta]
+    at {!create}; the
     kernel (and its golden trace) is built lazily on first call. Not
     safe to call concurrently from several domains (one shared delta
     worker). *)
@@ -263,10 +243,10 @@ val run_sample_delta :
   ?skip:(flop_id:int -> cycle:int -> bool) ->
   unit ->
   stats
-(** {!run_sample}, on the delta kernel: draws the identical fault list
-    for the same [rng] seed and classifies it with
-    {!inject_fault_delta}, so the stats are bit-identical to the other
-    engines'. *)
+(** {!run_sample}, on the single-fault delta engine: draws the identical
+    fault list for the same [rng] seed and classifies it with
+    {!inject_fault_delta}, so the stats are bit-identical to the
+    kernels'. The differential reference, outside {!classify}. *)
 
 val max_delta_lanes : int
 (** Fault-carrying lanes per batched-delta pass:

@@ -53,7 +53,7 @@ type action =
   | Fsync_fail  (** fsync reports a real (non-ignorable) failure *)
   | Torn_rename  (** the segment-seal rename is lost before it happens *)
   | Crash  (** raise {!Injected} inside the experiment *)
-  | Stall of float  (** stall the experiment this long (past leases/watchdogs) *)
+  | Stall of float  (** stall the experiment this long (past leases and deadlines) *)
   | Duplicate  (** send the results frame twice (duplicate verdict replay) *)
   | Kill  (** SIGKILL the drawing process itself ({!kill_self}) *)
   | Disk_full  (** transient disk pressure: the journal pauses and retries *)

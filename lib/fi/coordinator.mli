@@ -85,7 +85,7 @@ type config = {
   lease : float;
       (** seconds of worker silence before its chunks are re-dispatched;
           must comfortably exceed the time a worker needs between frames:
-          one experiment on the per-fault engines, one window of 16 full
+          one experiment on the scalar engine, one window of 16 full
           passes ([16 * Campaign.max_delta_lanes] faults) on
           delta-batched, whatever the chunk size *)
   write_timeout : float;  (** per-frame send deadline towards a worker *)

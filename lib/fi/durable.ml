@@ -31,7 +31,7 @@ type result = {
 }
 
 let run campaign ~space ~seed ~n ?(ident = ("unknown", "unknown")) ?skip ?audit
-    ?(kernel = Campaign.Scalar) ?lanes ?budget ?(retries = 2)
+    ?(kernel = Campaign.Scalar) ?lanes ?(retries = 2)
     ?(retry_backoff = Backoff.retry_policy) ?journal ?(resume = false) ?records_per_segment
     ?(should_stop = fun () -> false) ?chaos ?fault () =
   if n < 0 then invalid_arg "Durable.run: n must be non-negative";
@@ -47,9 +47,6 @@ let run campaign ~space ~seed ~n ?(ident = ("unknown", "unknown")) ?skip ?audit
   (match audit with
   | Some (p, _) when not (p >= 0. && p <= 1.) ->
     invalid_arg "Durable.run: audit fraction must be in [0, 1]"
-  | _ -> ());
-  (match budget with
-  | Some b when b <= 0 -> invalid_arg "Durable.run: budget must be positive"
   | _ -> ());
   if resume && journal = None then invalid_arg "Durable.run: resume requires a journal";
   let core, program = ident in
@@ -68,12 +65,12 @@ let run campaign ~space ~seed ~n ?(ident = ("unknown", "unknown")) ?skip ?audit
      drawn from a generator split off the pinned audit state — a rerun
      that hits the same failures sleeps the same schedule. The batched
      kernel is journaled per window of four full passes. Built before
-     the journal is opened, so an argument it refuses (a watchdog on
-     the batched kernel) leaves no journal behind. *)
+     the journal is opened, so an argument it refuses leaves no journal
+     behind. *)
   let executor =
     Executor.create campaign ~space ~samples ~kernel ?lanes
       ~window:(4 * Option.value lanes ~default:Campaign.max_delta_lanes)
-      ?budget ~retries
+      ~retries
       ~backoff:(Backoff.create ~policy:retry_backoff (Prng.split (Prng.restore audit_state)))
       ?chaos ~should_stop ()
   in

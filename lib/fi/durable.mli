@@ -15,13 +15,12 @@
 
     - {b Supervision}: the sample list is classified by one
       {!Executor} — the same supervised loop that runs {!Worker} chunks —
-      on the calling domain. Each experiment runs under an optional
-      simulated-cycle watchdog ({!Campaign.Budget_exceeded}); an
-      experiment that raises — watchdog, simulator bug, test-injected
-      chaos — is retried up to [retries] times, each time on a freshly
-      built system ({!Campaign.fresh_worker}), and a persistent failure
-      is recorded as [Crashed] in the stats instead of aborting the
-      campaign.
+      on the calling domain. An experiment that raises — simulator bug,
+      test-injected chaos — is retried up to [retries] times, each time
+      on a freshly built system ({!Campaign.fresh_worker}), and a
+      persistent failure is recorded as [Crashed] in the stats instead
+      of aborting the campaign. Every experiment stops at the campaign
+      horizon, so none needs a cycle budget.
 
     - {b MATE soundness sentinel}: with [~audit:(p, hooks)], a
       [p]-fraction of the faults the [skip] predicate claims pruned are
@@ -81,7 +80,6 @@ val run :
   ?audit:float * audit_hooks ->
   ?kernel:Campaign.kernel ->
   ?lanes:int ->
-  ?budget:int ->
   ?retries:int ->
   ?retry_backoff:Pruning_util.Backoff.policy ->
   ?journal:string ->
@@ -92,8 +90,9 @@ val run :
   ?fault:(index:int -> attempt:int -> unit) ->
   unit ->
   result
-(** Durable counterpart of {!Campaign.run_sample} and its delta-family
-    siblings: draws the identical fault list for the same [seed] (so its stats are bit-identical to theirs when
+(** Durable counterpart of {!Campaign.run_sample} and
+    {!Campaign.run_sample_delta_batched}: draws the identical fault list
+    for the same [seed] (so its stats are bit-identical to theirs when
     nothing crashes), then runs it under journal + supervisor + sentinel.
 
     [ident] is the (core, program) pair recorded in the journal header
@@ -102,20 +101,15 @@ val run :
     \[0, 1\]; audit decisions are drawn from a PRNG whose state lives in
     the journal header, so a resumed run audits exactly the faults the
     original would have). [kernel] selects the engine ([Scalar]
-    (default), the activity-gated [Delta], or the batched-delta
-    [Delta_batched]; each runs every fault model). Every kernel writes
-    the same header shape ([shards = 1], one audit PRNG state), and since the kernels
-    are verdict-bit-identical their journals resume interchangeably —
-    including journals whose header carries the historical [batched]
-    flag of the deleted bit-parallel engine. A journal with
+    (default) or [Delta_batched]; each runs every fault model). Both
+    kernels write the same header shape ([shards = 1], one audit PRNG
+    state), and since they are verdict-bit-identical their journals
+    resume interchangeably — including journals whose header carries
+    the historical [batched] flag of the deleted bit-parallel engine. A journal with
     [shards > 1], written by [--jobs N] of an older build, is refused
     by {!Journal.require_match}. [lanes] caps the in-flight faults per
     pass of [Delta_batched] (default: the engine's maximum; rejected
-    with [Invalid_argument] for the per-fault kernels). [budget] is the
-    per-experiment watchdog in simulated cycles; it needs a per-fault
-    kernel, so {!Executor.create} rejects it with [Invalid_argument] on
-    [Delta_batched], whatever the fault model, before any journal is
-    written. [retries] (default 2) bounds
+    with [Invalid_argument] for [Scalar]). [retries] (default 2) bounds
     the supervisor's fresh-system retries per experiment (per window of
     four full passes on [Delta_batched], which is also its journaling
     unit); between retries the executor sleeps per [retry_backoff]

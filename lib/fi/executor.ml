@@ -12,7 +12,6 @@ type t = {
   kernel : Campaign.kernel;
   lanes : int option;
   window : int;
-  budget : int option;
   retries : int;
   backoff : Backoff.t;
   chaos : Chaos.t option;
@@ -23,15 +22,10 @@ type t = {
   mutable failures : int;
 }
 
-let create campaign ~space ~samples ~kernel ?lanes ~window ?budget ?(retries = 2) ~backoff
-    ?chaos ?(should_stop = fun () -> false) () =
+let create campaign ~space ~samples ~kernel ?lanes ~window ?(retries = 2) ~backoff ?chaos
+    ?(should_stop = fun () -> false) () =
   if retries < 0 then invalid_arg "Executor.create: retries must be non-negative";
   if window < 1 then invalid_arg "Executor.create: window must be positive";
-  (* The batched kernel classifies a window per attempt, so a
-     per-experiment watchdog has nothing to charge: refuse it rather
-     than silently run unguarded. *)
-  if budget <> None && kernel = Campaign.Delta_batched then
-    invalid_arg "Executor.create: ~budget (the watchdog) requires a per-fault kernel";
   {
     campaign;
     space;
@@ -39,7 +33,6 @@ let create campaign ~space ~samples ~kernel ?lanes ~window ?budget ?(retries = 2
     kernel;
     lanes;
     window;
-    budget;
     retries;
     backoff;
     chaos;
@@ -63,10 +56,10 @@ let scalar_worker t =
     t.worker <- Some w;
     w
 
-(* One attempt's worth of experiments: a single fault on the per-fault
-   kernels, a whole window on the batched one. *)
+(* One attempt's worth of experiments: a single fault on the scalar
+   kernel, a whole window on the batched one. *)
 let classify t faults =
-  Campaign.classify ?budget:t.budget ?lanes:t.lanes t.campaign
+  Campaign.classify ?lanes:t.lanes t.campaign
     ~worker:(fun () -> scalar_worker t)
     ~kernel:t.kernel ~space:t.space faults
 
@@ -98,7 +91,7 @@ let attempt t ~fault ~first faults =
       (* Back off so a systemic failure (disk full, OOM-adjacent) is
          not hammered at full speed. *)
       (* The scalar worker may be mid-run: build a fresh one next time
-         (Campaign.classify rebuilds the delta-family workers itself). *)
+         (Campaign.classify rebuilds the batched worker itself). *)
       t.worker <- None;
       t.failures <- t.failures + 1;
       if k < t.retries then begin

@@ -6,16 +6,17 @@
     and "here is its outcome":
 
     - {b Kernel.} Every attempt classifies through {!Campaign.classify},
-      which maps the kernel to its injector. The per-fault engines
-      classify one fault per attempt, delta-batched a window of faults
-      per attempt. Every kernel yields bit-identical verdicts, so
-      callers never branch on it.
-    - {b Retries.} An attempt that raises (simulator bug, watchdog
-      {!Campaign.Budget_exceeded}, test hook) rebuilds the kernel's state
-      (a fresh scalar worker, or a discarded delta / batched-delta
-      worker), sleeps per the caller's {!Pruning_util.Backoff} and tries
-      again, up to [retries] times; a fault (or a batched window) that
-      still fails is emitted as [Crashed].
+      which maps the kernel to its injector. The scalar kernel
+      classifies one fault per attempt, delta-batched a window of faults
+      per attempt. Both kernels yield bit-identical verdicts, so callers
+      never branch on it.
+    - {b Retries.} An attempt that raises (simulator bug, test hook)
+      rebuilds the kernel's state (a fresh scalar worker, or a discarded
+      batched-delta worker), sleeps per the caller's
+      {!Pruning_util.Backoff} and tries again, up to [retries] times; a
+      fault (or a batched window) that still fails is emitted as
+      [Crashed]. No experiment is cut short: each runs to the campaign
+      horizon at most.
     - {b Chaos.} With [~chaos], every attempt first draws the {!Chaos.Exec}
       site: a [Crash] raises {!Chaos.Injected}, retried {e without}
       consuming the retry budget, and a [Stall] sleeps — chaos never
@@ -39,7 +40,6 @@ val create :
   kernel:Campaign.kernel ->
   ?lanes:int ->
   window:int ->
-  ?budget:int ->
   ?retries:int ->
   backoff:Pruning_util.Backoff.t ->
   ?chaos:Chaos.t ->
@@ -53,19 +53,16 @@ val create :
     engine's maximum). [window] is how many consecutive indices the
     batched kernel classifies per attempt: its unit of retry, of
     [Crashed] accounting and of emission, with [should_stop] polled
-    between windows (the per-fault kernels use a window of one).
-    [budget] is the per-experiment simulated-cycle watchdog of the
-    per-fault kernels; with [kernel = Delta_batched] it raises
-    [Invalid_argument] (a batched window has no per-experiment budget
-    to charge). [retries] (default 2) bounds the retries per
-    window; [backoff] paces them and is reset before every window.
+    between windows (the scalar kernel uses a window of one).
+    [retries] (default 2) bounds the retries per window; [backoff]
+    paces them and is reset before every window.
     [should_stop] (default: never) is the cooperative-shutdown poll.
 
     The scalar kernel runs on the executor's own
     {!Campaign.fresh_worker}, built on first use, so scalar executors may
-    run on distinct domains. The delta-family kernels share the
+    run on distinct domains. The delta-batched kernel shares the
     campaign's one cached worker: at most one executor per campaign may
-    drive them at a time. *)
+    drive it at a time. *)
 
 val run :
   t ->

@@ -120,7 +120,7 @@ let run ~host ~port ~resolve ?name ?(heartbeat = 1.) ?(recv_timeout = 30.) ?(ret
      master PRNG state — the same list every worker and the
      single-process engines compute. Chunks of it are classified by one
      supervised executor, kept with the engine so its scalar worker (or
-     the campaign's cached delta-family worker) survives across chunks. *)
+     the campaign's cached delta-batched worker) survives across chunks. *)
   let cache : (Journal.header * engine * Executor.t) option ref = ref None in
   (* Failed experiment attempts of executors dropped from the cache. *)
   let past_failures = ref 0 in

@@ -19,9 +19,9 @@
     where every kernel runs every fault model), one retry/backoff loop,
     one execution-chaos site: a raising experiment is retried on a
     fresh system with backoff, a persistent failure is reported as
-    [Crashed]. Since every kernel produces bit-identical verdicts, a
-    fleet may freely mix workers running different kernels. The
-    delta-family workers record the golden baseline once per campaign
+    [Crashed]. Since both kernels produce bit-identical verdicts, a
+    fleet may freely mix scalar and delta-batched workers. A
+    delta-batched worker records the golden baseline once per campaign
     identity (cached by header across reconnects and chunk
     re-execution; see {!Campaign.golden_trace}). The batched kernel
     classifies a chunk in windows of 16 full passes, heartbeating and
@@ -34,8 +34,9 @@ type engine = {
       (** the local pruner; must be the same deterministic predicate on
           every worker (quarantine-free), or verdicts will mismatch *)
   kernel : Campaign.kernel;
-      (** which classification engine this worker drives; any mix across
-          a fleet yields identical verdicts *)
+      (** which kernel this worker drives ({!Campaign.Scalar} or
+          {!Campaign.Delta_batched}); any mix across a fleet yields
+          identical verdicts *)
 }
 
 type ended =

@@ -99,28 +99,36 @@ let test_msg_round_trip () =
       check_bool (Printf.sprintf "msg %d round-trips" i) true (Proto.decode (Proto.encode m) = m))
     all_msgs
 
+(* Feed [wire] to a streaming decoder in pieces of the given sizes
+   (cycled), popping every frame as soon as it is complete. *)
+let feed_in_pieces pieces wire =
+  let pieces = Array.of_list pieces in
+  let d = Proto.decoder () in
+  let got = ref [] in
+  let i = ref 0 and k = ref 0 in
+  while !i < String.length wire do
+    let n = min pieces.(!k mod Array.length pieces) (String.length wire - !i) in
+    Proto.feed d (Bytes.of_string (String.sub wire !i n)) n;
+    i := !i + n;
+    incr k;
+    let continue = ref true in
+    while !continue do
+      match Proto.next_frame d with
+      | None -> continue := false
+      | Some payload -> got := payload :: !got
+    done
+  done;
+  List.rev !got
+
 (* The streaming decoder must reassemble frames regardless of how the
    byte stream is sliced — including one byte at a time. *)
 let test_decoder_streaming () =
   let wire = String.concat "" (List.map (fun m -> Proto.encode_frame (Proto.encode m)) all_msgs) in
-  let run_with step =
-    let d = Proto.decoder () in
-    let got = ref [] in
-    let i = ref 0 in
-    while !i < String.length wire do
-      let n = min step (String.length wire - !i) in
-      Proto.feed d (Bytes.of_string (String.sub wire !i n)) n;
-      i := !i + n;
-      let continue = ref true in
-      while !continue do
-        match Proto.next_frame d with
-        | None -> continue := false
-        | Some payload -> got := Proto.decode payload :: !got
-      done
-    done;
-    check_bool (Printf.sprintf "all frames at step %d" step) true (List.rev !got = all_msgs)
-  in
-  List.iter run_with [ 1; 3; 7; String.length wire ]
+  List.iter
+    (fun step ->
+      check_bool (Printf.sprintf "all frames at step %d" step) true
+        (List.map Proto.decode (feed_in_pieces [ step ] wire) = all_msgs))
+    [ 1; 3; 7; String.length wire ]
 
 let test_frame_corruption () =
   let frame = Proto.encode_frame (Proto.encode Proto.Request) in
@@ -183,6 +191,60 @@ let test_malformed_messages () =
   expect_error "unknown outcome kind"
     "r\x00\x00\x00\x00\x01\x00\x00\x00\x00\x00\x00\x00\x09\x00\x00\x00\x00";
   expect_error "bad Welcome header" "W\x03\x00\x00\x00abc"
+
+(* No input crashes the decoders: arbitrary bytes, and every message's
+   payload or frame with flipped bytes, a truncation or an extension —
+   also re-framed under a valid CRC, so the mutated payload gets past the
+   frame check. Each input goes to [decode] and, in random-sized pieces,
+   through the streaming decoder, whose every frame is decoded. Only
+   [Proto.Error] may escape, and an intact frame fed in the same pieces
+   still decodes to its message. *)
+let prop_decoders_total =
+  let open QCheck2.Gen in
+  let mutation =
+    oneof
+      [
+        map2 (fun i x -> `Flip (i, x)) nat (int_range 1 255);
+        map (fun k -> `Truncate k) nat;
+        map (fun e -> `Extend e) (string_size ~gen:char (int_range 1 12));
+      ]
+  in
+  let mutate s = function
+    | `Flip (i, x) when s <> "" ->
+      let b = Bytes.of_string s in
+      let i = i mod Bytes.length b in
+      Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor x));
+      Bytes.to_string b
+    | `Flip _ -> s
+    | `Truncate k -> String.sub s 0 (k mod (String.length s + 1))
+    | `Extend e -> s ^ e
+  in
+  let mutated =
+    let* m = oneofl all_msgs in
+    let* muts = list_size (int_range 1 3) mutation in
+    let payload = Proto.encode m in
+    oneofl
+      [
+        List.fold_left mutate payload muts;
+        Proto.encode_frame (List.fold_left mutate payload muts);
+        List.fold_left mutate (Proto.encode_frame payload) muts;
+      ]
+  in
+  let input = oneof [ string_size ~gen:char (int_range 0 64); mutated ] in
+  let pieces = list_size (int_range 1 4) (int_range 1 16) in
+  QCheck2.Test.make ~name:"proto: decoders raise only Proto.Error" ~count:2000
+    ~print:QCheck2.Print.(triple string (list int) int)
+    (triple input pieces (int_bound (List.length all_msgs - 1)))
+    (fun (bytes, pieces, j) ->
+      let only_error f =
+        match f () with
+        | _ | (exception Proto.Error _) -> ()
+      in
+      only_error (fun () -> Proto.decode bytes);
+      only_error (fun () ->
+          List.iter (fun p -> only_error (fun () -> Proto.decode p)) (feed_in_pieces pieces bytes));
+      let m = List.nth all_msgs j in
+      List.map Proto.decode (feed_in_pieces pieces (Proto.encode_frame (Proto.encode m))) = [ m ])
 
 (* --- coordinator/worker integration ---------------------------------- *)
 
@@ -361,13 +423,13 @@ let test_parity_toy () =
     [ false; true ]
 
 (* Distributed-vs-local parity on the real cores, with a mixed fleet:
-   one scalar, one batched (delta-batched) and one delta worker (their
-   verdicts are bit-identical, so mixing kernels is legal). *)
+   one scalar and one delta-batched worker (their verdicts are
+   bit-identical, so mixing kernels is legal). *)
 let check_parity_core label makers =
   let build () =
-    let nl, make, make_delta, make_delta_batch = makers in
+    let nl, make, make_delta_batch = makers in
     let space = Fault_space.full nl ~cycles:120 in
-    let campaign = Campaign.create ~make ~make_delta ~make_delta_batch ~total_cycles:120 () in
+    let campaign = Campaign.create ~make ~make_delta_batch ~total_cycles:120 () in
     (space, campaign)
   in
   let n = 200 in
@@ -387,23 +449,19 @@ let check_parity_core label makers =
   in
   let w1 = work_bg ~port ~name:"scalar" ~resolve:(engine Campaign.Scalar) () in
   let w2 = work_bg ~port ~name:"batched" ~resolve:(engine Campaign.Delta_batched) () in
-  let w3 = work_bg ~port ~name:"delta" ~resolve:(engine Campaign.Delta) () in
-  let r1 = w1 () and r2 = w2 () and r3 = w3 () in
+  let r1 = w1 () and r2 = w2 () in
   let r = join () in
   check_bool (label ^ ": completed") true r.Coordinator.completed;
   check_int (label ^ ": mismatches") 0 r.Coordinator.mismatches;
   check_stats (label ^ ": mixed fleet parity") reference r.Coordinator.stats;
   check_bool (label ^ ": all finished") true
-    (r1.Worker.ended = Worker.Campaign_done
-    && r2.Worker.ended = Worker.Campaign_done
-    && r3.Worker.ended = Worker.Campaign_done)
+    (r1.Worker.ended = Worker.Campaign_done && r2.Worker.ended = Worker.Campaign_done)
 
 let avr_makers () =
   let nl = System.avr_netlist () in
   let program = Avr_asm.assemble Programs.avr_fib_halting in
   ( nl,
     (fun () -> System.create_avr ~netlist:nl ~program "avr/fib"),
-    (fun ~trace -> System.create_avr_delta ~netlist:nl ~program ~trace "avr/fib"),
     fun ~trace -> System.create_avr_delta_batch ~netlist:nl ~program ~trace "avr/fib" )
 
 let msp_makers () =
@@ -411,7 +469,6 @@ let msp_makers () =
   let program = Msp_asm.assemble Programs.msp_fib_halting in
   ( nl,
     (fun () -> System.create_msp ~netlist:nl ~program "msp/fib"),
-    (fun ~trace -> System.create_msp_delta ~netlist:nl ~program ~trace "msp/fib"),
     fun ~trace -> System.create_msp_delta_batch ~netlist:nl ~program ~trace "msp/fib" )
 
 let test_parity_avr () = check_parity_core "avr" (avr_makers ())
@@ -423,14 +480,12 @@ let test_parity_msp () = check_parity_core "msp430" (msp_makers ())
    their lanes. Stats must equal the local scalar run. *)
 let test_worker_non_seu_models () =
   let cycles = 120 and n = 120 and seed = 5 in
-  let nl, make, make_delta, make_delta_batch = avr_makers () in
+  let nl, make, make_delta_batch = avr_makers () in
   List.iter
     (fun model ->
       let label = Pruning_fi.Fault_model.name model in
       let space = Fault_space.full ~model nl ~cycles in
-      let campaign () =
-        Campaign.create ~make ~make_delta ~make_delta_batch ~total_cycles:cycles ()
-      in
+      let campaign () = Campaign.create ~make ~make_delta_batch ~total_cycles:cycles () in
       let reference = Campaign.run_sample (campaign ()) ~space ~rng:(Prng.create seed) ~n () in
       let config = { test_config with Coordinator.chunk_size = 32 } in
       let coord = Coordinator.create ~config () in
@@ -454,9 +509,9 @@ let test_worker_non_seu_models () =
    remainder is re-dispatched to a second worker with verdicts intact. *)
 let test_worker_batched_windows () =
   let cycles = 120 and n = 1100 and seed = 7 in
-  let nl, make, make_delta, make_delta_batch = avr_makers () in
+  let nl, make, make_delta_batch = avr_makers () in
   let space = Fault_space.full nl ~cycles in
-  let campaign () = Campaign.create ~make ~make_delta ~make_delta_batch ~total_cycles:cycles () in
+  let campaign () = Campaign.create ~make ~make_delta_batch ~total_cycles:cycles () in
   let reference =
     Campaign.run_sample_delta_batched (campaign ()) ~space ~rng:(Prng.create seed) ~n ()
   in
@@ -589,8 +644,25 @@ let test_sigkill_worker () =
   Unix.kill victim Sys.sigkill;
   let _, status = Unix.waitpid [] victim in
   check_bool "victim really SIGKILLed" true (status = Unix.WSIGNALED Sys.sigkill);
-  let w1 = work_bg ~port ~name:"w1" ~resolve:(fun _ -> toy_engine ()) () in
-  let w2 = work_bg ~port ~name:"w2" ~resolve:(fun _ -> toy_engine ()) () in
+  (* Either survivor alone could finish every chunk before the other
+     handshakes. Each holds in [resolve], after its own join, until the
+     other has joined too. *)
+  let joined name () =
+    List.exists
+      (function
+        | Coordinator.Joined { worker } -> worker = name
+        | _ -> false)
+      (all ())
+  in
+  let survivor name ~waits_for =
+    work_bg ~port ~name
+      ~resolve:(fun _ ->
+        wait_for (joined waits_for) (waits_for ^ " to join");
+        toy_engine ())
+      ()
+  in
+  let w1 = survivor "w1" ~waits_for:"w2" in
+  let w2 = survivor "w2" ~waits_for:"w1" in
   let r1 = w1 () and r2 = w2 () in
   let r = join () in
   check_bool "completed without the victim" true r.Coordinator.completed;
@@ -725,9 +797,10 @@ let suite =
     Alcotest.test_case "frame corruption detected" `Quick test_frame_corruption;
     Alcotest.test_case "frames over sockets, EOF semantics" `Quick test_frame_sockets;
     Alcotest.test_case "malformed messages rejected" `Quick test_malformed_messages;
+    QCheck_alcotest.to_alcotest prop_decoders_total;
     Alcotest.test_case "parity: toy fleet, plain and pruned" `Quick test_parity_toy;
-    Alcotest.test_case "parity: avr mixed scalar+batched+delta fleet" `Slow test_parity_avr;
-    Alcotest.test_case "parity: msp430 mixed scalar+batched+delta fleet" `Slow test_parity_msp;
+    Alcotest.test_case "parity: avr mixed scalar+batched fleet" `Slow test_parity_avr;
+    Alcotest.test_case "parity: msp430 mixed scalar+batched fleet" `Slow test_parity_msp;
     Alcotest.test_case "delta-batched worker runs non-SEU" `Slow
       test_worker_non_seu_models;
     Alcotest.test_case "delta-batched worker windows a big chunk" `Slow

@@ -1,7 +1,7 @@
 (* The durable campaign layer: crash-safe journal (round-trip, segment
    rotation, torn-tail truncation at awkward byte offsets), kill/resume
    bit-identity on both cores and both engines, the supervisor's
-   retry/crash accounting, the per-experiment watchdog, and the MATE
+   retry/crash accounting, and the MATE
    soundness sentinel (sound MATEs audit clean; an artificially unsound
    MATE is quarantined without aborting the campaign). *)
 
@@ -400,7 +400,6 @@ let avr_makers () =
   let program = Avr_asm.assemble Programs.avr_fib_halting in
   ( nl,
     (fun () -> System.create_avr ~netlist:nl ~program "avr/fib"),
-    (fun ~trace -> System.create_avr_delta ~netlist:nl ~program ~trace "avr/fib"),
     fun ~trace -> System.create_avr_delta_batch ~netlist:nl ~program ~trace "avr/fib" )
 
 let msp_makers () =
@@ -408,13 +407,12 @@ let msp_makers () =
   let program = Msp_asm.assemble Programs.msp_fib_halting in
   ( nl,
     (fun () -> System.create_msp ~netlist:nl ~program "msp/fib"),
-    (fun ~trace -> System.create_msp_delta ~netlist:nl ~program ~trace "msp/fib"),
     fun ~trace -> System.create_msp_delta_batch ~netlist:nl ~program ~trace "msp/fib" )
 
 let build makers =
-  let nl, make, make_delta, make_delta_batch = makers in
+  let nl, make, make_delta_batch = makers in
   let space = Fault_space.full nl ~cycles:total_cycles in
-  let campaign = Campaign.create ~make ~make_delta ~make_delta_batch ~total_cycles () in
+  let campaign = Campaign.create ~make ~make_delta_batch ~total_cycles () in
   (space, campaign)
 
 (* A fresh durable run (no journal) must be a drop-in replacement for the
@@ -432,14 +430,10 @@ let test_durable_matches_run_sample () =
     Durable.run campaign ~space ~seed ~n:n_samples ~kernel:Campaign.Delta_batched ()
   in
   check_stats "delta-batched" plain batched.Durable.stats;
-  let delta =
-    Durable.run campaign ~space ~seed ~n:n_samples ~kernel:Campaign.Delta ()
-  in
-  check_stats "delta" plain delta.Durable.stats;
   (* ~lanes belongs to the wide engine only. *)
-  match Durable.run campaign ~space ~seed ~n:1 ~lanes:7 ~kernel:Campaign.Delta () with
+  match Durable.run campaign ~space ~seed ~n:1 ~lanes:7 ~kernel:Campaign.Scalar () with
   | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "~lanes with a per-fault kernel must raise"
+  | _ -> Alcotest.fail "~lanes with the scalar kernel must raise"
 
 (* Kill/resume bit-identity: run to completion for the reference stats,
    then run the same campaign with a stop switch thrown partway, tear the
@@ -487,8 +481,6 @@ let test_kill_resume_avr_scalar () =
    engine, which [batched] names. *)
 let test_kill_resume_avr_batched () =
   check_kill_resume "avr-delta-batched" (avr_makers ()) ~kernel:Campaign.Delta_batched
-let test_kill_resume_avr_delta () =
-  check_kill_resume "avr-delta" (avr_makers ()) ~kernel:Campaign.Delta
 let test_kill_resume_msp_scalar () =
   check_kill_resume "msp-scalar" (msp_makers ()) ~kernel:Campaign.Scalar
 let test_kill_resume_msp_batched () =
@@ -625,64 +617,6 @@ let test_supervisor_retries () =
   check_int "one fewer injection" (clean.Durable.stats.Campaign.injections - 1)
     persistent.Durable.stats.Campaign.injections
 
-(* The watchdog kills over-budget experiments; the supervisor records
-   them as crashed and the campaign finishes. A generous budget changes
-   nothing. Runs on the AVR core: its experiments genuinely consume many
-   simulated cycles (the toy circuit resolves every fault within one). *)
-let test_watchdog_budget () =
-  let n = 100 in
-  let seed = 22 in
-  let space, campaign = build (avr_makers ()) in
-  let clean = Durable.run campaign ~space ~seed ~n () in
-  let generous = Durable.run campaign ~space ~seed ~n ~budget:1_000_000 () in
-  check_stats "generous budget is invisible" clean.Durable.stats generous.Durable.stats;
-  (* A fresh campaign so the clean run's memoized verdicts cannot rescue
-     over-budget experiments. *)
-  let space, campaign = build (avr_makers ()) in
-  let starved = Durable.run campaign ~space ~seed ~n ~budget:1 ~retries:1 () in
-  check_bool "starved completes" true starved.Durable.completed;
-  check_bool "some experiments crash" true (starved.Durable.stats.Campaign.crashed > 0);
-  check_int "accounting closes" n
-    (starved.Durable.stats.Campaign.injections + starved.Durable.stats.Campaign.skipped
-   + starved.Durable.stats.Campaign.crashed)
-
-(* The watchdog needs a per-fault kernel: asking for it on the batched
-   engine is rejected, not silently ignored, whatever the fault model —
-   delta-batched runs every model in its lanes. The per-fault kernels
-   keep a working watchdog for every model. *)
-let test_watchdog_needs_per_fault_kernel () =
-  let space, campaign = build (avr_makers ()) in
-  let dir = scratch_dir () in
-  (match
-     Durable.run campaign ~space ~seed:1 ~n:10 ~kernel:Campaign.Delta_batched ~budget:100
-       ~journal:dir ()
-   with
-  | exception Invalid_argument msg -> check_bool "names the budget" true (contains msg "budget")
-  | _ -> Alcotest.fail "~budget on the delta-batched kernel must raise");
-  check_bool "refused before a journal is written" false (Journal.exists ~dir);
-  let nl, _, _, _ = avr_makers () in
-  let set_space = Fault_space.full ~model:Pruning_fi.Fault_model.Set nl ~cycles:total_cycles in
-  (match
-     Durable.run campaign ~space:set_space ~seed:1 ~n:10 ~kernel:Campaign.Delta_batched
-       ~budget:1_000_000 ()
-   with
-  | exception Invalid_argument msg ->
-    check_bool "set: names the budget" true (contains msg "budget")
-  | _ -> Alcotest.fail "set: ~budget on the delta-batched kernel must raise");
-  let n = 60 and seed = 23 in
-  let _, campaign = build (avr_makers ()) in
-  let clean = Durable.run campaign ~space:set_space ~seed ~n ~kernel:Campaign.Delta () in
-  let generous =
-    Durable.run campaign ~space:set_space ~seed ~n ~kernel:Campaign.Delta ~budget:1_000_000 ()
-  in
-  check_stats "set on delta: generous budget is invisible" clean.Durable.stats
-    generous.Durable.stats;
-  let _, campaign = build (avr_makers ()) in
-  let starved =
-    Durable.run campaign ~space:set_space ~seed ~n ~kernel:Campaign.Delta ~budget:1 ~retries:0 ()
-  in
-  check_bool "set on delta: the watchdog fires" true (starved.Durable.stats.Campaign.crashed > 0)
-
 (* A journal written by --jobs 4 of an older build carries four shards
    and four audit streams; a local run is one shard, so the resume is
    refused by name rather than replaying the wrong audit draws. *)
@@ -803,7 +737,7 @@ let test_audit_resume_replays_quarantine () =
    all its faults before any of its violations quarantine, so the whole
    first window (here the whole run) is audited. *)
 let test_audit_every_kernel () =
-  let nl, make, _, _ = avr_makers () in
+  let nl, make, _ = avr_makers () in
   let n = 150 and seed = 26 in
   let clean =
     let space, campaign = build (avr_makers ()) in
@@ -865,20 +799,16 @@ let suite =
     Alcotest.test_case "durable matches run_sample" `Slow test_durable_matches_run_sample;
     Alcotest.test_case "kill/resume avr scalar" `Slow test_kill_resume_avr_scalar;
     Alcotest.test_case "kill/resume avr batched" `Slow test_kill_resume_avr_batched;
-    Alcotest.test_case "kill/resume avr delta" `Slow test_kill_resume_avr_delta;
     Alcotest.test_case "kill/resume msp scalar" `Slow test_kill_resume_msp_scalar;
     Alcotest.test_case "kill/resume msp batched" `Slow test_kill_resume_msp_batched;
     Alcotest.test_case "resume mismatch refused" `Quick test_resume_mismatch;
     Alcotest.test_case "resume of a batched-flagged journal" `Slow test_resume_batched_header;
     Alcotest.test_case "supervisor retries and crash accounting" `Quick test_supervisor_retries;
-    Alcotest.test_case "watchdog budget" `Quick test_watchdog_budget;
-    Alcotest.test_case "watchdog needs a per-fault kernel" `Quick
-      test_watchdog_needs_per_fault_kernel;
-    Alcotest.test_case "resume of a --jobs 4 journal refused" `Quick
-      test_resume_legacy_shards_refused;
     Alcotest.test_case "audit: sound MATE is invisible" `Quick test_audit_sound_mate;
     Alcotest.test_case "audit: unsound MATE quarantined" `Quick test_audit_quarantines_unsound_mate;
     Alcotest.test_case "audit: resume replays quarantine" `Quick test_audit_resume_replays_quarantine;
+    Alcotest.test_case "resume of a --jobs 4 journal refused" `Quick
+      test_resume_legacy_shards_refused;
     Alcotest.test_case "audit: real verdicts on every kernel" `Slow test_audit_every_kernel;
     Alcotest.test_case "pruner: unknown flop is an error path" `Quick test_pruner_unknown_flop;
   ]

@@ -19,7 +19,7 @@ module Programs = Pruning_cpu.Programs
 
 let cycles = 150
 let n = 120
-let kernels = Campaign.[ Scalar; Delta; Delta_batched ]
+let kernels = Campaign.[ Scalar; Delta_batched ]
 
 let makers =
   lazy
@@ -27,14 +27,13 @@ let makers =
      let program = Avr_asm.assemble Programs.avr_fib_halting in
      ( nl,
        (fun () -> System.create_avr ~netlist:nl ~program "avr/fib"),
-       (fun ~trace -> System.create_avr_delta ~netlist:nl ~program ~trace "avr/fib"),
        fun ~trace -> System.create_avr_delta_batch ~netlist:nl ~program ~trace "avr/fib" ))
 
 (* A fresh campaign (no shared memo) and its canonical fault list. *)
 let setup () =
-  let nl, make, make_delta, make_delta_batch = Lazy.force makers in
+  let nl, make, make_delta_batch = Lazy.force makers in
   let space = Fault_space.full nl ~cycles in
-  let campaign = Campaign.create ~make ~make_delta ~make_delta_batch ~total_cycles:cycles () in
+  let campaign = Campaign.create ~make ~make_delta_batch ~total_cycles:cycles () in
   let samples = Campaign.draw_samples campaign ~space ~rng:(Prng.create 11) ~n in
   (space, campaign, samples)
 
@@ -96,7 +95,7 @@ let test_contract () =
     kernels
 
 (* A transient failure costs one retry and changes nothing; a persistent
-   one crashes the attempt unit — one fault on the per-fault kernels,
+   one crashes the attempt unit — one fault on the scalar kernel,
    the whole window on the batched one — after [retries] retries. The
    hook always names the first injected index of the attempted unit. *)
 let test_retries () =
