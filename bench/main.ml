@@ -1,13 +1,12 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation section, plus Bechamel micro-benchmarks of the core
-   primitives.
+   evaluation section.
 
    Usage: dune exec bench/main.exe -- [all|table1|table2|table3|figures|
-                                       cost|ablation|campaign|micro]
+                                       cost|ablation|campaign]
                                       [--quick]
 
-   Engine throughput is measured by the named-workload benchmark in
-   benchsuite/, not here.
+   Engine throughput and the timing of individual layers are measured by
+   the named-workload benchmark in benchsuite/, not here.
 
    Experiment index (see DESIGN.md):
      T1  table1    MATE-search statistics per core and fault set
@@ -19,10 +18,6 @@
      C1  campaign  sampled HAFI campaign with and without pruning *)
 
 module Netlist = Pruning_netlist.Netlist
-module Cone = Pruning_netlist.Cone
-module Cell = Pruning_cell.Cell
-module Gm = Pruning_cell.Gm
-module Sim = Pruning_sim.Sim
 module System = Pruning_cpu.System
 module Avr_asm = Pruning_cpu.Avr_asm
 module Programs = Pruning_cpu.Programs
@@ -148,7 +143,7 @@ let run_campaign () =
   let space = Fault_space.full nl ~cycles:horizon in
   let campaign = Campaign.create ~make ~total_cycles:horizon () in
   let plain = Campaign.run_sample campaign ~space ~rng:(Prng.create 7) ~n:samples () in
-  let trace = System.record (make ()) ~cycles:horizon in
+  let trace = Campaign.golden_trace campaign in
   let report = Search.search_flops ~params ~traces:[ trace ] nl (Array.to_list nl.Netlist.flops) in
   let set = Mateset.of_report report in
   let triggers = Replay.triggers set trace in
@@ -191,71 +186,6 @@ let run_campaign () =
     (Intercycle.n_faults classes) classes.Intercycle.n_classes
     (Intercycle.reduction_factor classes)
 
-(* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks, including one Test per paper table at a
-   strongly reduced scale (the full-scale tables are printed above; these
-   measure the cost of regenerating them). *)
-
-let micro_tests () =
-  let open Bechamel in
-  let nl = System.avr_netlist () in
-  let some_flop = (Netlist.find_flop nl "sreg[1]").Netlist.flop_id in
-  let q_wire = nl.Netlist.flops.(some_flop).Netlist.q in
-  let mux2 = Cell.of_kind Cell.MUX2 in
-  let sys = System.create_avr ~netlist:nl ~program:(Avr_asm.assemble Programs.avr_fib) "avr/fib" in
-  let tiny = { Search.default_params with Search.max_candidates = 50; max_situations = 2 } in
-  let tiny_cycles = 120 in
-  let tiny_trace = System.record (System.create_avr ~netlist:nl ~program:(Avr_asm.assemble Programs.avr_fib) "t") ~cycles:tiny_cycles in
-  let tiny_set =
-    Mateset.of_report
-      (Search.search_flops ~params:tiny ~traces:[ tiny_trace ] nl
-         (Netlist.flops_excluding nl ~prefix:"rf_"))
-  in
-  [
-    Test.make ~name:"cone/avr-flop" (Staged.stage (fun () -> Cone.compute nl q_wire));
-    Test.make ~name:"gm/mux2-select"
-      (Staged.stage (fun () -> Gm.masking_terms mux2 ~faulty:[ 2 ]));
-    Test.make ~name:"sim/avr-cycle" (Staged.stage (fun () -> Sim.step sys.System.sim ()));
-    Test.make ~name:"search/one-wire"
-      (Staged.stage (fun () -> Search.search_wire nl tiny q_wire));
-    Test.make ~name:"table1/tiny"
-      (Staged.stage (fun () ->
-           Search.search_flops ~params:tiny nl
-             (Netlist.flops_excluding nl ~prefix:"rf_")));
-    Test.make ~name:"table23/tiny-replay"
-      (Staged.stage (fun () -> Replay.triggers tiny_set tiny_trace));
-    Test.make ~name:"figure1b/full" (Staged.stage (fun () -> Figure1.render_figure1b ()));
-  ]
-
-let run_micro () =
-  section "Bechamel micro-benchmarks";
-  let open Bechamel in
-  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 1.0) ~kde:None () in
-  let tests = Test.make_grouped ~name:"pruning" (micro_tests ()) in
-  let raw = Benchmark.all cfg [ Toolkit.Instance.monotonic_clock ] tests in
-  let ols =
-    Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-  let t = Table.create [ "benchmark"; "time/run" ] in
-  let rows = Hashtbl.fold (fun name result acc -> (name, result) :: acc) results [] in
-  List.iter
-    (fun (name, result) ->
-      let estimate =
-        match Analyze.OLS.estimates result with
-        | Some (e :: _) -> e
-        | _ -> nan
-      in
-      let human =
-        if estimate > 1e9 then Printf.sprintf "%.2f s" (estimate /. 1e9)
-        else if estimate > 1e6 then Printf.sprintf "%.2f ms" (estimate /. 1e6)
-        else if estimate > 1e3 then Printf.sprintf "%.2f us" (estimate /. 1e3)
-        else Printf.sprintf "%.0f ns" estimate
-      in
-      Table.add_row t [ name; human ])
-    (List.sort compare rows);
-  Table.print t
-
 let () =
   Printf.printf "pruning benchmark harness (mode: %s%s)\n" mode (if quick then ", quick" else "");
   (match mode with
@@ -266,7 +196,6 @@ let () =
   | "cost" -> run_cost ()
   | "ablation" -> run_ablation ()
   | "campaign" -> run_campaign ()
-  | "micro" -> run_micro ()
   | "all" ->
     run_figures ();
     run_table1 ();
@@ -274,8 +203,7 @@ let () =
     run_table3 ();
     run_cost ();
     run_ablation ();
-    run_campaign ();
-    run_micro ()
+    run_campaign ()
   | other ->
     Printf.eprintf "unknown mode %s\n" other;
     exit 1);

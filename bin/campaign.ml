@@ -189,16 +189,15 @@ let check_journal_model ~journal ~active ~model =
   | _ -> None
 
 (* The deterministic MATE-pruner build shared by the local runner and
-   every distributed worker: identical inputs, identical skip set. *)
-let build_pruner nl ~make ~cycles ~space =
+   every distributed worker: identical inputs, identical skip set. The
+   MATEs are replayed over the campaign's own golden trace. *)
+let build_pruner nl ~campaign ~space =
   Printf.printf "searching MATEs...\n%!";
   let report = Search.search_flops nl (Array.to_list nl.Netlist.flops) in
   print_endline (Search.summary report);
   let set = Mateset.of_report report in
   Printf.printf "replaying golden trace over %d MATEs...\n%!" (Mateset.size set);
-  let sys = make (Some nl) in
-  let trace = System.record sys ~cycles in
-  let triggers = Replay.triggers set trace in
+  let triggers = Replay.triggers set (Fi_campaign.golden_trace campaign) in
   let pruner = Replay.pruner set triggers ~space () in
   let pruned = Replay.pruner_masked_count pruner in
   (* MATEs reason about single-flop faults; report against the SEU total
@@ -223,7 +222,7 @@ type engines = {
    skip set. [Error] names what
    this build cannot run: an unknown core/program, or a fault model the
    core cannot host (an MBU cluster wider than its flops). *)
-let setup (id : Journal.header) ~kernel ~checkpoint_interval =
+let setup (id : Journal.header) ~kernel =
   match make_system id.core id.program with
   | None -> Error (Printf.sprintf "unknown core/program %S/%S" id.core id.program)
   | Some (make, make_delta_batch) -> (
@@ -237,7 +236,6 @@ let setup (id : Journal.header) ~kernel ~checkpoint_interval =
         (Fault_space.size space) id.samples;
       let campaign =
         Fi_campaign.create
-          ?checkpoint_interval:(if checkpoint_interval > 0 then Some checkpoint_interval else None)
           ~make:(fun () -> make (Some nl))
           ~make_delta_batch:(fun ~trace -> make_delta_batch (Some nl) ~trace)
           ~total_cycles:id.cycles ()
@@ -246,7 +244,7 @@ let setup (id : Journal.header) ~kernel ~checkpoint_interval =
         (Fi_campaign.checkpoint_interval campaign)
         (Fi_campaign.kernel_name kernel);
       let pruner =
-        if id.prune then Some (build_pruner nl ~make ~cycles:id.cycles ~space) else None
+        if id.prune then Some (build_pruner nl ~campaign ~space) else None
       in
       (* The MATE pruner proves single-flop, single-cycle (SEU) faults
          benign; [lift_pruned] soundly lifts that claim to the model's
@@ -306,7 +304,7 @@ let print_stats (stats : Fi_campaign.stats) elapsed =
 (* ------------------------------------------------------------------ *)
 (* campaign [run]: the single-process engine.                           *)
 
-let run (id : Journal.header) checkpoint_interval kernel lanes journal resume audit retries
+let run (id : Journal.header) kernel lanes journal resume audit retries
     chaos =
   usage_check
     [
@@ -322,7 +320,7 @@ let run (id : Journal.header) checkpoint_interval kernel lanes journal resume au
   match check_journal_model ~journal ~active:resume ~model:id.fault_model with
   | Some code -> `Ok code
   | None -> (
-    match setup id ~kernel ~checkpoint_interval with
+    match setup id ~kernel with
     | Error msg -> `Error (true, msg)
     | Ok { campaign; space; pruner; skip } ->
       let lanes = if lanes > 0 then Some lanes else None in
@@ -514,10 +512,10 @@ exception Unknown_identity of string
    Welcome header, so a worker needs no campaign flags at all. The
    header pins the fault model; the worker obeys it — a fleet never
    mixes models within one campaign. *)
-let work_one ~host ~port ~name ~kernel ~checkpoint_interval ~retries ~max_reconnects
+let work_one ~host ~port ~name ~kernel ~retries ~max_reconnects
     ~recv_timeout ?readdress ~chaos () =
   let resolve h =
-    match setup h ~kernel ~checkpoint_interval with
+    match setup h ~kernel with
     | Error msg ->
       raise (Unknown_identity ("coordinator named a campaign this build cannot run: " ^ msg))
     | Ok { campaign; space; skip; _ } -> { Worker.campaign; space; skip; kernel }
@@ -536,7 +534,7 @@ let work_one ~host ~port ~name ~kernel ~checkpoint_interval ~retries ~max_reconn
     | Worker.Stopped -> stop_exit_code ()
     | Worker.Gave_up why -> fail exit_network "giving up: %s" why)
 
-let work (host, port) name workers kernel checkpoint_interval retries max_reconnects recv_timeout
+let work (host, port) name workers kernel retries max_reconnects recv_timeout
     chaos =
   usage_check
     [
@@ -547,7 +545,7 @@ let work (host, port) name workers kernel checkpoint_interval retries max_reconn
   @@ fun () ->
   install_signal_handlers ();
   let one i =
-    work_one ~host ~port ~name ~kernel ~checkpoint_interval ~retries ~max_reconnects
+    work_one ~host ~port ~name ~kernel ~retries ~max_reconnects
       ~recv_timeout ~chaos:(chaos i) ()
   in
   if workers = 1 then `Ok (one 0)
@@ -639,7 +637,7 @@ let supervised_work ~host ~current_port ~index ~chaos =
   let port = await_port 100 in
   work_one ~host ~port
     ~name:(Some (Printf.sprintf "fleet-%d" (index + 1)))
-    ~kernel:Fi_campaign.Scalar ~checkpoint_interval:0 ~retries:2 ~max_reconnects:1000
+    ~kernel:Fi_campaign.Scalar ~retries:2 ~max_reconnects:1000
     ~recv_timeout:30.
     ~readdress:(fun () -> Option.map (fun p -> (host, p)) (current_port ()))
     ~chaos ()
@@ -874,12 +872,6 @@ let identity =
         })
     $ core $ program $ cycles $ samples $ seed $ prune $ model)
 
-let checkpoint_interval =
-  Arg.(
-    value & opt non_negative 0
-    & info [ "checkpoint-interval" ]
-        ~doc:"Golden-run checkpoint spacing in cycles (0 = auto: total/64).")
-
 let engine_arg =
   Arg.(
     value & opt engine_conv Fi_campaign.Scalar
@@ -1001,8 +993,8 @@ let man_exit_status =
 let run_term =
   Term.(
     ret
-      (const run $ identity $ checkpoint_interval $ engine_arg $ lanes_arg $ journal $ resume
-     $ audit $ retries $ chaos))
+      (const run $ identity $ engine_arg $ lanes_arg $ journal $ resume $ audit $ retries
+     $ chaos))
 
 let run_cmd =
   Cmd.v
@@ -1247,8 +1239,8 @@ let work_cmd =
           current chunk is re-dispatched.")
     Term.(
       ret
-        (const work $ hostport $ worker_name $ workers $ engine_arg $ checkpoint_interval
-       $ retries $ max_reconnects $ recv_timeout $ chaos))
+        (const work $ hostport $ worker_name $ workers $ engine_arg $ retries $ max_reconnects
+       $ recv_timeout $ chaos))
 
 let fsck_cmd =
   let dir =

@@ -39,9 +39,10 @@ let () =
     plain.Campaign.injections plain_time plain.Campaign.benign plain.Campaign.latent
     plain.Campaign.sdc;
 
-  (* MATE-pruned campaign: search, replay the golden trace, skip pruned. *)
+  (* MATE-pruned campaign: search, replay the campaign's golden trace,
+     skip pruned. *)
   let params = { Search.default_params with Search.max_candidates = 1000; max_situations = 8 } in
-  let trace = System.record (make ()) ~cycles in
+  let trace = Campaign.golden_trace campaign in
   let report = Search.search_flops ~params ~traces:[ trace ] nl (Array.to_list nl.Netlist.flops) in
   let set = Mateset.of_report report in
   let triggers = Replay.triggers set trace in

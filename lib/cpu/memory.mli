@@ -6,11 +6,6 @@
 type backing = int array
 (** Live view of a memory device's contents. *)
 
-val read_port : Pruning_netlist.Netlist.port -> Pruning_sim.Sim.reader -> int
-(** Decode a port's wires into an integer (LSB first). *)
-
-val write_port : Pruning_netlist.Netlist.port -> Pruning_sim.Sim.writer -> int -> unit
-
 val avr_rom : Pruning_netlist.Netlist.t -> program:int array -> Pruning_sim.Sim.device
 (** Combinational program ROM: drives [instr] with [program.(pmem_addr)]
     (NOP beyond the end). *)
@@ -37,12 +32,6 @@ val msp_memory :
     recomputes, RAMs keep the golden contents replayed from the
     trace's write stream plus a sparse diff of faulty addresses. A
     clean faulty run keeps the diff empty and clocks in O(1). *)
-
-val read_port_delta : Pruning_netlist.Netlist.port -> Pruning_sim.Deltasim.t -> int
-(** Decode a port's faulty value (LSB first). *)
-
-val write_port_delta : Pruning_netlist.Netlist.port -> Pruning_sim.Deltasim.t -> int -> unit
-(** Drive a port's faulty value. *)
 
 val avr_rom_delta :
   Pruning_sim.Deltasim.t ->
@@ -77,16 +66,6 @@ val msp_memory_delta :
     scalar delta devices exactly, so diff tables (and therefore memo
     keys and Latent verdicts) are bit-identical to the scalar
     engine's. *)
-
-val read_port_delta_batch_lane :
-  Pruning_netlist.Netlist.port -> Pruning_sim.Deltabatch.t -> lane:int -> int
-(** Decode one lane's faulty view of a port (LSB first). *)
-
-val write_port_delta_batch :
-  Pruning_netlist.Netlist.port -> Pruning_sim.Deltabatch.t -> mask:int -> (int -> int) -> unit
-(** [write_port_delta_batch port db ~mask f] drives lane [l] of the
-    port with [f l] for every lane in [mask], leaving other lanes'
-    flip bits untouched. *)
 
 val avr_rom_delta_batch :
   Pruning_sim.Deltabatch.t ->

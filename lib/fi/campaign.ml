@@ -44,18 +44,14 @@ type t = {
   make_delta_batch : (trace:Trace.t -> System.delta_batch) option;
   mutable delta_worker : System.delta option;  (* built lazily on first delta run *)
   mutable delta_batch_worker : System.delta_batch option;  (* lazy, first batched-delta run *)
-  mutable golden_trace : Trace.t option;
-      (* the one golden recording shared by every delta-family worker:
-         recorded once per (core, program, horizon) and kept across
-         worker resets, durable runs and distributed chunk retries *)
-  trace_lock : Mutex.t;  (* guards [golden_trace] against concurrent first callers *)
+  trace : Trace.t;
+      (* the campaign's one per-cycle golden record, taken by the
+         checkpointing run: row c holds cycle c's settled wires (its
+         outputs, and its Q = the flop state at the top of cycle c) *)
   total_cycles : int;
   interval : int;  (* checkpoint spacing in cycles *)
   out_wires : int array;
-  golden_outputs : bool array array;  (** per cycle *)
-  golden_flops : bool array;  (** at horizon *)
   golden_ram : int array;  (** at horizon *)
-  cp_flops : bool array array;  (** golden flop state per checkpoint *)
   cp_ram : int array array;  (** golden RAM per checkpoint *)
   memo : (memo_key, verdict) Hashtbl.t;
       (* shared across workers: one domain's classified divergence state
@@ -70,11 +66,9 @@ let output_wires nl =
     nl.Netlist.outputs
   |> Array.of_list
 
-let read_outputs sim out_wires = Array.map (fun w -> Sim.peek sim w) out_wires
-
-let read_flops sim nl =
-  Array.map (fun (f : Netlist.flop) -> Sim.peek sim f.Netlist.q) nl.Netlist.flops
-
+(* The campaign's one golden simulation: every [interval] cycles it
+   snapshots the system and its RAM before the step, and every step
+   records its settled wires into the trace. *)
 let create ?checkpoint_interval ?make_delta ?make_delta_batch ~make ~total_cycles () =
   if total_cycles <= 0 then invalid_arg "Campaign.create: total_cycles must be positive";
   let interval =
@@ -88,38 +82,28 @@ let create ?checkpoint_interval ?make_delta ?make_delta_batch ~make ~total_cycle
   let sys = make () in
   let sim = sys.System.sim in
   let nl = sys.System.netlist in
-  let out_wires = output_wires nl in
-  let golden_outputs = Array.make total_cycles [||] in
-  let cp_flops = Array.make n_cp [||] in
+  let trace = Trace.create ~n_wires:(Netlist.n_wires nl) in
   let cp_ram = Array.make n_cp [||] in
   let restores = Array.make n_cp (fun () -> ()) in
   for cycle = 0 to total_cycles - 1 do
     if cycle mod interval = 0 then begin
       let i = cycle / interval in
-      cp_flops.(i) <- read_flops sim nl;
       cp_ram.(i) <- Array.copy sys.System.ram;
       restores.(i) <- System.save_state sys
     end;
-    Sim.eval sim;
-    golden_outputs.(cycle) <- read_outputs sim out_wires;
-    Sim.latch sim
+    Sim.step sim ~trace ()
   done;
-  Sim.eval sim;
   {
     make;
     make_delta;
     make_delta_batch;
     delta_worker = None;
     delta_batch_worker = None;
-    golden_trace = None;
-    trace_lock = Mutex.create ();
+    trace;
     total_cycles;
     interval;
-    out_wires;
-    golden_outputs;
-    golden_flops = read_flops sim nl;
+    out_wires = output_wires nl;
     golden_ram = Array.copy sys.System.ram;
-    cp_flops;
     cp_ram;
     memo = Hashtbl.create 256;
     memo_lock = Mutex.create ();
@@ -136,7 +120,7 @@ let total_cycles t = t.total_cycles
 let fresh_worker t =
   let sys = t.make () in
   let sim = sys.System.sim in
-  let n_cp = Array.length t.cp_flops in
+  let n_cp = Array.length t.cp_ram in
   let restores = Array.make n_cp (fun () -> ()) in
   restores.(0) <- System.save_state sys;
   for cycle = 1 to (n_cp - 1) * t.interval do
@@ -145,13 +129,15 @@ let fresh_worker t =
   done;
   { w_sys = sys; w_restores = restores }
 
+(* Row [cycle] holds the wires after that cycle's eval and before its
+   latch: its output wires are the golden outputs of the cycle. *)
 let outputs_match t sim cycle =
-  let golden = t.golden_outputs.(cycle) in
   let n = Array.length t.out_wires in
   let ok = ref true in
   let i = ref 0 in
   while !ok && !i < n do
-    if Sim.peek sim t.out_wires.(!i) <> golden.(!i) then ok := false;
+    let w = t.out_wires.(!i) in
+    if Sim.peek sim w <> Trace.get t.trace ~cycle w then ok := false;
     incr i
   done;
   !ok
@@ -164,11 +150,13 @@ let max_memo_entries = 1 lsl 20
 
 (* Architectural diff of the worker's current state against the golden
    state at checkpoint [cp]; [None] when more than [max_memo_diff] cells
-   differ. [Some ([], [])] means the faulty run has re-converged. *)
+   differ. [Some ([], [])] means the faulty run has re-converged. Eval
+   leaves every Q wire alone, so the golden flop state at the top of the
+   checkpoint's cycle is that cycle's trace row. *)
 let state_diff t w ~cp =
   let sim = w.w_sys.System.sim in
   let flops = w.w_sys.System.netlist.Netlist.flops in
-  let gf = t.cp_flops.(cp) in
+  let cycle = cp * t.interval in
   let gr = t.cp_ram.(cp) in
   let ram = w.w_sys.System.ram in
   let exception Too_big in
@@ -176,8 +164,9 @@ let state_diff t w ~cp =
     let count = ref 0 in
     let fd = ref [] in
     for i = Array.length flops - 1 downto 0 do
-      let v = Sim.peek sim flops.(i).Netlist.q in
-      if v <> gf.(i) then begin
+      let q = flops.(i).Netlist.q in
+      let v = Sim.peek sim q in
+      if v <> Trace.get t.trace ~cycle q then begin
         incr count;
         if !count > max_memo_diff then raise Too_big;
         fd := (i, v) :: !fd
@@ -211,35 +200,28 @@ let memo_commit t keys verdict =
     Mutex.unlock t.memo_lock
   end
 
-(* The golden baseline shared by the delta-family engines: one full
-   recorded run of the scalar system, cached for the campaign's
-   lifetime. The trace is immutable, so worker resets (crash recovery),
-   durable runs and distributed chunk re-execution all reuse the same
-   recording instead of re-simulating golden. Also consulted by the
-   scalar injector for held faults, which re-arm against per-cycle
-   golden flop values. The lock keeps the recording single when
-   campaigns are driven from several domains (the first caller records,
-   the others wait for its recording). *)
-let golden_trace t =
-  Mutex.protect t.trace_lock (fun () ->
-      match t.golden_trace with
-      | Some trace -> trace
-      | None ->
-        let trace = System.record (t.make ()) ~cycles:t.total_cycles in
-        t.golden_trace <- Some trace;
-        trace)
+(* The campaign's golden record: the delta-family engines' baseline,
+   immutable, so worker resets (crash recovery), durable runs and
+   distributed chunk re-execution all reuse it. The scalar injector reads
+   it too, for golden outputs, checkpoint flop states, the horizon flop
+   state and held faults' per-cycle golden Q. *)
+let golden_trace t = t.trace
 
 (* Allocation-free horizon comparison: walk flops and RAM in place
-   instead of materializing a flop array per injection. *)
+   instead of materializing a flop array per injection. The golden flop
+   state at the horizon is what the last cycle latched: the D wires of
+   the last trace row. *)
 let matches_golden_horizon t sys =
   let sim = sys.System.sim in
   let flops = sys.System.netlist.Netlist.flops in
   let ram = sys.System.ram in
+  let last = t.total_cycles - 1 in
   let same = ref true in
   let i = ref 0 in
   let nf = Array.length flops in
   while !same && !i < nf do
-    if Sim.peek sim flops.(!i).Netlist.q <> t.golden_flops.(!i) then same := false;
+    let f = flops.(!i) in
+    if Sim.peek sim f.Netlist.q <> Trace.get t.trace ~cycle:last f.Netlist.d then same := false;
     incr i
   done;
   let a = ref 0 in
@@ -270,7 +252,6 @@ let scalar_experiment t w ~members ~hold ~cycle =
   if Array.length members = 0 then Benign
   else begin
     let window_end = min t.total_cycles (cycle + hold) in
-    let trace = if hold > 1 then Some (golden_trace t) else None in
     let sys = w.w_sys in
     let sim = sys.System.sim in
     let flops = sys.System.netlist.Netlist.flops in
@@ -285,15 +266,14 @@ let scalar_experiment t w ~members ~hold ~cycle =
     let pending = ref [] in
     let c = ref cycle in
     while !result = None && !c < t.total_cycles do
-      (match trace with
-      | Some trace when !c > cycle && !c < window_end ->
+      if !c > cycle && !c < window_end then
         (* Re-arm: the state at the top of cycle !c is whatever the
            faulty machine latched, except the held flops are forced to
            the complement of their golden Q this cycle. *)
         Array.iter
-          (fun fid -> Sim.set_flop sim fid (not (Trace.get trace ~cycle:!c flops.(fid).Netlist.q)))
-          members
-      | _ -> ());
+          (fun fid ->
+            Sim.set_flop sim fid (not (Trace.get t.trace ~cycle:!c flops.(fid).Netlist.q)))
+          members;
       if !c mod t.interval = 0 && !c >= window_end - 1 then begin
         let i = !c / t.interval in
         match state_diff t w ~cp:i with
@@ -352,7 +332,7 @@ let delta_worker t =
       | Some f -> f
       | None -> invalid_arg "Campaign: delta injection needs ~make_delta at Campaign.create"
     in
-    let d = make_delta ~trace:(golden_trace t) in
+    let d = make_delta ~trace:t.trace in
     t.delta_worker <- Some d;
     d
 
@@ -479,7 +459,7 @@ let delta_batch_worker t =
       | None ->
         invalid_arg "Campaign: batched delta injection needs ~make_delta_batch at Campaign.create"
     in
-    let d = make_delta_batch ~trace:(golden_trace t) in
+    let d = make_delta_batch ~trace:t.trace in
     t.delta_batch_worker <- Some d;
     d
 
@@ -783,7 +763,7 @@ let draw_samples t ~space ~rng ~n =
    every fault model. The scalar kernel runs on [worker ()]; the
    delta-batched kernel on the campaign's shared worker, which an
    escaping exception leaves in an unknown state (lanes mid-run) — it is
-   discarded, to be rebuilt lazily by the next call from the cached
+   discarded, to be rebuilt lazily by the next call from the campaign's
    golden trace, which is immutable and survives. *)
 let classify ?lanes t ~worker ~kernel ~space faults =
   match kernel with

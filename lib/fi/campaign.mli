@@ -16,8 +16,9 @@
       golden run at cycle [n].
 
     The engine is checkpointed: the golden run records a whole-system
-    snapshot plus the golden architectural state (flops + RAM) every
-    [checkpoint_interval] cycles. An injection restores the nearest
+    snapshot plus the golden RAM every [checkpoint_interval] cycles, and
+    every cycle's settled wires into the golden trace (which holds the
+    golden outputs and flop states). An injection restores the nearest
     checkpoint at or before the injection cycle instead of re-simulating
     from reset, and the faulty run compares its architectural state
     against the golden checkpoints as it crosses them — a run that has
@@ -52,9 +53,9 @@
     cycle. Verdicts — including SDC cycles — are bit-identical to
     {!inject} on every model.
 
-    The delta-family engines record the golden baseline once: the
-    campaign caches the recorded trace per its (core, program, horizon)
-    identity, so delta and batched-delta workers — including rebuilds
+    A campaign simulates its golden run once, in {!create}: that run's
+    trace ({!golden_trace}) is the one golden record every engine judges
+    against, so delta and batched-delta workers — including rebuilds
     after crash recovery, durable runs and distributed chunk
     re-execution — share one recording.
 
@@ -90,17 +91,16 @@ val create :
   total_cycles:int ->
   unit ->
   t
-(** Runs the golden experiment once, caching its observables and the
-    periodic checkpoints. [make] must produce a fresh, deterministic
+(** Runs the golden experiment once on one system from [make],
+    recording its trace ({!golden_trace}), the periodic checkpoints and
+    the golden RAM. [make] must produce a fresh, deterministic
     system each call (it is also invoked by {!fresh_worker}, which may
     run on another domain).
     [make_delta] builds the same system over the activity-gated delta
-    kernel (from a golden trace the campaign records lazily on first
-    delta call) and enables {!inject_delta} / {!run_sample_delta};
+    kernel (from the campaign's golden trace, on the first delta call)
+    and enables {!inject_delta} / {!run_sample_delta};
     [make_delta_batch] does the same over the batched delta kernel and
-    enables {!inject_delta_batch} / {!run_sample_delta_batched}. The
-    delta-family engines share one cached golden recording (see
-    {!golden_trace}).
+    enables {!inject_delta_batch} / {!run_sample_delta_batched}.
     [checkpoint_interval] defaults to [max 1 (total_cycles / 64)]; a value
     larger than [total_cycles] effectively disables checkpointing (single
     snapshot at reset, no early verdicts). *)
@@ -168,7 +168,7 @@ val classify :
     kernel-to-injector mapping: {!run_sample}, {!run_sample_delta_batched}
     and the supervised {!Executor} go through it. When an exception
     escapes [Delta_batched], its shared worker is discarded (the next
-    call rebuilds it from the cached golden trace) and the exception is
+    call rebuilds it from the golden trace) and the exception is
     re-raised. *)
 
 type stats = {
@@ -211,14 +211,14 @@ val run_sample :
     stats are a function of the seed alone. *)
 
 val golden_trace : t -> Pruning_sim.Trace.t
-(** The golden baseline shared by the delta-family engines: one full
-    recorded run of the scalar system, made lazily on first use and
-    cached for the campaign's lifetime. Because the campaign {e is} the
-    (core, program, horizon) identity, every delta-family worker built
-    from it — including rebuilds after a crash, durable runs and
-    distributed chunk re-execution — reuses this one recording. Safe to
-    call from several domains at once: the recording is made exactly
-    once. *)
+(** The campaign's golden record, taken by {!create}'s golden run: one
+    row per cycle [0 .. total_cycles - 1], equal to
+    [System.record (make ()) ~cycles:total_cycles]. The scalar engine
+    reads its golden outputs and flop states from it, and every
+    delta-family worker built from the campaign — including rebuilds
+    after a crash, durable runs and distributed chunk re-execution —
+    uses it as its baseline. It is immutable; MATE replay reads it
+    too. *)
 
 val inject_delta : t -> flop_id:int -> cycle:int -> verdict
 (** {!inject_fault_delta}'s experiment on the one-member, one-cycle
@@ -231,7 +231,7 @@ val inject_delta : t -> flop_id:int -> cycle:int -> verdict
     boundaries with keys read straight off the flip flags and device
     diffs (byte-identical to the scalar engine's). Requires [~make_delta]
     at {!create}; the
-    kernel (and its golden trace) is built lazily on first call. Not
+    kernel is built lazily on first call. Not
     safe to call concurrently from several domains (one shared delta
     worker). *)
 

@@ -48,19 +48,6 @@ let site_index = function
 
 let n_sites = 11
 
-let site_name = function
-  | Send -> "send"
-  | Recv -> "recv"
-  | Journal_write -> "journal-write"
-  | Journal_fsync -> "journal-fsync"
-  | Journal_rename -> "journal-rename"
-  | Exec -> "exec"
-  | Dispatch -> "dispatch"
-  | Drain -> "drain"
-  | Seal -> "seal"
-  | Disk -> "disk"
-  | Verdict -> "verdict"
-
 type profile = {
   net_delay : float;
   net_corrupt : float;

@@ -77,8 +77,6 @@ type site =
   | Disk  (** journal append, before the record write (disk-pressure point) *)
   | Verdict  (** worker, per verdict about to be reported (liar point) *)
 
-val site_name : site -> string
-
 type profile = {
   net_delay : float;  (** P(Delay) at [Send]/[Recv] *)
   net_corrupt : float;  (** P(Corrupt_bit) at [Send] *)

@@ -3,9 +3,11 @@
     {b Framing.} Every message travels in a frame:
     [\[len:4 LE\]\[crc:4 LE\]\[payload:len bytes\]] where [crc] is the
     CRC-32 ({!Pruning_util.Crc}) of the payload. A frame whose CRC does
-    not match, whose length field exceeds {!max_frame}, or whose stream
-    ends mid-frame raises {!Error} — a coordinator never acts on bytes a
-    flaky link or a half-dead peer mangled.
+    not match, whose length field exceeds the 16 MiB payload cap (a
+    garbage length field must not make the receiver allocate
+    gigabytes), or whose stream ends mid-frame raises {!Error} — a
+    coordinator never acts on bytes a flaky link or a half-dead peer
+    mangled.
 
     {b Messages.} The conversation is worker-driven: a worker greets with
     [Hello], the coordinator pins the campaign identity with [Welcome]
@@ -21,35 +23,10 @@ exception Error of string
 exception Closed
 (** The peer closed the connection at a clean frame boundary. *)
 
-val max_frame : int
-(** Upper bound on a frame's payload size (frames above it are treated
-    as corruption, not honored — a garbage length field must not make
-    the receiver allocate gigabytes). *)
-
 (** {1 Frames} *)
 
 val encode_frame : string -> string
 (** The full frame encoding of a payload (for tests and buffering). *)
-
-val write_frame : ?deadline:float -> ?chaos:Chaos.t -> Unix.file_descr -> string -> unit
-(** Write one frame, looping over partial writes. [deadline] (absolute,
-    {!Pruning_util.Mono} monotonic clock) bounds the total time spent
-    blocked on an unwritable socket — needed on non-blocking
-    descriptors, where EAGAIN is awaited with [select] until the
-    deadline, then {!Error} is raised (a stalled peer must not wedge the
-    coordinator). [chaos] consults the fault plan at {!Chaos.Send}
-    before writing: injected delays and slow-loris dribbles keep the
-    frame intact; bit corruption flips one payload bit {e after} the CRC
-    was computed (the receiver must detect it); truncation and resets
-    raise the [ECONNRESET] a real dying link would. *)
-
-val read_frame : ?deadline:float -> ?chaos:Chaos.t -> Unix.file_descr -> string
-(** Blocking read of one frame's payload. [deadline] (absolute,
-    {!Pruning_util.Mono} clock) bounds the total wait for the peer's
-    bytes — {!Error} once it passes, so a slow-loris or half-dead sender
-    cannot hang the reader. [chaos] consults the plan at {!Chaos.Recv}
-    (delays and connection resets only). Raises {!Closed} on EOF at a
-    frame boundary, {!Error} on EOF mid-frame or CRC mismatch. *)
 
 (** {1 Streaming decoder}
 
@@ -132,7 +109,22 @@ val decode : string -> msg
     header whose own CRC fails). *)
 
 val send : ?deadline:float -> ?chaos:Chaos.t -> Unix.file_descr -> msg -> unit
-(** [write_frame] ∘ [encode]. *)
+(** Write one message's frame, looping over partial writes. [deadline]
+    (absolute, {!Pruning_util.Mono} monotonic clock) bounds the total
+    time spent blocked on an unwritable socket — needed on non-blocking
+    descriptors, where EAGAIN is awaited with [select] until the
+    deadline, then {!Error} is raised (a stalled peer must not wedge the
+    coordinator). [chaos] consults the fault plan at {!Chaos.Send}
+    before writing: injected delays and slow-loris dribbles keep the
+    frame intact; bit corruption flips one payload bit {e after} the CRC
+    was computed (the receiver must detect it); truncation and resets
+    raise the [ECONNRESET] a real dying link would. *)
 
 val recv : ?deadline:float -> ?chaos:Chaos.t -> Unix.file_descr -> msg
-(** [decode] ∘ [read_frame]. *)
+(** Blocking read of one frame, decoded. [deadline] (absolute,
+    {!Pruning_util.Mono} clock) bounds the total wait for the peer's
+    bytes — {!Error} once it passes, so a slow-loris or half-dead sender
+    cannot hang the reader. [chaos] consults the plan at {!Chaos.Recv}
+    (delays and connection resets only). Raises {!Closed} on EOF at a
+    frame boundary, {!Error} on EOF mid-frame, CRC mismatch or an
+    undecodable payload. *)

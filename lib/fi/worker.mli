@@ -20,10 +20,11 @@
     one execution-chaos site: a raising experiment is retried on a
     fresh system with backoff, a persistent failure is reported as
     [Crashed]. Since both kernels produce bit-identical verdicts, a
-    fleet may freely mix scalar and delta-batched workers. A
-    delta-batched worker records the golden baseline once per campaign
-    identity (cached by header across reconnects and chunk
-    re-execution; see {!Campaign.golden_trace}). The batched kernel
+    fleet may freely mix scalar and delta-batched workers. A worker
+    simulates the golden run once per campaign identity: its campaign
+    is cached by header across reconnects and chunk re-execution, and
+    that campaign's golden trace ({!Campaign.golden_trace}) is the
+    baseline of every delta-batched rebuild. The batched kernel
     classifies a chunk in windows of 16 full passes, heartbeating and
     polling [should_stop] between windows. *)
 

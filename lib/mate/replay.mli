@@ -70,8 +70,6 @@ val unknown_count : pruner -> int
 (** Prune lookups for flops outside the fault space (each one a caller
     bug or a stale fault list — see {!pruned}). *)
 
-val enabled_indices : pruner -> int list
-
 val pruner_masked_count : pruner -> int
 (** Faults currently proven benign by the enabled mates (the {!masked}
     count after quarantines). *)

@@ -176,7 +176,6 @@ let add_device t d =
 
 let golden t w = Char.code (Bytes.unsafe_get t.row (w lsr 3)) land (1 lsl (w land 7)) <> 0
 let flip_word t w = t.flip.(w)
-let faulty_word t w = splat (golden t w) lxor t.flip.(w)
 let faulty t w ~lane = (Array.unsafe_get t.flip w lsr lane) land 1 <> 0 <> golden t w
 
 let schedule t gid =

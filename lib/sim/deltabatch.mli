@@ -118,16 +118,10 @@ val faulty : t -> Netlist.wire -> lane:int -> bool
 val flip_word : t -> Netlist.wire -> int
 (** The wire's packed flip word (bit [l] = lane [l] differs). *)
 
-val faulty_word : t -> Netlist.wire -> int
-(** The wire's packed faulty word: [splat golden lxor flip_word]. *)
-
 val drive_masked : t -> Netlist.wire -> mask:int -> int -> unit
 (** Assert the faulty word of a port wire for the lanes in [mask],
     leaving other lanes' flip bits untouched (device comb hooks
     only). *)
-
-val flips_mask : t -> int
-(** Mask of lanes with at least one flipped wire. *)
 
 val out_mask : t -> int
 (** Mask of lanes with a flipped primary output this cycle (check
@@ -141,7 +135,8 @@ val devices_dirty_mask : t -> int
 (** Mask of lanes with diverged device state. *)
 
 val live_mask : t -> int
-(** [flips_mask lor devices_dirty_mask]: lanes not yet re-converged.
+(** Lanes with a flipped wire or diverged device state: lanes not yet
+    re-converged.
     A lane absent from this mask is bit-exact golden and can retire
     Benign. *)
 

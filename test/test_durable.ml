@@ -390,6 +390,149 @@ let test_header_negative_shards () =
   | exception Proto.Error _ -> ()
   | _ -> Alcotest.fail "a Welcome with shards=-1 must be a protocol error"
 
+(* Journal decoding is total. A valid journal (two sealed segments of
+   five records and an active segment of four) has one file replaced by
+   arbitrary bytes or by its own bytes flipped, truncated or extended
+   (with garbage, or with a copy of one of its records), and goes through
+   [load], [resume] and [fsck]. Only [Journal.Error] may escape the first
+   two and nothing escapes [fsck]. Damage to a sealed segment is refused
+   by all three; a resume keeps exactly the records before the first
+   damaged one of the active segment. The reference for "damaged" is
+   this test's own record check: a short record, a CRC mismatch or an
+   unknown kind. *)
+let prop_journal_decoding_total =
+  let record_size = 13 in
+  let template =
+    lazy
+      (let dir = scratch_dir () in
+       let extra =
+         [|
+           Journal.Poisoned 3;
+           Journal.Arbitrated
+             { index = 2; outcome = Journal.Sdc 9; loser = Journal.Benign; voters = 3;
+               overturned = true };
+           Journal.Outcome (8, Journal.Latent);
+           Journal.Outcome (9, Journal.Sdc 101);
+         |]
+       in
+       let w = Journal.create ~records_per_segment:5 ~dir (header ()) in
+       Array.iter (Journal.append w) (Array.append entries_10 extra);
+       Journal.close w;
+       let _, entries, _ = Journal.load ~dir in
+       let files =
+         List.map
+           (fun f ->
+             let ic = open_in_bin (Filename.concat dir f) in
+             let s = really_input_string ic (in_channel_length ic) in
+             close_in ic;
+             (f, s))
+           [ "header"; "seg-000000.bin"; "seg-000001.bin"; "active.bin" ]
+       in
+       rm_rf dir;
+       (files, entries))
+  in
+  let le32 s pos =
+    let v = ref 0 in
+    for k = 3 downto 0 do
+      v := (!v lsl 8) lor Char.code s.[pos + k]
+    done;
+    !v
+  in
+  let intact s r =
+    let pos = r * record_size in
+    pos + record_size <= String.length s
+    && Char.code s.[pos] land 0xF <= 7
+    && le32 s (pos + 9) = Pruning_util.Crc.string (String.sub s pos 9)
+  in
+  let rec intact_prefix s r = if intact s r then intact_prefix s (r + 1) else r in
+  let mutation =
+    QCheck2.Gen.(
+      oneof
+        [
+          map2 (fun i x -> `Flip (i, x)) nat (int_range 1 255);
+          map (fun k -> `Truncate k) nat;
+          map (fun e -> `Extend e) (string_size ~gen:char (int_range 1 20));
+          map (fun r -> `Copy r) nat;
+        ])
+  in
+  let mutate s = function
+    | `Flip (i, x) when s <> "" ->
+      let b = Bytes.of_string s in
+      let i = i mod Bytes.length b in
+      Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor x));
+      Bytes.to_string b
+    | `Truncate k -> String.sub s 0 (k mod (String.length s + 1))
+    | `Extend e -> s ^ e
+    | `Copy r when String.length s >= record_size ->
+      s ^ String.sub s (r mod (String.length s / record_size) * record_size) record_size
+    | `Flip _ | `Copy _ -> s
+  in
+  let gen =
+    QCheck2.Gen.(
+      pair (int_bound 3)
+        (oneof
+           [
+             map (fun b -> `Bytes b) (string_size ~gen:char (int_range 0 80));
+             map (fun m -> `Mutate m) (list_size (int_range 1 3) mutation);
+           ]))
+  in
+  QCheck2.Test.make ~name:"journal: load, resume and fsck raise only Journal.Error" ~count:1500
+    ~print:(fun (target, input) ->
+      Printf.sprintf "file %d, %s" target
+        (match input with
+        | `Bytes b -> Printf.sprintf "bytes %S" b
+        | `Mutate ms -> Printf.sprintf "%d mutations" (List.length ms)))
+    gen
+    (fun (target, input) ->
+      let files, entries = Lazy.force template in
+      let name, original = List.nth files target in
+      let bytes =
+        match input with
+        | `Bytes b -> b
+        | `Mutate ms -> List.fold_left mutate original ms
+      in
+      let dir = scratch_dir () in
+      Sys.mkdir dir 0o755;
+      List.iter
+        (fun (f, s) ->
+          let oc = open_out_bin (Filename.concat dir f) in
+          output_string oc (if f = name then bytes else s);
+          close_out oc)
+        files;
+      let only_error f = match f () with () -> true | exception Journal.Error _ -> false in
+      let report = Journal.fsck ~dir in
+      let loaded = only_error (fun () -> ignore (Journal.load ~dir)) in
+      let resume () =
+        let _, _, _, w = Journal.resume ~dir () in
+        Journal.close w
+      in
+      let n_sealed = 10 in
+      let ok =
+        match name with
+        | "header" ->
+          ignore (only_error resume);
+          true
+        | "active.bin" ->
+          let k = intact_prefix bytes 0 in
+          let _, got, dropped, w = Journal.resume ~dir () in
+          Journal.close w;
+          let kept = In_channel.with_open_bin (Filename.concat dir name) In_channel.input_all in
+          loaded && report.Journal.fsck_errors = []
+          && Array.length got = n_sealed + k
+          && dropped = String.length bytes - (k * record_size)
+          && kept = String.sub bytes 0 (k * record_size)
+          && Array.for_all2 ( = ) (Array.sub got 0 n_sealed) (Array.sub entries 0 n_sealed)
+        | _ ->
+          let sound =
+            String.length bytes mod record_size = 0
+            && intact_prefix bytes 0 = String.length bytes / record_size
+          in
+          let resumed = only_error resume in
+          loaded = sound && resumed = sound && (report.Journal.fsck_errors = []) = sound
+      in
+      rm_rf dir;
+      ok)
+
 (* --- durable runs on the real cores ---------------------------------- *)
 
 let total_cycles = 120
@@ -811,4 +954,5 @@ let suite =
       test_resume_legacy_shards_refused;
     Alcotest.test_case "audit: real verdicts on every kernel" `Slow test_audit_every_kernel;
     Alcotest.test_case "pruner: unknown flop is an error path" `Quick test_pruner_unknown_flop;
+    QCheck_alcotest.to_alcotest prop_journal_decoding_total;
   ]

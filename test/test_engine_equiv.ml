@@ -10,8 +10,8 @@
      so no engine's verdict memo can answer for another's.
    - One batched call mixing empty and non-empty SET expansions returns
      its verdicts in input order.
-   - The golden trace is recorded exactly once, however many scalar
-     domains need it at the same time.
+   - A campaign simulates its golden run once, however many workers
+     it builds, and that run's trace equals a fresh [System.record].
    - [?lanes] is checked for every fault model. *)
 
 open Helpers
@@ -20,6 +20,7 @@ module Durable = Pruning_fi.Durable
 module Fault_model = Pruning_fi.Fault_model
 module Fault_space = Pruning_fi.Fault_space
 module System = Pruning_cpu.System
+module Trace = Pruning_sim.Trace
 module Avr_asm = Pruning_cpu.Avr_asm
 module Msp_asm = Pruning_cpu.Msp_asm
 module Programs = Pruning_cpu.Programs
@@ -141,10 +142,11 @@ let test_set_batch_mixed () =
         check_bool "empty expansion is benign" true (batched.(i) = Campaign.Benign))
     faults
 
-(* --- the golden trace is recorded once ------------------------------- *)
+(* --- the golden run is simulated once -------------------------------- *)
 
-(* A maker that counts its calls: [create] makes the golden system, each
-   fresh worker one system, and the golden trace one more. *)
+(* A maker that counts its calls: [create] makes the one golden system,
+   which also records the golden trace, and each fresh worker one
+   system. *)
 let counting_campaign ~cycles =
   let _, make, _, _ = Lazy.force avr in
   let calls = Atomic.make 0 in
@@ -156,7 +158,7 @@ let counting_campaign ~cycles =
 
 (* Held faults re-arm against the golden trace on the scalar engine too.
    However many workers a campaign builds — the supervisor rebuilds one
-   after every failed attempt — the trace is recorded once. *)
+   after every failed attempt — the golden run is simulated once. *)
 let test_trace_once () =
   let cycles = 60 in
   let nl, _, _, _ = Lazy.force avr in
@@ -164,7 +166,7 @@ let test_trace_once () =
   let c, calls = counting_campaign ~cycles in
   let stats = Campaign.run_sample c ~space ~rng:(Prng.create 3) ~n:80 () in
   check_int "every fault injected" 80 stats.Campaign.injections;
-  check_int "run_sample: make calls = golden + one trace" 2 (Atomic.get calls);
+  check_int "run_sample: make calls = golden" 1 (Atomic.get calls);
   let c, calls = counting_campaign ~cycles in
   let failed = [ 10; 20; 30 ] in
   let r =
@@ -176,9 +178,32 @@ let test_trace_once () =
   in
   check_int "durable: every fault injected" 80 r.Durable.stats.Campaign.injections;
   check_int "durable: one retry per failed attempt" (List.length failed) r.Durable.retried;
-  check_int "durable: make calls = golden + one per worker (first + rebuilds) + one trace"
-    (2 + 1 + List.length failed)
+  check_int "durable: make calls = golden + one per worker (first + rebuilds)"
+    (1 + 1 + List.length failed)
     (Atomic.get calls)
+
+(* The checkpointing run's trace is the golden record every engine
+   judges against: row for row it must be what a fresh system records
+   over the same horizon, also when the horizon ends between
+   checkpoints. *)
+let test_trace_matches_record () =
+  List.iter
+    (fun (name, core, cycles, checkpoint_interval) ->
+      let _, make, _, _ = Lazy.force core in
+      let c = Campaign.create ?checkpoint_interval ~make ~total_cycles:cycles () in
+      check_bool
+        (Printf.sprintf "%s: horizon %d ends between checkpoints" name cycles)
+        true
+        (cycles mod Campaign.checkpoint_interval c <> 0);
+      let got = Campaign.golden_trace c in
+      let want = System.record (make ()) ~cycles in
+      check_int (name ^ ": rows") (Trace.n_cycles want) (Trace.n_cycles got);
+      check_int (name ^ ": wires") (Trace.n_wires want) (Trace.n_wires got);
+      for cycle = 0 to cycles - 1 do
+        if not (Bytes.equal (Trace.row_bytes want ~cycle) (Trace.row_bytes got ~cycle)) then
+          Alcotest.failf "%s: golden trace row %d differs from System.record" name cycle
+      done)
+    [ ("avr", avr, 77, Some 10); ("msp430", msp, 77, Some 10); ("avr default", avr, 200, None) ]
 
 (* --- lanes are checked for every model ------------------------------- *)
 
@@ -206,6 +231,8 @@ let suite =
   exhaustive_cases
   @ [
       Alcotest.test_case "golden trace recorded once per campaign" `Quick test_trace_once;
+      Alcotest.test_case "golden trace = System.record, both cores" `Quick
+        test_trace_matches_record;
       Alcotest.test_case "lanes checked for every fault model" `Quick test_lanes_every_model;
       Alcotest.test_case "set batch: empty expansions, input order" `Quick test_set_batch_mixed;
     ]
