@@ -112,15 +112,15 @@ let cache_row cell = catalogue_rows.(Cell.index cell)
 
 type cone_eval = {
   nl : Netlist.t;
-  values : Bytes.t;  (** per wire: v0/v1/vu/vf *)
-  baseline : Bytes.t;
-      (** values with no literals set: support constants, sources F and the
-          cone evaluated over them *)
+  values : Bytes.t;
+      (** per wire: v0/v1/vu/vf. With an empty undo log these are the
+          baseline: no literals set, support constants, sources F and the
+          cone evaluated over them. *)
   rows : int array array;  (** per cone gate: eval-cache row *)
   cone_gates : Netlist.gate array;  (** topological order *)
   cone_pos : int array;  (** per gate id: index into cone_gates, or -1 *)
   cone_readers : int array array;  (** per cone gate: indices of the cone gates reading its output *)
-  cone_stamp : int array;  (** per cone gate: scheduled for re-evaluation in this validation *)
+  cone_stamp : int array;  (** per cone gate: scheduled for re-evaluation in this application *)
   mutable first_pending : int;  (** lowest scheduled cone index *)
   sink_index : int array;  (** indices into cone_gates whose output sinks *)
   border_wires : Netlist.wire array;
@@ -134,14 +134,20 @@ type cone_eval = {
   downstream : int array option array;
       (** per literal-candidate wire: topo positions of the support gates
           downstream of it, ascending (computed on first use) *)
-  gate_stamp : int array;  (** per topo position: queued as dirty in this validation *)
-  pin_stamp : int array;  (** per wire: literal-pinned in this validation *)
+  gate_stamp : int array;  (** per topo position: queued as dirty in this application *)
   mutable stamp : int;
-  dirty : int array;  (** topo positions of this validation's dirty support gates *)
-  mutable lits : Term.literal array;  (** the literals under validation *)
+  dirty : int array;  (** topo positions of this application's dirty support gates *)
+  mutable lits : Term.literal array;  (** the literals being applied *)
   mutable n_lits : int;
-  mutable touched : int array;  (** stack of wires differing from baseline *)
+  mutable touched : int array;
+      (** undo log: [(wire lsl 2) lor old value] per overwrite since the
+          baseline, oldest first *)
   mutable n_touched : int;
+  pinned : Bytes.t;  (** per wire: ['\001'] while a literal pins it *)
+  mutable pins : int array;  (** pin stack: wires in pinning order *)
+  mutable n_pins : int;
+  mutable frames : int array;  (** per {!push}: [n_touched] and [n_pins] at the time *)
+  mutable n_frames : int;
 }
 
 let no_literal = { Term.wire = 0; value = false }
@@ -214,7 +220,6 @@ let make_cone_eval (nl : Netlist.t) (cone : Cone.t) sources =
     {
       nl;
       values;
-      baseline = Bytes.make nw (Char.chr vu);
       rows = Array.map (fun (g : Netlist.gate) -> cache_row g.Netlist.cell) cone_gates;
       cone_gates;
       cone_pos;
@@ -232,13 +237,17 @@ let make_cone_eval (nl : Netlist.t) (cone : Cone.t) sources =
       gate_depth = Array.make ng max_int;
       downstream = Array.make nw None;
       gate_stamp = Array.make ng 0;
-      pin_stamp = Array.make nw 0;
       stamp = 0;
       dirty = Array.make (Array.length support_positions) 0;
       lits = Array.make 16 no_literal;
       n_lits = 0;
       touched = Array.make (Array.length cone_gates + 64) 0;
       n_touched = 0;
+      pinned = Bytes.make nw '\000';
+      pins = Array.make 16 0;
+      n_pins = 0;
+      frames = Array.make 32 0;
+      n_frames = 0;
     }
   in
   Array.iteri
@@ -253,7 +262,6 @@ let make_cone_eval (nl : Netlist.t) (cone : Cone.t) sources =
   Array.iteri
     (fun i (g : Netlist.gate) -> set_value ev g.Netlist.output ev.rows.(i).(packed_inputs ev g))
     cone_gates;
-  Bytes.blit values 0 ev.baseline 0 nw;
   (* BFS distances of cone gates from the sources. *)
   let seen_wire = Array.make nw false in
   let frontier = Queue.create () in
@@ -305,32 +313,66 @@ let downstream_positions ev w =
     positions
 
 (* ------------------------------------------------------------------ *)
-(* Incremental validation. Nothing below allocates once the buffers   *)
+(* Incremental validation. Every overwrite of a wire value goes on an  *)
+(* undo log with the value it replaced, and every literal pin on a pin *)
+(* stack, so {!push} and {!pop} bracket a set of literals applied on   *)
+(* top of the current state. Nothing below allocates once the buffers  *)
 (* have grown to the search's working size.                            *)
 
-let touch ev w =
-  if ev.n_touched = Array.length ev.touched then begin
-    let grown = Array.make (2 * ev.n_touched) 0 in
-    Array.blit ev.touched 0 grown 0 ev.n_touched;
-    ev.touched <- grown
-  end;
-  ev.touched.(ev.n_touched) <- w;
-  ev.n_touched <- ev.n_touched + 1
+let grow stack n fill =
+  let grown = Array.make (2 * n) fill in
+  Array.blit stack 0 grown 0 n;
+  grown
 
-(* Undo every change since the last reset: values return to baseline. *)
-let reset ev =
-  for i = 0 to ev.n_touched - 1 do
-    let w = ev.touched.(i) in
-    Bytes.unsafe_set ev.values w (Bytes.unsafe_get ev.baseline w)
+(* Overwrite a wire value, logging the old one. *)
+let assign ev w v =
+  if ev.n_touched = Array.length ev.touched then ev.touched <- grow ev.touched ev.n_touched 0;
+  ev.touched.(ev.n_touched) <- (w lsl 2) lor value ev w;
+  ev.n_touched <- ev.n_touched + 1;
+  set_value ev w v
+
+let is_pinned ev w = Bytes.unsafe_get ev.pinned w <> '\000'
+
+let pin ev w =
+  if not (is_pinned ev w) then begin
+    Bytes.unsafe_set ev.pinned w '\001';
+    if ev.n_pins = Array.length ev.pins then ev.pins <- grow ev.pins ev.n_pins 0;
+    ev.pins.(ev.n_pins) <- w;
+    ev.n_pins <- ev.n_pins + 1
+  end
+
+(* Undo the log down to [n_touched] entries and the pins down to [n_pins],
+   newest first, so a wire overwritten twice gets its oldest value back. *)
+let unwind ev ~n_touched ~n_pins =
+  for i = ev.n_touched - 1 downto n_touched do
+    let entry = ev.touched.(i) in
+    set_value ev (entry lsr 2) (entry land 3)
   done;
-  ev.n_touched <- 0
+  ev.n_touched <- n_touched;
+  for i = ev.n_pins - 1 downto n_pins do
+    Bytes.unsafe_set ev.pinned ev.pins.(i) '\000'
+  done;
+  ev.n_pins <- n_pins
+
+let push ev =
+  if ev.n_frames + 2 > Array.length ev.frames then ev.frames <- grow ev.frames ev.n_frames 0;
+  ev.frames.(ev.n_frames) <- ev.n_touched;
+  ev.frames.(ev.n_frames + 1) <- ev.n_pins;
+  ev.n_frames <- ev.n_frames + 2
+
+(* Back to the state of the matching {!push}. *)
+let pop ev =
+  if ev.n_frames = 0 then invalid_arg "Search.Cone_eval.pop: no frame";
+  ev.n_frames <- ev.n_frames - 2;
+  unwind ev ~n_touched:ev.frames.(ev.n_frames) ~n_pins:ev.frames.(ev.n_frames + 1)
+
+(* Drop every frame: values return to baseline, nothing is pinned. *)
+let reset ev =
+  ev.n_frames <- 0;
+  unwind ev ~n_touched:0 ~n_pins:0
 
 let push_literal ev (l : Term.literal) =
-  if ev.n_lits = Array.length ev.lits then begin
-    let grown = Array.make (2 * ev.n_lits) no_literal in
-    Array.blit ev.lits 0 grown 0 ev.n_lits;
-    ev.lits <- grown
-  end;
+  if ev.n_lits = Array.length ev.lits then ev.lits <- grow ev.lits ev.n_lits no_literal;
   ev.lits.(ev.n_lits) <- l;
   ev.n_lits <- ev.n_lits + 1
 
@@ -339,6 +381,21 @@ let rec push_literals ev = function
   | l :: rest ->
     push_literal ev l;
     push_literals ev rest
+
+(* Load the literals of [conj] whose wire [parent] does not constrain;
+   both are sorted by wire and [conj] extends [parent]. *)
+let rec push_added ev conj parent =
+  match (conj, parent) with
+  | [], _ -> ()
+  | (l : Term.literal) :: rest, [] ->
+    push_literal ev l;
+    push_added ev rest []
+  | (l : Term.literal) :: rest, (p : Term.literal) :: prest ->
+    if l.Term.wire = p.Term.wire then push_added ev rest prest
+    else begin
+      push_literal ev l;
+      push_added ev rest parent
+    end
 
 let schedule ev i =
   ev.cone_stamp.(i) <- ev.stamp;
@@ -364,21 +421,21 @@ let rec force_sources ev = function
   | [] -> ()
   | source :: rest ->
     if value ev source <> vf then begin
-      set_value ev source vf;
-      touch ev source;
+      assign ev source vf;
       schedule_readers ev source;
       schedule_driver ev source
     end;
     force_sources ev rest
 
-(* Candidate evaluation of the loaded literals: reset to baseline, apply
-   the literals, constant-propagate them through the support logic, then
-   evaluate the cone with the sources marked possibly-faulty. True iff no
-   sink is possibly faulty. The cone is evaluated event-driven from its
-   baseline: only gates with an input that may differ from it are
-   re-evaluated, in topological order. *)
-let validate_loaded ev =
-  reset ev;
+(* Apply the loaded literals on top of the current state: pin them,
+   constant-propagate them through the support logic, then re-evaluate the
+   cone with the sources marked possibly-faulty. True iff no sink is
+   possibly faulty. Only gates downstream of the new literals are
+   re-evaluated, in topological order; support and cone form a DAG of pure
+   table lookups, so starting from the fixpoint of some literals this
+   reaches the same fixpoint as a run from the baseline with those
+   literals and the new ones. *)
+let apply_loaded ev =
   ev.stamp <- ev.stamp + 1;
   ev.first_pending <- Array.length ev.cone_gates;
   let stamp = ev.stamp in
@@ -386,9 +443,8 @@ let validate_loaded ev =
   for k = 0 to ev.n_lits - 1 do
     let l = ev.lits.(k) in
     let w = l.Term.wire in
-    set_value ev w (if l.Term.value then v1 else v0);
-    ev.pin_stamp.(w) <- stamp;
-    touch ev w;
+    assign ev w (if l.Term.value then v1 else v0);
+    pin ev w;
     schedule_readers ev w;
     schedule_driver ev w;
     let down = downstream_positions ev w in
@@ -423,11 +479,10 @@ let validate_loaded ev =
     (* A literal pins its wire: a support gate driving it must not
        overwrite the constraint (contradictory candidates simply never
        trigger at run time). *)
-    if ev.pin_stamp.(out) <> stamp then begin
+    if not (is_pinned ev out) then begin
       let v = ev.support_rows.(pos).(packed_inputs ev g) in
       if v <> value ev out then begin
-        set_value ev out v;
-        touch ev out;
+        assign ev out v;
         schedule_readers ev out
       end
     end
@@ -439,8 +494,7 @@ let validate_loaded ev =
       let g = ev.cone_gates.(i) in
       let v = ev.rows.(i).(packed_inputs ev g) in
       if v <> value ev g.Netlist.output then begin
-        set_value ev g.Netlist.output v;
-        touch ev g.Netlist.output;
+        assign ev g.Netlist.output v;
         let readers = ev.cone_readers.(i) in
         for k = 0 to Array.length readers - 1 do
           ev.cone_stamp.(readers.(k)) <- stamp
@@ -454,10 +508,26 @@ let validate_loaded ev =
   done;
   !masked
 
+(* From-scratch validation of the loaded literals. *)
+let validate_loaded ev =
+  reset ev;
+  apply_loaded ev
+
 let validate ev literals =
   ev.n_lits <- 0;
   push_literals ev literals;
   validate_loaded ev
+
+let extend ev literals =
+  ev.n_lits <- 0;
+  push_literals ev literals;
+  apply_loaded ev
+
+(* Apply [conj] on top of the evaluation of [parent], which it extends. *)
+let extend_by ev conj parent =
+  ev.n_lits <- 0;
+  push_added ev (Term.literals conj) (Term.literals parent);
+  apply_loaded ev
 
 let fault_extent ev =
   let sinks = ref 0 and gates = ref 0 in
@@ -497,18 +567,31 @@ let dynamic_gate_terms ev (g : Netlist.gate) =
     in
     List.filter_map usable (Gm.memoized_masking_terms g.Netlist.cell ~faulty)
 
-(* Extension options for the current evaluation: blockable gates on the
-   fault frontier within the BFS depth, nearest first. *)
-let dynamic_options ev params =
-  let with_depth =
-    Array.to_list ev.cone_gates
-    |> List.filter_map (fun (g : Netlist.gate) ->
-           let d = ev.gate_depth.(g.Netlist.gate_id) in
-           if d <= params.depth && value ev g.Netlist.output = vf then Some (d, g) else None)
+(* The cone gates within the BFS depth, nearest first and in topological
+   order within one distance: the order in which options are offered. *)
+let near_gates ev params =
+  Array.to_list ev.cone_gates
+  |> List.filter (fun (g : Netlist.gate) -> ev.gate_depth.(g.Netlist.gate_id) <= params.depth)
+  |> List.stable_sort (fun (a : Netlist.gate) (b : Netlist.gate) ->
+         Int.compare ev.gate_depth.(a.Netlist.gate_id) ev.gate_depth.(b.Netlist.gate_id))
+  |> Array.of_list
+
+(* Extension options for the current evaluation: the first [max_options]
+   (gate, term) pairs of the blockable [near] gates on the fault
+   frontier. *)
+let dynamic_options ev near params =
+  let rec collect i n acc =
+    if i = Array.length near || n >= params.max_options then acc
+    else begin
+      let g = near.(i) in
+      if value ev g.Netlist.output <> vf then collect (i + 1) n acc
+      else begin
+        let options = List.map (fun t -> (g, t)) (dynamic_gate_terms ev g) in
+        collect (i + 1) (n + List.length options) (List.rev_append options acc)
+      end
+    end
   in
-  List.stable_sort (fun (d1, _) (d2, _) -> Int.compare d1 d2) with_depth
-  |> List.concat_map (fun (_, g) -> List.map (fun t -> (g, t)) (dynamic_gate_terms ev g))
-  |> List.filteri (fun i _ -> i < params.max_options)
+  List.rev (collect 0 0 []) |> List.filteri (fun i _ -> i < params.max_options)
 
 (* Optimistic reachability: evaluate the cone assuming every blockable
    gate within reach is blocked (output U). If a sink is still possibly
@@ -525,23 +608,46 @@ let optimistic_escape ev params =
         then vu
         else v
       in
-      set_value ev g.Netlist.output v;
-      touch ev g.Netlist.output)
+      assign ev g.Netlist.output v)
     ev.cone_gates;
   Array.exists (fun i -> value ev ev.cone_gates.(i).Netlist.output = vf) ev.sink_index
 
-(* Greedy literal minimization: drop literals (in the given order) whose
-   removal keeps the candidate valid, producing MATEs that trigger as
-   often as possible. *)
+(* Literal minimization: drop literals (in the given order) whose removal
+   keeps the candidate valid, producing MATEs that trigger as often as
+   possible. The result is that of the greedy loop which tries each
+   literal in turn, dropping it if the others still validate; it is found
+   by bisection instead. After the kept literals [K] before position [p],
+   the greedy loop drops [p .. p + r - 1] and keeps [p + r] iff [K] with
+   the literals from [p + r] on validates and [K] with those from
+   [p + r + 1] on does not. Validity is monotone in the literal set when
+   the literals agree with the golden values (a literal then only refines
+   a U wire to its constant), so the longest droppable run is found by
+   binary search: O(k log m) validations for [k] kept literals out of [m],
+   against [m] for the loop. A beam term whose literals contradict each
+   other through the support can break monotonicity; the result may then
+   differ from the loop's. Precondition: [literals] is valid. *)
 let minimize_literals ev literals =
   let lits = Array.of_list literals in
-  let kept = Array.make (Array.length lits) true in
-  for i = 0 to Array.length lits - 1 do
+  let m = Array.length lits in
+  let kept = Array.make m false in
+  (* The kept literals before [from], then every literal from [from] on. *)
+  let valid_from from =
     ev.n_lits <- 0;
-    for j = 0 to Array.length lits - 1 do
-      if j <> i && kept.(j) then push_literal ev lits.(j)
+    for j = 0 to m - 1 do
+      if j >= from || kept.(j) then push_literal ev lits.(j)
     done;
-    if validate_loaded ev then kept.(i) <- false
+    validate_loaded ev
+  in
+  let p = ref 0 in
+  while !p < m do
+    (* Largest run [r] with [valid_from (!p + r)]; [r = 0] holds. *)
+    let lo = ref 0 and hi = ref (m - !p + 1) in
+    while !hi - !lo > 1 do
+      let mid = (!lo + !hi) / 2 in
+      if valid_from (!p + mid) then lo := mid else hi := mid
+    done;
+    if !p + !lo < m then kept.(!p + !lo) <- true;
+    p := !p + !lo + 1
   done;
   List.filteri (fun i _ -> kept.(i)) literals
 
@@ -596,15 +702,31 @@ let seeded_mates ev params trace found tried =
       (* Representative cycle and frequency per near-border signature,
          read into one scratch buffer; only a new signature is copied into
          a key. *)
-      let classes : (string, situation) Hashtbl.t = Hashtbl.create 256 in
+      let classes : (string, situation) Hashtbl.t = Hashtbl.create ~random:false 256 in
       let signature = Bytes.create (Array.length near) in
+      let near_byte = Array.map (fun w -> w lsr 3) near in
+      let near_mask = Array.map (fun w -> 1 lsl (w land 7)) near in
+      (* A run of cycles with one signature costs no table lookup. *)
+      let current = ref { rep = 0; count = 0 } in
       for cycle = 0 to cycles - 1 do
+        let row = Trace.row_bytes trace ~cycle in
+        let same = ref (cycle > 0) in
         for i = 0 to Array.length near - 1 do
-          Bytes.unsafe_set signature i (if Trace.get trace ~cycle near.(i) then '1' else '0')
+          let bit = if Char.code (Bytes.get row near_byte.(i)) land near_mask.(i) <> 0 then '1' else '0' in
+          if Bytes.unsafe_get signature i <> bit then begin
+            Bytes.unsafe_set signature i bit;
+            same := false
+          end
         done;
-        match Hashtbl.find_opt classes (Bytes.unsafe_to_string signature) with
-        | Some situation -> situation.count <- situation.count + 1
-        | None -> Hashtbl.add classes (Bytes.to_string signature) { rep = cycle; count = 1 }
+        if not !same then
+          current :=
+            (match Hashtbl.find_opt classes (Bytes.unsafe_to_string signature) with
+            | Some situation -> situation
+            | None ->
+              let situation = { rep = cycle; count = 0 } in
+              Hashtbl.add classes (Bytes.to_string signature) situation;
+              situation);
+        !current.count <- !current.count + 1
       done;
       let situations =
         Hashtbl.fold (fun _ { rep; count } acc -> (rep, count) :: acc) classes []
@@ -648,6 +770,20 @@ let seeded_mates ev params trace found tried =
 
 (* ------------------------------------------------------------------ *)
 
+(* Candidates already tried. [Hashtbl.hash] reads only a term's first few
+   literals, which sibling candidates share, so the key hashes them all. *)
+module Attempted = Hashtbl.Make (struct
+  type t = Term.t
+
+  let equal = Term.equal
+
+  let hash t =
+    List.fold_left
+      (fun h (l : Term.literal) -> (31 * h) + (2 * l.Term.wire) + Bool.to_int l.Term.value)
+      0 (Term.literals t)
+    land max_int
+end)
+
 let search_sources ?(traces = []) nl params wires =
   let wire =
     match wires with
@@ -666,15 +802,21 @@ let search_sources ?(traces = []) nl params wires =
       { wire; cone_size; n_options = 0; candidates_tried = 0; outcome = Unmaskable; time_s = 0. }
     else begin
       let tried = ref 0 in
-      let found : (Term.t, unit) Hashtbl.t = Hashtbl.create 32 in
-      let attempted : (Term.t, unit) Hashtbl.t = Hashtbl.create 512 in
+      (* Not randomized: the MATE set depends on the order of equal-size
+         terms folded out of [found] (and of equal-count situations out of
+         [classes]), which must not vary with OCAMLRUNPARAM. *)
+      let found : (Term.t, unit) Hashtbl.t = Hashtbl.create ~random:false 32 in
+      let attempted = Attempted.create 512 in
       ignore (validate ev []);
-      let n_options = List.length (dynamic_options ev params) in
+      let near = near_gates ev params in
+      let n_options = List.length (dynamic_options ev near params) in
       (* Beam search, guided by how far each extension shrinks the fault
-         frontier. [ev] holds the evaluation of [literals] on entry. *)
+         frontier. [ev] holds the evaluation of [literals] on entry and on
+         exit: each candidate and each beam child is applied in a frame of
+         its own on top of it. *)
       let rec extend literals n_selected parent_extent =
         if !tried < params.max_candidates && n_selected < params.max_terms then begin
-          let options = dynamic_options ev params in
+          let options = dynamic_options ev near params in
           let children = ref [] in
           List.iter
             (fun ((_ : Netlist.gate), term) ->
@@ -682,14 +824,16 @@ let search_sources ?(traces = []) nl params wires =
                 match Term.conjoin literals term with
                 | None -> ()
                 | Some conj ->
-                  if (not (Term.equal conj literals)) && not (Hashtbl.mem attempted conj) then begin
-                    Hashtbl.replace attempted conj ();
+                  if (not (Term.equal conj literals)) && not (Attempted.mem attempted conj) then begin
+                    Attempted.replace attempted conj ();
                     incr tried;
-                    if validate ev (Term.literals conj) then Hashtbl.replace found conj ()
+                    push ev;
+                    if extend_by ev conj literals then Hashtbl.replace found conj ()
                     else begin
                       let extent = fault_extent ev in
                       if extent < parent_extent then children := (conj, extent) :: !children
-                    end
+                    end;
+                    pop ev
                   end
               end)
             options;
@@ -700,12 +844,12 @@ let search_sources ?(traces = []) nl params wires =
           List.iter
             (fun (conj, extent) ->
               if !tried < params.max_candidates then begin
-                ignore (validate ev (Term.literals conj));
-                extend conj (n_selected + 1) extent
+                push ev;
+                ignore (extend_by ev conj literals);
+                extend conj (n_selected + 1) extent;
+                pop ev
               end)
-            beam;
-          (* Restore the parent evaluation for our caller. *)
-          ignore (validate ev (Term.literals literals))
+            beam
         end
       in
       let initial_extent = fault_extent ev in
@@ -846,6 +990,11 @@ module Cone_eval = struct
 
   let create = make_cone_eval
   let validate = validate
+  let push = push
+  let extend = extend
+  let pop = pop
+  let pinned = is_pinned
+  let minimize = minimize_literals
   let fault_extent = fault_extent
   let value = value
 end

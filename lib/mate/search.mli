@@ -172,7 +172,30 @@ module Cone_eval : sig
   val validate : t -> Term.literal list -> bool
   (** Pin the literals' wires, re-evaluate the support gates downstream of
       them, then the cone with the sources at F. True iff no cone sink is
-      F. Each call starts from the baseline, whatever came before. *)
+      F. Each call starts from the baseline, whatever came before, and
+      drops every frame. *)
+
+  val push : t -> unit
+  (** Open a frame: remember the current values and pins. *)
+
+  val extend : t -> Term.literal list -> bool
+  (** Like {!validate}, but on top of the current state: the result equals
+      a from-scratch validation of the literals pinned so far together
+      with these, none of which may contradict a pinned one. *)
+
+  val pop : t -> unit
+  (** Back to the values and pins of the matching {!push}. Raises
+      [Invalid_argument] without an open frame. *)
+
+  val pinned : t -> Pruning_netlist.Netlist.wire -> bool
+  (** Whether a literal currently pins the wire. *)
+
+  val minimize : t -> Term.literal list -> Term.literal list
+  (** The search's literal minimization: the literals kept by trying each
+      in the given order and dropping it if the others still validate.
+      The literals must validate; the result equals that loop's whenever
+      validity is monotone in the literal set, as it is for literals that
+      agree with a golden run. Drops every frame. *)
 
   val fault_extent : t -> int
   (** [10_000 * (F sinks) + (F cone gates)] of the last validation. *)

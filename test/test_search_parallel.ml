@@ -47,15 +47,41 @@ let avr_setup =
      let trace = System.record (System.create_avr ~netlist:nl ~program "avr/fib") ~cycles:120 in
      (nl, trace))
 
-let test_avr_jobs_invariant () =
+let avr_ff_wo_rf = lazy (Netlist.flops_excluding (fst (Lazy.force avr_setup)) ~prefix:"rf_")
+
+let avr_space () =
   let nl, trace = Lazy.force avr_setup in
-  let flops = Netlist.flops_excluding nl ~prefix:"rf_" in
-  let space = Fault_space.without_prefix nl ~prefix:"rf_" ~cycles:(Trace.n_cycles trace) in
-  let report = check_jobs_invariant ~params:small_params ~trace ~space ~jobs:4 nl flops in
+  Fault_space.without_prefix nl ~prefix:"rf_" ~cycles:(Trace.n_cycles trace)
+
+(* The jobs:4 report of the AVR "FF w/o RF" search, checked against
+   jobs:1 on first use. *)
+let avr_report =
+  lazy
+    (let nl, trace = Lazy.force avr_setup in
+     check_jobs_invariant ~params:small_params ~trace ~space:(avr_space ()) ~jobs:4 nl
+       (Lazy.force avr_ff_wo_rf))
+
+let test_avr_jobs_invariant () =
+  let flops = Lazy.force avr_ff_wo_rf in
+  let report = Lazy.force avr_report in
   check_int "every flop searched, in order"
     (List.length flops) (Search.n_faulty_wires report);
   check_bool "flop order kept" true
     (List.map (fun (fr : Search.flop_result) -> fr.Search.flop) report.Search.flop_results = flops)
+
+(* The search's results, pinned: a change to what the search computes
+   moves these, while jobs-invariance holds either way. Every figure is
+   also independent of OCAMLRUNPARAM's hashtable randomization. *)
+let test_avr_search_pinned () =
+  let _, trace = Lazy.force avr_setup in
+  let report = Lazy.force avr_report in
+  let set = Mateset.of_report report in
+  check_int "unmaskable wires" 28 (Search.n_unmaskable report);
+  check_int "candidates tried" 9519 (Search.total_candidates report);
+  check_int "MATEs" 51 (Search.total_mates report);
+  check_int "distinct MATEs" 39 (Mateset.size set);
+  check_int "pruned faults" 339
+    (Replay.pruner_masked_count (Replay.pruner set (Replay.triggers set trace) ~space:(avr_space ()) ()))
 
 let figure1_trace nl =
   let sim = Sim.create nl in
@@ -122,12 +148,9 @@ let reference_gate (cell : Cell.t) (vals : int array) =
     | [ o ] -> if o then 1 else 0
     | _ -> 2
 
-(* Every wire at U, literals pinned, every support gate (transitive fanin
-   of the border) re-evaluated in topological order, then the sources at
-   F and every cone gate. *)
-let reference_values (nl : Netlist.t) (cone : Cone.t) sources literals =
-  let nw = Netlist.n_wires nl in
-  let in_support = Array.make nw false in
+(* The support: the transitive fanin of the border. *)
+let support_of (nl : Netlist.t) (cone : Cone.t) =
+  let in_support = Array.make (Netlist.n_wires nl) false in
   let rec mark w =
     if not in_support.(w) then begin
       in_support.(w) <- true;
@@ -137,6 +160,13 @@ let reference_values (nl : Netlist.t) (cone : Cone.t) sources literals =
     end
   in
   List.iter mark cone.Cone.border;
+  in_support
+
+(* Every wire at U, literals pinned, every support gate re-evaluated in
+   topological order, then the sources at F and every cone gate. *)
+let reference_values (nl : Netlist.t) (cone : Cone.t) sources literals =
+  let nw = Netlist.n_wires nl in
+  let in_support = support_of nl cone in
   let v = Array.make nw 2 and pinned = Array.make nw false in
   List.iter
     (fun (l : Term.literal) ->
@@ -240,6 +270,162 @@ let prop_validate_matches_reference =
                (List.init (Netlist.n_wires nl) Fun.id))
         sequence)
 
+(* ------------------------------------------------------------------ *)
+(* Stacked evaluation: literals applied in frames on top of each other. *)
+
+type op =
+  | Push
+  | Extend of (int * bool) list
+  | Pop
+  | Validate of (int * bool) list
+
+let gen_op =
+  QCheck2.Gen.(
+    let picks = list_size (int_range 0 4) (pair (int_range 0 10_000) bool) in
+    frequency
+      [
+        (3, pure Push);
+        (4, map (fun p -> Extend p) picks);
+        (3, pure Pop);
+        (1, map (fun p -> Validate p) picks);
+      ])
+
+(* After every step the evaluator must hold the from-scratch evaluation of
+   the union of the literals in its open frames, pin exactly their wires,
+   and every pop must give back the values and pins of its push. Literals
+   fall on border wires and on support wires further upstream, so a pin
+   left behind by a pop shows when a later literal reaches its driver. *)
+let prop_stacked_matches_reference =
+  QCheck2.Test.make ~name:"search: stacked push/extend/pop = from-scratch evaluation" ~count:150
+    QCheck2.Gen.(pair (int_range 0 1_000) (list_size (int_range 1 24) gen_op))
+    (fun (pick, ops) ->
+      let cones = Lazy.force oracle_cones in
+      let nl, cone, sources, border = cones.(pick mod Array.length cones) in
+      let nw = Netlist.n_wires nl in
+      let in_support = support_of nl cone in
+      let support = Array.of_list (List.filter (fun w -> in_support.(w)) (List.init nw Fun.id)) in
+      let wire_of i =
+        if i land 1 = 0 then border.(i / 2 mod Array.length border)
+        else support.(i / 2 mod Array.length support)
+      in
+      (* One literal per wire, the first; none against [current]. *)
+      let literals current picks =
+        List.fold_left
+          (fun acc (i, value) ->
+            let w = wire_of i in
+            let clash (l : Term.literal) = l.Term.wire = w in
+            if List.exists clash acc then acc
+            else
+              match List.find_opt clash current with
+              | Some l when l.Term.value <> value -> acc
+              | Some _ | None -> { Term.wire = w; value } :: acc)
+          [] picks
+        |> List.rev
+      in
+      let ev = Search.Cone_eval.create nl cone sources in
+      let state () =
+        Array.init nw (fun w -> (Search.Cone_eval.value ev w, Search.Cone_eval.pinned ev w))
+      in
+      let matches valid current =
+        let v = reference_values nl cone sources current in
+        let masked =
+          not
+            (List.exists
+               (fun (g : Netlist.gate) -> v.(g.Netlist.output) = 3 && is_sink nl g.Netlist.output)
+               cone.Cone.gates)
+        in
+        let pinned = Array.make nw false in
+        List.iter (fun (l : Term.literal) -> pinned.(l.Term.wire) <- true) current;
+        Option.fold ~none:true ~some:(fun valid -> valid = masked) valid
+        && Search.Cone_eval.fault_extent ev = reference_extent nl cone v
+        && state () = Array.init nw (fun w -> (v.(w), pinned.(w)))
+      in
+      (* [current]: the union of the open frames' literals; [frames]: per
+         open frame, the union and the state at its push. *)
+      let rec run current frames = function
+        | [] -> true
+        | Push :: rest ->
+          Search.Cone_eval.push ev;
+          run current ((current, state ()) :: frames) rest
+        | Pop :: rest -> (
+          match frames with
+          | [] -> (
+            match Search.Cone_eval.pop ev with
+            | () -> false
+            | exception Invalid_argument _ -> run current frames rest)
+          | (parent, pushed) :: frames ->
+            Search.Cone_eval.pop ev;
+            state () = pushed && matches None parent && run parent frames rest)
+        | Extend picks :: rest ->
+          let added = literals current picks in
+          let valid = Search.Cone_eval.extend ev added in
+          let current = current @ List.filter (fun l -> not (List.mem l current)) added in
+          matches (Some valid) current && run current frames rest
+        | Validate picks :: rest ->
+          let current = literals [] picks in
+          let valid = Search.Cone_eval.validate ev current in
+          matches (Some valid) current && run current [] rest
+      in
+      ignore (Search.Cone_eval.validate ev []);
+      run [] [] ops)
+
+(* ------------------------------------------------------------------ *)
+(* Literal minimization against the one-at-a-time greedy loop.          *)
+
+let greedy_minimize ev literals =
+  let kept = Array.make (List.length literals) true in
+  List.iteri
+    (fun i _ ->
+      let others = List.filteri (fun j _ -> j <> i && kept.(j)) literals in
+      if Search.Cone_eval.validate ev others then kept.(i) <- false)
+    literals;
+  List.filteri (fun i _ -> kept.(i)) literals
+
+(* Random input-port values, one row per cycle: a golden run of a
+   combinational netlist. *)
+let port_trace (nl : Netlist.t) =
+  let sim = Sim.create nl in
+  let trace = Trace.create ~n_wires:(Netlist.n_wires nl) in
+  let rng = Prng.create 3 in
+  for _ = 1 to 32 do
+    List.iter
+      (fun (p : Netlist.port) ->
+        Sim.set_port sim p.Netlist.port_name (Prng.int rng (1 lsl Array.length p.Netlist.port_wires)))
+      nl.Netlist.inputs;
+    Sim.step sim ~trace ()
+  done;
+  trace
+
+(* Full border cubes read off trace rows agree with a golden run, so
+   validity is monotone in them and bisection must keep exactly the
+   literals the greedy loop keeps, in any literal order. *)
+let prop_minimize_matches_greedy =
+  QCheck2.Test.make ~name:"search: bisection minimization = greedy drop-one loop" ~count:150
+    QCheck2.Gen.(triple (int_range 0 1_000) (int_range 0 1_000) (int_range 0 1_000))
+    (fun (pick, start, seed) ->
+      let cones = Lazy.force oracle_cones in
+      let nl, cone, sources, border = cones.(pick mod Array.length cones) in
+      let avr, avr_trace = Lazy.force avr_setup in
+      let trace = if nl == avr then avr_trace else port_trace nl in
+      let ev = Search.Cone_eval.create nl cone sources in
+      let n = Trace.n_cycles trace in
+      let cube cycle =
+        Prng.shuffle (Prng.create seed)
+          (Array.to_list (Array.map (fun w -> { Term.wire = w; value = Trace.get trace ~cycle w }) border))
+      in
+      (* The first cycle from [start] on whose cube is valid, if any. *)
+      let rec valid_cube k =
+        if k = n then None
+        else
+          let c = cube ((start + k) mod n) in
+          if Search.Cone_eval.validate ev c then Some c else valid_cube (k + 1)
+      in
+      match valid_cube 0 with
+      | None -> true
+      | Some c ->
+        let minimal = Search.Cone_eval.minimize ev c in
+        Search.Cone_eval.validate ev minimal && minimal = greedy_minimize ev c)
+
 (* Two literals whose downstream support gates interleave: x1 reaches
    only pa, x2 reaches pb then pa (pa reads pb), so the union comes out
    of the per-literal lists as [pa; pb] and must be put in topological
@@ -269,8 +455,11 @@ let test_dirty_union_sorted () =
 let suite =
   [
     Alcotest.test_case "jobs 1 = jobs 4 on AVR FF w/o RF" `Quick test_avr_jobs_invariant;
+    Alcotest.test_case "AVR FF w/o RF search results pinned" `Quick test_avr_search_pinned;
     Alcotest.test_case "jobs > flops on Figure 1" `Quick test_figure1_more_jobs_than_flops;
     Alcotest.test_case "exception re-raised after join" `Quick test_exception_after_join;
     Alcotest.test_case "dirty support gates in topological order" `Quick test_dirty_union_sorted;
     QCheck_alcotest.to_alcotest prop_validate_matches_reference;
+    QCheck_alcotest.to_alcotest prop_stacked_matches_reference;
+    QCheck_alcotest.to_alcotest prop_minimize_matches_greedy;
   ]
