@@ -266,6 +266,54 @@ let avr_rom_delta_batch db nl ~program =
     db_watch = Array.append addr_port.Netlist.port_wires instr_port.Netlist.port_wires;
   }
 
+(* The golden replay tables of a batch RAM: the prescanned write stream
+   and an image every [snap_interval] cycles. They are immutable and a
+   function of the trace, the device and its initial image, so every
+   batch worker built over one trace — a campaign builds one per domain
+   — shares one copy. The last tables built are kept for as long as
+   their trace is alive, and are rebuilt if it has grown since. *)
+type golden_ram = {
+  g_wen : bool array;
+  g_addr : int array;
+  g_data : int array;
+  snaps : int array array;
+}
+
+let snap_interval = 64
+
+let last_golden_ram : (string * int array * (Trace.t, golden_ram) Ephemeron.K1.t) option Atomic.t =
+  Atomic.make None
+
+let golden_ram_tables ~name ~trace ~index ~vmask ~init_image ~addr_port ~wdata_port ~wen_port =
+  let cached =
+    match Atomic.get last_golden_ram with
+    | Some (n, image, e) when n = name && image = init_image -> Ephemeron.K1.query e trace
+    | _ -> None
+  in
+  let total = Trace.n_cycles trace in
+  match cached with
+  | Some g when Array.length g.g_wen = total -> g
+  | Some _ | None ->
+    let g_wen = Array.make total false in
+    let g_addr = Array.make total 0 in
+    let g_data = Array.make total 0 in
+    for c = 0 to total - 1 do
+      g_wen.(c) <- trace_port trace wen_port ~cycle:c = 1;
+      g_addr.(c) <- index (trace_port trace addr_port ~cycle:c);
+      g_data.(c) <- trace_port trace wdata_port ~cycle:c land vmask
+    done;
+    let n_snaps = (total + snap_interval - 1) / snap_interval in
+    let snaps = Array.make (max n_snaps 1) [||] in
+    let state = Array.copy init_image in
+    for c = 0 to total - 1 do
+      if c mod snap_interval = 0 then snaps.(c / snap_interval) <- Array.copy state;
+      if g_wen.(c) then state.(g_addr.(c)) <- g_data.(c)
+    done;
+    if snaps.(0) = [||] then snaps.(0) <- Array.copy init_image;
+    let g = { g_wen; g_addr; g_data; snaps } in
+    Atomic.set last_golden_ram (Some (name, init_image, Ephemeron.K1.make trace g));
+    g
+
 (* Shared golden-replay RAM with per-lane diffs: the batch mirror of
    [delta_ram]. One golden write stream and one [gram] image serve all
    lanes; a lane participates in a clock edge only when its write
@@ -279,23 +327,9 @@ let delta_ram_batch db ~name ~trace ~index ~mask:vmask ~init_image ~addr_port ~r
     ~wdata_port ~wen_port =
   let size = Array.length init_image in
   let total = Trace.n_cycles trace in
-  let g_wen = Array.make total false in
-  let g_addr = Array.make total 0 in
-  let g_data = Array.make total 0 in
-  for c = 0 to total - 1 do
-    g_wen.(c) <- trace_port trace wen_port ~cycle:c = 1;
-    g_addr.(c) <- index (trace_port trace addr_port ~cycle:c);
-    g_data.(c) <- trace_port trace wdata_port ~cycle:c land vmask
-  done;
-  let snap_interval = 64 in
-  let n_snaps = (total + snap_interval - 1) / snap_interval in
-  let snaps = Array.make (max n_snaps 1) [||] in
-  let state = Array.copy init_image in
-  for c = 0 to total - 1 do
-    if c mod snap_interval = 0 then snaps.(c / snap_interval) <- Array.copy state;
-    if g_wen.(c) then state.(g_addr.(c)) <- g_data.(c)
-  done;
-  if snaps.(0) = [||] then snaps.(0) <- Array.copy init_image;
+  let { g_wen; g_addr; g_data; snaps } =
+    golden_ram_tables ~name ~trace ~index ~vmask ~init_image ~addr_port ~wdata_port ~wen_port
+  in
   let gram = Array.copy init_image in
   let diffs = Array.init Deltabatch.n_lanes (fun _ -> Hashtbl.create 8) in
   (* Reverse index of the per-lane diff tables: address -> mask of

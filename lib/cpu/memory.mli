@@ -62,7 +62,11 @@ val msp_memory_delta :
     stream, snapshots, the golden RAM image — is shared by every lane
     and paid once per clock; each lane carries only its own sparse
     diff table, summarized in a dirty mask so a clock edge with no
-    diverged or port-flipped lane is O(1). Per-lane updates follow the
+    diverged or port-flipped lane is O(1). The prescanned write stream
+    and snapshots are immutable: devices built over the same trace (a
+    campaign builds one batch worker per domain) share one copy while
+    the trace keeps its length; a device built after the trace has
+    grown gets fresh tables. Per-lane updates follow the
     scalar delta devices exactly, so diff tables (and therefore memo
     keys and Latent verdicts) are bit-identical to the scalar
     engine's. *)

@@ -29,8 +29,53 @@ let kernel_name = function
    values, differing RAM cells with their faulty values), both in
    ascending index order. The simulator is deterministic, so equal state
    at an equal cycle implies an identical remainder of the run — the
-   verdict can be replayed from the table instead of re-simulated. *)
-type memo_key = int * (int * bool) list * (int * int) list
+   verdict can be replayed from the table instead of re-simulated.
+
+   Every producer packs its key into one string through [pack_memo_key]:
+   the table then holds one flat block per entry instead of a cons cell
+   per differing cell, and the three engines still build byte-equal keys
+   for equal differences. The encoding is LEB128 varints over the ints'
+   unsigned bit patterns: the checkpoint, the flop count, each flop as
+   [2 * index + faulty], then each RAM cell as address and value. Varints
+   are prefix-free and the flop count splits the two lists, so the
+   encoding is injective. *)
+type memo_key = string
+
+let varint_len n =
+  let rec go n k = if n lsr 7 = 0 then k else go (n lsr 7) (k + 1) in
+  go n 1
+
+let put_varint b pos n =
+  let rec go pos n =
+    if n lsr 7 = 0 then begin
+      Bytes.unsafe_set b pos (Char.unsafe_chr n);
+      pos + 1
+    end
+    else begin
+      Bytes.unsafe_set b pos (Char.unsafe_chr (n land 0x7f lor 0x80));
+      go (pos + 1) (n lsr 7)
+    end
+  in
+  go pos n
+
+let flop_code (i, v) = (i lsl 1) lor Bool.to_int v
+
+let pack_memo_key ~cp flops ram =
+  let len =
+    List.fold_left
+      (fun acc (a, x) -> acc + varint_len a + varint_len x)
+      (List.fold_left
+         (fun acc f -> acc + varint_len (flop_code f))
+         (varint_len cp + varint_len (List.length flops))
+         flops)
+      ram
+  in
+  let b = Bytes.create len in
+  let pos = put_varint b 0 cp in
+  let pos = put_varint b pos (List.length flops) in
+  let pos = List.fold_left (fun pos f -> put_varint b pos (flop_code f)) pos flops in
+  ignore (List.fold_left (fun pos (a, x) -> put_varint b (put_varint b pos a) x) pos ram);
+  Bytes.unsafe_to_string b
 
 type worker = {
   w_sys : System.t;
@@ -43,7 +88,9 @@ type t = {
   make_delta : (trace:Trace.t -> System.delta) option;
   make_delta_batch : (trace:Trace.t -> System.delta_batch) option;
   mutable delta_worker : System.delta option;  (* built lazily on first delta run *)
-  mutable delta_batch_worker : System.delta_batch option;  (* lazy, first batched-delta run *)
+  mutable delta_batch_workers : System.delta_batch array;
+      (* one per domain of a batched call, entry 0 the calling domain's;
+         grown on demand, emptied when a pass raises *)
   trace : Trace.t;
       (* the campaign's one per-cycle golden record, taken by the
          checkpointing run: row c holds cycle c's settled wires (its
@@ -98,7 +145,7 @@ let create ?checkpoint_interval ?make_delta ?make_delta_batch ~make ~total_cycle
     make_delta;
     make_delta_batch;
     delta_worker = None;
-    delta_batch_worker = None;
+    delta_batch_workers = [||];
     trace;
     total_cycles;
     interval;
@@ -279,7 +326,7 @@ let scalar_experiment t w ~members ~hold ~cycle =
         match state_diff t w ~cp:i with
         | Some ([], []) -> result := Some Benign
         | Some (fd, rd) -> (
-          let key = (i, fd, rd) in
+          let key = pack_memo_key ~cp:i fd rd in
           match memo_find t key with
           | Some v -> result := Some v
           | None -> pending := key :: !pending)
@@ -397,7 +444,7 @@ let delta_experiment t ~members ~hold ~cycle =
       if !c mod t.interval = 0 && !c >= window_end - 1 && not (Deltasim.converged ds) then begin
         match delta_diff ds flops with
         | Some (fd, rd) -> (
-          let key = (!c / t.interval, fd, rd) in
+          let key = pack_memo_key ~cp:(!c / t.interval) fd rd in
           match memo_find t key with
           | Some v -> result := Some v
           | None -> pending := key :: !pending)
@@ -449,19 +496,11 @@ let max_delta_lanes = Deltabatch.n_lanes
 
 let rec lsb_index v i = if v land 1 = 1 then i else lsb_index (v lsr 1) (i + 1)
 
-let delta_batch_worker t =
-  match t.delta_batch_worker with
-  | Some d -> d
+let new_delta_batch_worker t =
+  match t.make_delta_batch with
+  | Some f -> f ~trace:t.trace
   | None ->
-    let make_delta_batch =
-      match t.make_delta_batch with
-      | Some f -> f
-      | None ->
-        invalid_arg "Campaign: batched delta injection needs ~make_delta_batch at Campaign.create"
-    in
-    let d = make_delta_batch ~trace:t.trace in
-    t.delta_batch_worker <- Some d;
-    d
+    invalid_arg "Campaign: batched delta injection needs ~make_delta_batch at Campaign.create"
 
 (* A top-level function, not a closure: it runs once per injected SEU. *)
 let seed_member ds ~lane ~force fid =
@@ -474,8 +513,14 @@ let seed_member ds ~lane ~force fid =
    at its cycle, and retiring lanes per the scalar delta engine's
    observation order — memo at checkpoint boundaries, SDC on output
    divergence, Benign the instant the lane re-converges — with
-   survivors classified at the horizon. Returns the overtaken faults
-   for the next pass.
+   survivors classified at the horizon.
+
+   The pass works the ascending prefix [queue.(0 .. len-1)] and compacts
+   it in place: the faults it overtook are written back at a cursor that
+   never passes the read cursor, then the untouched tail is blitted after
+   them. Every overtaken fault was popped before every tail fault, so the
+   new prefix is still ascending by (cycle, index) and the next pass
+   attaches at its head's cycle. Returns the new prefix length.
 
    [members] lists each fault's member flops ([None]: every key is its
    own one flop). A fault held for [hold] > 1 cycles keeps its lane in
@@ -485,11 +530,11 @@ let seed_member ds ~lane ~force fid =
    holding lane takes no memo verdict and no Benign retirement — equal
    state does not imply an equal remainder while forcing is pending.
    It can still retire SDC. A single-cycle fault never holds. *)
-let run_delta_batch_pass t ?on_benign_retire db ~lanes ~members ~hold faults verdicts queue =
+let run_delta_batch_pass t ?on_benign_retire db ~lanes ~members ~hold faults verdicts queue len =
   let ds = db.System.db_dbsim in
   let flops = db.System.db_netlist.Netlist.flops in
   let n_flops = Array.length flops in
-  let head_cycle = snd faults.(List.hd queue) in
+  let head_cycle = snd faults.(queue.(0)) in
   Deltabatch.attach ds ~cycle:head_cycle;
   let lane_fault = Array.make lanes (-1) in
   let lane_pending = Array.make lanes [] in
@@ -498,8 +543,8 @@ let run_delta_batch_pass t ?on_benign_retire db ~lanes ~members ~hold faults ver
   let injected = ref 0 in
   let holding = ref 0 in
   let free = ref (List.init lanes Fun.id) in
-  let pending_q = ref queue in
-  let leftover = ref [] in
+  let next = ref 0 in  (* read cursor: the next queued fault *)
+  let kept = ref 0 in  (* write cursor: overtaken faults so far *)
   let c = ref head_cycle in
   let retire lane verdict =
     verdicts.(lane_fault.(lane)) <- verdict;
@@ -520,11 +565,13 @@ let run_delta_batch_pass t ?on_benign_retire db ~lanes ~members ~hold faults ver
      diff entry exactly a differing RAM cell, so the scalar engine's
      memo keys fall out of the flip words directly — same indices, same
      faulty values, same ascending order. *)
+  let counts = Array.make lanes 0 in
+  let fd = Array.make lanes [] in
   let boundary_check () =
     let check = !injected land lnot !holding land Deltabatch.live_mask ds in
     if check <> 0 then begin
-      let counts = Array.make lanes 0 in
-      let fd = Array.make lanes [] in
+      Array.fill counts 0 lanes 0;
+      Array.fill fd 0 lanes [];
       let over = ref 0 in
       for i = 0 to n_flops - 1 do
         let q = flops.(i).Netlist.q in
@@ -550,7 +597,7 @@ let run_delta_batch_pass t ?on_benign_retire db ~lanes ~members ~hold faults ver
                 List.concat_map snd (Deltabatch.device_diffs ds ~lane) |> List.sort compare
               in
               if counts.(lane) + List.length rd > max_memo_diff then None
-              else Some (i_cp, List.rev fd.(lane), rd)
+              else Some (pack_memo_key ~cp:i_cp (List.rev fd.(lane)) rd)
             end
           in
           match key with
@@ -586,24 +633,27 @@ let run_delta_batch_pass t ?on_benign_retire db ~lanes ~members ~hold faults ver
       end
     done
   in
+  (* Refill free lanes with queued faults still injectable at !c;
+     overtaken faults go to the next pass. *)
+  let rec refill () =
+    match !free with
+    | lane :: frest when !next < len ->
+      let idx = queue.(!next) in
+      incr next;
+      if snd faults.(idx) < !c then begin
+        queue.(!kept) <- idx;
+        incr kept
+      end
+      else begin
+        free := frest;
+        lane_fault.(lane) <- idx;
+        active := !active lor (1 lsl lane)
+      end;
+      refill ()
+    | _ -> ()
+  in
   (try
      while !c < t.total_cycles do
-       (* Refill free lanes with queued faults still injectable at !c;
-          overtaken faults go to the next pass. *)
-       let rec refill () =
-         match (!free, !pending_q) with
-         | [], _ | _, [] -> ()
-         | lane :: frest, idx :: qrest ->
-           let _, fc = faults.(idx) in
-           pending_q := qrest;
-           if fc < !c then leftover := idx :: !leftover
-           else begin
-             free := frest;
-             lane_fault.(lane) <- idx;
-             active := !active lor (1 lsl lane)
-           end;
-           refill ()
-       in
        refill ();
        if !active = 0 then raise Exit;
        if !holding <> 0 then rearm ();
@@ -660,14 +710,9 @@ let run_delta_batch_pass t ?on_benign_retire db ~lanes ~members ~hold faults ver
     done
   end;
   (* Unclassified faults for the next pass: those overtaken while every
-     lane was busy, plus the queue tail never popped. Both lists are
-     ascending by (cycle, index); keep the merged queue sorted so the
-     next pass attaches at the right cycle for its head. *)
-  let by_cycle a b =
-    let ca = snd faults.(a) and cb = snd faults.(b) in
-    if ca <> cb then compare ca cb else compare a b
-  in
-  List.merge by_cycle (List.rev !leftover) !pending_q
+     lane was busy, then the queue tail never popped. *)
+  Array.blit queue !next queue !kept (len - !next);
+  !kept + (len - !next)
 
 (* [lanes], defaulted and checked against the pass width. *)
 let lanes_in_range ~fn = function
@@ -677,14 +722,20 @@ let lanes_in_range ~fn = function
       invalid_arg (Printf.sprintf "Campaign.%s: lanes must be in [1, %d]" fn max_delta_lanes);
     l
 
-let inject_delta_batch t ?space ?lanes ?on_benign_retire ~faults () =
+let inject_delta_batch t ?space ?lanes ?jobs ?on_benign_retire ~faults () =
   let lanes = lanes_in_range ~fn:"inject_delta_batch" lanes in
+  let jobs =
+    match jobs with
+    | None -> Domain.recommended_domain_count ()
+    | Some j ->
+      if j < 1 then invalid_arg "Campaign.inject_delta_batch: jobs must be positive";
+      j
+  in
   Array.iter
     (fun (_, cycle) ->
       if cycle < 0 || cycle >= t.total_cycles then
         invalid_arg "Campaign.inject_delta_batch: cycle out of range")
     faults;
-  let db = delta_batch_worker t in
   let n = Array.length faults in
   let verdicts = Array.make n Benign in
   (* Each fault's member flops, expanded once before the first pass.
@@ -709,12 +760,66 @@ let inject_delta_batch t ?space ?lanes ?on_benign_retire ~faults () =
       let ca = snd faults.(a) and cb = snd faults.(b) in
       if ca <> cb then compare ca cb else compare a b)
     order;
-  let queue = ref (Array.to_list order) in
-  while !queue <> [] do
-    queue :=
-      run_delta_batch_pass t ?on_benign_retire db ~lanes ~members ~hold faults verdicts !queue
-  done;
-  verdicts
+  let n_order = Array.length order in
+  (* No domain gets less than one full pass of faults. *)
+  let domains = max 1 (min jobs (n_order / lanes)) in
+  let have = Array.length t.delta_batch_workers in
+  if have < domains then
+    t.delta_batch_workers <-
+      Array.init domains (fun k ->
+          if k < have then t.delta_batch_workers.(k) else new_delta_batch_worker t);
+  let workers = t.delta_batch_workers in
+  (* Domain k takes every [domains]-th fault of the cycle-sorted order
+     from position k, so every share sees the same cycle mix, and drains
+     it pass after pass on worker k. Each domain writes only its own
+     faults' verdict slots and shares the mutex-guarded memo. Benign
+     retirements are buffered per domain and delivered here, on the
+     calling domain, once every helper has been joined. *)
+  let retired = Array.make domains [] in
+  let run k () =
+    let on_benign_retire =
+      Option.map
+        (fun _ ~index ~cycle -> retired.(k) <- (index, cycle) :: retired.(k))
+        on_benign_retire
+    in
+    let queue =
+      Array.init ((n_order - k + domains - 1) / domains) (fun j -> order.(k + (j * domains)))
+    in
+    let len = ref (Array.length queue) in
+    while !len > 0 do
+      len :=
+        run_delta_batch_pass t ?on_benign_retire workers.(k) ~lanes ~members ~hold faults verdicts
+          queue !len
+    done
+  in
+  let attempt f =
+    match f () with
+    | v -> Ok v
+    | exception e -> Error (e, Printexc.get_raw_backtrace ())
+  in
+  let helpers =
+    Array.init (domains - 1) (fun j -> attempt (fun () -> Domain.spawn (run (j + 1))))
+  in
+  let own = attempt (run 0) in
+  let joined =
+    Array.map (fun h -> Result.bind h (fun d -> attempt (fun () -> Domain.join d))) helpers
+  in
+  let first_error = List.find_map (function Ok () -> None | Error err -> Some err) in
+  match first_error (own :: Array.to_list joined) with
+  | Some (e, bt) ->
+    (* An exception escaping a pass leaves its worker mid-run (lanes
+       dirty): every domain's worker is dropped, to be rebuilt by the
+       next call from the golden trace, which is immutable and survives. *)
+    t.delta_batch_workers <- [||];
+    Printexc.raise_with_backtrace e bt
+  | None ->
+    Option.iter
+      (fun f ->
+        Array.iter
+          (fun r -> List.iter (fun (index, cycle) -> f ~index ~cycle) (List.rev r))
+          retired)
+      on_benign_retire;
+    verdicts
 
 type stats = {
   injections : int;
@@ -761,21 +866,15 @@ let draw_samples t ~space ~rng ~n =
 (* The one kernel -> injector dispatch: every sample driver below and
    the supervised executor classify through it, and every kernel runs
    every fault model. The scalar kernel runs on [worker ()]; the
-   delta-batched kernel on the campaign's shared worker, which an
-   escaping exception leaves in an unknown state (lanes mid-run) — it is
-   discarded, to be rebuilt lazily by the next call from the campaign's
-   golden trace, which is immutable and survives. *)
+   delta-batched kernel on the campaign's batched workers, one per
+   domain, which [inject_delta_batch] discards itself when a pass
+   raises. *)
 let classify ?lanes t ~worker ~kernel ~space faults =
   match kernel with
   | Scalar ->
     let w = worker () in
     Array.map (fun (key, cycle) -> inject_fault t w ~space ~key ~cycle) faults
-  | Delta_batched -> (
-    match inject_delta_batch t ~space ?lanes ~faults () with
-    | verdicts -> verdicts
-    | exception e ->
-      t.delta_batch_worker <- None;
-      raise e)
+  | Delta_batched -> inject_delta_batch t ~space ?lanes ~faults ()
 
 let no_skip ~flop_id:_ ~cycle:_ = false
 

@@ -167,9 +167,9 @@ val classify :
     for [Delta_batched]. Every kernel runs every fault model. The only
     kernel-to-injector mapping: {!run_sample}, {!run_sample_delta_batched}
     and the supervised {!Executor} go through it. When an exception
-    escapes [Delta_batched], its shared worker is discarded (the next
-    call rebuilds it from the golden trace) and the exception is
-    re-raised. *)
+    escapes [Delta_batched], {!inject_delta_batch} has discarded every
+    domain's batched worker (the next call rebuilds them from the
+    golden trace) and the exception is re-raised. *)
 
 type stats = {
   injections : int;  (** experiments actually executed *)
@@ -257,11 +257,12 @@ val inject_delta_batch :
   t ->
   ?space:Fault_space.t ->
   ?lanes:int ->
+  ?jobs:int ->
   ?on_benign_retire:(index:int -> cycle:int -> unit) ->
   faults:(int * int) array ->
   unit ->
   verdict array
-(** Classify every fault on the batched delta worker and return the
+(** Classify every fault on the batched delta workers and return the
     verdicts in input order. Without [space] the faults are
     [(flop_id, cycle)] SEUs; with it they are [(key, cycle)] instances
     of [space]'s fault model, verdict-bit-identical to
@@ -272,14 +273,33 @@ val inject_delta_batch :
     before its last forced cycle; an empty expansion is [Benign]
     without taking a lane. [lanes] (default
     {!max_delta_lanes}, must be in [\[1, max_delta_lanes\]]) caps how
-    many faults are in flight at once. [on_benign_retire] is called
-    (with the fault's index into [faults] and the retirement cycle) for
-    every mid-pass Benign retirement — i.e. each time a lane's dirty
-    set dies out before the horizon; the differential tests use it to
-    confirm early retirements against scalar replay. Requires
-    [~make_delta_batch] at {!create}. Not safe to call concurrently
-    from several domains (one shared worker), but composes with the
-    other engines: all three share the campaign's verdict memo. *)
+    many faults are in flight at once per domain.
+
+    The call runs on [d = max 1 (min jobs (n / lanes))] domains, where
+    [n] counts the lane-taking faults and [jobs] defaults to
+    [Domain.recommended_domain_count ()] (must be positive), so no
+    domain gets less than one full pass: the calling domain and
+    [d - 1] helper domains spawned for the call and joined before it
+    returns. Fault [i] of the cycle-sorted fault list goes to domain
+    [i mod d]. Each domain drives a batched worker of its own; the
+    calling domain builds the missing ones before the split, and all
+    are kept in the campaign. All share the campaign's verdict memo,
+    so the verdicts do not depend on [jobs]. Which faults a memo hit
+    retires before they re-converge may.
+
+    [on_benign_retire] is called (with the fault's index into [faults]
+    and the retirement cycle) for every mid-pass Benign retirement —
+    i.e. each time a lane's dirty set dies out before the horizon; the
+    differential tests use it to confirm early retirements against
+    scalar replay. It runs on the calling domain, after every domain's
+    passes have finished and every helper has been joined, so it may
+    drive the campaign's other engines. When a pass raises on any
+    domain, every domain's worker
+    is discarded (the next call rebuilds them from the golden trace)
+    and the first exception is re-raised once all domains have been
+    joined. Requires [~make_delta_batch] at {!create}. Not safe to call
+    concurrently on one campaign, but composes with the other engines:
+    all share the campaign's verdict memo. *)
 
 val run_sample_delta_batched :
   t ->
@@ -296,5 +316,12 @@ val run_sample_delta_batched :
     the other engines' on every fault model. [lanes] outside
     [\[1, max_delta_lanes\]] raises [Invalid_argument] before any fault
     is drawn. *)
+
+val pack_memo_key : cp:int -> (int * bool) list -> (int * int) list -> string
+(** The verdict memo's key for the architectural difference at
+    checkpoint [cp]: the differing flops (index, faulty value) and RAM
+    cells (address, faulty value), each ascending. Every engine builds
+    its keys through it, so equal differences give equal keys; the
+    packing is injective. Exposed for tests. *)
 
 val pp_verdict : Format.formatter -> verdict -> unit

@@ -91,7 +91,7 @@ let attempt t ~fault ~first faults =
       (* Back off so a systemic failure (disk full, OOM-adjacent) is
          not hammered at full speed. *)
       (* The scalar worker may be mid-run: build a fresh one next time
-         (Campaign.classify rebuilds the batched worker itself). *)
+         (Campaign.inject_delta_batch drops the batched workers itself). *)
       t.worker <- None;
       t.failures <- t.failures + 1;
       if k < t.retries then begin

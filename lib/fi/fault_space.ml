@@ -1,5 +1,4 @@
 module Netlist = Pruning_netlist.Netlist
-module Cone = Pruning_netlist.Cone
 
 type t = {
   netlist : Netlist.t;
@@ -7,7 +6,7 @@ type t = {
   cycles : int;
   index : int array;
   model : Fault_model.t;
-  cone_cache : (int, int array) Hashtbl.t;
+  mutable set_table : int array array;
   cone_lock : Mutex.t;
 }
 
@@ -42,7 +41,7 @@ let full ?(model = Fault_model.Seu) netlist ~cycles =
     cycles;
     index = make_index netlist flops;
     model;
-    cone_cache = Hashtbl.create 64;
+    set_table = [||];
     cone_lock = Mutex.create ();
   }
 
@@ -56,7 +55,7 @@ let without_prefix ?(model = Fault_model.Seu) netlist ~prefix ~cycles =
     cycles;
     index = make_index netlist flops;
     model;
-    cone_cache = Hashtbl.create 64;
+    set_table = [||];
     cone_lock = Mutex.create ();
   }
 
@@ -86,25 +85,55 @@ let draw_key t i =
   | Fault_model.Seu | Fault_model.Intermittent _ -> t.flops.(i).Netlist.flop_id
   | Fault_model.Set | Fault_model.Mbu _ -> i
 
+(* Merge two ascending, duplicate-free arrays into one. A union as long
+   as one side is that side, and is shared. *)
+let union a b =
+  let na = Array.length a and nb = Array.length b in
+  let out = Array.make (na + nb) 0 in
+  let rec go i j k =
+    if i = na then begin
+      Array.blit b j out k (nb - j);
+      k + nb - j
+    end
+    else if j = nb then begin
+      Array.blit a i out k (na - i);
+      k + na - i
+    end
+    else begin
+      let x = a.(i) and y = b.(j) in
+      out.(k) <- min x y;
+      go (if x <= y then i + 1 else i) (if y <= x then j + 1 else j) (k + 1)
+    end
+  in
+  let k = go 0 0 0 in
+  if k = na then a else if k = nb then b else if k = na + nb then out else Array.sub out 0 k
+
 (* SET expansion: the flop ids whose D pin lies in the gate output's
    fault cone — the multi-flop SEU set that would latch the corrupted
-   value, per the RTL representation of gate-level SETs. Cached per
-   gate (cone computation walks the netlist) and mutex-guarded: one fault
-   space may be consulted from several domains or threads. *)
+   value, per the RTL representation of gate-level SETs. One reverse
+   topological pass builds every gate's set: the flops reading its
+   output wire, merged with the sets of the gates reading it (which the
+   pass has already built). A gate whose set equals one reader's shares
+   that reader's array. Built once per space on first use, under
+   [cone_lock]: one fault space may be consulted from several domains
+   or threads. *)
 let set_members t gate_idx =
   Mutex.lock t.cone_lock;
-  let cached = Hashtbl.find_opt t.cone_cache gate_idx in
+  if Array.length t.set_table = 0 then begin
+    let nl = t.netlist in
+    let table = Array.make (Array.length nl.Netlist.gates) [||] in
+    for k = Array.length nl.Netlist.topo - 1 downto 0 do
+      let g = nl.Netlist.topo.(k) in
+      let out = nl.Netlist.gates.(g).Netlist.output in
+      let own = Array.copy nl.Netlist.flop_readers.(out) in
+      Array.sort compare own;
+      table.(g) <- Array.fold_left (fun acc r -> union acc table.(r)) own nl.Netlist.readers.(out)
+    done;
+    t.set_table <- table
+  end;
+  let members = t.set_table.(gate_idx) in
   Mutex.unlock t.cone_lock;
-  match cached with
-  | Some m -> m
-  | None ->
-    let gate = t.netlist.Netlist.gates.(gate_idx) in
-    let cone = Cone.compute t.netlist gate.Netlist.output in
-    let members = Array.of_list (List.sort_uniq compare cone.Cone.sinks_flops) in
-    Mutex.lock t.cone_lock;
-    Hashtbl.replace t.cone_cache gate_idx members;
-    Mutex.unlock t.cone_lock;
-    members
+  members
 
 let check_key t key =
   if key < 0 || key >= n_keys t then

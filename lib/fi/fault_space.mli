@@ -14,8 +14,9 @@ type t = {
       (** flop_id -> dense flop index, [-1] for flops outside the space
           (precomputed so {!flop_index} is O(1)) *)
   model : Fault_model.t;  (** the fault model this space enumerates *)
-  cone_cache : (int, int array) Hashtbl.t;
-      (** per-gate SET expansion cache; guard with [cone_lock] *)
+  mutable set_table : int array array;
+      (** every gate's SET expansion, built on first use (empty until
+          then); guard with [cone_lock] *)
   cone_lock : Mutex.t;
 }
 
@@ -47,8 +48,10 @@ val expand : t -> int -> int array
 (** The netlist flop ids a key corrupts at the injection cycle: the
     key itself for [Seu]/[Intermittent], the flops latching from the
     gate's output cone for [Set] (possibly empty — a pulse nothing
-    latches, trivially benign), the K adjacent flops for [Mbu K]. SET
-    expansions are cached per gate and safe to query concurrently. *)
+    latches, trivially benign), the K adjacent flops for [Mbu K]. The
+    first SET expansion builds every gate's in one pass; expansion is
+    safe to query concurrently. The returned array may be shared: do
+    not mutate it. *)
 
 val hold : t -> int
 (** Cycles the fault is re-armed for: N for [Intermittent N], else 1. *)

@@ -17,7 +17,19 @@ let of_literals pairs =
   in
   consistent sorted
 
-let conjoin a b = of_literals (List.map (fun l -> (l.wire, l.value)) (a @ b))
+(* Both terms are sorted by wire with each wire once, so one merge
+   normalizes their conjunction; a wire bound both ways contradicts. *)
+let conjoin a b =
+  let rec merge acc a b =
+    match (a, b) with
+    | [], rest | rest, [] -> Some (List.rev_append acc rest)
+    | x :: a', y :: b' ->
+      if x.wire < y.wire then merge (x :: acc) a' b
+      else if y.wire < x.wire then merge (y :: acc) a b'
+      else if x.value = y.value then merge (x :: acc) a' b'
+      else None
+  in
+  merge [] a b
 
 let holds t valuation = List.for_all (fun l -> valuation l.wire = l.value) t
 

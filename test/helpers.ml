@@ -14,6 +14,15 @@ let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 let check_string = Alcotest.(check string)
 
+(* Poll [pred] until it holds; fail the test after [timeout] seconds. *)
+let wait_for ?(timeout = 20.) pred what =
+  let deadline = Unix.gettimeofday () +. timeout in
+  while (not (pred ())) && Unix.gettimeofday () < deadline do
+    Thread.yield ();
+    Unix.sleepf 0.01
+  done;
+  if not (pred ()) then Alcotest.fail ("timed out waiting for " ^ what)
+
 (* The paper's Figure 1a circuit: gates A..E over wires a..l.
      A = NAND2(a, b) -> f      B = XOR2(c, d) -> g     C = INV(e) -> h
      D = AND2(g, f)  -> k      E = OR2(g, h)  -> l

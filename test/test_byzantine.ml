@@ -145,16 +145,14 @@ let serve_bg coord ~header ?journal ?resume ?on_event () =
     | Some (Error e) -> raise e
     | None -> assert false
 
-let work_bg ~port ~name ?chaos () =
+let work_bg ~port ~name ?(resolve = fun _ -> toy_engine ()) ?chaos () =
   let report = ref None in
   let thread =
     Thread.create
       (fun () ->
         report :=
           Some
-            (match
-               Worker.run ~host:"127.0.0.1" ~port ~resolve:(fun _ -> toy_engine ()) ~name ?chaos ()
-             with
+            (match Worker.run ~host:"127.0.0.1" ~port ~resolve ~name ?chaos () with
             | r -> Ok r
             | exception e -> Error e))
       ()
@@ -434,10 +432,36 @@ let test_liar_soak () =
   let port = Coordinator.port coord in
   let push, all = event_log () in
   let join = serve_bg coord ~header:(make_header ()) ~journal:dir ~on_event:push () in
-  let w1 = work_bg ~port ~name:"honest-1" () in
-  let w2 = work_bg ~port ~name:"honest-2" () in
+  (* The honest pair alone could take every chunk before the liar
+     handshakes, leaving nothing to lie about. Each worker holds in
+     [resolve], after its own join, until all three have joined. The
+     whole toy campaign can finish within one polling period, so the
+     honest pair also waits for the liar's first assignment. *)
+  let happened pred () = List.exists pred (all ()) in
+  let joined name =
+    happened (function
+      | Coordinator.Joined { worker } -> worker = name
+      | _ -> false)
+  in
+  let all_joined () =
+    List.for_all (fun name -> joined name ()) [ "honest-1"; "honest-2"; "liar" ]
+  in
+  let liar_assigned =
+    happened (function
+      | Coordinator.Assigned { worker; _ } -> worker = "liar"
+      | _ -> false)
+  in
+  let resolve ~honest _ =
+    wait_for all_joined "all three workers to join";
+    if honest then wait_for liar_assigned "the liar's first assignment";
+    toy_engine ()
+  in
+  let w1 = work_bg ~port ~name:"honest-1" ~resolve:(resolve ~honest:true) () in
+  let w2 = work_bg ~port ~name:"honest-2" ~resolve:(resolve ~honest:true) () in
   let liar =
-    work_bg ~port ~name:"liar" ~chaos:(Chaos.create ~profile:Chaos.liar_profile ~seed:7 ()) ()
+    work_bg ~port ~name:"liar" ~resolve:(resolve ~honest:false)
+      ~chaos:(Chaos.create ~profile:Chaos.liar_profile ~seed:7 ())
+      ()
   in
   let r1 = w1 () and r2 = w2 () and rl = liar () in
   let r = join () in

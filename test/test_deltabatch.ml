@@ -192,6 +192,109 @@ let test_early_retirement_exercised () =
   check_bool "retired <= benign verdicts" true
     (!retired <= Array.fold_left (fun a v -> if v = Campaign.Benign then a + 1 else a) 0 verdicts)
 
+(* Split calls: Benign retirements are delivered on the calling domain
+   once the helpers are joined — so the callback may drive the
+   campaign's scalar worker — and they are the same multiset whatever
+   the domain count. The checkpoint interval lies past the horizon, so
+   the only memo boundary is cycle 0, where distinct faults have
+   distinct keys: no memo hit can pre-empt a retirement. *)
+let test_split_retirements () =
+  let nl, make, _, make_delta_batch = Lazy.force avr_makers in
+  let faults =
+    random_faults nl (Prng.create 0xBEE) 400
+    |> Array.to_list |> List.sort_uniq compare |> Array.of_list
+  in
+  let caller = Domain.self () in
+  let run jobs =
+    let campaign =
+      Campaign.create ~checkpoint_interval:(total_cycles + 5) ~make ~make_delta_batch
+        ~total_cycles ()
+    in
+    let retired = ref [] in
+    let verdicts =
+      Campaign.inject_delta_batch campaign ~jobs
+        ~on_benign_retire:(fun ~index ~cycle ->
+          check_bool "delivered on the calling domain" true (Domain.self () = caller);
+          let flop_id, fc = faults.(index) in
+          let s = Campaign.inject campaign ~flop_id ~cycle:fc in
+          if s <> Campaign.Benign then
+            Alcotest.failf "jobs %d: lane retired at cycle %d (flop %d) but scalar says %s" jobs
+              cycle flop_id (verdict_to_string s);
+          retired := (index, cycle) :: !retired)
+        ~faults ()
+    in
+    (verdicts, List.sort compare !retired)
+  in
+  let v1, r1 = run 1 in
+  check_bool "some lanes retired early" true (r1 <> []);
+  List.iter
+    (fun jobs ->
+      let v, r = run jobs in
+      check_bool (Printf.sprintf "jobs %d: verdicts = jobs 1" jobs) true (v = v1);
+      check_bool (Printf.sprintf "jobs %d: retirements = jobs 1" jobs) true (r = r1))
+    [ 2; 4 ]
+
+(* A pass raising on a helper domain: the call re-raises it after the
+   join and drops every domain's worker, so the next call rebuilds both
+   and classifies exactly as before. Builds after the first carry a
+   device that raises on the clock edge while [armed]. *)
+let test_helper_failure_discards () =
+  let nl, make, _, make_delta_batch = Lazy.force avr_makers in
+  let builds = Atomic.make 0 and armed = Atomic.make false in
+  let poison =
+    {
+      Deltabatch.db_name = "poison";
+      db_comb = ignore;
+      db_clock = (fun () -> if Atomic.get armed then failwith "poisoned clock");
+      db_seek = ignore;
+      db_dirty = (fun () -> 0);
+      db_diffs = (fun ~lane:_ -> []);
+      db_reset = (fun ~lane:_ -> ());
+      db_watch = [||];
+    }
+  in
+  let make_delta_batch ~trace =
+    let db = make_delta_batch ~trace in
+    if Atomic.fetch_and_add builds 1 > 0 then Deltabatch.add_device db.System.db_dbsim poison;
+    db
+  in
+  let campaign = Campaign.create ~make ~make_delta_batch ~total_cycles () in
+  let faults = random_faults nl (Prng.create 0xD00D) 300 in
+  let before = Campaign.inject_delta_batch campaign ~jobs:2 ~faults () in
+  check_int "one worker per domain" 2 (Atomic.get builds);
+  Atomic.set armed true;
+  Alcotest.check_raises "the helper's exception is re-raised" (Failure "poisoned clock") (fun () ->
+      ignore (Campaign.inject_delta_batch campaign ~jobs:2 ~faults ()));
+  Atomic.set armed false;
+  let after = Campaign.inject_delta_batch campaign ~jobs:2 ~faults () in
+  check_int "both workers rebuilt" 4 (Atomic.get builds);
+  check_bool "verdicts unchanged after the rebuild" true (after = before)
+
+(* Batch workers built over one trace share its golden RAM tables. A
+   trace that grows between two builds must not hand the second worker
+   the first one's shorter tables. *)
+let test_grown_trace_tables () =
+  let nl, make, _, make_delta_batch = Lazy.force avr_makers in
+  let reference = Campaign.create ~make ~make_delta_batch ~total_cycles () in
+  let golden = Campaign.golden_trace reference in
+  let grown = Trace.create ~n_wires:(Trace.n_wires golden) in
+  let append_rows lo hi =
+    for cycle = lo to hi - 1 do
+      Trace.append grown (Trace.row golden ~cycle)
+    done
+  in
+  append_rows 0 (total_cycles / 2);
+  ignore (make_delta_batch ~trace:grown);
+  append_rows (total_cycles / 2) total_cycles;
+  let campaign =
+    Campaign.create ~make ~make_delta_batch:(fun ~trace:_ -> make_delta_batch ~trace:grown)
+      ~total_cycles ()
+  in
+  let faults = random_faults nl (Prng.create 0x6A0) n_pairs in
+  let got = Campaign.inject_delta_batch campaign ~jobs:1 ~faults () in
+  let expected = Campaign.inject_delta_batch reference ~jobs:1 ~faults () in
+  check_bool "verdicts over the grown trace = over the golden trace" true (got = expected)
+
 let test_lanes_validation () =
   let _, make, _, make_delta_batch = Lazy.force avr_makers in
   let campaign = Campaign.create ~make ~make_delta_batch ~total_cycles () in
@@ -217,5 +320,11 @@ let suite =
       test_run_sample_stats;
     Alcotest.test_case "mid-pass retirements => Benign under scalar replay" `Quick
       test_early_retirement_exercised;
+    Alcotest.test_case "split calls: retirements on the caller, same multiset" `Quick
+      test_split_retirements;
+    Alcotest.test_case "helper failure discards every worker" `Quick
+      test_helper_failure_discards;
+    Alcotest.test_case "worker over a grown trace gets fresh RAM tables" `Quick
+      test_grown_trace_tables;
     Alcotest.test_case "lane width validation" `Quick test_lanes_validation;
   ]

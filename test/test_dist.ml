@@ -330,14 +330,6 @@ let event_log () =
   in
   (push, all)
 
-let wait_for ?(timeout = 20.) pred what =
-  let deadline = Unix.gettimeofday () +. timeout in
-  while (not (pred ())) && Unix.gettimeofday () < deadline do
-    Thread.yield ();
-    Unix.sleepf 0.01
-  done;
-  if not (pred ()) then Alcotest.fail ("timed out waiting for " ^ what)
-
 let serve_bg coord ~header ?journal ?resume ?should_stop ?on_event () =
   let result = ref None in
   let thread =

@@ -5,9 +5,10 @@
      mbu:2, intermittent:3 and set on both cores, is classified by the
      scalar oracle, by the single-fault delta engine and by the batched
      delta engine (at the full lane width, and at 5 lanes, which forces
-     refills and overtaken faults while lanes are still holding) and
-     compared fault by fault. Each engine gets a campaign of its own,
-     so no engine's verdict memo can answer for another's.
+     refills and overtaken faults while lanes are still holding; each
+     on 1, 2 and 4 domains) and compared fault by fault. Each engine
+     gets a campaign of its own, so no engine's verdict memo can answer
+     for another's.
    - One batched call mixing empty and non-empty SET expansions returns
      its verdicts in input order.
    - A campaign simulates its golden run once, however many workers
@@ -84,12 +85,14 @@ let check_exhaustive (name, core) model ~cycles () =
   in
   same_verdicts (label ^ ": delta") faults scalar delta;
   List.iter
-    (fun lanes ->
+    (fun (lanes, jobs) ->
       same_verdicts
-        (Printf.sprintf "%s: delta-batched x %d lanes" label lanes)
+        (Printf.sprintf "%s: delta-batched x %d lanes on %d domains" label lanes jobs)
         faults scalar
-        (Campaign.inject_delta_batch (campaign core ~cycles) ~space ~lanes ~faults ()))
-    [ Campaign.max_delta_lanes; 5 ]
+        (Campaign.inject_delta_batch (campaign core ~cycles) ~space ~lanes ~jobs ~faults ()))
+    (List.concat_map
+       (fun lanes -> List.map (fun jobs -> (lanes, jobs)) [ 1; 2; 4 ])
+       [ Campaign.max_delta_lanes; 5 ])
 
 let exhaustive_cases =
   List.concat_map

@@ -130,20 +130,26 @@ let brute_set_members (nl : Netlist.t) gate_idx =
   List.sort compare !out
 
 let test_set_expansion_brute () =
-  let nl = counter_netlist () in
-  let space = Fault_space.full ~model:Fault_model.Set nl ~cycles:10 in
-  let nonempty = ref 0 in
-  for g = 0 to Netlist.n_gates nl - 1 do
-    let expanded = Array.to_list (Fault_space.expand space g) in
-    if expanded <> [] then incr nonempty;
-    check_bool
-      (Printf.sprintf "gate %d expansion" g)
-      true
-      (expanded = brute_set_members nl g)
-  done;
-  (* The counter's increment logic feeds its own flops: the test must
-     not pass vacuously on all-empty expansions. *)
-  check_bool "some gate reaches a flop" true (!nonempty > 0)
+  List.iter
+    (fun (name, nl) ->
+      let space = Fault_space.full ~model:Fault_model.Set nl ~cycles:10 in
+      let nonempty = ref 0 in
+      for g = 0 to Netlist.n_gates nl - 1 do
+        let expanded = Array.to_list (Fault_space.expand space g) in
+        if expanded <> [] then incr nonempty;
+        check_bool
+          (Printf.sprintf "%s: gate %d expansion" name g)
+          true
+          (expanded = brute_set_members nl g)
+      done;
+      (* Every netlist's logic feeds its own flops: the test must not
+         pass vacuously on all-empty expansions. *)
+      check_bool (name ^ ": some gate reaches a flop") true (!nonempty > 0))
+    [
+      ("counter", counter_netlist ());
+      ("avr", System.avr_netlist ());
+      ("msp430", System.msp_netlist ());
+    ]
 
 (* --- multi-flop one-cycle masking ground truth ----------------------- *)
 

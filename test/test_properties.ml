@@ -139,6 +139,46 @@ let prop_vcd_roundtrip =
                (List.init (Netlist.n_wires nl) Fun.id))
            (List.init cycles Fun.id))
 
+(* The merge in [Term.conjoin] is the normalization of the concatenated
+   literals. *)
+let prop_term_conjoin_normalizes =
+  QCheck2.Test.make ~name:"term: conjoin = of_literals of both" ~count:500
+    QCheck2.Gen.(pair literals_gen literals_gen)
+    (fun (p1, p2) ->
+      match (Term.of_literals p1, Term.of_literals p2) with
+      | Some t1, Some t2 ->
+        let pairs t =
+          List.map (fun (l : Term.literal) -> (l.Term.wire, l.Term.value)) (Term.literals t)
+        in
+        Term.conjoin t1 t2 = Term.of_literals (pairs t1 @ pairs t2)
+      | _ -> true)
+
+(* Memo keys: the packed string is equal exactly when the difference
+   is. Half the pairs are a diff against a one-step mutation of itself,
+   so near-equal keys are exercised, not only unrelated ones. Values
+   span the full int range (RAM words are ints). *)
+let prop_memo_key_injective =
+  let diff_gen =
+    QCheck2.Gen.(
+      triple (int_range 0 300)
+        (list_size (int_range 0 6) (pair (int_range 0 5000) bool))
+        (list_size (int_range 0 6) (pair (int_range 0 5000) (oneof [ int_range 0 300; int ]))))
+  in
+  let mutate (cp, fd, rd) k =
+    match (k mod 5, fd, rd) with
+    | 0, _, _ -> (cp + 1, fd, rd)
+    | 1, (i, v) :: rest, _ -> (cp, (i, not v) :: rest, rd)
+    | 2, _, (a, x) :: rest -> (cp, fd, (a, x + 1) :: rest)
+    | 3, (i, v) :: rest, _ -> (cp, rest, (i, Bool.to_int v) :: rd)
+    | _ -> (cp, fd, rd @ [ (k, k) ])
+  in
+  QCheck2.Test.make ~name:"campaign: memo key packing is injective" ~count:1000
+    QCheck2.Gen.(triple diff_gen diff_gen (pair bool nat))
+    (fun (a, b, (near, k)) ->
+      let b = if near then mutate a k else b in
+      let pack (cp, fd, rd) = Pruning_fi.Campaign.pack_memo_key ~cp fd rd in
+      pack a = pack b = (a = b))
+
 let prop_shuffle_permutation =
   QCheck2.Test.make ~name:"prng: shuffle is a permutation" ~count:200
     QCheck2.Gen.(pair int (list_size (int_range 0 50) int))
@@ -152,6 +192,8 @@ let suite =
       prop_term_normalization;
       prop_term_conjoin_holds;
       prop_term_conjoin_commutative;
+      prop_term_conjoin_normalizes;
+      prop_memo_key_injective;
       prop_stats_mean_bounds;
       prop_stats_median_is_member_or_midpoint;
       prop_trace_roundtrip;
