@@ -820,7 +820,12 @@ let serve t ~header ?journal ?(resume = false) ?records_per_segment ?chaos
         while not !quit do
           match Proto.next_frame conn.dec with
           | None -> quit := true
-          | Some payload -> handle conn (Proto.decode payload)
+          | Some payload ->
+            handle conn (Proto.decode payload);
+            (* One read may carry a whole batch of verdicts: a stop
+               request takes effect at the next frame, not the next
+               tick. (The drain answers every frame, stop or not.) *)
+            if (not !draining) && should_stop () then quit := true
         done
       with Proto.Error reason ->
         (* Misbehavior (corrupt frame, protocol violation), not a death:

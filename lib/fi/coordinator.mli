@@ -85,9 +85,8 @@ type config = {
   lease : float;
       (** seconds of worker silence before its chunks are re-dispatched;
           must comfortably exceed the time a worker needs between frames:
-          one experiment on the scalar engine, one window of 16 full
-          passes ([16 * Campaign.max_delta_lanes] faults) on
-          delta-batched, whatever the chunk size *)
+          one experiment on the scalar engine, one {!Worker.window} of
+          faults on delta-batched, whatever the chunk size *)
   write_timeout : float;  (** per-frame send deadline towards a worker *)
   tick : float;  (** event-loop wakeup period (lease/stop polling) *)
   drain : float;
@@ -228,8 +227,8 @@ val serve :
     versa; [header.audit] must be [0.] — the audit sentinel is a
     single-process feature). Blocks until every sample has a verdict
     (or lies in a quarantined chunk) with no cross-validation
-    outstanding, or until [should_stop] (polled every [tick]) returns
-    true; either way every connection and the journal are closed before
+    outstanding, or until [should_stop] (polled every [tick] and after
+    every frame handled) returns true; either way every connection and the journal are closed before
     returning, and with [journal] every recorded verdict survives a
     SIGKILL of the coordinator itself. [chaos] arms the coordinator's
     own fault plan, threaded to its {!Proto} sends and the journal

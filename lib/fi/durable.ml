@@ -64,12 +64,12 @@ let run campaign ~space ~seed ~n ?(ident = ("unknown", "unknown")) ?skip ?audit
      domain. Retry pacing is capped exponential backoff whose jitter is
      drawn from a generator split off the pinned audit state — a rerun
      that hits the same failures sleeps the same schedule. The batched
-     kernel is journaled per window of four full passes. Built before
-     the journal is opened, so an argument it refuses leaves no journal
-     behind. *)
+     kernel is journaled per {!Executor.batch_window}: sixteen full
+     passes per domain. Built before the journal is opened, so an
+     argument it refuses leaves no journal behind. *)
   let executor =
     Executor.create campaign ~space ~samples ~kernel ?lanes
-      ~window:(4 * Option.value lanes ~default:Campaign.max_delta_lanes)
+      ~window:(Executor.batch_window ~lanes:(Option.value lanes ~default:Campaign.max_delta_lanes))
       ~retries
       ~backoff:(Backoff.create ~policy:retry_backoff (Prng.split (Prng.restore audit_state)))
       ?chaos ~should_stop ()
@@ -184,7 +184,7 @@ let run campaign ~space ~seed ~n ?(ident = ("unknown", "unknown")) ?skip ?audit
     journal_entry (Journal.Outcome (idx, o))
   in
   Fun.protect ~finally:(fun () -> Option.iter Journal.close writer) (fun () ->
-      ignore (Executor.run executor ~lo:0 ~hi:(n - 1) ~plan ~emit ?fault ()));
+      ignore (Executor.run executor ~ranges:[ (0, n - 1) ] ~plan ~emit ?fault ()));
   {
     stats = Journal.stats outcomes;
     audit =

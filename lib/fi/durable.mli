@@ -110,9 +110,9 @@ val run :
     by {!Journal.require_match}. [lanes] caps the in-flight faults per
     pass of [Delta_batched] (default: the engine's maximum; rejected
     with [Invalid_argument] for [Scalar]). [retries] (default 2) bounds
-    the supervisor's fresh-system retries per experiment (per window of
-    four full passes on [Delta_batched], which is also its journaling
-    unit); between retries the executor sleeps per [retry_backoff]
+    the supervisor's fresh-system retries per experiment (per
+    {!Executor.batch_window} of [lanes] on [Delta_batched], which is
+    also its journaling unit); between retries the executor sleeps per [retry_backoff]
     (default {!Pruning_util.Backoff.retry_policy}: capped exponential
     with jitter drawn deterministically from the pinned PRNG state, so
     reruns hitting the same failures pace identically).

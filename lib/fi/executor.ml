@@ -102,21 +102,37 @@ let attempt t ~fault ~first faults =
   in
   go 0
 
-let run t ~lo ~hi ~plan ~emit ?fault () =
+(* Sixteen full passes for every domain the batched kernel splits a
+   call across (see {!Campaign.inject_delta_batch}). *)
+let batch_window ~lanes = 16 * lanes * Domain.recommended_domain_count ()
+
+let run t ~ranges ~plan ~emit ?fault () =
   let window = if t.kernel = Campaign.Delta_batched then t.window else 1 in
-  let rec go lo =
-    if lo > hi then true
+  let idx = Array.make window 0 in
+  (* Move the next [window] indices of [ranges] into [idx]; returns how
+     many were taken and the ranges left over. *)
+  let rec take m = function
+    | (lo, hi) :: rest when m < window ->
+      let k = min (hi - lo + 1) (window - m) in
+      for j = 0 to k - 1 do
+        idx.(m + j) <- lo + j
+      done;
+      if lo + k > hi then take (m + k) rest else (m + k, (lo + k, hi) :: rest)
+    | ranges -> (m, ranges)
+  in
+  let rec go ranges =
+    if ranges = [] then true
     else if t.should_stop () then false
     else begin
-      let whi = if hi - lo < window then hi else lo + window - 1 in
+      let m, rest = take 0 ranges in
       let plans =
-        Array.init (whi - lo + 1) (fun j ->
-            let flop_id, cycle = t.samples.(lo + j) in
-            plan (lo + j) ~flop_id ~cycle)
+        Array.init m (fun j ->
+            let flop_id, cycle = t.samples.(idx.(j)) in
+            plan idx.(j) ~flop_id ~cycle)
       in
       let injected = ref [] in
-      for j = Array.length plans - 1 downto 0 do
-        if plans.(j) = Inject then injected := (lo + j) :: !injected
+      for j = m - 1 downto 0 do
+        if plans.(j) = Inject then injected := idx.(j) :: !injected
       done;
       (* One supervised attempt loop per window; its outcomes are emitted
          together, in index order, only once the window is classified. *)
@@ -132,7 +148,7 @@ let run t ~lo ~hi ~plan ~emit ?fault () =
         (fun j p ->
           match p with
           | Done -> ()
-          | Skip -> emit (lo + j) Journal.Skipped
+          | Skip -> emit idx.(j) Journal.Skipped
           | Inject ->
             let o =
               match verdicts with
@@ -140,9 +156,9 @@ let run t ~lo ~hi ~plan ~emit ?fault () =
               | None -> Journal.Crashed
             in
             incr next;
-            emit (lo + j) o)
+            emit idx.(j) o)
         plans;
-      go (whi + 1)
+      go rest
     end
   in
-  go lo
+  go (List.filter (fun (lo, hi) -> lo <= hi) ranges)

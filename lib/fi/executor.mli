@@ -1,8 +1,8 @@
 (** The supervised executor: the one place a fault list is classified
     under supervision.
 
-    {!Durable} runs and {!Worker} chunks both hand it a range of sample
-    indices; it owns everything between "this fault must be classified"
+    {!Durable} runs and {!Worker} batches of chunks both hand it ranges
+    of sample indices; it owns everything between "this fault must be classified"
     and "here is its outcome":
 
     - {b Kernel.} Every attempt classifies through {!Campaign.classify},
@@ -50,8 +50,8 @@ val create :
     {!Campaign.draw_samples} list) under [space]'s fault model.
 
     [lanes] caps the in-flight faults of a batched pass (default: the
-    engine's maximum). [window] is how many consecutive indices the
-    batched kernel classifies per attempt: its unit of retry, of
+    engine's maximum). [window] is how many indices the batched kernel
+    classifies per attempt (usually {!batch_window}): its unit of retry, of
     [Crashed] accounting and of emission, with [should_stop] polled
     between windows (the scalar kernel uses a window of one).
     [retries] (default 2) bounds the retries per window; [backoff]
@@ -64,25 +64,33 @@ val create :
     campaign's one cached worker: at most one executor per campaign may
     drive it at a time. *)
 
+val batch_window : lanes:int -> int
+(** The batched kernel's window: sixteen full passes of [lanes] faults
+    for each of the [Domain.recommended_domain_count ()] domains
+    {!Campaign.inject_delta_batch} splits a call across. {!Durable} and
+    {!Worker} both window by it. *)
+
 val run :
   t ->
-  lo:int ->
-  hi:int ->
+  ranges:(int * int) list ->
   plan:(int -> flop_id:int -> cycle:int -> plan) ->
   emit:(int -> Journal.outcome -> unit) ->
   ?fault:(index:int -> attempt:int -> unit) ->
   unit ->
   bool
-(** Classify sample indices [lo..hi] window by window. [plan] is called
-    exactly once per index, with its sampled fault, in index order and
-    before that index's window is attempted (so a caller may consume a
-    PRNG draw per index). [emit] receives every non-[Done] index of a
-    window, in index order, once the whole window is classified:
-    [Skipped], the kernel's verdict, or [Crashed]. [fault] is a
-    test-only hook called before every attempt with the window's first
-    injected index and the attempt number; an exception it raises is
-    handled like a crashed experiment. Returns [false] iff
-    [should_stop] ended the range early (a started window is always
+(** Classify the sample indices of [ranges] (inclusive [(lo, hi)]
+    pairs, empty ones ignored) window by window. A window takes the
+    next indices in range order and may span several ranges, so a
+    caller holding many small ranges pays one attempt for all of them.
+    [plan] is called exactly once per index, with its sampled fault, in
+    that order and before that index's window is attempted (so a caller
+    may consume a PRNG draw per index). [emit] receives every non-[Done]
+    index of a window, in the same order, once the whole window is
+    classified: [Skipped], the kernel's verdict, or [Crashed]. [fault]
+    is a test-only hook called before every attempt with the window's
+    first injected index and the attempt number; an exception it raises
+    is handled like a crashed experiment. Returns [false] iff
+    [should_stop] ended the ranges early (a started window is always
     finished and emitted). *)
 
 val failures : t -> int

@@ -160,25 +160,42 @@ let read_frame ?deadline ?chaos fd =
 (* ------------------------------------------------------------------ *)
 (* Streaming decoder.                                                  *)
 
-type decoder = { mutable pending : Buffer.t }
+(* The undecoded bytes are [buf.[rd .. wr)]. A feed that does not fit
+   after [wr] first moves them to the front, doubling the buffer when
+   even that is too small; a popped frame costs one copy, its payload. *)
+type decoder = { mutable buf : Bytes.t; mutable rd : int; mutable wr : int }
 
-let decoder () = { pending = Buffer.create 4096 }
-let feed d buf n = Buffer.add_subbytes d.pending buf 0 n
+let decoder () = { buf = Bytes.create 4096; rd = 0; wr = 0 }
+
+let feed d src n =
+  if n > Bytes.length d.buf - d.wr then begin
+    let live = d.wr - d.rd in
+    let cap = ref (Bytes.length d.buf) in
+    while live + n > !cap do
+      cap := 2 * !cap
+    done;
+    let dst = if !cap = Bytes.length d.buf then d.buf else Bytes.create !cap in
+    Bytes.blit d.buf d.rd dst 0 live;
+    d.buf <- dst;
+    d.rd <- 0;
+    d.wr <- live
+  end;
+  Bytes.blit src 0 d.buf d.wr n;
+  d.wr <- d.wr + n
 
 let next_frame d =
-  let have = Buffer.length d.pending in
+  let have = d.wr - d.rd in
   if have < frame_header_size then None
   else begin
-    let s = Buffer.contents d.pending in
-    let len = get32 s 0 in
+    (* Read-only view of the buffer for the header fields; nothing keeps it. *)
+    let s = Bytes.unsafe_to_string d.buf in
+    let len = get32 s d.rd in
     check_len len;
     if have < frame_header_size + len then None
     else begin
-      let payload = String.sub s frame_header_size len in
-      if Crc.string payload <> get32 s 4 then error "frame CRC mismatch";
-      let rest = Buffer.create 4096 in
-      Buffer.add_substring rest s (frame_header_size + len) (have - frame_header_size - len);
-      d.pending <- rest;
+      let payload = Bytes.sub_string d.buf (d.rd + frame_header_size) len in
+      if Crc.string payload <> get32 s (d.rd + 4) then error "frame CRC mismatch";
+      d.rd <- d.rd + frame_header_size + len;
       Some payload
     end
   end

@@ -30,6 +30,8 @@ type report = {
    report [Stopped]. *)
 exception Stop
 
+let window = Executor.batch_window ~lanes:Campaign.max_delta_lanes
+
 (* A Byzantine verdict rewrite ({!Chaos.Lie}): deterministic in the
    drawn key, always different from the truth, applied before the frame
    is built — so the frame's CRC covers the lie and nothing on the wire
@@ -127,10 +129,6 @@ let run ~host ~port ~resolve ?name ?(heartbeat = 1.) ?(recv_timeout = 30.) ?(ret
   let retried () =
     !past_failures + match !cache with Some (_, _, x) -> Executor.failures x | None -> 0
   in
-  (* The batched kernel classifies a chunk 16 full passes at a time:
-     a default-sized chunk is one batch, and a huge one still heartbeats
-     and polls [should_stop] between windows. *)
-  let window = 16 * Campaign.max_delta_lanes in
   let resolve_cached header =
     match !cache with
     (* Modulo the epoch: a failed-over coordinator serves the same
@@ -153,24 +151,36 @@ let run ~host ~port ~resolve ?name ?(heartbeat = 1.) ?(recv_timeout = 30.) ?(ret
       cache := Some (header, e, x);
       (e, x)
   in
-  (* ---------------------------------------------------------------- *)
-  (* One chunk, streaming results as they appear. *)
-  let run_chunk fd engine executor { Proto.chunk_id; lo; hi; model; model_param; purpose = _ } =
+  (* A lease must match the campaign identity resolved from Welcome and
+     lie inside its fault list. *)
+  let check_chunk engine n { Proto.chunk_id; lo; hi; model; model_param; purpose = _ } =
     let own = engine.space.Fault_space.model in
     if model <> Fault_model.id own || model_param <> Fault_model.param own then
       raise
         (Proto.Error
            (Printf.sprintf "chunk %d pins fault model %d:%d but the campaign is %s"
               chunk_id model model_param (Fault_model.name own)));
+    if lo < 0 || hi < lo || hi >= n then
+      raise
+        (Proto.Error (Printf.sprintf "chunk %d spans [%d, %d], outside [0, %d)" chunk_id lo hi n))
+  in
+  (* ---------------------------------------------------------------- *)
+  (* One batch of leased chunks, classified as one range list and
+     streamed back chunk by chunk as the verdicts appear. *)
+  let run_batch fd engine executor (batch : Proto.chunk array) =
     let last_sent = ref (Mono.now ()) in
     let tell msg =
       Proto.send ?chaos fd msg;
       last_sent := Mono.now ()
     in
+    (* The executor emits in range order, so the batch's chunks complete
+       one after another: [cur] is the one being emitted. *)
+    let cur = ref 0 in
     let acc = ref [] in
     let acc_n = ref 0 in
     let flush () =
       if !acc_n > 0 then begin
+        let chunk_id = batch.(!cur).Proto.chunk_id in
         let msg = Proto.Results { chunk_id; results = Array.of_list (List.rev !acc) } in
         tell msg;
         remember msg;
@@ -184,7 +194,8 @@ let run ~host ~port ~resolve ?name ?(heartbeat = 1.) ?(recv_timeout = 30.) ?(ret
         acc_n := 0
       end
     in
-    (* Every verdict is pushed, then the session proves it is alive. *)
+    (* Every verdict is pushed, then the session proves it is alive; a
+       chunk's last verdict closes it. *)
     let emit idx outcome =
       if outcome = Journal.Crashed then incr crashes;
       (* Byzantine chaos: one Verdict-site draw per verdict reported.
@@ -198,7 +209,13 @@ let run ~host ~port ~resolve ?name ?(heartbeat = 1.) ?(recv_timeout = 30.) ?(ret
       acc := (idx, outcome) :: !acc;
       incr acc_n;
       if !acc_n >= results_per_frame then flush ();
-      if Mono.now () -. !last_sent > heartbeat then
+      if idx = batch.(!cur).Proto.hi then begin
+        flush ();
+        tell (Proto.Chunk_done { chunk_id = batch.(!cur).Proto.chunk_id });
+        incr chunks;
+        incr cur
+      end
+      else if Mono.now () -. !last_sent > heartbeat then
         if !acc_n > 0 then flush () else tell Proto.Heartbeat
     in
     let plan _ ~flop_id ~cycle =
@@ -206,15 +223,19 @@ let run ~host ~port ~resolve ?name ?(heartbeat = 1.) ?(recv_timeout = 30.) ?(ret
       | Some f when f ~flop_id ~cycle -> Executor.Skip
       | _ -> Executor.Inject
     in
+    let chunk_of index =
+      let c = Array.find_opt (fun c -> c.Proto.lo <= index && index <= c.Proto.hi) batch in
+      (Option.get c).Proto.chunk_id
+    in
     let completed =
-      Executor.run executor ~lo ~hi ~plan ~emit
-        ?fault:(Option.map (fun f -> f ~chunk_id) fault)
+      Executor.run executor
+        ~ranges:(Array.to_list (Array.map (fun c -> (c.Proto.lo, c.Proto.hi)) batch))
+        ~plan ~emit
+        ?fault:(Option.map (fun f ~index -> f ~chunk_id:(chunk_of index) ~index) fault)
         ()
     in
     flush ();
-    if not completed then raise Stop;
-    tell (Proto.Chunk_done { chunk_id });
-    incr chunks
+    if not completed then raise Stop
   in
   (* ---------------------------------------------------------------- *)
   (* One session: handshake, then pull work until Done/Stop/error.     *)
@@ -253,21 +274,31 @@ let run ~host ~port ~resolve ?name ?(heartbeat = 1.) ?(recv_timeout = 30.) ?(ret
          reconnect accounting starts afresh. *)
       failures := 0;
       Backoff.reset rbo;
-      let rec loop () =
-        if should_stop () then raise Stop;
+      (* Lease chunks until another of the same size would overflow the
+         window (a scalar worker holds one), or the coordinator has no
+         more to give right now; then classify them as one batch. *)
+      let rec loop held faults =
+        if held = [] && should_stop () then raise Stop;
         Proto.send ?chaos fd Proto.Request;
         match recv fd with
         | Proto.Assign chunk ->
-          run_chunk fd engine executor chunk;
-          loop ()
+          check_chunk engine header.Journal.samples chunk;
+          let size = chunk.Proto.hi - chunk.Proto.lo + 1 in
+          let faults = faults + size in
+          if engine.kernel = Campaign.Scalar || faults + size > window then work (chunk :: held)
+          else loop (chunk :: held) faults
+        | Proto.Wait | Proto.Done when held <> [] -> work held
         | Proto.Wait ->
           Unix.sleepf 0.1;
-          loop ()
+          loop [] 0
         | Proto.Done -> Campaign_done
-        | Proto.Heartbeat -> loop ()
+        | Proto.Heartbeat -> loop held faults
         | _ -> raise (Proto.Error "unexpected message from coordinator")
+      and work held =
+        run_batch fd engine executor (Array.of_list (List.rev held));
+        loop [] 0
       in
-      loop ()
+      loop [] 0
     | _ -> raise (Proto.Error "expected Welcome")
   in
   let result = ref None in

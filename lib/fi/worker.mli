@@ -8,10 +8,12 @@
     says [Done].
 
     Workers hold no campaign state the coordinator depends on: killing
-    one — SIGKILL included — costs at most the un-submitted remainder of
-    its current chunk, which the coordinator re-dispatches. Conversely a
-    worker outliving its coordinator reconnects with capped exponential
-    backoff ({!Pruning_util.Backoff}) and gives up cleanly after
+    one — SIGKILL included — costs at most the un-submitted verdicts of
+    the chunks it holds (one chunk for a scalar worker, a batch for a
+    delta-batched one), which the coordinator re-dispatches when the
+    connection dies. Conversely a worker outliving its coordinator
+    reconnects with capped exponential backoff
+    ({!Pruning_util.Backoff}) and gives up cleanly after
     [max_reconnects] consecutive failures.
 
     Chunks are classified by the same supervised {!Executor} that runs
@@ -24,9 +26,20 @@
     simulates the golden run once per campaign identity: its campaign
     is cached by header across reconnects and chunk re-execution, and
     that campaign's golden trace ({!Campaign.golden_trace}) is the
-    baseline of every delta-batched rebuild. The batched kernel
-    classifies a chunk in windows of 16 full passes, heartbeating and
-    polling [should_stop] between windows. *)
+    baseline of every delta-batched rebuild.
+
+    {b Lease batching.} The lease stays the coordinator's unit of
+    dispatch, verification and re-dispatch; the engine call is the
+    worker's own. A scalar worker holds one lease at a time. A
+    delta-batched worker keeps requesting leases until another chunk
+    of the size just assigned would overflow {!window} (or the
+    coordinator answers [Wait] or [Done]), classifies the union of
+    its chunks one window per engine call, and streams each chunk's
+    [Results] frames and [Chunk_done] as its verdicts appear: a batch
+    of small chunks costs one horizon sweep instead of one per chunk.
+    A chunk larger than the window is classified window by window,
+    heartbeating and polling [should_stop] between windows. Batching
+    needs nothing from the protocol or the coordinator. *)
 
 type engine = {
   campaign : Campaign.t;
@@ -39,6 +52,11 @@ type engine = {
           {!Campaign.Delta_batched}); any mix across a fleet yields
           identical verdicts *)
 }
+
+val window : int
+(** The delta-batched worker's lease target and engine window:
+    {!Executor.batch_window} at {!Campaign.max_delta_lanes} lanes,
+    sixteen full passes for each domain of this host. *)
 
 type ended =
   | Campaign_done  (** the coordinator reported the campaign complete *)
@@ -101,8 +119,10 @@ val run :
     [reconnect_backoff] / [max_reconnects] (default 8) pace session
     re-establishment — the counter resets after every successful
     handshake. [results_per_frame] (default 64) batches verdict
-    streaming. [should_stop] is polled between experiments (between
-    windows on the batched kernel) for cooperative shutdown.
+    streaming. [should_stop] is polled before each batch's first
+    [Request] and between windows, for cooperative shutdown (a stop
+    mid-batch flushes the verdicts classified so far and closes the
+    session; the coordinator re-dispatches the rest of the batch).
 
     {b Coordinator failover.} The worker remembers the coordinator
     epoch it last handshook with and announces it in every [Hello].
@@ -122,6 +142,9 @@ val run :
     consuming the retry budget, so chaos never manufactures [Crashed]
     verdicts), and duplicate-verdict replay at results flushes. [fault]
     is a test-only hook called before every experiment attempt with the
-    chunk, the attempted (first) sample index and the attempt number; an
-    exception it raises is handled exactly like a crashed experiment
+    attempted (first) sample index, the chunk holding that index and the
+    attempt number: on a delta-batched worker one attempt covers a whole
+    window, which may span many chunks, and the hook names the chunk of
+    the window's first injected index. An exception it raises is
+    handled exactly like a crashed experiment
     (see {!Executor.run}). *)

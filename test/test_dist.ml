@@ -130,6 +130,63 @@ let test_decoder_streaming () =
         (List.map Proto.decode (feed_in_pieces [ step ] wire) = all_msgs))
     [ 1; 3; 7; String.length wire ]
 
+(* A thousand frames of random payloads, fed as one piece and then in
+   random-sized pieces, decode to the same payloads; the decoder's
+   allocation stays linear in the bytes fed (one copy per payload plus
+   a constant per frame), where copying the pending buffer per popped
+   frame would be quadratic in the bytes of one feed. *)
+let test_decoder_linear () =
+  let rng = Random.State.make [| 25 |] in
+  let payloads =
+    List.init 1000 (fun _ ->
+        String.init (Random.State.int rng 300) (fun _ -> Char.chr (Random.State.int rng 256)))
+  in
+  let wire = Bytes.of_string (String.concat "" (List.map Proto.encode_frame payloads)) in
+  let total = Bytes.length wire in
+  let scratch = Bytes.create total in
+  let decode sizes =
+    let d = Proto.decoder () in
+    let got = ref [] in
+    (* Words allocated by this domain: [Gc.minor_words] is exact, and
+       [Gc.counters] adds the blocks allocated straight in the major
+       heap ([Gc.quick_stat] lags until the next collection). *)
+    let words () =
+      let _, promoted, major = Gc.counters () in
+      Gc.minor_words () +. major -. promoted
+    in
+    let w0 = words () in
+    let off = ref 0 in
+    List.iter
+      (fun k ->
+        Bytes.blit wire !off scratch 0 k;
+        Proto.feed d scratch k;
+        off := !off + k;
+        let continue = ref true in
+        while !continue do
+          match Proto.next_frame d with
+          | None -> continue := false
+          | Some p -> got := p :: !got
+        done)
+      sizes;
+    let allocated = words () -. w0 in
+    (List.rev !got, allocated)
+  in
+  let rec pieces left =
+    if left = 0 then []
+    else
+      let k = min left (1 + Random.State.int rng 5000) in
+      k :: pieces (left - k)
+  in
+  List.iter
+    (fun (label, sizes) ->
+      let got, allocated = decode sizes in
+      check_bool (label ^ ": payloads round-trip") true (got = payloads);
+      check_bool
+        (Printf.sprintf "%s: %.0f words allocated for %d bytes fed" label allocated total)
+        true
+        (allocated < float_of_int total))
+    [ ("one piece", [ total ]); ("random pieces", pieces total) ]
+
 let test_frame_corruption () =
   let frame = Proto.encode_frame (Proto.encode Proto.Request) in
   (* Flip one payload bit: the CRC must catch it. *)
@@ -494,13 +551,14 @@ let test_worker_non_seu_models () =
       check_stats (label ^ ": delta-batched worker = scalar") reference r.Coordinator.stats)
     Pruning_fi.Fault_model.[ Set; Mbu 2; Intermittent 3 ]
 
-(* A delta-batched worker classifies a big chunk in windows of 16 full
-   passes, heartbeating and polling [should_stop] between them, instead
-   of one opaque batch that can outlive its lease. Stopped after the
-   first window, it has submitted exactly that window; the chunk's
-   remainder is re-dispatched to a second worker with verdicts intact. *)
+(* A delta-batched worker classifies a chunk bigger than its window
+   ({!Worker.window}: 16 full passes per domain) window by window,
+   heartbeating and polling [should_stop] between them, instead of one
+   opaque batch that can outlive its lease. Stopped after the first
+   window, it has submitted exactly that window; the chunk's remainder
+   is re-dispatched to a second worker with verdicts intact. *)
 let test_worker_batched_windows () =
-  let cycles = 120 and n = 1100 and seed = 7 in
+  let cycles = 120 and n = Worker.window + 92 and seed = 7 in
   let nl, make, make_delta_batch = avr_makers () in
   let space = Fault_space.full nl ~cycles in
   let campaign () = Campaign.create ~make ~make_delta_batch ~total_cycles:cycles () in
@@ -525,14 +583,124 @@ let test_worker_batched_windows () =
   in
   let stopped = (work_bg ~port ~name:"stopped" ~resolve ~should_stop ()) () in
   check_bool "stopped mid-chunk" true (stopped.Worker.ended = Worker.Stopped);
-  check_int "submitted exactly the first window" (16 * Campaign.max_delta_lanes)
-    stopped.Worker.submitted;
+  check_int "submitted exactly the first window" Worker.window stopped.Worker.submitted;
   let finisher = (work_bg ~port ~name:"finisher" ~resolve ()) () in
   let r = join () in
   check_bool "finisher done" true (finisher.Worker.ended = Worker.Campaign_done);
   check_bool "completed" true r.Coordinator.completed;
   check_int "no mismatches" 0 r.Coordinator.mismatches;
   check_stats "windowed chunk = local" reference r.Coordinator.stats
+
+(* Lease batching: a delta-batched worker keeps leasing small chunks
+   until they fill its window, then classifies their union in one
+   engine attempt, while a scalar worker in the same fleet keeps one
+   lease per attempt. The scalar worker leases first and holds its
+   chunk until the batched worker has made an attempt, so both take
+   part. The served stats equal the local batched run. *)
+let test_worker_lease_batching () =
+  let cycles = 120 and n = 600 and seed = 9 in
+  let chunk_size = test_config.Coordinator.chunk_size in
+  let nl, make, make_delta_batch = avr_makers () in
+  let space = Fault_space.full nl ~cycles in
+  let campaign () = Campaign.create ~make ~make_delta_batch ~total_cycles:cycles () in
+  let reference =
+    Campaign.run_sample_delta_batched (campaign ()) ~space ~rng:(Prng.create seed) ~n ()
+  in
+  let coord = Coordinator.create ~config:test_config () in
+  let port = Coordinator.port coord in
+  let join =
+    serve_bg coord ~header:(make_header ~core:"avr" ~program:"fib" ~cycles ~samples:n ~seed ()) ()
+  in
+  let engine kernel _ = { Worker.campaign = campaign (); space; skip = None; kernel } in
+  (* (chunk, index) of every attempt, per worker; hooks run on the
+     workers' threads. *)
+  let lock = Mutex.create () in
+  let log = ref [] in
+  let hook who ~chunk_id ~index ~attempt:_ =
+    Mutex.protect lock (fun () -> log := (who, chunk_id, index) :: !log)
+  in
+  let attempts who =
+    Mutex.protect lock (fun () -> List.rev (List.filter (fun (w, _, _) -> w = who) !log))
+  in
+  let scalar =
+    work_bg ~port ~name:"scalar" ~resolve:(engine Campaign.Scalar)
+      ~fault:(fun ~chunk_id ~index ~attempt ->
+        hook "scalar" ~chunk_id ~index ~attempt;
+        let deadline = Unix.gettimeofday () +. 10. in
+        while attempts "batched" = [] && Unix.gettimeofday () < deadline do
+          Unix.sleepf 0.01
+        done)
+      ()
+  in
+  wait_for (fun () -> attempts "scalar" <> []) "the scalar worker to hold a lease";
+  let batched =
+    work_bg ~port ~name:"batched" ~resolve:(engine Campaign.Delta_batched) ~fault:(hook "batched") ()
+  in
+  let rs = scalar () and rb = batched () in
+  let r = join () in
+  check_bool "completed" true r.Coordinator.completed;
+  check_int "no mismatches" 0 r.Coordinator.mismatches;
+  check_stats "batched leases = local batched run" reference r.Coordinator.stats;
+  check_bool "both finished" true
+    (rs.Worker.ended = Worker.Campaign_done && rb.Worker.ended = Worker.Campaign_done);
+  let on_own_chunk = List.for_all (fun (_, c, i) -> c = i / chunk_size) in
+  let b = attempts "batched" and s = attempts "scalar" in
+  check_bool "batched worker took chunks" true (rb.Worker.chunks > 1);
+  check_bool "fewer batched attempts than chunks" true (List.length b < rb.Worker.chunks);
+  check_bool "batched hook names the first index's chunk" true (on_own_chunk b);
+  check_bool "scalar worker took a chunk" true (rs.Worker.chunks >= 1);
+  check_int "scalar: one attempt per fault of its leases" (chunk_size * rs.Worker.chunks)
+    (List.length s);
+  check_bool "scalar hook names the attempted fault's chunk" true (on_own_chunk s);
+  check_bool "scalar finishes each lease before the next" true
+    (List.for_all Fun.id (List.mapi (fun k (_, _, i) -> i mod chunk_size = k mod chunk_size) s))
+
+(* A lease is input from the network: one that contradicts the
+   campaign's fault model, is empty or reaches past the fault list is
+   refused like a corrupt frame (the session is dropped), never run. *)
+let test_worker_refuses_bad_lease () =
+  List.iter
+    (fun (label, lo, hi, model) ->
+      let listen = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+      Unix.bind listen (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+      Unix.listen listen 1;
+      let port =
+        match Unix.getsockname listen with
+        | Unix.ADDR_INET (_, p) -> p
+        | Unix.ADDR_UNIX _ -> assert false
+      in
+      let hung_up = ref false in
+      let server =
+        Thread.create
+          (fun () ->
+            let fd, _ = Unix.accept listen in
+            (match Proto.recv fd with
+            | Proto.Hello _ -> Proto.send fd (Proto.Welcome { header = make_header (); suspicion = 0 })
+            | _ -> ());
+            (match Proto.recv fd with
+            | Proto.Request ->
+              Proto.send fd
+                (Proto.Assign
+                   { Proto.chunk_id = 0; lo; hi; model; model_param = 0; purpose = Proto.Data })
+            | _ -> ());
+            (match Proto.recv fd with
+            | exception (Proto.Closed | Proto.Error _ | Unix.Unix_error _) -> hung_up := true
+            | _ -> ());
+            Unix.close fd;
+            Unix.close listen)
+          ()
+      in
+      let rep = (work_bg ~port ~name:"w" ~resolve:(fun _ -> toy_engine ()) ~max_reconnects:0 ()) () in
+      Thread.join server;
+      check_bool (label ^ ": session dropped") true !hung_up;
+      check_bool (label ^ ": worker gave up") true
+        (match rep.Worker.ended with Worker.Gave_up _ -> true | _ -> false);
+      check_int (label ^ ": nothing submitted") 0 rep.Worker.submitted)
+    [
+      ("other fault model", 0, 3, 1);
+      ("empty range", 4, 3, 0);
+      ("past the fault list", toy_n - 2, toy_n, 0);
+    ]
 
 (* Durable runs and Worker chunks share one supervised executor, so the
    same failing experiments cost the same retries and crash the same
@@ -786,6 +954,7 @@ let suite =
   [
     Alcotest.test_case "messages round-trip" `Quick test_msg_round_trip;
     Alcotest.test_case "streaming decoder reassembly" `Quick test_decoder_streaming;
+    Alcotest.test_case "streaming decoder allocates linearly" `Quick test_decoder_linear;
     Alcotest.test_case "frame corruption detected" `Quick test_frame_corruption;
     Alcotest.test_case "frames over sockets, EOF semantics" `Quick test_frame_sockets;
     Alcotest.test_case "malformed messages rejected" `Quick test_malformed_messages;
@@ -797,6 +966,9 @@ let suite =
       test_worker_non_seu_models;
     Alcotest.test_case "delta-batched worker windows a big chunk" `Slow
       test_worker_batched_windows;
+    Alcotest.test_case "delta-batched worker batches small leases" `Slow
+      test_worker_lease_batching;
+    Alcotest.test_case "worker refuses a bad lease" `Quick test_worker_refuses_bad_lease;
     Alcotest.test_case "worker retry accounting = durable" `Quick test_worker_retry_accounting;
     Alcotest.test_case "straggler lease re-dispatch + dedup" `Quick test_straggler_dedup;
     Alcotest.test_case "SIGKILLed worker mid-chunk" `Quick test_sigkill_worker;

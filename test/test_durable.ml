@@ -538,6 +538,13 @@ let prop_journal_decoding_total =
 let total_cycles = 120
 let n_samples = 400
 
+(* The batched kernel is journaled per {!Pruning_fi.Executor.batch_window}:
+   sixteen full passes per domain. The kill/resume cases run it at a few
+   lanes over at least three windows, on any domain count, so a stop
+   after the first window leaves work to resume. *)
+let batched_lanes = 4
+let batched_n = max n_samples (3 * Pruning_fi.Executor.batch_window ~lanes:batched_lanes)
+
 let avr_makers () =
   let nl = System.avr_netlist () in
   let program = Avr_asm.assemble Programs.avr_fib_halting in
@@ -586,17 +593,19 @@ let check_kill_resume label makers ~kernel =
   let space, campaign = build makers in
   let seed = 13 in
   let ident = ("test", label) in
+  let batched = kernel = Campaign.Delta_batched in
+  let n = if batched then batched_n else n_samples in
+  let lanes = if batched then Some batched_lanes else None in
   let run ?journal ?resume ?should_stop () =
-    Durable.run campaign ~space ~seed ~n:n_samples ~ident ~kernel
+    Durable.run campaign ~space ~seed ~n ~ident ~kernel ?lanes
       ~records_per_segment:64 ?journal ?resume ?should_stop ()
   in
   let reference = run () in
   check_bool (label ^ ": reference complete") true reference.Durable.completed;
   let dir = scratch_dir () in
-  (* The windowed engine polls once per window (~250 samples), the
-     sequential kernels once per sample; pick a threshold that stops
-     every engine partway. *)
-  let stop_after = if kernel = Campaign.Delta_batched then 1 else 120 in
+  (* The windowed engine polls once per window, the sequential kernels
+     once per sample; pick a threshold that stops every engine partway. *)
+  let stop_after = if batched then 1 else 120 in
   let polls = Atomic.make 0 in
   let interrupted =
     run ~journal:dir
@@ -613,7 +622,7 @@ let check_kill_resume label makers ~kernel =
   check_bool
     (label ^ ": recovered partially")
     true
-    (resumed.Durable.recovered < n_samples);
+    (resumed.Durable.recovered < n);
   check_int (label ^ ": torn bytes dropped") 7 resumed.Durable.dropped_bytes;
   check_stats label reference.Durable.stats resumed.Durable.stats;
   rm_rf dir
@@ -636,15 +645,15 @@ let test_resume_batched_header () =
   let space, campaign = build (avr_makers ()) in
   let seed = 17 in
   let ident = ("avr", "fib") in
-  let reference = Durable.run campaign ~space ~seed ~n:n_samples ~ident () in
+  let reference = Durable.run campaign ~space ~seed ~n:batched_n ~ident () in
   List.iter
     (fun kernel ->
       let label = Campaign.kernel_name kernel in
       let dir = scratch_dir () in
       let polls = ref 0 in
       let first =
-        Durable.run campaign ~space ~seed ~n:n_samples ~ident ~kernel:Campaign.Delta_batched
-          ~journal:dir
+        Durable.run campaign ~space ~seed ~n:batched_n ~ident ~kernel:Campaign.Delta_batched
+          ~lanes:batched_lanes ~journal:dir
           ~should_stop:(fun () ->
             incr polls;
             !polls > 1)
@@ -653,7 +662,7 @@ let test_resume_batched_header () =
       check_bool (label ^ ": interrupted") false first.Durable.completed;
       Journal.update_header ~dir { (Journal.read_header ~dir) with Journal.batched = true };
       let resumed =
-        Durable.run campaign ~space ~seed ~n:n_samples ~ident ~kernel ~journal:dir ~resume:true ()
+        Durable.run campaign ~space ~seed ~n:batched_n ~ident ~kernel ~journal:dir ~resume:true ()
       in
       check_bool (label ^ ": resumed complete") true resumed.Durable.completed;
       check_bool (label ^ ": recovered something") true (resumed.Durable.recovered > 0);

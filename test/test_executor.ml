@@ -59,7 +59,7 @@ let reference () =
 let drive ?fault ?(lo = 0) ?(hi = n - 1) ~plan x =
   let planned = ref [] and emitted = ref [] in
   let completed =
-    Executor.run x ~lo ~hi
+    Executor.run x ~ranges:[ (lo, hi) ]
       ~plan:(fun i ~flop_id:_ ~cycle:_ ->
         planned := i :: !planned;
         plan i)
@@ -170,10 +170,37 @@ let test_stop_between_windows () =
       check_int (label ^ ": two units emitted") (2 * unit) (List.length emitted))
     kernels
 
+(* A window takes its indices from consecutive ranges: many small
+   ranges cost one attempt per window, not one per range, and the
+   emissions follow the ranges' order. *)
+let test_ranges_share_windows () =
+  let expected = reference () in
+  let ranges = [ (50, 56); (3, 10); (20, 20); (30, 29); (60, 73) ] in
+  let order = List.concat_map (fun (lo, hi) -> List.init (max 0 (hi - lo + 1)) (( + ) lo)) ranges in
+  List.iter
+    (fun kernel ->
+      let label = Campaign.kernel_name kernel in
+      let x = executor ~window:16 ~kernel (setup ()) in
+      let attempts = ref [] and emitted = ref [] in
+      let completed =
+        Executor.run x ~ranges
+          ~plan:(fun _ ~flop_id:_ ~cycle:_ -> Executor.Inject)
+          ~emit:(fun i o -> emitted := (i, o) :: !emitted)
+          ~fault:(fun ~index ~attempt:_ -> attempts := index :: !attempts)
+          ()
+      in
+      check_bool (label ^ ": completed") true completed;
+      check_bool (label ^ ": emissions in range order") true
+        (List.rev !emitted = List.map (fun i -> (i, expected.(i))) order);
+      let firsts = if kernel = Campaign.Delta_batched then [ 50; 60 ] else order in
+      check_bool (label ^ ": attempts span ranges") true (List.rev !attempts = firsts))
+    kernels
+
 let suite =
   [
     Alcotest.test_case "plan/emit contract on every kernel" `Quick test_contract;
     Alcotest.test_case "retry and crash accounting per unit" `Quick test_retries;
     Alcotest.test_case "chaos crashes never consume retries" `Quick test_chaos_neutral;
     Alcotest.test_case "stop between windows" `Quick test_stop_between_windows;
+    Alcotest.test_case "windows span ranges" `Quick test_ranges_share_windows;
   ]
