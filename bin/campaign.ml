@@ -1047,9 +1047,11 @@ let serve_cmd =
       value & opt non_negative 3
       & info [ "poison-threshold" ] ~docv:"N"
           ~doc:
-            "Quarantine a chunk once $(docv) distinct workers die holding its lease: it is \
-             journaled, reported, excluded from the stats (exit 20) and never re-dispatched — \
-             instead of killing the whole fleet worker by worker. 0 disables quarantine.")
+            "Quarantine a chunk once $(docv) distinct workers die holding its lease and no \
+             other: it is journaled, reported, excluded from the stats (exit 20) and never \
+             re-dispatched — instead of killing the whole fleet worker by worker. A death \
+             holding a batch of chunks charges none of them; each is then leased alone. 0 \
+             disables quarantine.")
   in
   let blacklist_threshold =
     Arg.(

@@ -216,7 +216,7 @@ type arb = {
 }
 
 let serve t ~header ?journal ?(resume = false) ?records_per_segment ?chaos
-    ?(should_stop = fun () -> false) ?(on_event = fun _ -> ()) () =
+    ?(should_stop = fun () -> false) ?(on_event = fun _ -> ()) ?(recount = false) () =
   if t.served then invalid_arg "Coordinator.serve: already served";
   t.served <- true;
   if header.Journal.audit <> 0. then
@@ -233,7 +233,9 @@ let serve t ~header ?journal ?(resume = false) ?records_per_segment ?chaos
   let redispatched = ref 0 in
   let workers = Hashtbl.create 16 in
   (* Poisoning: per-chunk distinct worker names that died (connection
-     gone, not merely a lapsed lease) while holding it. *)
+     gone, not merely a lapsed lease) while holding it and nothing else.
+     A death while holding a batch is evidence against none of its
+     chunks in particular: it only marks them [suspect] (see [release]). *)
   let deaths : (int, string list) Hashtbl.t = Hashtbl.create 8 in
   let poisoned = ref [] in
   let poisoned_holes = ref 0 in
@@ -274,40 +276,60 @@ let serve t ~header ?journal ?(resume = false) ?records_per_segment ?chaos
     | Some dir -> (Some (Journal.create ?records_per_segment ?chaos ~dir header), header)
   in
   (* ---------------------------------------------------------------- *)
-  (* Chunk table. Coverage of the outcome range is the ground truth;   *)
-  (* the state array only caches whether a chunk is queued, out on a   *)
-  (* lease, or retired.                                                *)
+  (* Chunk table. Coverage of the outcome range is the ground truth,   *)
+  (* kept as a per-chunk count of samples still without a verdict; the *)
+  (* state array only caches whether a chunk is queued, out on a lease, *)
+  (* or retired, and [leased] counts the chunks out on leases.         *)
   let n_chunks = (n + cfg.chunk_size - 1) / cfg.chunk_size in
   let chunk_lo c = c * cfg.chunk_size in
   let chunk_hi c = min (n - 1) (((c + 1) * cfg.chunk_size) - 1) in
-  let covered c =
-    let ok = ref true in
-    for i = chunk_lo c to chunk_hi c do
-      if outcomes.(i) = None then ok := false
-    done;
-    !ok
-  in
+  let missing = Array.init n_chunks (fun c -> chunk_hi c - chunk_lo c + 1) in
+  Array.iteri
+    (fun i o -> if o <> None then missing.(i / cfg.chunk_size) <- missing.(i / cfg.chunk_size) - 1)
+    outcomes;
+  let covered c = missing.(c) = 0 in
   let state = Array.make n_chunks Pending in
+  let leased = ref 0 in
+  let set_state c s =
+    if state.(c) = Leased then decr leased;
+    if s = Leased then incr leased;
+    state.(c) <- s
+  in
+  (* Chunks some connection died holding are [suspect] and wait in
+     [retry], not [pending]: each is leased alone, to a connection
+     holding nothing else, so a death charged to it is its own. *)
+  let suspect = Array.make n_chunks false in
   let pending = Queue.create () in
+  let retry = Queue.create () in
   for c = 0 to n_chunks - 1 do
     if covered c then state.(c) <- Complete else Queue.push c pending
   done;
-  (* [pending] may hold stale ids (requeued chunks completed meanwhile by
-     a straggler's duplicates); [pop_chunk] re-validates on the way out. *)
-  let rec pop_chunk () =
-    match Queue.pop pending with
+  let requeue c =
+    set_state c Pending;
+    Queue.push c (if suspect.(c) then retry else pending)
+  in
+  (* The queues may hold stale ids (requeued chunks completed meanwhile
+     by a straggler's duplicates); [pop_chunk] re-validates on the way
+     out. A connection holding nothing takes a suspect chunk first. *)
+  let rec pop q =
+    match Queue.pop q with
     | exception Queue.Empty -> None
-    | c when state.(c) <> Pending -> pop_chunk ()
+    | c when state.(c) <> Pending -> pop q
     | c when covered c ->
-      state.(c) <- Complete;
-      pop_chunk ()
+      set_state c Complete;
+      pop q
     | c -> Some c
+  in
+  let pop_chunk ~idle =
+    match if idle then pop retry else None with
+    | None -> pop pending
+    | c -> c
   in
   (* ---------------------------------------------------------------- *)
   (* Cross-validation. Whether a chunk gets re-issued for verification *)
   (* is a deterministic per-chunk draw from the campaign seed, so the  *)
   (* verified subset is reproducible across runs and restarts.         *)
-  let vpending = ref [] in
+  let vpending = Queue.create () in
   let vorigin : (int, string) Hashtbl.t = Hashtbl.create 8 in
   let verify_outstanding = ref 0 in
   let should_verify c =
@@ -319,12 +341,12 @@ let serve t ~header ?journal ?(resume = false) ?records_per_segment ?chaos
   let schedule_verify ?(force = false) ~origin c =
     if (force || should_verify c) && not (Hashtbl.mem vorigin c) then begin
       Hashtbl.replace vorigin c origin;
-      vpending := !vpending @ [ c ];
+      Queue.push c vpending;
       incr verify_outstanding
     end
   in
   let quarantine ~deaths:d c =
-    state.(c) <- Poisoned;
+    set_state c Poisoned;
     poisoned := c :: !poisoned;
     for i = chunk_lo c to chunk_hi c do
       if outcomes.(i) = None then incr poisoned_holes
@@ -336,36 +358,43 @@ let serve t ~header ?journal ?(resume = false) ?records_per_segment ?chaos
   in
   (* Release a connection's chunk claims. [death] distinguishes a dead
      connection from a merely lapsed lease: only deaths count toward
-     poisoning, and only once per distinct worker name — a flaky worker
-     that reconnects and dies on the same chunk again is one data point,
-     not an accumulating vote. *)
+     poisoning, only deaths of a connection holding that one chunk and
+     nothing else, and only once per distinct worker name — a flaky
+     worker that reconnects and dies on the same chunk again is one data
+     point, not an accumulating vote. A death holding several chunks
+     marks each suspect, so that each is next leased alone. *)
   let release ~death ~reason conn =
+    let alone =
+      match (conn.leases, conn.vleases, conn.aleases) with
+      | [ _ ], [], [] -> true
+      | _ -> false
+    in
     List.iter
       (fun c ->
         if state.(c) = Leased then
-          if covered c then state.(c) <- Complete
+          if covered c then set_state c Complete
           else begin
+            if death then suspect.(c) <- true;
+            let prev = Option.value ~default:[] (Hashtbl.find_opt deaths c) in
             let killers =
-              if not death then Option.value ~default:[] (Hashtbl.find_opt deaths c)
-              else begin
-                let prev = Option.value ~default:[] (Hashtbl.find_opt deaths c) in
-                let cur = if List.mem conn.name prev then prev else conn.name :: prev in
-                Hashtbl.replace deaths c cur;
-                cur
+              if death && alone && not (List.mem conn.name prev) then begin
+                Hashtbl.replace deaths c (conn.name :: prev);
+                conn.name :: prev
               end
+              else prev
             in
-            if death && cfg.poison_threshold > 0 && List.length killers >= cfg.poison_threshold
+            if death && alone && cfg.poison_threshold > 0
+               && List.length killers >= cfg.poison_threshold
             then quarantine ~deaths:(List.length killers) c
             else begin
-              state.(c) <- Pending;
-              Queue.push c pending;
+              requeue c;
               incr redispatched;
               on_event (Redispatched { worker = conn.name; chunk_id = c; reason })
             end
           end)
       conn.leases;
     conn.leases <- [];
-    List.iter (fun c -> vpending := c :: !vpending) conn.vleases;
+    List.iter (fun c -> Queue.push c vpending) conn.vleases;
     conn.vleases <- [];
     (* An in-flight arbitration ballot is simply discarded: the next
        eligible Request recruits a replacement voter. *)
@@ -424,28 +453,43 @@ let serve t ~header ?journal ?(resume = false) ?records_per_segment ?chaos
   (* Pick a verification chunk for this connection, preferring one whose
      original verdicts came from a different worker — re-running on the
      same worker only checks repeatability, not the worker. With a lone
-     connection the origin is accepted rather than stalling the drain. *)
+     connection the origin is accepted rather than stalling the drain.
+     Chunks passed over move to the back of the queue. *)
   let pop_verify conn =
     let alone = match !conns with [] | [ _ ] -> true | _ -> false in
-    let rec go acc = function
-      | [] -> None
-      | c :: rest when alone || Hashtbl.find_opt vorigin c <> Some conn.name ->
-        vpending := List.rev_append acc rest;
-        Some c
-      | c :: rest -> go (c :: acc) rest
+    let rec go k =
+      if k = 0 then None
+      else
+        let c = Queue.pop vpending in
+        if alone || Hashtbl.find_opt vorigin c <> Some conn.name then Some c
+        else begin
+          Queue.push c vpending;
+          go (k - 1)
+        end
     in
-    go [] !vpending
+    go (Queue.length vpending)
+  in
+  (* A [Results] frame's new verdicts, journaled together once the frame
+     is handled ([commit]). *)
+  let unjournaled = ref [] in
+  let commit () =
+    match (writer, !unjournaled) with
+    | Some w, (_ :: _ as es) ->
+      unjournaled := [];
+      Journal.append_batch w (Array.of_list (List.rev es))
+    | _ -> ()
   in
   let record ~origin i o =
     outcomes.(i) <- Some o;
     origins.(i) <- origin;
     incr n_done;
     let c = i / cfg.chunk_size in
+    missing.(c) <- missing.(c) - 1;
     if state.(c) = Poisoned then begin
       (* A straggler is filling a quarantined range after all. *)
       decr poisoned_holes;
       if covered c then begin
-        state.(c) <- Complete;
+        set_state c Complete;
         poisoned := List.filter (fun p -> p <> c) !poisoned
       end
     end;
@@ -457,9 +501,7 @@ let serve t ~header ?journal ?(resume = false) ?records_per_segment ?chaos
        results frame and [Chunk_done] would dodge the check entirely). *)
     if state.(c) <> Poisoned && covered c then
       schedule_verify ~force:(suspected origin) ~origin c;
-    match writer with
-    | Some w -> Journal.append w (Journal.Outcome (i, o))
-    | None -> ()
+    if writer <> None then unjournaled := Journal.Outcome (i, o) :: !unjournaled
   in
   (* ---------------------------------------------------------------- *)
   (* Quorum arbitration.                                               *)
@@ -622,7 +664,6 @@ let serve t ~header ?journal ?(resume = false) ?records_per_segment ?chaos
     | Some (Chaos.Stall s) -> Unix.sleepf s
     | _ -> ()
   in
-  let inflight () = Array.fold_left (fun a s -> if s = Leased then a + 1 else a) 0 state in
   (* Graceful degradation, consulted per Request: while the journal
      writer is degraded (disk pressure, ENOSPC retries, injected stalls)
      or too many chunks are already out on leases, answer [Wait] instead
@@ -632,8 +673,16 @@ let serve t ~header ?journal ?(resume = false) ?records_per_segment ?chaos
   let degraded () =
     (not (finished ()))
     && ((match writer with Some w -> Journal.stalled w | None -> false)
-       || (cfg.max_inflight > 0 && inflight () >= cfg.max_inflight))
+       || (cfg.max_inflight > 0 && !leased >= cfg.max_inflight))
   in
+  (* A suspect chunk is only leased to an idle connection, so one that
+     holds it holds nothing else: asked for more, it is told to wait. *)
+  let holds_suspect conn =
+    match conn.leases with
+    | [ c ] -> suspect.(c)
+    | _ -> false
+  in
+  let idle conn = conn.leases = [] && conn.vleases = [] && conn.aleases = [] in
   (* Fatal per-connection protocol violations are raised as [Proto.Error]
      and only drop the offending connection, never the campaign. *)
   let handle conn msg =
@@ -664,7 +713,7 @@ let serve t ~header ?journal ?(resume = false) ?records_per_segment ?chaos
       send conn (Proto.Welcome { header; suspicion = Reputation.score reputation name })
     | _ when not conn.greeted -> raise (Proto.Error "first message must be Hello")
     | Proto.Request ->
-      if degraded () then send conn Proto.Wait
+      if degraded () || holds_suspect conn then send conn Proto.Wait
       else begin
         let mk purpose c =
           {
@@ -684,9 +733,9 @@ let serve t ~header ?journal ?(resume = false) ?records_per_segment ?chaos
         (* Assignment priority: fresh data, then arbitration ballots
            (disputes block completion, so they are on the critical
            path), then cross-validation re-runs. *)
-        match pop_chunk () with
+        match pop_chunk ~idle:(idle conn) with
         | Some c ->
-          state.(c) <- Leased;
+          set_state c Leased;
           conn.leases <- c :: conn.leases;
           assign (mk Proto.Data c)
         | None -> (
@@ -726,26 +775,34 @@ let serve t ~header ?journal ?(resume = false) ?records_per_segment ?chaos
         (* A disputed chunk's remaining (agreeing) verdicts are part of
            the settled verification pass, not straggler duplicates. *)
         let verifying = List.mem chunk_id conn.vleases || Hashtbl.mem disputed chunk_id in
-        Array.iter
-          (fun (i, o) ->
-            if i < 0 || i >= n then
-              raise (Proto.Error (Printf.sprintf "result for sample %d outside [0, %d)" i n));
-            match outcomes.(i) with
-            | None -> record ~origin:conn.name i o
-            | Some prev when prev = o ->
-              (* A verification pass or a re-dispatched chunk's second
-                 delivery: verdicts are deterministic, so equal is the
-                 only legal outcome — dropped, not double-counted. *)
-              if not verifying then begin
-                incr duplicates;
-                on_event (Duplicate { worker = conn.name; index = i })
-              end
-            | Some prev ->
-              (* Disagreement is no longer fail-stop: route the claim
-                 into quorum arbitration and keep the connection — the
-                 dissenter may be the honest one. *)
-              open_dispute conn ~chunk_id ~index:i ~recorded:prev ~claimed:o)
-          results;
+        (match
+           Array.iter
+             (fun (i, o) ->
+               if i < 0 || i >= n then
+                 raise (Proto.Error (Printf.sprintf "result for sample %d outside [0, %d)" i n));
+               match outcomes.(i) with
+               | None -> record ~origin:conn.name i o
+               | Some prev when prev = o ->
+                 (* A verification pass or a re-dispatched chunk's second
+                    delivery: verdicts are deterministic, so equal is the
+                    only legal outcome — dropped, not double-counted. *)
+                 if not verifying then begin
+                   incr duplicates;
+                   on_event (Duplicate { worker = conn.name; index = i })
+                 end
+               | Some prev ->
+                 (* Disagreement is no longer fail-stop: route the claim
+                    into quorum arbitration and keep the connection — the
+                    dissenter may be the honest one. *)
+                 open_dispute conn ~chunk_id ~index:i ~recorded:prev ~claimed:o)
+             results
+         with
+        | () -> commit ()
+        | exception e ->
+          (* A frame cut short by a protocol violation still journals
+             the verdicts it recorded. *)
+          commit ();
+          raise e);
         on_event (Progress { done_ = !n_done; total = n })
       end
     | Proto.Chunk_done { chunk_id } ->
@@ -776,13 +833,12 @@ let serve t ~header ?journal ?(resume = false) ?records_per_segment ?chaos
         if covered chunk_id then begin
           (* Verification (if drawn) was already scheduled when the last
              verdict landed — [Chunk_done] only retires the lease. *)
-          if state.(chunk_id) <> Poisoned then state.(chunk_id) <- Complete
+          if state.(chunk_id) <> Poisoned then set_state chunk_id Complete
         end
         else if state.(chunk_id) = Leased then begin
           (* The worker claims completion but the range has holes (lost
              frames?): requeue rather than trust the claim. *)
-          state.(chunk_id) <- Pending;
-          Queue.push chunk_id pending;
+          requeue chunk_id;
           incr redispatched;
           on_event (Redispatched { worker = conn.name; chunk_id; reason = "incomplete chunk" })
         end
@@ -790,6 +846,22 @@ let serve t ~header ?journal ?(resume = false) ?records_per_segment ?chaos
     | Proto.Heartbeat -> ()
     | Proto.Welcome _ | Proto.Assign _ | Proto.Wait | Proto.Done ->
       raise (Proto.Error "coordinator-only message from a worker")
+  in
+  (* Debug aid ([~recount]): the incremental counters against a full
+     recount of the chunk table and the verdict table. *)
+  let check_counters () =
+    let l = Array.fold_left (fun a s -> if s = Leased then a + 1 else a) 0 state in
+    if l <> !leased then
+      failwith (Printf.sprintf "Coordinator: %d chunks leased, counter says %d" l !leased);
+    Array.iteri
+      (fun c m ->
+        let k = ref 0 in
+        for i = chunk_lo c to chunk_hi c do
+          if outcomes.(i) = None then incr k
+        done;
+        if !k <> m then
+          failwith (Printf.sprintf "Coordinator: chunk %d misses %d verdicts, counter says %d" c !k m))
+      missing
   in
   let accept () =
     match restart (fun () -> Unix.accept t.listen_fd) with
@@ -822,6 +894,7 @@ let serve t ~header ?journal ?(resume = false) ?records_per_segment ?chaos
           | None -> quit := true
           | Some payload ->
             handle conn (Proto.decode payload);
+            if recount then check_counters ();
             (* One read may carry a whole batch of verdicts: a stop
                request takes effect at the next frame, not the next
                tick. (The drain answers every frame, stop or not.) *)

@@ -44,7 +44,9 @@
       chunks immediately.
     - {e Poisoned-chunk quarantine}: a chunk whose execution kills
       [poison_threshold] {e distinct} workers (connection death while
-      holding it — lease expiry is mere straggling) is quarantined
+      holding it and nothing else — lease expiry is mere straggling,
+      and a death holding a batch only makes its chunks suspect, to be
+      leased alone from then on) is quarantined
       instead of being re-dispatched forever: journaled as
       {!Journal.Poisoned}, skipped, and reported in [result.poisoned].
       The service then finishes degraded (exit 20 upstairs); resuming
@@ -61,7 +63,8 @@
       completion, to a second worker (preferring one that is not the
       chunk's origin). Re-delivered verdicts must dedup equal; a
       disagreement opens a quorum arbitration.
-    - {e Coordinator death}: every verdict is already journaled; a new
+    - {e Coordinator death}: every handled frame's verdicts are already
+      journaled (a kill loses at most the frame being committed); a new
       coordinator started with [resume:true] on the same journal picks
       up where the old one stopped. Every resume bumps the journal's
       {e epoch} (restart generation) and announces it in [Welcome]:
@@ -86,7 +89,8 @@ type config = {
       (** seconds of worker silence before its chunks are re-dispatched;
           must comfortably exceed the time a worker needs between frames:
           one experiment on the scalar engine, one {!Worker.window} of
-          faults on delta-batched, whatever the chunk size *)
+          faults (sixty-four full passes per domain) on delta-batched,
+          whatever the chunk size *)
   write_timeout : float;  (** per-frame send deadline towards a worker *)
   tick : float;  (** event-loop wakeup period (lease/stop polling) *)
   drain : float;
@@ -98,7 +102,12 @@ type config = {
           closed as dead; must exceed [lease]. 0 disables *)
   poison_threshold : int;
       (** distinct workers a chunk may kill before it is quarantined
-          instead of re-dispatched. 0 disables quarantine *)
+          instead of re-dispatched. Only a death holding that chunk
+          alone counts: a connection that dies holding several chunks
+          (a delta-batched worker's batch) marks each of them suspect,
+          and a suspect chunk is then leased alone, to a connection
+          holding nothing else, which is answered [Wait] if it asks for
+          more. 0 disables quarantine *)
   blacklist_threshold : int;
       (** misbehavior strikes before a worker name's [Hello] is refused.
           0 disables blacklisting *)
@@ -219,6 +228,7 @@ val serve :
   ?chaos:Chaos.t ->
   ?should_stop:(unit -> bool) ->
   ?on_event:(event -> unit) ->
+  ?recount:bool ->
   unit ->
   result
 (** Run the campaign described by [header] ([header.samples] is the
@@ -229,10 +239,15 @@ val serve :
     (or lies in a quarantined chunk) with no cross-validation
     outstanding, or until [should_stop] (polled every [tick] and after
     every frame handled) returns true; either way every connection and the journal are closed before
-    returning, and with [journal] every recorded verdict survives a
-    SIGKILL of the coordinator itself. [chaos] arms the coordinator's
+    returning. With [journal], the new verdicts of each [Results] frame
+    are journaled as one group ({!Journal.append_batch}) once the frame
+    is handled, so a SIGKILL of the coordinator itself loses at most
+    the frame being handled, whose chunk a resume re-leases (and a
+    surviving worker re-delivers). [chaos] arms the coordinator's
     own fault plan, threaded to its {!Proto} sends and the journal
     writer. Raises {!Journal.Error} on journal create/resume problems
     and on (real or injected) disk failures while appending — everything
     already recorded is resumable. [serve] consumes [t]: it closes the
-    listening socket on return. *)
+    listening socket on return. [recount] (default [false]) is a debug
+    aid: after every frame it checks the incremental chunk-table
+    counters against a full recount, raising [Failure] on a drift. *)

@@ -64,7 +64,7 @@ let run campaign ~space ~seed ~n ?(ident = ("unknown", "unknown")) ?skip ?audit
      domain. Retry pacing is capped exponential backoff whose jitter is
      drawn from a generator split off the pinned audit state — a rerun
      that hits the same failures sleeps the same schedule. The batched
-     kernel is journaled per {!Executor.batch_window}: sixteen full
+     kernel is journaled per {!Executor.batch_window}: sixty-four full
      passes per domain. Built before the journal is opened, so an
      argument it refuses leaves no journal behind. *)
   let executor =

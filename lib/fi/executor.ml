@@ -102,9 +102,15 @@ let attempt t ~fault ~first faults =
   in
   go 0
 
-(* Sixteen full passes for every domain the batched kernel splits a
-   call across (see {!Campaign.inject_delta_batch}). *)
-let batch_window ~lanes = 16 * lanes * Domain.recommended_domain_count ()
+(* Sixty-four full passes for every domain the batched kernel splits a
+   call across (see {!Campaign.inject_delta_batch}). A pass sweeps from
+   its first fault's cycle to the horizon however few faults it holds,
+   so a window must be deep enough that its later passes still start
+   full: at sixteen passes, AVR fib's cycle-steps per fault were nearly
+   four times those of one call over the whole list; at sixty-four they
+   are under a third above it, and doubling again saves only 8 %
+   (EXPERIMENTS § Lane-saturating windows). *)
+let batch_window ~lanes = 64 * lanes * Domain.recommended_domain_count ()
 
 let run t ~ranges ~plan ~emit ?fault () =
   let window = if t.kernel = Campaign.Delta_batched then t.window else 1 in

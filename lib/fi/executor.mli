@@ -65,10 +65,12 @@ val create :
     drive it at a time. *)
 
 val batch_window : lanes:int -> int
-(** The batched kernel's window: sixteen full passes of [lanes] faults
-    for each of the [Domain.recommended_domain_count ()] domains
-    {!Campaign.inject_delta_batch} splits a call across. {!Durable} and
-    {!Worker} both window by it. *)
+(** The batched kernel's window: sixty-four full passes of [lanes]
+    faults for each of the [Domain.recommended_domain_count ()] domains
+    {!Campaign.inject_delta_batch} splits a call across, deep enough
+    that the lanes stay saturated (a pass costs a sweep to the horizon
+    however few faults it holds). {!Durable} and {!Worker} both window
+    by it. *)
 
 val run :
   t ->

@@ -108,12 +108,12 @@ let get32 buf pos =
   done;
   !v
 
-let encode_record ?(model = 0) buf entry =
-  Bytes.set buf 0 (Char.chr (((model land 0xF) lsl 4) lor kind_of_entry entry));
+let encode_record ?(model = 0) ?(pos = 0) buf entry =
+  Bytes.set buf pos (Char.chr (((model land 0xF) lsl 4) lor kind_of_entry entry));
   let a, b = args_of_entry entry in
-  put32 buf 1 a;
-  put32 buf 5 b;
-  put32 buf 9 (Crc.bytes buf ~pos:0 ~len:9)
+  put32 buf (pos + 1) a;
+  put32 buf (pos + 5) b;
+  put32 buf (pos + 9) (Crc.bytes buf ~pos ~len:9)
 
 (* [None] on CRC mismatch or unknown kind (a torn or corrupt record).
    The model nibble is returned as-is, even for ids no decoder knows
@@ -447,15 +447,43 @@ let rotate w =
   w.chan <- open_out_bin (active_file w.dir);
   w.in_active <- 0
 
-let append w entry =
+(* A frame's records go out as one buffer under one lock, with one
+   flush at the end (and one before every segment seal inside it). The
+   chaos sites still draw once per record, in record order, so a plan
+   sees the draw sequence it saw when every record was flushed alone,
+   and an injected failure at record k leaves on disk exactly what
+   appending the records one by one would have left: records before k
+   whole, record k torn or absent. A SIGKILL loses at most the records
+   not yet flushed, which the caller has not yet acknowledged. *)
+let append_batch w entries =
   Mutex.lock w.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock w.lock) @@ fun () ->
   if w.closed then error "%s: journal writer is closed" w.dir;
   (match w.failed with Some msg -> raise (Error msg) | None -> ());
   let t0 = Mono.now () in
   let mark_slow () = w.slow_until <- Mono.now () +. slow_cooldown in
-  let buf = Bytes.create record_size in
-  encode_record ~model:w.model buf entry;
+  let n = Array.length entries in
+  let buf = Bytes.create (n * record_size) in
+  (* [buf] up to [written] is already handed to the channel. *)
+  let written = ref 0 in
+  let hand_over upto =
+    match output w.chan buf !written (upto - !written) with
+    | () -> written := upto
+    | exception Sys_error msg -> fail w "journal append failed: %s" msg
+  in
+  (* A real ENOSPC is retried for a bounded while (space is often freed
+     within seconds) before the sticky failure that --resume recovers
+     from; the channel buffer keeps the undelivered bytes across
+     retries, so no record is torn by it. *)
+  let rec flush_retry tries =
+    match flush w.chan with
+    | () -> ()
+    | exception Sys_error msg when is_no_space msg && tries < enospc_retries ->
+      mark_slow ();
+      Unix.sleepf enospc_pause;
+      flush_retry (tries + 1)
+    | exception Sys_error msg -> fail w "journal append failed: %s" msg
+  in
   (* Transient disk pressure: wait it out, re-consulting the plan each
      round. The chaos budget bounds the loop; the writer is marked
      degraded so the coordinator stops leasing until it drains. *)
@@ -470,48 +498,46 @@ let append w entry =
       Unix.sleepf s
     | _ -> ()
   in
-  disk_pressure ();
-  (match chaos_draw w Chaos.Journal_write with
-  | Chaos.Short_write f ->
-    (* Leave the torn prefix a crash mid-write would leave — [resume]
-       must truncate it — then fail like the disk just died. *)
-    let keep = max 0 (min (record_size - 1) (int_of_float (f *. float_of_int record_size))) in
-    (try
-       output_bytes w.chan (Bytes.sub buf 0 keep);
-       flush w.chan
-     with Sys_error _ -> ());
-    fail w "injected short write (%d of %d bytes)" keep record_size
-  | Chaos.Io_error e -> fail w "injected %s on journal append" (Unix.error_message e)
-  | _ -> ());
-  (match output_bytes w.chan buf with
-  | () -> ()
-  | exception Sys_error msg -> fail w "journal append failed: %s" msg);
-  (* Flush every record: a SIGKILL then loses at most the record the
-     OS was handed mid-write (the torn tail resume truncates), never a
-     buffered batch. A real ENOSPC here is retried for a bounded while
-     (space is often freed within seconds) before the sticky failure
-     that --resume recovers from; the channel buffer keeps the
-     undelivered bytes across retries, so no record is torn by it. *)
-  let rec flush_retry tries =
-    match flush w.chan with
-    | () -> ()
-    | exception Sys_error msg when is_no_space msg && tries < enospc_retries ->
-      mark_slow ();
-      Unix.sleepf enospc_pause;
-      flush_retry (tries + 1)
-    | exception Sys_error msg -> fail w "journal append failed: %s" msg
+  (* An injected failure first leaves on disk what a crash at that byte
+     would leave: the records before the failing one, and the torn
+     prefix [resume] must truncate. *)
+  let leave upto =
+    try
+      output w.chan buf !written (upto - !written);
+      flush w.chan
+    with Sys_error _ -> ()
   in
+  Array.iteri
+    (fun j entry ->
+      let pos = j * record_size in
+      encode_record ~model:w.model ~pos buf entry;
+      disk_pressure ();
+      (match chaos_draw w Chaos.Journal_write with
+      | Chaos.Short_write f ->
+        let keep = max 0 (min (record_size - 1) (int_of_float (f *. float_of_int record_size))) in
+        leave (pos + keep);
+        fail w "injected short write (%d of %d bytes)" keep record_size
+      | Chaos.Io_error e ->
+        leave pos;
+        fail w "injected %s on journal append" (Unix.error_message e)
+      | _ -> ());
+      w.in_active <- w.in_active + 1;
+      if w.in_active >= w.records_per_segment then begin
+        hand_over (pos + record_size);
+        flush_retry 0;
+        match rotate w with
+        | () -> ()
+        | exception Sys_error msg -> fail w "segment rotation failed: %s" msg
+        | exception Error msg ->
+          w.failed <- Some msg;
+          raise (Error msg)
+      end)
+    entries;
+  hand_over (n * record_size);
   flush_retry 0;
-  w.in_active <- w.in_active + 1;
-  (match
-     if w.in_active >= w.records_per_segment then rotate w
-   with
-  | () -> ()
-  | exception Sys_error msg -> fail w "segment rotation failed: %s" msg
-  | exception Error msg ->
-    w.failed <- Some msg;
-    raise (Error msg));
   if Mono.now () -. t0 > slow_append_threshold then mark_slow ()
+
+let append w entry = append_batch w [| entry |]
 
 let stalled w = Mono.now () < w.slow_until
 
@@ -620,12 +646,7 @@ let resume ?(records_per_segment = default_rps) ?chaos ~dir () =
      nibble, so the rewrite is byte-preserving — then reopen it for
      appending. *)
   let buf = Bytes.create (List.length active * record_size) in
-  List.iteri
-    (fun i (model, e) ->
-      let rec_buf = Bytes.create record_size in
-      encode_record ~model rec_buf e;
-      Bytes.blit rec_buf 0 buf (i * record_size) record_size)
-    active;
+  List.iteri (fun i (model, e) -> encode_record ~model ~pos:(i * record_size) buf e) active;
   write_atomic (active_file dir) (Bytes.to_string buf);
   let w =
     {

@@ -3,9 +3,11 @@
     A journal is a directory holding one immutable [header] file plus a
     sequence of binary record segments. Every verdict a campaign produces
     is appended as a fixed-size CRC-32-checksummed record and flushed to
-    the OS before the campaign moves on, so a campaign killed at any
-    point (including SIGKILL) can be resumed from the journal and finish
-    with final statistics bit-identical to an uninterrupted run.
+    the OS with the group it was appended in ({!append_batch}) before
+    the campaign moves on, so a campaign killed at any point (including
+    SIGKILL) loses at most the group in flight, can be resumed from the
+    journal, and finishes with final statistics bit-identical to an
+    uninterrupted run.
 
     Layout:
     - [header]: textual key=value block (campaign identity: core,
@@ -18,7 +20,7 @@
       the active segment — a finalized segment is never written again,
       so any CRC failure inside one is real corruption;
     - [active.bin]: the segment currently being appended to. Only its
-      final record can be torn by a kill; {!resume} detects the torn
+      tail (the unflushed group) can be torn by a kill; {!resume} detects the torn
       tail (short or CRC-mismatching record), truncates it — again via
       tempfile + rename — and reports how many bytes were dropped.
 
@@ -171,12 +173,20 @@ val update_header : dir:string -> header -> unit
     lives at [dir]. *)
 
 val append : writer -> entry -> unit
-(** Append one record and flush it to the OS. Thread-safe. A {e real} transient
-    ENOSPC is absorbed: the writer pauses and retries for a bounded
-    while (space freed by an operator or log rotation mid-campaign)
-    before declaring the sticky failure; an injected
-    [Chaos.Io_error ENOSPC] stays immediately sticky, preserving the
-    injected-fault contract. *)
+(** [append w e] is [append_batch w [| e |]]. *)
+
+val append_batch : writer -> entry array -> unit
+(** Append a group of records (the coordinator passes one [Results]
+    frame's verdicts) under one lock, from one buffer, and flush them to
+    the OS together: a kill loses at most the group being appended,
+    never a record of an earlier group. Thread-safe. The chaos sites
+    draw once per record, in order, exactly as one [append] per record
+    would, and an injected failure at record k leaves the records before
+    it whole on disk and k torn or absent. A {e real} transient ENOSPC
+    is absorbed: the writer pauses and retries for a bounded while
+    (space freed by an operator or log rotation mid-campaign) before
+    declaring the sticky failure; an injected [Chaos.Io_error ENOSPC]
+    stays immediately sticky, preserving the injected-fault contract. *)
 
 val stalled : writer -> bool
 (** The writer is currently degraded: a recent append was slow (disk

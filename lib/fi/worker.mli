@@ -56,7 +56,7 @@ type engine = {
 val window : int
 (** The delta-batched worker's lease target and engine window:
     {!Executor.batch_window} at {!Campaign.max_delta_lanes} lanes,
-    sixteen full passes for each domain of this host. *)
+    sixty-four full passes for each domain of this host. *)
 
 type ended =
   | Campaign_done  (** the coordinator reported the campaign complete *)

@@ -17,6 +17,8 @@ module Journal = Pruning_fi.Journal
 module Proto = Pruning_fi.Proto
 module Worker = Pruning_fi.Worker
 module System = Pruning_cpu.System
+module Avr_asm = Pruning_cpu.Avr_asm
+module Programs = Pruning_cpu.Programs
 module Backoff = Pruning_util.Backoff
 
 let all_sites =
@@ -219,14 +221,14 @@ let wait_for ?(timeout = 20.) pred what =
   done;
   if not (pred ()) then Alcotest.fail ("timed out waiting for " ^ what)
 
-let serve_bg coord ~header ?journal ?resume ?chaos ?on_event () =
+let serve_bg coord ~header ?journal ?resume ?chaos ?on_event ?recount () =
   let result = ref None in
   let thread =
     Thread.create
       (fun () ->
         result :=
           Some
-            (match Coordinator.serve coord ~header ?journal ?resume ?chaos ?on_event () with
+            (match Coordinator.serve coord ~header ?journal ?resume ?chaos ?on_event ?recount () with
             | r -> Ok r
             | exception e -> Error e))
       ()
@@ -240,7 +242,8 @@ let serve_bg coord ~header ?journal ?resume ?chaos ?on_event () =
   in
   join
 
-let work_bg ~port ~name ?reconnect_backoff ?max_reconnects ?recv_timeout ?chaos () =
+let work_bg ~port ~name ?(resolve = fun _ -> toy_engine ()) ?reconnect_backoff ?max_reconnects
+    ?recv_timeout ?chaos () =
   let report = ref None in
   let thread =
     Thread.create
@@ -248,9 +251,8 @@ let work_bg ~port ~name ?reconnect_backoff ?max_reconnects ?recv_timeout ?chaos 
         report :=
           Some
             (match
-               Worker.run ~host:"127.0.0.1" ~port
-                 ~resolve:(fun _ -> toy_engine ())
-                 ~name ?reconnect_backoff ?max_reconnects ?recv_timeout ?chaos ()
+               Worker.run ~host:"127.0.0.1" ~port ~resolve ~name ?reconnect_backoff ?max_reconnects
+                 ?recv_timeout ?chaos ()
              with
             | r -> Ok r
             | exception e -> Error e))
@@ -286,39 +288,64 @@ let test_poison_quarantine_and_resume () =
   let port = Coordinator.port coord in
   let push, all = event_log () in
   let join = serve_bg coord ~header ~journal:dir ~on_event:push () in
-  (* Two "workers" that lease every chunk and die without a verdict:
-     after the second distinct death per chunk, every chunk must be
-     quarantined rather than requeued a third time. *)
-  List.iter
-    (fun name ->
-      let fd = connect port in
-      Proto.send fd (Proto.Hello { version = Proto.version; name; epoch = -1 });
-      (match Proto.recv fd with
-      | Proto.Welcome _ -> ()
-      | _ -> Alcotest.fail "expected Welcome");
-      let rec grab () =
-        Proto.send fd Proto.Request;
-        match Proto.recv fd with
-        | Proto.Assign _ -> grab ()
-        | Proto.Wait | Proto.Done -> ()
-        | _ -> Alcotest.fail "unexpected reply to Request"
-      in
-      grab ();
-      (* Die with every lease in hand. *)
-      Unix.close fd;
-      (* Let the coordinator notice the death before the next victim
-         joins, so the second victim re-leases the requeued chunks. *)
-      wait_for
-        (fun () ->
-          List.exists
-            (function
-              | Coordinator.Left { worker; _ } -> worker = name
-              | _ -> false)
-            (all ()))
-        (name ^ " to be seen dying"))
-    [ "victim-a"; "victim-b" ];
-  let r = join () in
+  (* Two "workers" that lease all they can and die without a verdict,
+     over and over. The first death holds every chunk, so it only makes
+     them suspect; from then on each chunk is leased alone, and a death
+     holding it alone counts. After the second distinct death per
+     chunk, every chunk must be quarantined rather than requeued. *)
+  let deaths = Hashtbl.create 2 in
+  let die name =
+    let fd = connect port in
+    Proto.send fd (Proto.Hello { version = Proto.version; name; epoch = -1 });
+    (match Proto.recv fd with
+    | Proto.Welcome _ -> ()
+    | _ -> Alcotest.fail "expected Welcome");
+    let rec grab held =
+      Proto.send fd Proto.Request;
+      match Proto.recv fd with
+      | Proto.Assign c -> grab (c.Proto.chunk_id :: held)
+      | Proto.Wait | Proto.Done -> held
+      | _ -> Alcotest.fail "unexpected reply to Request"
+    in
+    let held = grab [] in
+    (* Die with every lease in hand. *)
+    Unix.close fd;
+    let k = 1 + Option.value ~default:0 (Hashtbl.find_opt deaths name) in
+    Hashtbl.replace deaths name k;
+    (* Let the coordinator notice the death before the next round, so
+       the next lease sees the requeued chunks. *)
+    wait_for
+      (fun () ->
+        List.length
+          (List.filter
+             (function
+               | Coordinator.Left { worker; _ } -> worker = name
+               | _ -> false)
+             (all ()))
+        >= k)
+      (name ^ " to be seen dying");
+    held
+  in
+  (* A victim dies until it holds a chunk it already died holding alone
+     (or gets none: the service is over), within a bound on its rounds. *)
   let n_chunks = (toy_n + config.Coordinator.chunk_size - 1) / config.Coordinator.chunk_size in
+  let victim name =
+    let alone = Hashtbl.create 16 in
+    let rec go round =
+      if round <= 2 * n_chunks then
+        match die name with
+        | exception (Unix.Unix_error _ | Proto.Closed | Proto.Error _) -> ()
+        | [] -> ()
+        | [ c ] when Hashtbl.mem alone c -> ()
+        | [ c ] ->
+          Hashtbl.replace alone c ();
+          go (round + 1)
+        | _ -> go (round + 1)
+    in
+    go 0
+  in
+  List.iter victim [ "victim-a"; "victim-b" ];
+  let r = join () in
   check_bool "not completed" false r.Coordinator.completed;
   check_int "every chunk quarantined" n_chunks (List.length r.Coordinator.poisoned);
   check_bool "quarantine events emitted" true
@@ -348,6 +375,171 @@ let test_poison_quarantine_and_resume () =
   check_bool "nothing quarantined on resume" true (r2.Coordinator.poisoned = []);
   check_stats "quarantine resume parity" reference r2.Coordinator.stats;
   check_bool "healthy worker done" true (rep.Worker.ended = Worker.Campaign_done);
+  rm_rf dir
+
+(* A TCP relay in front of the coordinator that kills a session whose
+   worker holds chunk [k] the moment the worker reports anything but a
+   [Request]: the worker dies while classifying the batch that holds
+   [k], before any of the batch's verdicts reach the coordinator.
+   Returns the relay's port and its stop function. *)
+let killing_relay ~upstream ~k =
+  let listen = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.setsockopt listen Unix.SO_REUSEADDR true;
+  Unix.bind listen (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+  Unix.listen listen 16;
+  let port =
+    match Unix.getsockname listen with
+    | Unix.ADDR_INET (_, p) -> p
+    | Unix.ADDR_UNIX _ -> assert false
+  in
+  let stop = ref false in
+  let cut a b =
+    List.iter (fun fd -> try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ()) [ a; b ]
+  in
+  (* Relay [src] to [dst] frame by frame; [pass] sees each message and
+     says whether to forward it or cut the session. *)
+  let pump src dst ~pass =
+    let dec = Proto.decoder () in
+    let buf = Bytes.create 65536 in
+    let rec go () =
+      match Unix.read src buf 0 (Bytes.length buf) with
+      | 0 | (exception Unix.Unix_error _) -> cut src dst
+      | n ->
+        Proto.feed dec buf n;
+        let rec frames () =
+          match Proto.next_frame dec with
+          | None -> go ()
+          | Some payload when pass (Proto.decode payload) -> (
+            let frame = Proto.encode_frame payload in
+            match Unix.write_substring dst frame 0 (String.length frame) with
+            | _ -> frames ()
+            | exception Unix.Unix_error _ -> cut src dst)
+          | Some _ -> cut src dst
+        in
+        frames ()
+    in
+    go ()
+  in
+  let session worker =
+    match connect upstream with
+    | exception Unix.Unix_error _ -> Unix.close worker
+    | coord ->
+      let holds_k = Atomic.make false in
+      let down =
+        Thread.create
+          (fun () ->
+            pump coord worker ~pass:(function
+              | Proto.Assign c when c.Proto.chunk_id = k ->
+                Atomic.set holds_k true;
+                true
+              | _ -> true))
+          ()
+      in
+      pump worker coord ~pass:(function
+        | Proto.Request -> true
+        | _ -> not (Atomic.get holds_k));
+      Thread.join down;
+      Unix.close worker;
+      Unix.close coord
+  in
+  let acceptor =
+    Thread.create
+      (fun () ->
+        while not !stop do
+          match Unix.select [ listen ] [] [] 0.05 with
+          | [ _ ], _, _ -> ignore (Thread.create session (fst (Unix.accept listen)))
+          | _ -> ()
+          | exception Unix.Unix_error _ -> ()
+        done;
+        Unix.close listen)
+      ()
+  in
+  (port, fun () -> stop := true; Thread.join acceptor)
+
+(* Batch-aware poison accounting. Two delta-batched workers, each behind
+   a relay that kills its session whenever it classifies chunk [k]. The
+   first death holds a whole batch, which makes the batch's chunks
+   suspect without charging any of them; suspect chunks are then leased
+   alone, so only [k] collects deaths. At threshold 2 exactly [k] is
+   quarantined, and every other chunk, its former batch-mates included,
+   finishes with the verdicts of an uninterrupted local run. *)
+let test_poison_batched_alone () =
+  let cycles = 120 and n = 240 and seed = 7 and k = 5 in
+  let chunk_size = 16 in
+  let nl = System.avr_netlist () in
+  let program = Avr_asm.assemble Programs.avr_fib_halting in
+  let make () = System.create_avr ~netlist:nl ~program "avr/fib" in
+  let make_delta_batch ~trace = System.create_avr_delta_batch ~netlist:nl ~program ~trace "avr/fib" in
+  let space = Fault_space.full nl ~cycles in
+  let campaign () = Campaign.create ~make ~make_delta_batch ~total_cycles:cycles () in
+  let table dir =
+    let _, entries, _ = Journal.load ~dir in
+    let outcomes = Array.make n None in
+    ignore (Journal.replay outcomes entries);
+    outcomes
+  in
+  let ref_dir = scratch_dir () in
+  ignore
+    (Durable.run (campaign ()) ~space ~seed ~n ~ident:("avr", "fib") ~kernel:Campaign.Delta_batched
+       ~journal:ref_dir ());
+  let reference = table ref_dir in
+  let dir = scratch_dir () in
+  let config = { test_config with Coordinator.chunk_size; poison_threshold = 2 } in
+  let coord = Coordinator.create ~config () in
+  let push, all = event_log () in
+  let header =
+    {
+      (make_header ()) with
+      Journal.core = "avr";
+      program = "fib";
+      cycles;
+      samples = n;
+      seed;
+      prng = Prng.save (Prng.create seed);
+    }
+  in
+  let join = serve_bg coord ~header ~journal:dir ~on_event:push ~recount:true () in
+  let resolve _ =
+    { Worker.campaign = campaign (); space; skip = None; kernel = Campaign.Delta_batched }
+  in
+  let fast = { Backoff.base = 0.01; cap = 0.05; factor = 2. } in
+  let relays = List.init 2 (fun _ -> killing_relay ~upstream:(Coordinator.port coord) ~k) in
+  let workers =
+    List.mapi
+      (fun i (port, _) ->
+        work_bg ~port ~name:(Printf.sprintf "b%d" i) ~resolve ~reconnect_backoff:fast
+          ~max_reconnects:10 ())
+      relays
+  in
+  let reports = List.map (fun j -> j ()) workers in
+  let r = join () in
+  List.iter (fun (_, stop) -> stop ()) relays;
+  let events = all () in
+  check_bool "a death held a batch" true
+    (List.exists
+       (function
+         | Coordinator.Redispatched { chunk_id; _ } -> chunk_id <> k
+         | _ -> false)
+       events);
+  check_bool "only chunk k quarantined" true (r.Coordinator.poisoned = [ k ]);
+  check_bool "quarantined after two deaths" true
+    (List.exists
+       (function
+         | Coordinator.Quarantined { chunk_id; deaths = 2 } -> chunk_id = k
+         | _ -> false)
+       events);
+  (* The worker whose death quarantined [k] may reconnect after the
+     service has ended (its relay still accepts) and give up: only the
+     verdicts are asserted, not how each worker ended. *)
+  check_bool "the workers delivered every other chunk" true
+    (List.fold_left (fun a rep -> a + rep.Worker.submitted) 0 reports >= n - chunk_size);
+  let served = table dir in
+  Array.iteri
+    (fun i o ->
+      if i / chunk_size = k then check_bool (Printf.sprintf "sample %d unclassified" i) true (o = None)
+      else check_bool (Printf.sprintf "sample %d = reference" i) true (o = reference.(i)))
+    served;
+  rm_rf ref_dir;
   rm_rf dir
 
 (* --- blacklisting ----------------------------------------------------- *)
@@ -606,6 +798,54 @@ let test_journal_fsync_resume () =
   check_bool "records before the failure survive" true (Array.length entries >= 4);
   rm_rf dir
 
+(* Group commit keeps the journal's chaos contract: appending records in
+   groups draws every site once per record, in the same order, so under
+   the same plan it fails at the same record with the same error and
+   leaves byte-identical files (torn tail, sealed segments) to appending
+   them one by one. *)
+let test_append_batch_draws () =
+  let profile =
+    {
+      Chaos.quiet_profile with
+      Chaos.journal_short = 0.03;
+      journal_eio = 0.02;
+      journal_fsync = 0.05;
+      journal_torn = 0.05;
+      budget = 1;
+    }
+  in
+  let entries = Array.init 60 (fun i -> Journal.Outcome (i, if i mod 3 = 0 then Journal.Latent else Journal.Benign)) in
+  let write ~seed groups =
+    let dir = scratch_dir () in
+    let w = Journal.create ~records_per_segment:8 ~chaos:(Chaos.create ~profile ~seed ()) ~dir (make_header ()) in
+    let error =
+      match List.iter (Journal.append_batch w) groups with
+      | () -> "none"
+      | exception Journal.Error msg ->
+        (* The message names the directory; compare the rest. *)
+        String.sub msg (String.length dir) (String.length msg - String.length dir)
+    in
+    Journal.close w;
+    let files = Array.to_list (Sys.readdir dir) |> List.sort compare in
+    let contents =
+      List.map
+        (fun f ->
+          let ic = open_in_bin (Filename.concat dir f) in
+          let s = really_input_string ic (in_channel_length ic) in
+          close_in ic;
+          (f, s))
+        files
+    in
+    rm_rf dir;
+    (error, contents)
+  in
+  for seed = 1 to 40 do
+    let one_by_one = write ~seed (Array.to_list (Array.map (fun e -> [| e |]) entries)) in
+    let grouped = write ~seed [ Array.sub entries 0 7; Array.sub entries 7 30; Array.sub entries 37 23 ] in
+    check_string (Printf.sprintf "seed %d: same failure" seed) (fst one_by_one) (fst grouped);
+    check_bool (Printf.sprintf "seed %d: same files" seed) true (snd one_by_one = snd grouped)
+  done
+
 (* --- the headline invariant ------------------------------------------- *)
 
 (* Under a full chaos plan on both sides of the wire (and on the
@@ -653,7 +893,9 @@ let test_soak_invariant () =
             (fun s -> Chaos.create ~profile:soak_profile ~seed:s ())
             chaos_seed
         in
-        let join = serve_bg coord ~header ~journal:dir ~resume ?chaos () in
+        (* [recount]: after every frame, the coordinator's incremental
+           chunk counters must equal a recount of its tables. *)
+        let join = serve_bg coord ~header ~journal:dir ~resume ?chaos ~recount:true () in
         let workers =
           List.init 2 (fun i ->
               work_bg ~port
@@ -697,11 +939,15 @@ let suite =
       Alcotest.test_case "budget exhaustion and quiet profile" `Quick test_exhaustion_and_quiet;
       Alcotest.test_case "poisoned chunks quarantined, resume recovers" `Quick
         test_poison_quarantine_and_resume;
+      Alcotest.test_case "batched death poisons only the chunk held alone" `Quick
+        test_poison_batched_alone;
       Alcotest.test_case "corrupt-frame clients blacklisted" `Quick test_blacklist;
       Alcotest.test_case "cross-validation: clean pass" `Quick test_verify_clean;
       Alcotest.test_case "cross-validation: mismatch detected" `Quick test_verify_mismatch;
       Alcotest.test_case "worker receive deadline" `Quick test_worker_recv_deadline;
       Alcotest.test_case "journal ENOSPC surfaces and resumes" `Quick test_journal_enospc_resume;
+      Alcotest.test_case "grouped appends draw and tear like single ones" `Quick
+        test_append_batch_draws;
       Alcotest.test_case "journal fsync failure surfaces and resumes" `Quick
         test_journal_fsync_resume;
       Alcotest.test_case "soak: chaos-free parity or resumable" `Slow test_soak_invariant;

@@ -552,7 +552,7 @@ let test_worker_non_seu_models () =
     Pruning_fi.Fault_model.[ Set; Mbu 2; Intermittent 3 ]
 
 (* A delta-batched worker classifies a chunk bigger than its window
-   ({!Worker.window}: 16 full passes per domain) window by window,
+   ({!Worker.window}: 64 full passes per domain) window by window,
    heartbeating and polling [should_stop] between them, instead of one
    opaque batch that can outlive its lease. Stopped after the first
    window, it has submitted exactly that window; the chunk's remainder
@@ -893,6 +893,69 @@ let test_coordinator_resume () =
   check_bool "phase 2 did real work" true (rep2.Worker.submitted > 0);
   rm_rf dir
 
+(* Group commit: the coordinator journals each [Results] frame's
+   verdicts as one group, so a kill loses at most the frame it was
+   committing. Cut the journal of a finished campaign back the way such
+   a kill would leave it, with the last frame unflushed (0 torn bytes)
+   or torn mid-record, and resume: the lost frame's chunk, and only it,
+   is leased again, and the verdict table equals the uninterrupted
+   run's, index by index. *)
+let test_group_commit_resume () =
+  let config = { test_config with Coordinator.chunk_size = 16 } in
+  let header = make_header () in
+  let table dir =
+    let _, entries, _ = Journal.load ~dir in
+    let outcomes = Array.make toy_n None in
+    ignore (Journal.replay outcomes entries);
+    (entries, outcomes)
+  in
+  List.iter
+    (fun torn ->
+      let label what = Printf.sprintf "%d torn bytes: %s" torn what in
+      let dir = scratch_dir () in
+      let coord = Coordinator.create ~config () in
+      let join = serve_bg coord ~header ~journal:dir () in
+      let w = work_bg ~port:(Coordinator.port coord) ~name:"first" ~resolve:(fun _ -> toy_engine ()) () in
+      ignore (w ());
+      check_bool (label "first run completed") true (join ()).Coordinator.completed;
+      let entries, reference = table dir in
+      (* One scalar worker, one frame per 16-sample chunk: the journal's
+         trailing records of the last chunk are its last frame. *)
+      let chunk = function
+        | Journal.Outcome (i, _) -> i / config.Coordinator.chunk_size
+        | _ -> -1
+      in
+      let n = Array.length entries in
+      let last = chunk entries.(n - 1) in
+      let rec frame_start j = if j > 0 && chunk entries.(j - 1) = last then frame_start (j - 1) else j in
+      let kept = frame_start (n - 1) in
+      let active = Filename.concat dir "active.bin" in
+      let record_size = (Unix.stat active).Unix.st_size / n in
+      Unix.truncate active ((kept * record_size) + torn);
+      let push, all = event_log () in
+      let coord2 = Coordinator.create ~config () in
+      let join2 = serve_bg coord2 ~header ~journal:dir ~resume:true ~on_event:push () in
+      let w2 =
+        work_bg ~port:(Coordinator.port coord2) ~name:"second" ~resolve:(fun _ -> toy_engine ()) ()
+      in
+      ignore (w2 ());
+      let r = join2 () in
+      check_bool (label "resume completed") true r.Coordinator.completed;
+      check_int (label "recovered the flushed frames") kept r.Coordinator.recovered;
+      check_int (label "torn bytes dropped") torn r.Coordinator.dropped_bytes;
+      let releases =
+        List.filter_map
+          (function
+            | Coordinator.Assigned { chunk; _ } -> Some chunk.Proto.chunk_id
+            | _ -> None)
+          (all ())
+      in
+      check_bool (label "only the lost frame's chunk re-leased") true (releases = [ last ]);
+      check_bool (label "verdicts bit-identical to the uninterrupted run") true
+        (snd (table dir) = reference);
+      rm_rf dir)
+    [ 0; 5 ]
+
 (* Misbehaving clients: a wrong protocol version, out-of-range sample
    indices, and a verdict that contradicts the recorded one. Each only
    costs the offender its connection; the campaign completes with clean
@@ -973,5 +1036,6 @@ let suite =
     Alcotest.test_case "straggler lease re-dispatch + dedup" `Quick test_straggler_dedup;
     Alcotest.test_case "SIGKILLed worker mid-chunk" `Quick test_sigkill_worker;
     Alcotest.test_case "coordinator kill/resume from journal" `Quick test_coordinator_resume;
+    Alcotest.test_case "group commit: a lost frame is re-leased" `Quick test_group_commit_resume;
     Alcotest.test_case "rogue clients cannot corrupt a campaign" `Quick test_rogue_clients;
   ]

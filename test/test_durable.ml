@@ -539,10 +539,10 @@ let total_cycles = 120
 let n_samples = 400
 
 (* The batched kernel is journaled per {!Pruning_fi.Executor.batch_window}:
-   sixteen full passes per domain. The kill/resume cases run it at a few
-   lanes over at least three windows, on any domain count, so a stop
+   sixty-four full passes per domain. The kill/resume cases run it at
+   one lane over at least three windows, on any domain count, so a stop
    after the first window leaves work to resume. *)
-let batched_lanes = 4
+let batched_lanes = 1
 let batched_n = max n_samples (3 * Pruning_fi.Executor.batch_window ~lanes:batched_lanes)
 
 let avr_makers () =
