@@ -146,23 +146,17 @@ let run_campaign () =
   let trace = Campaign.golden_trace campaign in
   let report = Search.search_flops ~params ~traces:[ trace ] nl (Array.to_list nl.Netlist.flops) in
   let set = Mateset.of_report report in
-  let triggers = Replay.triggers set trace in
-  let matrix = Replay.masked set triggers ~space () in
+  let pruner = Replay.pruner set (Replay.triggers set trace) ~space () in
+  let pruned =
+    Campaign.run_sample campaign ~space ~rng:(Prng.create 7) ~n:samples
+      ~skip:(Replay.pruned pruner) ()
+  in
   (* A flop outside the fault space cannot be pruned — but it is a
      stale-fault-list symptom worth surfacing, not a silent "inject". *)
-  let unknown_flops = ref 0 in
-  let skip ~flop_id ~cycle =
-    match Fault_space.flop_index space flop_id with
-    | Some fi -> matrix.(cycle).(fi)
-    | None ->
-      incr unknown_flops;
-      false
-  in
-  let pruned = Campaign.run_sample campaign ~space ~rng:(Prng.create 7) ~n:samples ~skip () in
-  if !unknown_flops > 0 then
+  if Replay.unknown_count pruner > 0 then
     Printf.printf
       "warning: %d prune lookups named flops outside the fault space (injected, not pruned)\n"
-      !unknown_flops;
+      (Replay.unknown_count pruner);
   let t = Table.create [ "campaign"; "injections"; "skipped"; "benign"; "latent"; "SDC" ] in
   let row label (s : Campaign.stats) =
     Table.add_row t

@@ -83,13 +83,7 @@ let lanes_conv =
 (* Exact spellings only: Cmdliner's [enum] also takes unambiguous
    prefixes, so the retired [delta] would silently mean [delta-batched]. *)
 let engine_conv =
-  let engines =
-    [
-      ("scalar", Fi_campaign.Scalar);
-      ("delta-batched", Fi_campaign.Delta_batched);
-      ("batched", Fi_campaign.Delta_batched);
-    ]
-  in
+  let engines = [ ("scalar", Fi_campaign.Scalar); ("delta-batched", Fi_campaign.Delta_batched) ] in
   let parse s =
     match List.assoc_opt s engines with
     | Some k -> Ok k
@@ -97,7 +91,7 @@ let engine_conv =
       Error
         (`Msg
           (Printf.sprintf
-             "invalid value '%s', expected one of 'scalar', 'delta-batched' or 'batched'" s))
+             "invalid value '%s', expected 'scalar' or 'delta-batched'" s))
   in
   Arg.conv (parse, fun ppf k -> Format.pp_print_string ppf (Fi_campaign.kernel_name k))
 
@@ -880,7 +874,7 @@ let engine_arg =
           "Classification kernel: $(b,scalar) (the reference: one fault at a time from the \
            nearest golden checkpoint) or $(b,delta-batched) (production: up to 63 in-flight \
            faults, each a sparse delta against one shared recorded golden run, swept over one \
-           shared schedule; $(b,batched) is an alias). Both produce bit-identical verdicts.")
+           shared schedule). Both produce bit-identical verdicts.")
 
 let lanes_arg =
   Arg.(

@@ -71,12 +71,15 @@ let () =
        best);
 
   (* 4. oracle validation on a sample *)
-  let matrix = Replay.masked set triggers ~space:space_ff () in
+  let pruner = Replay.pruner set triggers ~space:space_ff () in
   let pruned = ref [] in
-  Array.iteri
-    (fun cycle row ->
-      Array.iteri (fun fi masked -> if masked then pruned := (cycle, fi) :: !pruned) row)
-    matrix;
+  for cycle = 0 to cycles - 1 do
+    Array.iteri
+      (fun fi (flop : Netlist.flop) ->
+        if Replay.pruned pruner ~flop_id:flop.Netlist.flop_id ~cycle then
+          pruned := (cycle, fi) :: !pruned)
+      space_ff.Fault_space.flops
+  done;
   let rng = Prng.create 1 in
   let sample =
     Prng.shuffle rng !pruned

@@ -44,12 +44,7 @@ let () =
   in
   show "all flip-flops:" (Fault_space.full nl ~cycles);
   show "register file only:"
-    (let space = Fault_space.full nl ~cycles in
-     {
-       space with
-       Fault_space.flops =
-         Array.of_list (Netlist.flops_matching nl ~prefix:"rf_");
-     });
+    (Fault_space.of_flops nl (Array.of_list (Netlist.flops_matching nl ~prefix:"rf_")) ~cycles);
   show "microarchitecture (w/o RF):" (Fault_space.without_prefix nl ~prefix:"rf_" ~cycles);
   print_endline
     "  -> intra-cycle masking concentrates outside the register file,\n\

@@ -45,27 +45,21 @@ let () =
   let trace = Campaign.golden_trace campaign in
   let report = Search.search_flops ~params ~traces:[ trace ] nl (Array.to_list nl.Netlist.flops) in
   let set = Mateset.of_report report in
-  let triggers = Replay.triggers set trace in
-  let matrix = Replay.masked set triggers ~space () in
-  Printf.printf "MATEs prune %d of %d faults up front (%.1f%%)\n%!"
-    (Replay.masked_count matrix) (Fault_space.size space)
-    (Pruning_util.Stats.percentage (Replay.masked_count matrix) (Fault_space.size space));
+  let pruner = Replay.pruner set (Replay.triggers set trace) ~space () in
+  let masked = Replay.pruner_masked_count pruner in
+  Printf.printf "MATEs prune %d of %d faults up front (%.1f%%)\n%!" masked (Fault_space.size space)
+    (Pruning_util.Stats.percentage masked (Fault_space.size space));
+  let t1 = Unix.gettimeofday () in
+  let pruned =
+    Campaign.run_sample campaign ~space ~rng:(Prng.create 7) ~n:samples
+      ~skip:(Replay.pruned pruner) ()
+  in
   (* A flop outside the fault space cannot be pruned — but it is a
      stale-fault-list symptom worth surfacing, not a silent "inject". *)
-  let unknown_flops = ref 0 in
-  let skip ~flop_id ~cycle =
-    match Fault_space.flop_index space flop_id with
-    | Some fi -> matrix.(cycle).(fi)
-    | None ->
-      incr unknown_flops;
-      false
-  in
-  let t1 = Unix.gettimeofday () in
-  let pruned = Campaign.run_sample campaign ~space ~rng:(Prng.create 7) ~n:samples ~skip () in
-  if !unknown_flops > 0 then
+  if Replay.unknown_count pruner > 0 then
     Printf.printf
       "warning: %d prune lookups named flops outside the fault space (injected, not pruned)\n%!"
-      !unknown_flops;
+      (Replay.unknown_count pruner);
   let pruned_time = Unix.gettimeofday () -. t1 in
   Printf.printf "pruned: %d injections (%d skipped) in %5.1fs -> %d benign, %d latent, %d SDC\n"
     pruned.Campaign.injections pruned.Campaign.skipped pruned_time pruned.Campaign.benign

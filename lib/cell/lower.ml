@@ -55,11 +55,6 @@ let rec eval e (ins : int array) =
   | Or (a, b) -> eval a ins lor eval b ins
   | Xor (a, b) -> eval a ins lxor eval b ins
 
-let rec op_count = function
-  | Zero | One | Var _ -> 0
-  | Not a -> 1 + op_count a
-  | And (a, b) | Or (a, b) | Xor (a, b) -> 1 + op_count a + op_count b
-
 (* Compile to a closure with the variable -> wire indirection resolved at
    build time: the hot per-gate evaluation performs only array loads and
    bitwise ops, no pattern matches. *)

@@ -36,7 +36,4 @@ val compile : expr -> inputs:int array -> int array -> int
     value array to the packed output word, with [Var j] resolved to
     [values.(inputs.(j))]. The returned closure performs no allocation. *)
 
-val op_count : expr -> int
-(** Number of bitwise operators in the formula (cost metric). *)
-
 val to_string : expr -> string

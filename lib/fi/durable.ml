@@ -117,11 +117,6 @@ let run campaign ~space ~seed ~n ?(ident = ("unknown", "unknown")) ?skip ?audit
       (Some w, recovered, dropped)
     | Some dir -> (Some (Journal.create ?records_per_segment ?chaos ~dir header), 0, 0)
   in
-  let journal_entry e =
-    match writer with
-    | Some w -> Journal.append w e
-    | None -> ()
-  in
   let is_pruned ~flop_id ~cycle =
     match skip with
     | Some f -> f ~flop_id ~cycle
@@ -141,8 +136,9 @@ let run campaign ~space ~seed ~n ?(ident = ("unknown", "unknown")) ?skip ?audit
     else Executor.Skip
   in
   (* A pruned fault's non-benign verdict: quarantine what claimed it
-     benign, journal the quarantines before the verdict (so a resume
-     replays them in order), and count the fault by its real verdict. *)
+     benign and count the fault by its real verdict. Returns the
+     quarantined mates, which are journaled before the verdict (so a
+     resume replays them in order). *)
   let handle_violation i (o : Journal.outcome) =
     let flop_id, cycle = samples.(i) in
     let v =
@@ -162,26 +158,29 @@ let run campaign ~space ~seed ~n ?(ident = ("unknown", "unknown")) ?skip ?audit
     violations :=
       { v_index = i; v_flop_id = flop_id; v_cycle = cycle; v_verdict = v; v_mates = mates }
       :: !violations;
-    List.iter (fun m -> journal_entry (Journal.Quarantine m)) mates
+    mates
   in
-  (* Every outcome is journaled the moment its window is classified (a
-     kill loses at most the window in flight, which the resume re-runs).
-     An audited fault's [Benign] verdict keeps the unaudited accounting:
-     the prune was sound. *)
-  let emit idx (o : Journal.outcome) =
-    let o =
+  (* One fault's journal entries, newest first. An audited fault's
+     [Benign] verdict keeps the unaudited accounting: the prune was
+     sound. *)
+  let record entries (idx, (o : Journal.outcome)) =
+    let quarantines, o =
       match o with
       | (Journal.Benign | Journal.Latent | Journal.Sdc _) when auditing.(idx) ->
         incr audited;
-        if o = Journal.Benign then Journal.Skipped
-        else begin
-          handle_violation idx o;
-          o
-        end
-      | o -> o
+        if o = Journal.Benign then ([], Journal.Skipped) else (handle_violation idx o, o)
+      | o -> ([], o)
     in
     outcomes.(idx) <- Some o;
-    journal_entry (Journal.Outcome (idx, o))
+    let entries = List.fold_left (fun acc m -> Journal.Quarantine m :: acc) entries quarantines in
+    Journal.Outcome (idx, o) :: entries
+  in
+  (* Every window is journaled as one group the moment it is classified
+     (a kill loses at most the window in flight, which the resume
+     re-runs). *)
+  let emit window =
+    let entries = Array.fold_left record [] window in
+    Option.iter (fun w -> Journal.append_batch w (Array.of_list (List.rev entries))) writer
   in
   Fun.protect ~finally:(fun () -> Option.iter Journal.close writer) (fun () ->
       ignore (Executor.run executor ~ranges:[ (0, n - 1) ] ~plan ~emit ?fault ()));

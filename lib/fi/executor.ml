@@ -150,11 +150,12 @@ let run t ~ranges ~plan ~emit ?fault () =
       in
       (* [verdicts] is in index order of the window's [Inject] plans. *)
       let next = ref 0 in
+      let outcomes = ref [] in
       Array.iteri
         (fun j p ->
           match p with
           | Done -> ()
-          | Skip -> emit idx.(j) Journal.Skipped
+          | Skip -> outcomes := (idx.(j), Journal.Skipped) :: !outcomes
           | Inject ->
             let o =
               match verdicts with
@@ -162,8 +163,9 @@ let run t ~ranges ~plan ~emit ?fault () =
               | None -> Journal.Crashed
             in
             incr next;
-            emit idx.(j) o)
+            outcomes := (idx.(j), o) :: !outcomes)
         plans;
+      if !outcomes <> [] then emit (Array.of_list (List.rev !outcomes));
       go rest
     end
   in

@@ -76,7 +76,7 @@ val run :
   t ->
   ranges:(int * int) list ->
   plan:(int -> flop_id:int -> cycle:int -> plan) ->
-  emit:(int -> Journal.outcome -> unit) ->
+  emit:((int * Journal.outcome) array -> unit) ->
   ?fault:(index:int -> attempt:int -> unit) ->
   unit ->
   bool
@@ -86,9 +86,10 @@ val run :
     caller holding many small ranges pays one attempt for all of them.
     [plan] is called exactly once per index, with its sampled fault, in
     that order and before that index's window is attempted (so a caller
-    may consume a PRNG draw per index). [emit] receives every non-[Done]
-    index of a window, in the same order, once the whole window is
-    classified: [Skipped], the kernel's verdict, or [Crashed]. [fault]
+    may consume a PRNG draw per index). [emit] is called once per window
+    that has a non-[Done] index, once the whole window is classified,
+    with the outcome of each such index in the same order: [Skipped],
+    the kernel's verdict, or [Crashed]. [fault]
     is a test-only hook called before every attempt with the window's
     first injected index and the attempt number; an exception it raises
     is handled like a crashed experiment. Returns [false] iff

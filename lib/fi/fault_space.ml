@@ -31,9 +31,8 @@ let check_model model flops =
          (Array.length flops))
   | _ -> ()
 
-let full ?(model = Fault_model.Seu) netlist ~cycles =
+let make ~model netlist flops ~cycles =
   check_cycles cycles;
-  let flops = Array.copy netlist.Netlist.flops in
   check_model model flops;
   {
     netlist;
@@ -45,19 +44,13 @@ let full ?(model = Fault_model.Seu) netlist ~cycles =
     cone_lock = Mutex.create ();
   }
 
+let full ?(model = Fault_model.Seu) netlist ~cycles =
+  make ~model netlist (Array.copy netlist.Netlist.flops) ~cycles
+
 let without_prefix ?(model = Fault_model.Seu) netlist ~prefix ~cycles =
-  check_cycles cycles;
-  let flops = Array.of_list (Netlist.flops_excluding netlist ~prefix) in
-  check_model model flops;
-  {
-    netlist;
-    flops;
-    cycles;
-    index = make_index netlist flops;
-    model;
-    set_table = [||];
-    cone_lock = Mutex.create ();
-  }
+  make ~model netlist (Array.of_list (Netlist.flops_excluding netlist ~prefix)) ~cycles
+
+let of_flops netlist flops ~cycles = make ~model:Fault_model.Seu netlist (Array.copy flops) ~cycles
 
 (* How many distinct keys the model enumerates: what the sampler draws
    its first coordinate from. *)

@@ -29,6 +29,10 @@ val without_prefix :
   ?model:Fault_model.t -> Pruning_netlist.Netlist.t -> prefix:string -> cycles:int -> t
 (** Excluding a named register bank, e.g. the register file ("FF w/o RF"). *)
 
+val of_flops : Pruning_netlist.Netlist.t -> Pruning_netlist.Netlist.flop array -> cycles:int -> t
+(** The SEU space over the given flops of the netlist, e.g. only the
+    register file. *)
+
 val n_keys : t -> int
 (** Distinct fault keys the model enumerates: |flops| for [Seu] and
     [Intermittent], |gates| for [Set], |flops| - K + 1 for [Mbu K]. *)

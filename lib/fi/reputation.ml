@@ -10,11 +10,6 @@ let weight = function
   | Corrupt_frame -> 2 (* CRC/decode failure on its frames *)
   | Lease_expiry -> 1 (* slow or wedged, not necessarily malicious *)
 
-let event_to_string = function
-  | Arbitration_loss -> "arbitration-loss"
-  | Corrupt_frame -> "corrupt-frame"
-  | Lease_expiry -> "lease-expiry"
-
 type t = (string, int) Hashtbl.t
 
 let create () : t = Hashtbl.create 8

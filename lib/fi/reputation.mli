@@ -21,9 +21,6 @@ type event =
 val weight : event -> int
 (** Fixed integer weight added to the score per event (3 / 2 / 1). *)
 
-val event_to_string : event -> string
-(** Stable lower-case label, used in serve-log lines. *)
-
 type t
 (** Mutable score table, keyed by worker name. *)
 

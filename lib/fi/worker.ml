@@ -194,9 +194,10 @@ let run ~host ~port ~resolve ?name ?(heartbeat = 1.) ?(recv_timeout = 30.) ?(ret
         acc_n := 0
       end
     in
-    (* Every verdict is pushed, then the session proves it is alive; a
-       chunk's last verdict closes it. *)
-    let emit idx outcome =
+    (* Every verdict of a window is pushed, sliced into its chunks'
+       frames, then the session proves it is alive; a chunk's last
+       verdict closes it. *)
+    let push (idx, outcome) =
       if outcome = Journal.Crashed then incr crashes;
       (* Byzantine chaos: one Verdict-site draw per verdict reported.
          A [Lie] rewrites the outcome before it is accumulated — every
@@ -230,7 +231,7 @@ let run ~host ~port ~resolve ?name ?(heartbeat = 1.) ?(recv_timeout = 30.) ?(ret
     let completed =
       Executor.run executor
         ~ranges:(Array.to_list (Array.map (fun c -> (c.Proto.lo, c.Proto.hi)) batch))
-        ~plan ~emit
+        ~plan ~emit:(Array.iter push)
         ?fault:(Option.map (fun f ~index -> f ~chunk_id:(chunk_of index) ~index) fault)
         ()
     in

@@ -54,6 +54,3 @@ let describe nl t i =
   Printf.sprintf "MATE %s over %d flop(s)"
     (Term.to_string nl m.term)
     (List.length m.flop_ids)
-
-let total_masked_flops t =
-  Array.fold_left (fun acc m -> acc + List.length m.flop_ids) 0 t.mates

@@ -31,6 +31,3 @@ val without : t -> int list -> t
 val describe : Pruning_netlist.Netlist.t -> t -> int -> string
 (** Human-readable one-liner for mate [i] (its term over named wires and
     how many flops it masks) — used by audit summaries. *)
-
-val total_masked_flops : t -> int
-(** Sum over mates of |flop_ids| (an upper bound on usefulness). *)

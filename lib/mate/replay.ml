@@ -51,9 +51,13 @@ let triggers (set : Mateset.t) trace =
   { t_cycles = cycles; words }
 
 let n_cycles t = t.t_cycles
+let n_words t = (t.t_cycles + Trace.bits_per_word - 1) / Trace.bits_per_word
 
-let triggered t ~mate ~cycle =
-  (t.words.(mate).(cycle / Trace.bits_per_word) lsr (cycle mod Trace.bits_per_word)) land 1 <> 0
+(* Bit [cycle] of a packed bitset (callers keep [cycle] in range). *)
+let bit words cycle =
+  (words.(cycle / Trace.bits_per_word) lsr (cycle mod Trace.bits_per_word)) land 1 <> 0
+
+let triggered t ~mate ~cycle = bit t.words.(mate) cycle
 
 let popcount n =
   let c = ref 0 in
@@ -73,87 +77,78 @@ let effective_indices t =
   done;
   !out
 
-let masked (set : Mateset.t) t ~space ?subset () =
-  let cycles = space.Fault_space.cycles in
-  (* Cycles beyond the recorded trace cannot be proven benign: clamp the
-     replay to the trace length and leave the excess rows all-false. *)
-  let covered = min cycles t.t_cycles in
-  let nf = Array.length space.Fault_space.flops in
-  let table = space.Fault_space.index in
-  let matrix = Array.init cycles (fun _ -> Array.make nf false) in
-  let indices =
-    match subset with
-    | Some l -> l
-    | None -> List.init (Array.length set.Mateset.mates) Fun.id
-  in
-  List.iter
-    (fun i ->
-      let m = set.Mateset.mates.(i) in
-      let space_flops =
-        List.filter_map
-          (fun fid -> if fid < Array.length table && table.(fid) >= 0 then Some table.(fid) else None)
-          m.Mateset.flop_ids
-      in
-      if space_flops <> [] then
-        for cycle = 0 to covered - 1 do
-          if triggered t ~mate:i ~cycle then
-            List.iter (fun fi -> matrix.(cycle).(fi) <- true) space_flops
-        done)
-    indices;
-  matrix
-
-let masked_count matrix =
-  Array.fold_left
-    (fun acc row -> Array.fold_left (fun acc b -> if b then acc + 1 else acc) acc row)
-    0 matrix
-
-let reduction_percent set t ~space ?subset () =
-  let matrix = masked set t ~space ?subset () in
-  Pruning_util.Stats.percentage (masked_count matrix) (Fault_space.size space)
-
 (* ------------------------------------------------------------------ *)
-(* Online pruner: the skip predicate a durable campaign consults per
-   fault, with two properties the precomputed [masked] matrix lacks:
-   individual mates can be disabled mid-run (the audit sentinel
-   quarantines a mate caught misclassifying), and a lookup for a flop
-   outside the fault space is an explicit, counted error path instead of
-   a silent "not pruned". *)
+(* The pruner: the one representation a MATE set replays into. Each
+   fault-space flop carries a packed cycle bitset, laid out like the
+   trigger words: the OR of the trigger words of every enabled mate that
+   masks the flop. A lookup is an index plus a bit test, a masked-fault
+   count is a popcount, and quarantining a mate rebuilds only its own
+   flops' bitsets. A lookup for a flop outside the fault space is an
+   explicit, counted error path instead of a silent "not pruned". *)
 
 type pruner = {
   p_set : Mateset.t;
   p_trig : triggers;
   p_space : Fault_space.t;
+  p_covered : int;  (* cycles a count covers: min space.cycles trace cycles *)
+  p_by_flop : int array array;  (* space flop index -> mates masking it, ascending *)
   p_enabled : bool array;
-  p_by_flop : int list array;  (* space flop index -> mates masking it *)
+  p_bits : int array array;  (* space flop index -> its pruned cycles *)
   p_quarantined : int list ref;  (* newest first *)
   p_unknown : int ref;
   p_warned : bool ref;
   p_lock : Mutex.t;
 }
 
+(* The space flop index of a netlist flop id, [-1] outside the space. *)
+let space_index (space : Fault_space.t) flop_id =
+  if flop_id < 0 || flop_id >= Array.length space.Fault_space.index then -1
+  else space.Fault_space.index.(flop_id)
+
+(* [f] on the space flop index of every flop mate [m] masks in the space. *)
+let iter_space_flops (set : Mateset.t) space m f =
+  List.iter
+    (fun fid ->
+      let fi = space_index space fid in
+      if fi >= 0 then f fi)
+    set.Mateset.mates.(m).Mateset.flop_ids
+
+(* The bits of word [w] below cycle [n]. *)
+let below n w =
+  let lo = w * Trace.bits_per_word in
+  if n >= lo + Trace.bits_per_word then -1 else if n <= lo then 0 else (1 lsl (n - lo)) - 1
+
+(* The OR of the enabled masking mates' trigger words. *)
+let flop_bits t ~enabled mates =
+  let bits = Array.make (n_words t) 0 in
+  Array.iter
+    (fun m ->
+      if enabled.(m) then begin
+        let trig = t.words.(m) in
+        for w = 0 to Array.length bits - 1 do
+          bits.(w) <- bits.(w) lor trig.(w)
+        done
+      end)
+    mates;
+  bits
+
 let pruner (set : Mateset.t) t ~space ?subset () =
   let n_mates = Array.length set.Mateset.mates in
   let enabled = Array.make n_mates (subset = None) in
-  (match subset with
-  | None -> ()
-  | Some l -> List.iter (fun i -> enabled.(i) <- true) l);
-  let table = space.Fault_space.index in
+  Option.iter (List.iter (fun i -> enabled.(i) <- true)) subset;
   let by_flop = Array.make (Array.length space.Fault_space.flops) [] in
-  Array.iteri
-    (fun i (m : Mateset.mate) ->
-      if enabled.(i) then
-        List.iter
-          (fun fid ->
-            if fid >= 0 && fid < Array.length table && table.(fid) >= 0 then
-              by_flop.(table.(fid)) <- i :: by_flop.(table.(fid)))
-          m.Mateset.flop_ids)
-    set.Mateset.mates;
+  for m = n_mates - 1 downto 0 do
+    iter_space_flops set space m (fun fi -> by_flop.(fi) <- m :: by_flop.(fi))
+  done;
+  let by_flop = Array.map Array.of_list by_flop in
   {
     p_set = set;
     p_trig = t;
     p_space = space;
+    p_covered = min space.Fault_space.cycles t.t_cycles;
+    p_by_flop = by_flop;
     p_enabled = enabled;
-    p_by_flop = Array.map List.rev by_flop;
+    p_bits = Array.map (flop_bits t ~enabled) by_flop;
     p_quarantined = ref [];
     p_unknown = ref 0;
     p_warned = ref false;
@@ -174,59 +169,74 @@ let unknown_flop p flop_id =
        %!"
       flop_id
 
-let masking p ~flop_id ~cycle =
-  match Fault_space.flop_index p.p_space flop_id with
-  | None ->
-    unknown_flop p flop_id;
-    []
-  | Some fi ->
-    if cycle < 0 || cycle >= p.p_trig.t_cycles then []
-    else
-      List.filter
-        (fun m -> p.p_enabled.(m) && triggered p.p_trig ~mate:m ~cycle)
-        p.p_by_flop.(fi)
+(* The space index of a looked-up flop, or [-1] (counted) outside it. *)
+let lookup p flop_id =
+  let fi = space_index p.p_space flop_id in
+  if fi < 0 then unknown_flop p flop_id;
+  fi
 
-let pruned p ~flop_id ~cycle = masking p ~flop_id ~cycle <> []
+let pruned_at p fi cycle = cycle >= 0 && cycle < p.p_trig.t_cycles && bit p.p_bits.(fi) cycle
+
+let pruned p ~flop_id ~cycle =
+  let fi = lookup p flop_id in
+  fi >= 0 && pruned_at p fi cycle
+
+let masking p ~flop_id ~cycle =
+  let fi = lookup p flop_id in
+  if fi < 0 || not (pruned_at p fi cycle) then []
+  else
+    Array.fold_right
+      (fun m acc -> if p.p_enabled.(m) && triggered p.p_trig ~mate:m ~cycle then m :: acc else acc)
+      p.p_by_flop.(fi) []
 
 let quarantine p m =
   if m < 0 || m >= Array.length p.p_enabled then invalid_arg "Replay.quarantine: no such mate";
   Mutex.lock p.p_lock;
   if p.p_enabled.(m) then begin
     p.p_enabled.(m) <- false;
-    p.p_quarantined := m :: !(p.p_quarantined)
+    p.p_quarantined := m :: !(p.p_quarantined);
+    (* Swap in fresh bitsets: a concurrent lookup sees the old or the
+       new one, never a half-built one. *)
+    iter_space_flops p.p_set p.p_space m (fun fi ->
+        p.p_bits.(fi) <- flop_bits p.p_trig ~enabled:p.p_enabled p.p_by_flop.(fi))
   end;
   Mutex.unlock p.p_lock
 
 let quarantined p = List.rev !(p.p_quarantined)
 let unknown_count p = !(p.p_unknown)
 
-let enabled_indices p =
-  let out = ref [] in
-  for i = Array.length p.p_enabled - 1 downto 0 do
-    if p.p_enabled.(i) then out := i :: !out
-  done;
-  !out
+(* Set bits of [words] below the covered cycle count. *)
+let covered_count p words =
+  let c = ref 0 in
+  Array.iteri (fun w x -> c := !c + popcount (x land below p.p_covered w)) words;
+  !c
 
-let pruner_masked_count p =
-  masked p.p_set p.p_trig ~space:p.p_space ~subset:(enabled_indices p) () |> masked_count
+let pruner_masked_count p = Array.fold_left (fun acc bits -> acc + covered_count p bits) 0 p.p_bits
+
+let reduction_percent set t ~space ?subset () =
+  Pruning_util.Stats.percentage
+    (pruner_masked_count (pruner set t ~space ?subset ()))
+    (Fault_space.size space)
 
 let describe_mate p m =
   Mateset.describe p.p_space.Fault_space.netlist p.p_set m
 
-let raw_masked_per_mate (set : Mateset.t) t ~space =
-  let table = space.Fault_space.index in
-  let cycles = min space.Fault_space.cycles t.t_cycles in
-  Array.mapi
-    (fun i (m : Mateset.mate) ->
-      let nf =
-        List.length
-          (List.filter
-             (fun fid -> fid < Array.length table && table.(fid) >= 0)
-             m.Mateset.flop_ids)
-      in
-      let count = ref 0 in
-      for cycle = 0 to cycles - 1 do
-        if triggered t ~mate:i ~cycle then incr count
-      done;
-      !count * nf)
-    set.Mateset.mates
+let masked_alone p m =
+  let flops = ref 0 in
+  iter_space_flops p.p_set p.p_space m (fun _ -> incr flops);
+  covered_count p p.p_trig.words.(m) * !flops
+
+let credits p order =
+  let covered = Array.map (fun bits -> Array.make (Array.length bits) 0) p.p_bits in
+  List.map
+    (fun m ->
+      let credit = ref 0 in
+      iter_space_flops p.p_set p.p_space m (fun fi ->
+          let cov = covered.(fi) in
+          Array.iteri
+            (fun w x ->
+              credit := !credit + popcount (x land lnot cov.(w) land below p.p_covered w);
+              cov.(w) <- cov.(w) lor x)
+            p.p_trig.words.(m));
+      !credit)
+    order

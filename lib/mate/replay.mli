@@ -22,46 +22,38 @@ val trigger_count : triggers -> int -> int
 val effective_indices : triggers -> int list
 (** Mates that triggered at least once ("#Effective MATEs"). *)
 
-val masked : Mateset.t -> triggers -> space:Pruning_fi.Fault_space.t -> ?subset:int list -> unit -> bool array array
-(** [masked set trig ~space ()] is indexed [cycle].(space flop index): the
-    (flop, cycle) faults proven benign. [subset] restricts to chosen mate
-    indices. If the space spans more cycles than the recorded trace, the
-    replay is clamped to [min space.cycles trace_cycles] — like
-    {!raw_masked_per_mate} — and the rows beyond the trace are all-false
-    (nothing can be proven benign without trace data). *)
-
-val masked_count : bool array array -> int
-
-val reduction_percent : Mateset.t -> triggers -> space:Pruning_fi.Fault_space.t -> ?subset:int list -> unit -> float
-(** Percentage of the fault space proven benign ("Masked Faults"). *)
-
 type pruner
-(** An online skip predicate over (flop, cycle) faults, backed by a MATE
-    set and its trigger bitsets, with support for disabling mates
-    mid-campaign. This is what a durable campaign's audit sentinel needs:
-    when a MATE is caught misclassifying a fault it claimed benign, it is
-    {!quarantine}d and the campaign degrades from "prune" to "inject" for
-    its flops instead of producing wrong statistics. *)
+(** The one representation a MATE set replays into: for every flop of a
+    fault space, a packed bitset of the cycles in which some enabled mate
+    masking that flop triggered. It is the skip predicate a campaign
+    consults per fault, and it supports disabling mates mid-campaign.
+    This is what a durable campaign's audit sentinel needs: when a MATE
+    is caught misclassifying a fault it claimed benign, it is
+    {!quarantine}d and the campaign degrades from "prune" to "inject"
+    for its flops instead of producing wrong statistics. *)
 
 val pruner :
   Mateset.t -> triggers -> space:Pruning_fi.Fault_space.t -> ?subset:int list -> unit -> pruner
-(** [subset] restricts the initially enabled mates (like {!masked}). *)
+(** [pruner set trig ~space ()] replays [set]'s trigger bitsets onto
+    [space]'s flops. [subset] restricts the initially enabled mates to
+    the chosen indices. *)
 
 val pruned : pruner -> flop_id:int -> cycle:int -> bool
 (** Some enabled mate proves the fault benign. Cycles beyond the recorded
     trace are never pruned. A [flop_id] outside the fault space is an
     explicit error path — logged once, counted in {!unknown_count}, and
     reported not-pruned so the fault is injected rather than silently
-    mis-skipped. *)
+    mis-skipped. Allocates nothing. *)
 
 val masking : pruner -> flop_id:int -> cycle:int -> int list
-(** The enabled mates that prune this fault (the candidates to quarantine
-    when an audit injection contradicts them); [[]] iff not {!pruned}. *)
+(** The enabled mates that prune this fault, in ascending index order
+    (the candidates to quarantine when an audit injection contradicts
+    them); [[]] iff not {!pruned}. *)
 
 val quarantine : pruner -> int -> unit
-(** Disable one mate for the rest of the campaign (idempotent).
-    Thread-safe; concurrent {!pruned} callers see the update on their
-    next lookup. *)
+(** Disable one mate for the rest of the campaign (idempotent),
+    rebuilding the bitsets of the flops it masks. Thread-safe;
+    concurrent {!pruned} callers see the update on their next lookup. *)
 
 val quarantined : pruner -> int list
 (** Mates quarantined so far, in quarantine order. *)
@@ -71,13 +63,25 @@ val unknown_count : pruner -> int
     bug or a stale fault list — see {!pruned}). *)
 
 val pruner_masked_count : pruner -> int
-(** Faults currently proven benign by the enabled mates (the {!masked}
-    count after quarantines). *)
+(** Faults of the space currently proven benign by the enabled mates.
+    Only the cycles of [min space.cycles trace_cycles] count: nothing is
+    provable without trace data. *)
+
+val reduction_percent :
+  Mateset.t -> triggers -> space:Pruning_fi.Fault_space.t -> ?subset:int list -> unit -> float
+(** {!pruner_masked_count} of a fresh pruner as a percentage of the
+    fault space ("Masked Faults"). *)
 
 val describe_mate : pruner -> int -> string
 (** {!Mateset.describe} against the pruner's netlist. *)
 
-val raw_masked_per_mate : Mateset.t -> triggers -> space:Pruning_fi.Fault_space.t -> int array
-(** Per-mate masked-fault count ignoring overlap with other mates (the
-    ranking key used before greedy selection). Clamps to
-    [min space.cycles trace_cycles], like {!masked}. *)
+val masked_alone : pruner -> int -> int
+(** Faults of the space mate [i] masks on its own, enabled or not,
+    ignoring overlap with other mates (the ranking key before greedy
+    selection). *)
+
+val credits : pruner -> int list -> int list
+(** [credits p order] credits each mate of [order], in turn, with the
+    faults it masks that no mate before it in [order] masks, enabled or
+    not (the greedy credit of trace-driven selection). The credits of
+    every mate sum to the faults the whole set masks. *)

@@ -1,61 +1,19 @@
-module Fault_space = Pruning_fi.Fault_space
-module Netlist = Pruning_netlist.Netlist
-
 let rank (set : Mateset.t) triggers ~space =
-  let raw = Replay.raw_masked_per_mate set triggers ~space in
-  let n_mates = Array.length set.Mateset.mates in
-  let order = Array.init n_mates Fun.id in
+  let p = Replay.pruner set triggers ~space () in
+  let cost i = Term.n_inputs set.Mateset.mates.(i).Mateset.term in
+  let raw = Array.init (Mateset.size set) (Replay.masked_alone p) in
+  let order = Array.init (Mateset.size set) Fun.id in
   Array.sort
     (fun a b ->
       match compare raw.(b) raw.(a) with
-      | 0 -> compare (Term.n_inputs set.Mateset.mates.(a).Mateset.term)
-               (Term.n_inputs set.Mateset.mates.(b).Mateset.term)
+      | 0 -> compare (cost a) (cost b)
       | c -> c)
     order;
-  (* Dense flop indices per mate, restricted to the space. *)
-  let max_id =
-    Array.fold_left
-      (fun acc (f : Netlist.flop) -> max acc f.Netlist.flop_id)
-      (-1)
-      space.Fault_space.netlist.Netlist.flops
-  in
-  let table = Array.make (max_id + 1) (-1) in
-  Array.iteri (fun i (f : Netlist.flop) -> table.(f.Netlist.flop_id) <- i) space.Fault_space.flops;
-  let mate_flops =
-    Array.map
-      (fun (m : Mateset.mate) ->
-        List.filter_map
-          (fun fid -> if fid < Array.length table && table.(fid) >= 0 then Some table.(fid) else None)
-          m.Mateset.flop_ids)
-      set.Mateset.mates
-  in
-  let nf = Array.length space.Fault_space.flops in
-  let cycles = min space.Fault_space.cycles (Replay.n_cycles triggers) in
-  let credited = Array.make n_mates 0 in
-  let cycle_mask = Array.make nf 0 in
-  (* cycle_mask.(f) = cycle+1 marks f as already masked in this cycle,
-     avoiding a per-cycle array clear. *)
-  for cycle = 0 to cycles - 1 do
-    Array.iter
-      (fun i ->
-        if Replay.triggered triggers ~mate:i ~cycle then
-          List.iter
-            (fun f ->
-              if cycle_mask.(f) <> cycle + 1 then begin
-                cycle_mask.(f) <- cycle + 1;
-                credited.(i) <- credited.(i) + 1
-              end)
-            mate_flops.(i))
-      order
-  done;
-  Array.to_list order
-  |> List.map (fun i -> (i, credited.(i)))
+  let order = Array.to_list order in
+  List.combine order (Replay.credits p order)
   |> List.sort (fun (a, ca) (b, cb) ->
          match compare cb ca with
-         | 0 ->
-           compare
-             (Term.n_inputs set.Mateset.mates.(a).Mateset.term)
-             (Term.n_inputs set.Mateset.mates.(b).Mateset.term)
+         | 0 -> compare (cost a) (cost b)
          | c -> c)
 
 let top ranking ~n =

@@ -101,23 +101,21 @@ let render_figure1b () =
     default_stimulus;
   let cycles = List.length default_stimulus in
   let space = Fault_space.full nl ~cycles in
-  let triggers = Replay.triggers set trace in
-  let matrix = Replay.masked set triggers ~space () in
+  let pruner = Replay.pruner set (Replay.triggers set trace) ~space () in
   let buffer = Buffer.create 512 in
   let out fmt = Printf.ksprintf (Buffer.add_string buffer) fmt in
   out "Figure 1b: fault-space pruning (%d flops x %d cycles)\n" (Netlist.n_flops nl) cycles;
   out "  '#' possibly effective, '.' pruned by a triggered MATE\n\n";
   out "       cycle 12345678\n";
-  Array.iteri
-    (fun _ (flop : Netlist.flop) ->
-      let fi = Option.get (Fault_space.flop_index space flop.Netlist.flop_id) in
+  Array.iter
+    (fun (flop : Netlist.flop) ->
       out "  %-10s " flop.Netlist.flop_name;
       for cycle = 0 to cycles - 1 do
-        out "%c" (if matrix.(cycle).(fi) then '.' else '#')
+        out "%c" (if Replay.pruned pruner ~flop_id:flop.Netlist.flop_id ~cycle then '.' else '#')
       done;
       out "\n")
     space.Fault_space.flops;
-  let pruned = Replay.masked_count matrix in
+  let pruned = Replay.pruner_masked_count pruner in
   out "\n  pruned %d of %d faults (%.1f%%)\n" pruned (Fault_space.size space)
     (Pruning_util.Stats.percentage pruned (Fault_space.size space));
   Buffer.contents buffer

@@ -18,9 +18,9 @@ let () =
       ("chaos", Test_chaos.suite);
       ("supervisor", Test_supervisor.suite);
       ("mate", Test_mate.suite);
+      ("replay", Test_replay.suite);
       ("properties", Test_properties.suite);
       ("extensions", Test_extensions.suite);
-      ("collapse", Test_collapse.suite);
       ("more", Test_more.suite);
       ("msp-fsm", Test_msp_fsm.suite);
       ("rtl-eval", Test_rtl_eval.suite);

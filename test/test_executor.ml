@@ -55,15 +55,18 @@ let reference () =
     (fun (key, cycle) -> outcome_of_verdict (Campaign.inject_fault campaign w ~space ~key ~cycle))
     samples
 
-(* Run [lo..hi] and collect (plan calls, emissions, completed). *)
-let drive ?fault ?(lo = 0) ?(hi = n - 1) ~plan x =
+(* Run [lo..hi] and collect (plan calls, emissions, completed); the
+   emitted windows go to [windows], oldest first. *)
+let drive ?fault ?(lo = 0) ?(hi = n - 1) ?(windows = ref []) ~plan x =
   let planned = ref [] and emitted = ref [] in
   let completed =
     Executor.run x ~ranges:[ (lo, hi) ]
       ~plan:(fun i ~flop_id:_ ~cycle:_ ->
         planned := i :: !planned;
         plan i)
-      ~emit:(fun i o -> emitted := (i, o) :: !emitted)
+      ~emit:(fun window ->
+        windows := !windows @ [ Array.to_list window ];
+        emitted := List.rev_append (Array.to_list window) !emitted)
       ?fault ()
   in
   (List.rev !planned, List.rev !emitted, completed)
@@ -77,7 +80,8 @@ let test_contract () =
     (fun kernel ->
       let label = Campaign.kernel_name kernel in
       let x = executor ~window:16 ~kernel (setup ()) in
-      let planned, emitted, completed = drive ~lo:3 ~hi:(n - 1) ~plan:mixed_plan x in
+      let windows = ref [] in
+      let planned, emitted, completed = drive ~lo:3 ~hi:(n - 1) ~windows ~plan:mixed_plan x in
       check_bool (label ^ ": completed") true completed;
       check_bool (label ^ ": one plan call per index, in order") true
         (planned = List.init (n - 3) (fun i -> i + 3));
@@ -91,6 +95,18 @@ let test_contract () =
           planned
       in
       check_bool (label ^ ": emissions = scalar verdicts, in index order") true (emitted = want);
+      (* One emission per window holding a non-[Done] index: sixteen
+         indices per batched window, one per scalar one. *)
+      let width = if kernel = Campaign.Delta_batched then 16 else 1 in
+      let by_window =
+        List.filter_map
+          (fun k ->
+            match List.filter (fun (i, _) -> (i - 3) / width = k) want with
+            | [] -> None
+            | w -> Some w)
+          (List.init (n - 3) Fun.id)
+      in
+      check_bool (label ^ ": one emission per window") true (!windows = by_window);
       check_int (label ^ ": no failures") 0 (Executor.failures x))
     kernels
 
@@ -185,7 +201,7 @@ let test_ranges_share_windows () =
       let completed =
         Executor.run x ~ranges
           ~plan:(fun _ ~flop_id:_ ~cycle:_ -> Executor.Inject)
-          ~emit:(fun i o -> emitted := (i, o) :: !emitted)
+          ~emit:(fun window -> emitted := List.rev_append (Array.to_list window) !emitted)
           ~fault:(fun ~index ~attempt:_ -> attempts := index :: !attempts)
           ()
       in

@@ -155,13 +155,14 @@ let test_masked_subset_smaller () =
   let nl, set, trace = tiny_setup () in
   let triggers = Replay.triggers set trace in
   let space = Fault_space.full nl ~cycles:12 in
-  let all = Replay.masked_count (Replay.masked set triggers ~space ()) in
-  let none = Replay.masked_count (Replay.masked set triggers ~space ~subset:[] ()) in
+  let masked ?subset () = Replay.pruner_masked_count (Replay.pruner set triggers ~space ?subset ()) in
+  let all = masked () in
+  let none = masked ~subset:[] () in
   check_int "empty subset masks nothing" 0 none;
   check_bool "full set masks something" true (all > 0);
   (* any singleton subset is at most the total *)
   for i = 0 to Mateset.size set - 1 do
-    let single = Replay.masked_count (Replay.masked set triggers ~space ~subset:[ i ] ()) in
+    let single = masked ~subset:[ i ] () in
     check_bool "singleton <= all" true (single <= all)
   done
 
@@ -180,19 +181,21 @@ let test_select_top_overshoot () =
 
 let test_space_cycles_exceed_trace () =
   (* A space longer than the trace is clamped: the replayable prefix masks
-     exactly what a trace-length space masks, and the rows beyond the
-     trace stay all-false (nothing provable without trace data). *)
+     exactly what a trace-length space masks, and the cycles beyond the
+     trace are never pruned (nothing provable without trace data). *)
   let nl, set, trace = tiny_setup () in
   let triggers = Replay.triggers set trace in
   let space = Fault_space.full nl ~cycles:50 in
-  let matrix = Replay.masked set triggers ~space () in
-  check_int "matrix spans the space" 50 (Array.length matrix);
+  let p = Replay.pruner set triggers ~space () in
   let clamped = Fault_space.full nl ~cycles:(Replay.n_cycles triggers) in
-  let prefix = Replay.masked set triggers ~space:clamped () in
-  check_int "same masking as trace-length space" (Replay.masked_count prefix)
-    (Replay.masked_count matrix);
+  check_int "same masking as trace-length space"
+    (Replay.pruner_masked_count (Replay.pruner set triggers ~space:clamped ()))
+    (Replay.pruner_masked_count p);
   for cycle = Replay.n_cycles triggers to 49 do
-    Array.iter (fun b -> check_bool "beyond trace all-false" false b) matrix.(cycle)
+    Array.iter
+      (fun (f : Netlist.flop) ->
+        check_bool "beyond trace never pruned" false (Replay.pruned p ~flop_id:f.Netlist.flop_id ~cycle))
+      space.Fault_space.flops
   done
 
 (* ---- search statistics ------------------------------------------------ *)
