@@ -19,8 +19,6 @@
 
 module Netlist = Pruning_netlist.Netlist
 module System = Pruning_cpu.System
-module Avr_asm = Pruning_cpu.Avr_asm
-module Programs = Pruning_cpu.Programs
 module Fault_space = Pruning_fi.Fault_space
 module Campaign = Pruning_fi.Campaign
 module Intercycle = Pruning_fi.Intercycle
@@ -98,13 +96,18 @@ let run_cost () =
   let msp = get_prepared `Msp in
   Table.print ~title:"MSP430 MATE sets" (Experiments.mate_cost_table msp)
 
+(* The AVR core netlist and a maker of fresh AVR/fib systems over it. *)
+let avr_fib () =
+  let core, program = Option.get (System.find ~core:"avr" ~program:"fib") in
+  let nl = core.System.build () in
+  (nl, fun () -> program.System.make nl)
+
 (* Ablation: how the heuristic knobs trade fault-space reduction against
    search effort, on the AVR non-RF fault set. *)
 let run_ablation () =
   section "Ablation: heuristic parameters (AVR, FF w/o RF, fib trace)";
-  let nl = System.avr_netlist () in
-  let program = Avr_asm.assemble Programs.avr_fib in
-  let sys = System.create_avr ~netlist:nl ~program "avr/fib" in
+  let nl, make = avr_fib () in
+  let sys = make () in
   let trace = System.record sys ~cycles in
   let flops = Netlist.flops_excluding nl ~prefix:"rf_" in
   let space = Fault_space.without_prefix nl ~prefix:"rf_" ~cycles in
@@ -137,9 +140,7 @@ let run_campaign () =
   section "HAFI campaign: experiments avoided by online pruning (AVR/fib)";
   let horizon = if quick then 200 else 400 in
   let samples = if quick then 120 else 300 in
-  let nl = System.avr_netlist () in
-  let program = Avr_asm.assemble Programs.avr_fib in
-  let make () = System.create_avr ~netlist:nl ~program "avr/fib" in
+  let nl, make = avr_fib () in
   let space = Fault_space.full nl ~cycles:horizon in
   let campaign = Campaign.create ~make ~total_cycles:horizon () in
   let plain = Campaign.run_sample campaign ~space ~rng:(Prng.create 7) ~n:samples () in

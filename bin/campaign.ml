@@ -17,9 +17,6 @@
 
 module Netlist = Pruning_netlist.Netlist
 module System = Pruning_cpu.System
-module Avr_asm = Pruning_cpu.Avr_asm
-module Msp_asm = Pruning_cpu.Msp_asm
-module Programs = Pruning_cpu.Programs
 module Fi_campaign = Pruning_fi.Campaign
 module Fault_space = Pruning_fi.Fault_space
 module Fault_model = Pruning_fi.Fault_model
@@ -114,29 +111,6 @@ let fault_model_conv =
   Arg.conv'
     (Fault_model.of_string, fun ppf m -> Format.pp_print_string ppf (Fault_model.name m))
 
-(* The two system makers (scalar, batched-delta) for a built-in
-   core/program pair — one per classification kernel. [None] for a pair
-   this build does not know (a coordinator may name one). *)
-let make_system core program =
-  let avr p name =
-    Some
-      ( (fun nl -> System.create_avr ?netlist:nl ~program:(Lazy.force p) name),
-        fun nl ~trace ->
-          System.create_avr_delta_batch ?netlist:nl ~program:(Lazy.force p) ~trace name )
-  in
-  let msp p name =
-    Some
-      ( (fun nl -> System.create_msp ?netlist:nl ~program:(Lazy.force p) name),
-        fun nl ~trace ->
-          System.create_msp_delta_batch ?netlist:nl ~program:(Lazy.force p) ~trace name )
-  in
-  match (core, program) with
-  | "avr", "fib" -> avr (lazy (Avr_asm.assemble Programs.avr_fib)) "avr/fib"
-  | "avr", "conv" -> avr (lazy (Avr_asm.assemble Programs.avr_conv)) "avr/conv"
-  | "msp430", "fib" -> msp (lazy (Msp_asm.assemble Programs.msp_fib)) "msp/fib"
-  | "msp430", "conv" -> msp (lazy (Msp_asm.assemble Programs.msp_conv)) "msp/conv"
-  | _ -> None
-
 (* ------------------------------------------------------------------ *)
 (* Shared campaign setup.                                               *)
 
@@ -213,14 +187,16 @@ type engines = {
 (* Campaign, fault space and pruner for one campaign identity (a journal
    header): the local runner and every distributed worker build them
    here, so both classify the identical fault list with the identical
-   skip set. [Error] names what
-   this build cannot run: an unknown core/program, or a fault model the
-   core cannot host (an MBU cluster wider than its flops). *)
+   skip set. [Error] names what this build cannot run: a core/program
+   outside {!System.catalogue} (a coordinator may name one), or a fault
+   model the core cannot host (an MBU cluster wider than its flops). *)
 let setup (id : Journal.header) ~kernel =
-  match make_system id.core id.program with
-  | None -> Error (Printf.sprintf "unknown core/program %S/%S" id.core id.program)
-  | Some (make, make_delta_batch) -> (
-    let nl = (make None).System.netlist in
+  match System.find ~core:id.core ~program:id.program with
+  | None ->
+    Error
+      (Printf.sprintf "unknown core/program %S/%S (built-in: %s)" id.core id.program System.known)
+  | Some (core, program) -> (
+    let nl = core.System.build () in
     match Fault_space.full ~model:id.fault_model nl ~cycles:id.cycles with
     | exception Invalid_argument msg ->
       Error (Printf.sprintf "--fault-model %s: %s" (Fault_model.name id.fault_model) msg)
@@ -230,8 +206,8 @@ let setup (id : Journal.header) ~kernel =
         (Fault_space.size space) id.samples;
       let campaign =
         Fi_campaign.create
-          ~make:(fun () -> make (Some nl))
-          ~make_delta_batch:(fun ~trace -> make_delta_batch (Some nl) ~trace)
+          ~make:(fun () -> program.System.make nl)
+          ~make_delta_batch:(program.System.make_delta_batch nl)
           ~total_cycles:id.cycles ()
       in
       Printf.printf "checkpoint interval: %d cycles; engine: %s\n%!"
@@ -300,8 +276,12 @@ let print_stats (stats : Fi_campaign.stats) elapsed =
 
 let run (id : Journal.header) kernel lanes journal resume audit retries
     chaos =
+  let chaos = chaos 0 in
+  let durable = journal <> None || resume || audit > 0. || chaos <> None in
   usage_check
     [
+      ( retries <> None && not durable,
+        "--retries only applies to a supervised run (--journal, --resume, --audit or --chaos)" );
       ( audit > 0. && not id.prune,
         Printf.sprintf "--audit %g needs --prune: without pruning there is nothing to audit"
           audit );
@@ -318,8 +298,6 @@ let run (id : Journal.header) kernel lanes journal resume audit retries
     | Error msg -> `Error (true, msg)
     | Ok { campaign; space; pruner; skip } ->
       let lanes = if lanes > 0 then Some lanes else None in
-      let chaos = chaos 0 in
-      let durable = journal <> None || resume || audit > 0. || chaos <> None in
       let start = Mono.now () in
       if not durable then begin
         let rng = Prng.create id.seed in
@@ -352,7 +330,7 @@ let run (id : Journal.header) kernel lanes journal resume audit retries
         in
         match
           Durable.run campaign ~space ~seed:id.seed ~n:id.samples ~ident:(id.core, id.program)
-            ?skip ?audit:audit_arg ~kernel ?lanes ~retries ?journal ~resume
+            ?skip ?audit:audit_arg ~kernel ?lanes ?retries ?journal ~resume
             ~should_stop:stop_requested ?chaos ()
         with
         | exception Journal.Error msg -> `Ok (fail exit_journal "%s" msg)
@@ -506,7 +484,7 @@ exception Unknown_identity of string
    Welcome header, so a worker needs no campaign flags at all. The
    header pins the fault model; the worker obeys it — a fleet never
    mixes models within one campaign. *)
-let work_one ~host ~port ~name ~kernel ~retries ~max_reconnects
+let work_one ~host ~port ~name ~kernel ?retries ~max_reconnects
     ~recv_timeout ?readdress ~chaos () =
   let resolve h =
     match setup h ~kernel with
@@ -515,7 +493,7 @@ let work_one ~host ~port ~name ~kernel ~retries ~max_reconnects
     | Ok { campaign; space; skip; _ } -> { Worker.campaign; space; skip; kernel }
   in
   match
-    Worker.run ~host ~port ~resolve ?name ~recv_timeout ~retries ~max_reconnects ?readdress
+    Worker.run ~host ~port ~resolve ?name ~recv_timeout ?retries ~max_reconnects ?readdress
       ~should_stop:stop_requested ?chaos ()
   with
   | exception Unknown_identity msg -> fail exit_service "%s" msg
@@ -539,7 +517,7 @@ let work (host, port) name workers kernel retries max_reconnects recv_timeout
   @@ fun () ->
   install_signal_handlers ();
   let one i =
-    work_one ~host ~port ~name ~kernel ~retries ~max_reconnects
+    work_one ~host ~port ~name ~kernel ?retries ~max_reconnects
       ~recv_timeout ~chaos:(chaos i) ()
   in
   if workers = 1 then `Ok (one 0)
@@ -595,15 +573,10 @@ let work (host, port) name workers kernel retries max_reconnects recv_timeout
    serving) fails the probe just like a dead one. *)
 let probe_coordinator ~host ~port =
   match
-    let addr =
-      try Unix.inet_addr_of_string host
-      with Failure _ -> (Unix.gethostbyname host).Unix.h_addr_list.(0)
-    in
-    let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+    let fd = Proto.connect host port in
     Fun.protect
       ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
       (fun () ->
-        Unix.connect fd (Unix.ADDR_INET (addr, port));
         let deadline = Mono.now () +. 2. in
         Proto.send ~deadline fd
           (Proto.Hello { version = Proto.version; name = probe_name; epoch = -1 });
@@ -631,7 +604,7 @@ let supervised_work ~host ~current_port ~index ~chaos =
   let port = await_port 100 in
   work_one ~host ~port
     ~name:(Some (Printf.sprintf "fleet-%d" (index + 1)))
-    ~kernel:Fi_campaign.Scalar ~retries:2 ~max_reconnects:1000
+    ~kernel:Fi_campaign.Scalar ~max_reconnects:1000
     ~recv_timeout:30.
     ~readdress:(fun () -> Option.map (fun p -> (host, p)) (current_port ()))
     ~chaos ()
@@ -811,14 +784,25 @@ let fsck_dir dir =
    coordinator pins: engine-free, it fixes the exact fault list every
    worker derives. shards=0 marks the journal as distributed, so local
    --resume refuses it and vice versa ({!Durable} writes its own
-   one-shard header from the same fields). *)
+   one-shard header from the same fields). The core and program come
+   from {!System.catalogue}, and a pair it lacks is a usage error: no
+   worker could run it. *)
 let identity =
   let enum_of names = Arg.enum (List.map (fun n -> (n, n)) names) in
+  let cores = List.map (fun c -> c.System.core_name) System.catalogue in
+  let programs =
+    List.sort_uniq String.compare
+      (List.concat_map (fun c -> List.map fst c.System.programs) System.catalogue)
+  in
   let core =
-    Arg.(value & opt (enum_of [ "avr"; "msp430" ]) "avr" & info [ "core" ] ~doc:"avr or msp430.")
+    Arg.(
+      value & opt (enum_of cores) "avr"
+      & info [ "core" ] ~doc:("Built-in core: " ^ String.concat " or " cores ^ "."))
   in
   let program =
-    Arg.(value & opt (enum_of [ "fib"; "conv" ]) "fib" & info [ "program" ] ~doc:"fib or conv.")
+    Arg.(
+      value & opt (enum_of programs) "fib"
+      & info [ "program" ] ~doc:("Built-in program of the core: " ^ System.known ^ "."))
   in
   let cycles =
     Arg.(value & opt positive 500 & info [ "cycles" ] ~doc:"Campaign horizon in cycles.")
@@ -848,23 +832,32 @@ let identity =
              every model bit-identically.")
   in
   Term.(
-    const (fun core program cycles samples seed prune fault_model ->
-        {
-          Journal.core;
-          program;
-          cycles;
-          seed;
-          samples;
-          prune;
-          audit = 0.;
-          shards = 0;
-          batched = false;
-          epoch = 0;
-          fault_model;
-          prng = Prng.save (Prng.create seed);
-          shard_prng = [||];
-        })
-    $ core $ program $ cycles $ samples $ seed $ prune $ model)
+    ret
+      (const (fun core program cycles samples seed prune fault_model ->
+           match System.find ~core ~program with
+           | None ->
+             `Error
+               ( true,
+                 Printf.sprintf "--program %s is not built for --core %s (built-in: %s)" program
+                   core System.known )
+           | Some _ ->
+             `Ok
+               {
+                 Journal.core;
+                 program;
+                 cycles;
+                 seed;
+                 samples;
+                 prune;
+                 audit = 0.;
+                 shards = 0;
+                 batched = false;
+                 epoch = 0;
+                 fault_model;
+                 prng = Prng.save (Prng.create seed);
+                 shard_prng = [||];
+               })
+      $ core $ program $ cycles $ samples $ seed $ prune $ model))
 
 let engine_arg =
   Arg.(
@@ -913,11 +906,13 @@ let audit =
 
 let retries =
   Arg.(
-    value & opt non_negative 2
-    & info [ "retries" ]
+    value
+    & opt (some non_negative) None
+    & info [ "retries" ] ~docv:"N"
         ~doc:
           "Supervisor retries per failing experiment, each on a freshly built system, before it \
-           is recorded as crashed.")
+           is recorded as crashed (default 2). On $(b,run) it needs a supervised run: \
+           $(b,--journal), $(b,--resume), $(b,--audit) or $(b,--chaos).")
 
 let chaos_seed_arg =
   Arg.(

@@ -7,27 +7,15 @@ module Mono = Pruning_util.Mono
 module Sim = Pruning_sim.Sim
 module Vcd = Pruning_vcd.Vcd
 module System = Pruning_cpu.System
-module Avr_asm = Pruning_cpu.Avr_asm
-module Msp_asm = Pruning_cpu.Msp_asm
-module Programs = Pruning_cpu.Programs
 open Cmdliner
 
-let systems =
-  [
-    (("avr", "fib"), fun () -> System.create_avr ~program:(Avr_asm.assemble Programs.avr_fib) "avr/fib");
-    (("avr", "conv"), fun () -> System.create_avr ~program:(Avr_asm.assemble Programs.avr_conv) "avr/conv");
-    (("avr", "sort"), fun () -> System.create_avr ~program:(Avr_asm.assemble Programs.avr_sort) "avr/sort");
-    (("msp430", "fib"), fun () -> System.create_msp ~program:(Msp_asm.assemble Programs.msp_fib) "msp/fib");
-    (("msp430", "conv"), fun () -> System.create_msp ~program:(Msp_asm.assemble Programs.msp_conv) "msp/conv");
-  ]
-
 let run core program cycles vcd_out ram_dump =
-  match List.assoc_opt (core, program) systems with
+  match System.find ~core ~program with
   | None ->
-    prerr_endline "cpusim: unknown core/program (avr x fib|conv|sort, msp430 x fib|conv)";
+    prerr_endline ("cpusim: unknown core/program (" ^ System.known ^ ")");
     1
-  | Some make ->
-    let sys = make () in
+  | Some (core, program) ->
+    let sys = program.System.make (core.System.build ()) in
     let nl = sys.System.netlist in
     Printf.printf "%s: %d gates, %d flops, %d wires; running %d cycles\n%!" sys.System.name
       (Netlist.n_gates nl) (Netlist.n_flops nl) (Netlist.n_wires nl) cycles;
@@ -50,8 +38,9 @@ let run core program cycles vcd_out ram_dump =
     end;
     0
 
-let core = Arg.(value & opt string "avr" & info [ "core" ] ~doc:"avr or msp430.")
-let program = Arg.(value & opt string "fib" & info [ "program" ] ~doc:"fib, conv or sort (sort: AVR only).")
+let core = Arg.(value & opt string "avr" & info [ "core" ] ~doc:"Built-in core.")
+let program =
+  Arg.(value & opt string "fib" & info [ "program" ] ~doc:("Built-in program: " ^ System.known ^ "."))
 let cycles = Arg.(value & opt int 8500 & info [ "cycles" ] ~doc:"Clock cycles to simulate.")
 let vcd = Arg.(value & opt (some string) None & info [ "vcd" ] ~docv:"FILE" ~doc:"Dump a VCD trace.")
 let ram_dump = Arg.(value & opt int 48 & info [ "dump" ] ~doc:"Dump the first N memory cells (0 = none).")

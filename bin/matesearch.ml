@@ -15,9 +15,10 @@ open Cmdliner
 
 let load_netlist core file =
   match (core, file) with
-  | Some "avr", None -> Ok (System.avr_netlist ())
-  | Some "msp430", None -> Ok (System.msp_netlist ())
-  | Some other, None -> Error (Printf.sprintf "unknown core %S (avr|msp430)" other)
+  | Some name, None -> (
+    match System.find_core name with
+    | Some c -> Ok (c.System.build ())
+    | None -> Error (Printf.sprintf "unknown core %S (built-in: %s)" name System.known))
   | None, Some path -> begin
     try Ok (Textio.load path) with
     | Sys_error m | Failure m -> Error m

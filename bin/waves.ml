@@ -9,9 +9,6 @@ module Sim = Pruning_sim.Sim
 module Waveform = Pruning_sim.Waveform
 module Vcd = Pruning_vcd.Vcd
 module System = Pruning_cpu.System
-module Avr_asm = Pruning_cpu.Avr_asm
-module Msp_asm = Pruning_cpu.Msp_asm
-module Programs = Pruning_cpu.Programs
 open Cmdliner
 
 let default_names core =
@@ -19,35 +16,27 @@ let default_names core =
   | "msp430" -> [ "state"; "pc"; "ir"; "mem_addr"; "mem_wen" ]
   | _ -> [ "pc"; "ir"; "ir_valid[0]"; "sreg"; "portb" ]
 
+let unknown what name =
+  prerr_endline (Printf.sprintf "waves: unknown %s %S (built-in: %s)" what name System.known);
+  exit 1
+
 let run core program vcd names from_cycle cycles =
-  let netlist =
-    match core with
-    | "avr" -> System.avr_netlist ()
-    | "msp430" -> System.msp_netlist ()
-    | other ->
-      prerr_endline ("waves: unknown core " ^ other);
-      exit 1
+  let c =
+    match System.find_core core with
+    | Some c -> c
+    | None -> unknown "core" core
   in
+  let netlist = c.System.build () in
   let trace =
     match vcd with
     | Some path -> Vcd.reorder (Vcd.parse_file path) netlist
     | None ->
-      let sys =
-        match (core, program) with
-        | "avr", "fib" -> System.create_avr ~netlist ~program:(Avr_asm.assemble Programs.avr_fib) "w"
-        | "avr", "conv" ->
-          System.create_avr ~netlist ~program:(Avr_asm.assemble Programs.avr_conv) "w"
-        | "avr", "sort" ->
-          System.create_avr ~netlist ~program:(Avr_asm.assemble Programs.avr_sort) "w"
-        | "msp430", "fib" ->
-          System.create_msp ~netlist ~program:(Msp_asm.assemble Programs.msp_fib) "w"
-        | "msp430", "conv" ->
-          System.create_msp ~netlist ~program:(Msp_asm.assemble Programs.msp_conv) "w"
-        | _ ->
-          prerr_endline "waves: unknown program (fib|conv|sort)";
-          exit 1
+      let p =
+        match List.assoc_opt program c.System.programs with
+        | Some p -> p
+        | None -> unknown "program" program
       in
-      System.record sys ~cycles:(from_cycle + cycles)
+      System.record (p.System.make netlist) ~cycles:(from_cycle + cycles)
   in
   let wf = Waveform.create netlist trace in
   let names = if names = [] then default_names core else names in
@@ -60,8 +49,9 @@ let run core program vcd names from_cycle cycles =
     exit 1);
   0
 
-let core = Arg.(value & opt string "avr" & info [ "core" ] ~doc:"avr or msp430.")
-let program = Arg.(value & opt string "fib" & info [ "program" ] ~doc:"fib, conv or sort.")
+let core = Arg.(value & opt string "avr" & info [ "core" ] ~doc:"Built-in core.")
+let program =
+  Arg.(value & opt string "fib" & info [ "program" ] ~doc:("Built-in program: " ^ System.known ^ "."))
 let vcd = Arg.(value & opt (some file) None & info [ "vcd" ] ~docv:"FILE" ~doc:"Use a recorded VCD instead of simulating.")
 let names = Arg.(value & opt_all string [] & info [ "w"; "wire" ] ~docv:"NAME" ~doc:"Wire or group to display (repeatable).")
 let from_cycle = Arg.(value & opt int 0 & info [ "from" ] ~doc:"First cycle.")

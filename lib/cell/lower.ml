@@ -77,12 +77,3 @@ let rec compile e ~(inputs : int array) : int array -> int =
   | Xor (a, b) ->
     let fa = compile a ~inputs and fb = compile b ~inputs in
     fun values -> fa values lxor fb values
-
-let rec to_string = function
-  | Zero -> "0"
-  | One -> "1"
-  | Var j -> Printf.sprintf "x%d" j
-  | Not a -> Printf.sprintf "~%s" (to_string a)
-  | And (a, b) -> Printf.sprintf "(%s & %s)" (to_string a) (to_string b)
-  | Or (a, b) -> Printf.sprintf "(%s | %s)" (to_string a) (to_string b)
-  | Xor (a, b) -> Printf.sprintf "(%s ^ %s)" (to_string a) (to_string b)

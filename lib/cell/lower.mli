@@ -36,4 +36,3 @@ val compile : expr -> inputs:int array -> int array -> int
     value array to the packed output word, with [Var j] resolved to
     [values.(inputs.(j))]. The returned closure performs no allocation. *)
 
-val to_string : expr -> string

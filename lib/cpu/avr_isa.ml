@@ -48,9 +48,6 @@ type t =
   | Brlt of target
   | Brge of target
 
-let lsl_ rd = Add (rd, rd)
-let rol rd = Adc (rd, rd)
-
 let io_portb = 0x18
 let io_pinb = 0x16
 

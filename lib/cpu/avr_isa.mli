@@ -61,12 +61,6 @@ type t =
   | Brlt of target  (** branch if S = N xor V set (signed less-than) *)
   | Brge of target  (** branch if S clear (signed greater-or-equal) *)
 
-val lsl_ : int -> t
-(** LSL Rd, the standard alias for ADD Rd,Rd. *)
-
-val rol : int -> t
-(** ROL Rd = ADC Rd,Rd. *)
-
 val encode : t -> int
 (** 16-bit instruction word. Raises [Invalid_argument] on out-of-range
     operands or unresolved labels. *)

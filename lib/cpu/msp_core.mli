@@ -31,6 +31,5 @@ val state_fetch : int
 val state_src : int
 val state_src_idx : int
 val state_dst : int
-val state_dst_idx : int
 val state_exec : int
 val state_wb : int

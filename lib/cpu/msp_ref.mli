@@ -16,9 +16,6 @@ type t = {
 
 val create : words:int -> program:int array -> t
 
-val step : t -> unit
-(** Execute one instruction (no-op once halted; unknown words skip). *)
-
 val run : t -> max_steps:int -> unit
 
 val read_reg : t -> int -> int

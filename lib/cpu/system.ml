@@ -116,3 +116,74 @@ let record t ~cycles =
   let trace = Trace.create ~n_wires:(Netlist.n_wires t.netlist) in
   Sim.run t.sim ~trace ~cycles ();
   trace
+
+(* The built-in catalogue: the one map from a core/program name to its
+   systems. Each program is assembled once, here. *)
+
+type program = {
+  system_name : string;
+  make : Netlist.t -> t;
+  make_delta_batch : Netlist.t -> trace:Trace.t -> delta_batch;
+}
+
+type core = {
+  core_name : string;
+  build : unit -> Netlist.t;
+  core_rf_prefix : string;
+  programs : (string * program) list;
+}
+
+let avr_program system_name items =
+  let program = Avr_asm.assemble items in
+  {
+    system_name;
+    make = (fun netlist -> create_avr ~netlist ~program system_name);
+    make_delta_batch =
+      (fun netlist ~trace -> create_avr_delta_batch ~netlist ~program ~trace system_name);
+  }
+
+let msp_program system_name items =
+  let program = Msp_asm.assemble items in
+  {
+    system_name;
+    make = (fun netlist -> create_msp ~netlist ~program system_name);
+    make_delta_batch =
+      (fun netlist ~trace -> create_msp_delta_batch ~netlist ~program ~trace system_name);
+  }
+
+let catalogue =
+  [
+    {
+      core_name = "avr";
+      build = avr_netlist;
+      core_rf_prefix = Avr_core.rf_prefix;
+      programs =
+        [
+          ("fib", avr_program "avr/fib" Programs.avr_fib);
+          ("conv", avr_program "avr/conv" Programs.avr_conv);
+          ("sort", avr_program "avr/sort" Programs.avr_sort);
+        ];
+    };
+    {
+      core_name = "msp430";
+      build = msp_netlist;
+      core_rf_prefix = Msp_core.rf_prefix;
+      programs =
+        [
+          ("fib", msp_program "msp/fib" Programs.msp_fib);
+          ("conv", msp_program "msp/conv" Programs.msp_conv);
+        ];
+    };
+  ]
+
+let find_core name = List.find_opt (fun c -> c.core_name = name) catalogue
+
+let find ~core ~program =
+  Option.bind (find_core core) (fun c ->
+      Option.map (fun p -> (c, p)) (List.assoc_opt program c.programs))
+
+let known =
+  String.concat ", "
+    (List.map
+       (fun c -> c.core_name ^ " x " ^ String.concat "|" (List.map fst c.programs))
+       catalogue)

@@ -94,3 +94,35 @@ val avr_netlist : unit -> Pruning_netlist.Netlist.t
 (** Build (once per call) the AVR core netlist. *)
 
 val msp_netlist : unit -> Pruning_netlist.Netlist.t
+
+(** {1 Built-in catalogue}
+
+    The one map from a built-in core/program name to its systems: every
+    tool looks its [--core]/[--program] up here. *)
+
+type program = {
+  system_name : string;  (** e.g. ["avr/fib"], ["msp/conv"] *)
+  make : Pruning_netlist.Netlist.t -> t;
+      (** a fresh scalar system over the given core netlist *)
+  make_delta_batch :
+    Pruning_netlist.Netlist.t -> trace:Pruning_sim.Trace.t -> delta_batch;
+      (** the same over the batched delta kernel (see {!create_avr_delta_batch}) *)
+}
+
+type core = {
+  core_name : string;  (** ["avr"] or ["msp430"] *)
+  build : unit -> Pruning_netlist.Netlist.t;  (** synthesize the core (once per call) *)
+  core_rf_prefix : string;  (** the register file's flop-name prefix *)
+  programs : (string * program) list;  (** program name ([fib], [conv], [sort]) -> program *)
+}
+
+val catalogue : core list
+(** AVR with fib, conv and sort; MSP430 with fib and conv. *)
+
+val find_core : string -> core option
+
+val find : core:string -> program:string -> (core * program) option
+
+val known : string
+(** The catalogue's pairs for error messages:
+    ["avr x fib|conv|sort, msp430 x fib|conv"]. *)

@@ -6,7 +6,7 @@
     denotes ({!expand}, {!hold}). [Seu] keys are netlist flop ids, so
     SEU campaigns are bit-identical to the historical behavior. *)
 
-type t = {
+type t = private {
   netlist : Pruning_netlist.Netlist.t;
   flops : Pruning_netlist.Netlist.flop array;  (** flops under injection *)
   cycles : int;
@@ -19,6 +19,8 @@ type t = {
           then); guard with [cone_lock] *)
   cone_lock : Mutex.t;
 }
+(** Private: only {!full}, {!without_prefix} and {!of_flops} build one,
+    so [index] always agrees with [flops]. *)
 
 val full : ?model:Fault_model.t -> Pruning_netlist.Netlist.t -> cycles:int -> t
 (** Every flip-flop ("FF" in the paper's tables). [model] defaults to

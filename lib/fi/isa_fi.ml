@@ -70,8 +70,3 @@ let avr_campaign ~program ~max_steps ~rng ~n ?(regs = List.init 32 Fun.id) () =
       | Sdc -> { s with sdc = s.sdc + 1 })
   done;
   !stats
-
-let pp_verdict ppf = function
-  | Benign -> Format.fprintf ppf "benign"
-  | Latent -> Format.fprintf ppf "latent"
-  | Sdc -> Format.fprintf ppf "SDC"

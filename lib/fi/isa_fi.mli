@@ -43,5 +43,3 @@ val avr_campaign :
   stats
 (** Sampled register-file campaign. [regs] restricts the injected
     registers (default: all 32). *)
-
-val pp_verdict : Format.formatter -> verdict -> unit

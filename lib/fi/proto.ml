@@ -382,3 +382,35 @@ let decode payload =
 
 let send ?deadline ?chaos fd msg = write_frame ?deadline ?chaos fd (encode msg)
 let recv ?deadline ?chaos fd = decode (read_frame ?deadline ?chaos fd)
+
+let connect host port =
+  let addrs =
+    Unix.getaddrinfo host (string_of_int port)
+      [ Unix.AI_SOCKTYPE Unix.SOCK_STREAM; Unix.AI_FAMILY Unix.PF_INET ]
+  in
+  let addrs =
+    if addrs = [] then
+      [
+        {
+          Unix.ai_family = Unix.PF_INET;
+          ai_socktype = Unix.SOCK_STREAM;
+          ai_protocol = 0;
+          ai_addr = Unix.ADDR_INET (Unix.inet_addr_of_string host, port);
+          ai_canonname = "";
+        };
+      ]
+    else addrs
+  in
+  let rec try_addrs = function
+    | [] -> raise (Unix.Unix_error (Unix.ECONNREFUSED, "connect", host))
+    | ai :: rest -> (
+      let fd = Unix.socket ai.Unix.ai_family ai.Unix.ai_socktype ai.Unix.ai_protocol in
+      match Unix.connect fd ai.Unix.ai_addr with
+      | () ->
+        (try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ());
+        fd
+      | exception e ->
+        (try Unix.close fd with Unix.Unix_error _ -> ());
+        if rest = [] then raise e else try_addrs rest)
+  in
+  try_addrs addrs

@@ -128,3 +128,8 @@ val recv : ?deadline:float -> ?chaos:Chaos.t -> Unix.file_descr -> msg
     (delays and connection resets only). Raises {!Closed} on EOF at a
     frame boundary, {!Error} on EOF mid-frame, CRC mismatch or an
     undecodable payload. *)
+
+val connect : string -> int -> Unix.file_descr
+(** A blocking TCP connection to [host]:[port] with [TCP_NODELAY] set:
+    [host] is resolved with [getaddrinfo] (IPv4), each address tried in
+    turn. Raises [Unix.Unix_error] when none accepts. *)

@@ -20,8 +20,6 @@ let record (t : t) ~name ev =
   Hashtbl.replace t name s;
   s
 
-let suspect (t : t) ~threshold name = threshold > 0 && score t name >= threshold
-
 let of_events events =
   let t = create () in
   List.iter (fun (name, ev) -> ignore (record t ~name ev)) events;

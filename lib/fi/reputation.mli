@@ -33,10 +33,6 @@ val score : t -> string -> int
 val record : t -> name:string -> event -> int
 (** Add [weight event] to [name]'s score and return the new score. *)
 
-val suspect : t -> threshold:int -> string -> bool
-(** [true] when [threshold > 0] and the name's score has reached it.
-    A threshold of 0 disables suspicion entirely. *)
-
 val of_events : (string * event) list -> t
 (** Fold an event sequence into a fresh table.  Equal to replaying the
     same events through {!record} in order — scores are a pure function

@@ -32,6 +32,9 @@ exception Stop
 
 let window = Executor.batch_window ~lanes:Campaign.max_delta_lanes
 
+(* Results frames kept for re-delivery after a coordinator failover. *)
+let replay_frames = 32
+
 (* A Byzantine verdict rewrite ({!Chaos.Lie}): deterministic in the
    drawn key, always different from the truth, applied before the frame
    is built — so the frame's CRC covers the lie and nothing on the wire
@@ -42,48 +45,15 @@ let lie k (o : Journal.outcome) : Journal.outcome =
   | Journal.Benign -> if k land 1 = 0 then Journal.Latent else Journal.Sdc (1 + (k land 0xFF))
   | _ -> Journal.Benign
 
-let connect host port =
-  let addrs =
-    Unix.getaddrinfo host (string_of_int port)
-      [ Unix.AI_SOCKTYPE Unix.SOCK_STREAM; Unix.AI_FAMILY Unix.PF_INET ]
-  in
-  let addrs =
-    if addrs = [] then
-      [
-        {
-          Unix.ai_family = Unix.PF_INET;
-          ai_socktype = Unix.SOCK_STREAM;
-          ai_protocol = 0;
-          ai_addr = Unix.ADDR_INET (Unix.inet_addr_of_string host, port);
-          ai_canonname = "";
-        };
-      ]
-    else addrs
-  in
-  let rec try_addrs = function
-    | [] -> raise (Unix.Unix_error (Unix.ECONNREFUSED, "connect", host))
-    | ai :: rest -> (
-      let fd = Unix.socket ai.Unix.ai_family ai.Unix.ai_socktype ai.Unix.ai_protocol in
-      match Unix.connect fd ai.Unix.ai_addr with
-      | () ->
-        (try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ());
-        fd
-      | exception e ->
-        (try Unix.close fd with Unix.Unix_error _ -> ());
-        if rest = [] then raise e else try_addrs rest)
-  in
-  try_addrs addrs
-
 let run ~host ~port ~resolve ?name ?(heartbeat = 1.) ?(recv_timeout = 30.) ?(retries = 2)
     ?(retry_backoff = Backoff.retry_policy) ?(reconnect_backoff = Backoff.default_policy)
-    ?(max_reconnects = 8) ?(results_per_frame = 64) ?(replay_frames = 32) ?readdress
+    ?(max_reconnects = 8) ?(results_per_frame = 64) ?readdress
     ?(should_stop = fun () -> false) ?chaos ?fault () =
   if heartbeat <= 0. then invalid_arg "Worker.run: heartbeat must be positive";
   if recv_timeout <= 0. then invalid_arg "Worker.run: recv_timeout must be positive";
   if retries < 0 then invalid_arg "Worker.run: retries must be non-negative";
   if max_reconnects < 0 then invalid_arg "Worker.run: max_reconnects must be non-negative";
   if results_per_frame < 1 then invalid_arg "Worker.run: results_per_frame must be positive";
-  if replay_frames < 0 then invalid_arg "Worker.run: replay_frames must be non-negative";
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
   let name =
     match name with
@@ -110,12 +80,8 @@ let run ~host ~port ~resolve ?name ?(heartbeat = 1.) ?(recv_timeout = 30.) ?(ret
      recovered without re-running the experiments. *)
   let replay : Proto.msg Queue.t = Queue.create () in
   let remember msg =
-    if replay_frames > 0 then begin
-      Queue.push msg replay;
-      while Queue.length replay > replay_frames do
-        ignore (Queue.pop replay)
-      done
-    end
+    Queue.push msg replay;
+    if Queue.length replay > replay_frames then ignore (Queue.pop replay)
   in
   (* One engine per distinct campaign identity, cached across
      reconnects; the fault list is re-derived from the header's pinned
@@ -323,7 +289,7 @@ let run ~host ~port ~resolve ?name ?(heartbeat = 1.) ?(recv_timeout = 30.) ?(ret
     if should_stop () then result := Some Stopped
     else begin
       refresh_address ();
-      match connect !cur_host !cur_port with
+      match Proto.connect !cur_host !cur_port with
       | exception Unix.Unix_error (e, _, _) ->
         incr failures;
         if !failures > max_reconnects then

@@ -94,7 +94,6 @@ val run :
   ?reconnect_backoff:Pruning_util.Backoff.policy ->
   ?max_reconnects:int ->
   ?results_per_frame:int ->
-  ?replay_frames:int ->
   ?readdress:(unit -> (string * int) option) ->
   ?should_stop:(unit -> bool) ->
   ?chaos:Chaos.t ->
@@ -128,7 +127,7 @@ val run :
     epoch it last handshook with and announces it in every [Hello].
     When a reconnect lands on a {e different} epoch (a supervised
     coordinator died and was resumed), the worker drops its stale lease
-    assumptions and re-delivers its [replay_frames] (default 32) most
+    assumptions and re-delivers its 32 most
     recent Results frames — verdicts the dead coordinator journaled
     deduplicate, verdicts it lost are recovered without re-running the
     experiments. [readdress] (called before every connection attempt,

@@ -35,20 +35,6 @@ let of_report (report : Search.report) =
 
 let size t = Array.length t.mates
 
-let subset t indices =
-  { mates = Array.of_list (List.map (fun i -> t.mates.(i)) indices) }
-
-let without t indices =
-  let drop = Array.make (Array.length t.mates) false in
-  List.iter
-    (fun i -> if i >= 0 && i < Array.length drop then drop.(i) <- true)
-    indices;
-  {
-    mates =
-      Array.of_list
-        (List.filteri (fun i _ -> not drop.(i)) (Array.to_list t.mates));
-  }
-
 let describe nl t i =
   let m = t.mates.(i) in
   Printf.sprintf "MATE %s over %d flop(s)"

@@ -21,13 +21,6 @@ val of_report : Search.report -> t
 
 val size : t -> int
 
-val subset : t -> int list -> t
-(** Restrict to the given mate indices (e.g. a top-N selection). *)
-
-val without : t -> int list -> t
-(** Drop the given mate indices (e.g. mates quarantined by the audit
-    sentinel); out-of-range indices are ignored. *)
-
 val describe : Pruning_netlist.Netlist.t -> t -> int -> string
 (** Human-readable one-liner for mate [i] (its term over named wires and
     how many flops it masks) — used by audit summaries. *)

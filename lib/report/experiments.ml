@@ -1,9 +1,6 @@
 module Netlist = Pruning_netlist.Netlist
 module Trace = Pruning_sim.Trace
 module System = Pruning_cpu.System
-module Avr_asm = Pruning_cpu.Avr_asm
-module Msp_asm = Pruning_cpu.Msp_asm
-module Programs = Pruning_cpu.Programs
 module Search = Pruning_mate.Search
 module Mateset = Pruning_mate.Mateset
 module Replay = Pruning_mate.Replay
@@ -20,27 +17,20 @@ type setup = {
   programs : (string * (Netlist.t -> System.t)) list;
 }
 
-let avr_setup () =
-  let netlist = System.avr_netlist () in
-  let make items name nl = System.create_avr ~netlist:nl ~program:(Avr_asm.assemble items) name in
+(* The paper's two programs, picked out of the catalogue by name: a
+   core's further programs (AVR sort) get no table row. *)
+let setup_of core core_name =
+  let c = Option.get (System.find_core core) in
   {
-    core_name = "AVR";
-    netlist;
-    rf_prefix = Pruning_cpu.Avr_core.rf_prefix;
+    core_name;
+    netlist = c.System.build ();
+    rf_prefix = c.System.core_rf_prefix;
     programs =
-      [ ("fib", make Programs.avr_fib "avr/fib"); ("conv", make Programs.avr_conv "avr/conv") ];
+      List.map (fun p -> (p, (List.assoc p c.System.programs).System.make)) [ "fib"; "conv" ];
   }
 
-let msp_setup () =
-  let netlist = System.msp_netlist () in
-  let make items name nl = System.create_msp ~netlist:nl ~program:(Msp_asm.assemble items) name in
-  {
-    core_name = "MSP430";
-    netlist;
-    rf_prefix = Pruning_cpu.Msp_core.rf_prefix;
-    programs =
-      [ ("fib", make Programs.msp_fib "msp/fib"); ("conv", make Programs.msp_conv "msp/conv") ];
-  }
+let avr_setup () = setup_of "avr" "AVR"
+let msp_setup () = setup_of "msp430" "MSP430"
 
 type prepared = {
   setup : setup;

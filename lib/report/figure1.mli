@@ -8,14 +8,6 @@
 val combinational : unit -> Pruning_netlist.Netlist.t
 (** Inputs a..e are primary inputs (Figure 1a). *)
 
-val sequential : unit -> Pruning_netlist.Netlist.t
-(** Inputs a..e are flip-flops loaded from primary inputs [a_in]..[e_in]
-    (the 5-flop x 8-cycle fault space of Figure 1b). *)
-
-val default_stimulus : int list list
-(** Eight cycles of [a; b; c; d; e] input values used by the Figure 1b
-    reproduction. *)
-
 val render_figure1a : unit -> string
 (** Text rendering of Figure 1a: the cone of [d], its border wires, and
     the discovered MATEs (expected: exactly the paper's [(!f & h)]),

@@ -297,11 +297,6 @@ let concat = function
   | [] -> invalid_arg "Signal.concat: empty"
   | first :: rest -> List.fold_left (fun acc v -> cat acc v) first rest
 
-let repeat b n =
-  let bnode = expect_bit "repeat" b in
-  if n < 1 then invalid_arg "Signal.repeat: n < 1";
-  { circ = b.circ; vbits = Array.make n bnode }
-
 let uresize v w =
   check_width_range w;
   let cur = width v in
@@ -412,4 +407,3 @@ let mux sel cases =
   in
   level 0 (Array.to_list padded)
 
-let connect_en r ~enable v = connect r (mux2 enable v (q r))

@@ -46,10 +46,6 @@ val connect : reg -> t -> unit
 (** Connect the next-state input. Must be called exactly once per register
     before synthesis. *)
 
-val connect_en : reg -> enable:t -> t -> unit
-(** [connect_en r ~enable v] holds the register unless [enable] (width 1)
-    is set: sugar for [connect r (mux2 enable v (q r))]. *)
-
 val output : circuit -> string -> t -> unit
 (** Declare a primary-output port. *)
 
@@ -107,9 +103,6 @@ val cat : t -> t -> t
 
 val concat : t list -> t
 (** [concat [msb; ...; lsb]]. *)
-
-val repeat : t -> int -> t
-(** [repeat b n] replicates a width-1 vector [n] times. *)
 
 val uresize : t -> int -> t
 (** Zero-extend or truncate to the given width. *)

@@ -158,9 +158,6 @@ let create nl trace =
     cyc = 0;
   }
 
-let netlist t = t.nl
-let cycle t = t.cyc
-let total_cycles t = t.total
 
 let devices t =
   match t.devices_ord with

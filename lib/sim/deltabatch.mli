@@ -62,14 +62,6 @@ val create : Netlist.t -> Trace.t -> t
     is [trace]. Raises [Invalid_argument] on width mismatch or an
     empty trace. *)
 
-val netlist : t -> Netlist.t
-
-val cycle : t -> int
-(** Current cycle (the trace row {!propagate} compares against). *)
-
-val total_cycles : t -> int
-(** Cycles in the golden trace; valid cycles are [0, total_cycles). *)
-
 val add_device : t -> device -> unit
 (** Attach a batch delta device. Comb hooks run in attach order. *)
 

@@ -54,19 +54,9 @@ let row_bytes t ~cycle =
   if cycle < 0 || cycle >= t.n_cycles then invalid_arg "Trace.row_bytes: cycle out of range";
   t.rows.(cycle)
 
-let row ?into t ~cycle =
+let row t ~cycle =
   if cycle < 0 || cycle >= t.n_cycles then invalid_arg "Trace.row: cycle out of range";
-  let out =
-    match into with
-    | None -> Array.make t.n_wires false
-    | Some buf ->
-      if Array.length buf <> t.n_wires then invalid_arg "Trace.row: buffer width mismatch";
-      buf
-  in
-  for w = 0 to t.n_wires - 1 do
-    out.(w) <- get_unchecked t cycle w
-  done;
-  out
+  Array.init t.n_wires (get_unchecked t cycle)
 
 let bits_per_word = Sys.int_size
 

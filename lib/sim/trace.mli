@@ -19,10 +19,8 @@ val append : t -> bool array -> unit
 val get : t -> cycle:int -> int -> bool
 (** [get t ~cycle wire]. Raises [Invalid_argument] out of range. *)
 
-val row : ?into:bool array -> t -> cycle:int -> bool array
-(** All wire values of one cycle. With [~into] the values are written
-    into the caller's buffer (length must be [n_wires]) and that buffer
-    is returned — no allocation; otherwise a fresh array is allocated. *)
+val row : t -> cycle:int -> bool array
+(** All wire values of one cycle, in a fresh array. *)
 
 val row_bytes : t -> cycle:int -> Bytes.t
 (** The internal packed row of one cycle (bit [w land 7] of byte

@@ -11,9 +11,6 @@ val create : int -> t
 (** [create seed] makes a generator from a seed. Equal seeds yield equal
     streams. *)
 
-val next_int64 : t -> int64
-(** Next raw 64-bit output. *)
-
 val int : t -> int -> int
 (** [int t bound] draws a uniform integer in \[0, bound) by rejection
     sampling (exactly uniform — no modulo bias). [bound] must be

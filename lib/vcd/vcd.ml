@@ -37,11 +37,9 @@ let emit (nl : Netlist.t) trace add =
   done;
   out "#%d\n" n_cycles
 
-let write nl trace oc = emit nl trace (output_string oc)
-
 let write_file nl trace path =
   let oc = open_out path in
-  (try write nl trace oc
+  (try emit nl trace (output_string oc)
    with e ->
      close_out oc;
      raise e);

@@ -6,10 +6,8 @@
     variable; one clock cycle is one timestep. Only scalar variables and
     the subset of the format we emit are supported by the parser. *)
 
-val write : Pruning_netlist.Netlist.t -> Pruning_sim.Trace.t -> out_channel -> unit
-(** Dump a trace. Variable names are the netlist wire names. *)
-
 val write_file : Pruning_netlist.Netlist.t -> Pruning_sim.Trace.t -> string -> unit
+(** Dump a trace. Variable names are the netlist wire names. *)
 
 val to_string : Pruning_netlist.Netlist.t -> Pruning_sim.Trace.t -> string
 

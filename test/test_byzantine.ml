@@ -166,10 +166,7 @@ let work_bg ~port ~name ?(resolve = fun _ -> toy_engine ()) ?chaos () =
 
 (* --- scripted Proto clients ------------------------------------------- *)
 
-let connect port =
-  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-  fd
+let connect port = Proto.connect "127.0.0.1" port
 
 (* Handshake and return the suspicion score the coordinator holds
    against this name. *)

@@ -267,10 +267,7 @@ let work_bg ~port ~name ?(resolve = fun _ -> toy_engine ()) ?reconnect_backoff ?
   in
   join
 
-let connect port =
-  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-  fd
+let connect port = Proto.connect "127.0.0.1" port
 
 (* --- quarantine ------------------------------------------------------- *)
 

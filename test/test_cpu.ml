@@ -485,6 +485,48 @@ let test_core_sizes () =
   check_int "msp rf flops" 192 (List.length (Netlist.flops_matching msp ~prefix:"rf_"));
   check_bool "msp has gates" true (Netlist.n_gates msp > 500)
 
+(* The catalogue every tool looks its core/program up in: the pairs
+   and system names are pinned (they label tables and journals), and
+   each maker builds over the netlist it is handed, not a fresh one. *)
+let test_catalogue () =
+  let names =
+    List.concat_map
+      (fun (c : System.core) ->
+        List.map
+          (fun (p, (program : System.program)) ->
+            (c.System.core_name, p, program.System.system_name))
+          c.System.programs)
+      System.catalogue
+  in
+  Alcotest.(check (list (triple string string string)))
+    "pairs and system names"
+    [
+      ("avr", "fib", "avr/fib");
+      ("avr", "conv", "avr/conv");
+      ("avr", "sort", "avr/sort");
+      ("msp430", "fib", "msp/fib");
+      ("msp430", "conv", "msp/conv");
+    ]
+    names;
+  List.iter
+    (fun (c : System.core) ->
+      let nl = c.System.build () in
+      List.iter
+        (fun (_, (program : System.program)) ->
+          let name = program.System.system_name in
+          let sys = program.System.make nl in
+          check_bool (name ^ ": make uses the given netlist") true (sys.System.netlist == nl);
+          check_string (name ^ ": system name") name sys.System.name;
+          check_string (name ^ ": rf prefix") c.System.core_rf_prefix sys.System.rf_prefix;
+          let db = program.System.make_delta_batch nl ~trace:(System.record sys ~cycles:4) in
+          check_bool (name ^ ": make_delta_batch uses the given netlist") true
+            (db.System.db_netlist == nl);
+          check_string (name ^ ": batched system name") name db.System.db_name)
+        c.System.programs)
+    System.catalogue;
+  check_bool "an unbuilt pair is not found" true
+    (Option.is_none (System.find ~core:"msp430" ~program:"sort"))
+
 let suite =
   [
     Alcotest.test_case "avr encode/decode roundtrip" `Quick test_avr_encode_decode_roundtrip;
@@ -508,4 +550,5 @@ let suite =
     Alcotest.test_case "msp addressing modes" `Quick test_msp_addressing_modes;
     Alcotest.test_case "msp random programs" `Slow test_msp_random_programs;
     Alcotest.test_case "core sizes" `Quick test_core_sizes;
+    Alcotest.test_case "built-in catalogue" `Quick test_catalogue;
   ]

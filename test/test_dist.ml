@@ -965,11 +965,7 @@ let test_rogue_clients () =
   let coord = Coordinator.create ~config:test_config () in
   let port = Coordinator.port coord in
   let join = serve_bg coord ~header:(make_header ()) () in
-  let connect () =
-    let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-    Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-    fd
-  in
+  let connect () = Proto.connect "127.0.0.1" port in
   let expect_disconnect label fd =
     match Proto.recv fd with
     | exception (Proto.Closed | Proto.Error _ | Unix.Unix_error _) -> Unix.close fd

@@ -13,7 +13,9 @@
      its verdicts in input order.
    - A campaign simulates its golden run once, however many workers
      it builds, and that run's trace equals a fresh [System.record].
-   - [?lanes] is checked for every fault model. *)
+   - [?lanes] is checked for every fault model.
+   - Every pair of {!System.catalogue}: a sampled SEU campaign gives
+     the same verdicts on the scalar and the delta-batched engine. *)
 
 open Helpers
 module Campaign = Pruning_fi.Campaign
@@ -230,6 +232,53 @@ let test_lanes_every_model () =
         [ 0; Campaign.max_delta_lanes + 1 ])
     Fault_model.[ Seu; Set; Mbu 2; Intermittent 3 ]
 
+(* --- every catalogue pair ---------------------------------------------- *)
+
+(* Each built-in system, looked up the way the CLI tools look it up,
+   classifies a short SEU sample identically on the scalar engine and on
+   the delta-batched engine at the full lane width and at 5 lanes. *)
+let check_catalogue_pair label nl (program : System.program) =
+  let cycles = 60 in
+  let space = Fault_space.full nl ~cycles in
+  let rng = Prng.create 0xCA7 in
+  let faults =
+    Array.init 120 (fun _ ->
+        let key = Fault_space.draw_key space (Prng.int rng (Fault_space.n_keys space)) in
+        (key, Prng.int rng cycles))
+  in
+  let campaign () =
+    Campaign.create
+      ~make:(fun () -> program.System.make nl)
+      ~make_delta_batch:(program.System.make_delta_batch nl) ~total_cycles:cycles ()
+  in
+  let scalar =
+    let c = campaign () in
+    let w = Campaign.primary_worker c in
+    Array.map (fun (key, cycle) -> Campaign.inject_fault c w ~space ~key ~cycle) faults
+  in
+  check_bool (label ^ ": not all benign") true (Array.exists (( <> ) Campaign.Benign) scalar);
+  List.iter
+    (fun lanes ->
+      same_verdicts
+        (Printf.sprintf "%s: delta-batched x %d lanes" label lanes)
+        faults scalar
+        (Campaign.inject_delta_batch (campaign ()) ~space ~lanes ~faults ()))
+    [ Campaign.max_delta_lanes; 5 ]
+
+let catalogue_cases =
+  List.concat_map
+    (fun (core : System.core) ->
+      let nl = lazy (core.System.build ()) in
+      List.map
+        (fun (name, program) ->
+          let label = core.System.core_name ^ "/" ^ name in
+          Alcotest.test_case
+            (Printf.sprintf "catalogue %s: scalar = delta-batched" label)
+            `Quick
+            (fun () -> check_catalogue_pair label (Lazy.force nl) program))
+        core.System.programs)
+    System.catalogue
+
 let suite =
   exhaustive_cases
   @ [
@@ -239,3 +288,4 @@ let suite =
       Alcotest.test_case "lanes checked for every fault model" `Quick test_lanes_every_model;
       Alcotest.test_case "set batch: empty expansions, input order" `Quick test_set_batch_mixed;
     ]
+  @ catalogue_cases

@@ -23,6 +23,31 @@ let test_fault_space_sizes () =
   check_int "without rf" 10 (Fault_space.size space2);
   check_bool "flop_index present" true (Fault_space.flop_index space2 2 = Some 0);
   check_bool "flop_index excluded" true (Fault_space.flop_index space2 0 = None);
+  (* Every constructor, under every model [full] accepts, indexes each
+     netlist flop at its position in [flops] (None when excluded). *)
+  let consistent label (space : Fault_space.t) =
+    Array.iter
+      (fun (f : Netlist.flop) ->
+        let rec position i =
+          if i = Array.length space.Fault_space.flops then None
+          else if space.Fault_space.flops.(i).Netlist.flop_id = f.Netlist.flop_id then Some i
+          else position (i + 1)
+        in
+        check_bool
+          (Printf.sprintf "%s: flop_index of %s" label f.Netlist.flop_name)
+          true
+          (Fault_space.flop_index space f.Netlist.flop_id = position 0))
+      space.Fault_space.netlist.Netlist.flops
+  in
+  List.iter
+    (fun model ->
+      let name = Pruning_fi.Fault_model.name model in
+      consistent ("full " ^ name) (Fault_space.full ~model nl2 ~cycles:10);
+      consistent ("without_prefix " ^ name)
+        (Fault_space.without_prefix ~model nl2 ~prefix:"pc" ~cycles:10))
+    Pruning_fi.Fault_model.[ Seu; Set; Mbu 2; Intermittent 3 ];
+  let flop name = Netlist.find_flop nl2 name in
+  consistent "of_flops" (Fault_space.of_flops nl2 [| flop "pc[0]"; flop "rf_1[0]" |] ~cycles:10);
   Alcotest.check_raises "bad cycles" (Invalid_argument "Fault_space: cycles must be positive")
     (fun () -> ignore (Fault_space.full nl ~cycles:0))
 
